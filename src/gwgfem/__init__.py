@@ -24,7 +24,6 @@ from .mesh import (
     build_rectangular,
     build_triangular,
     dump_mesh,
-    edge_quadrature,
     element_quadrature,
 )
 from .postproc import (
@@ -48,21 +47,16 @@ from .spaces import (
     grad_interior,
     parse_boundary,
     parse_interior,
-    sample_params,
 )
 from .weakops import (
+    EdgeRule,
     ElementKernel,
     RbOperator,
     WeakFunction,
-    apply_rb,
     check_rb_injectivity,
     check_rigid_motion_invariance,
-    correction_divergence,
-    correction_gradient,
+    edge_rule,
     parse_rb,
-    weak_divergence,
-    weak_gradient,
-    weak_strain,
 )
 
 __version__ = "0.1.0"

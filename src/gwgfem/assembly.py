@@ -23,17 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .mesh import Mesh2D, element_quadrature
+from .mesh import Mesh2D, element_blocks, element_quadrature
 from .spaces import SpaceSet, default_quad_degree, eval_interior
-from .weakops import EdgeProjector, ElementKernel, RbOperator, WeakFunction
+from .weakops import EdgeRule, ElementKernel, RbOperator, WeakFunction, edge_rule
 
 __all__ = [
     "DofMap",
     "DiscreteSystem",
     "dof_map",
     "apply_dirichlet",
-    "local_stiffness",
-    "local_load",
     "assemble",
     "extract_solution",
     "seminorm",
@@ -57,9 +55,6 @@ class DofMap:
     edge_offset: np.ndarray  # (ned,) start of the edge block, -1 if fixed
     num_unknowns: int
 
-    def interior_slice(self, eid: int) -> slice:
-        return slice(eid * self.n0, (eid + 1) * self.n0)
-
 
 @dataclass
 class DiscreteSystem:
@@ -78,21 +73,26 @@ class DiscreteSystem:
     gamma: float
     quad_degree: int
     condensed: bool = False
-    recovery: list | None = field(default=None, repr=False)
+    # condensed only: per-element (A_ii, A_ib, b_i) arrays, (ne, n0, ...)
+    recovery: tuple | None = field(default=None, repr=False)
 
 
 def dof_map(mesh: Mesh2D, spaces: SpaceSet) -> DofMap:
     n0 = spaces.interior.dim
     nb = spaces.boundary.dim
     ne = mesh.num_elements
+    free = np.nonzero(~mesh.boundary)[0]
     edge_offset = np.full(mesh.num_edges, -1, dtype=np.int64)
-    base = ne * n0
-    for e in range(mesh.num_edges):
-        if not mesh.boundary[e]:
-            edge_offset[e] = base
-            base += nb
+    edge_offset[free] = ne * n0 + nb * np.arange(len(free))
     return DofMap(n0=n0, nb=nb, num_elements=ne, edge_offset=edge_offset,
-                  num_unknowns=base)
+                  num_unknowns=ne * n0 + nb * len(free))
+
+
+def _dirichlet(mesh: Mesh2D, edges: EdgeRule, g) -> np.ndarray:
+    fixed = np.zeros((mesh.num_edges, edges.basis.shape[1]))
+    bnd = np.nonzero(mesh.boundary)[0]
+    fixed[bnd] = edges.project(bnd, g)
+    return fixed
 
 
 def apply_dirichlet(mesh: Mesh2D, g, spaces: SpaceSet,
@@ -101,41 +101,17 @@ def apply_dirichlet(mesh: Mesh2D, g, spaces: SpaceSet,
     edge; returns an (ned, nb) array with valid rows on boundary edges."""
     if quad_degree is None:
         quad_degree = default_quad_degree(spaces.interior)
-    cache: dict = {}
-    fixed = np.zeros((mesh.num_edges, spaces.boundary.dim))
-    for e in np.nonzero(mesh.boundary)[0]:
-        proj = EdgeProjector(mesh, e, spaces.boundary, quad_degree, cache)
-        fixed[e] = proj.coefficients(np.asarray(g(proj.points), dtype=float))
-    return fixed
+    return _dirichlet(mesh, edge_rule(mesh, spaces.boundary, quad_degree), g)
 
 
-def local_stiffness(mesh: Mesh2D, eid: int, spaces: SpaceSet, rb: RbOperator,
-                    mu: float, lam: float, rho: float, gamma: float,
-                    quad_degree: int | None = None) -> np.ndarray:
-    """Dense symmetric local matrix over the element's interior+edge dofs."""
-    return ElementKernel(mesh, eid, spaces, rb, quad_degree).local_stiffness(
-        mu, lam, rho, gamma)
-
-
-def local_load(mesh: Mesh2D, eid: int, spaces: SpaceSet, f,
-               quad_degree: int | None = None) -> np.ndarray:
-    kern = ElementKernel(mesh, eid, spaces, RbOperator("identity"), quad_degree)
-    return kern.local_load(f)
-
-
-def _local_dof_ids(mesh: Mesh2D, eid: int, dm: DofMap) -> np.ndarray:
-    """Global ids of the element's local dofs; -(edge+1) encodes fixed blocks."""
-    ids = np.empty(dm.n0 + len(mesh.element_edges[eid]) * dm.nb, dtype=np.int64)
-    ids[: dm.n0] = np.arange(eid * dm.n0, (eid + 1) * dm.n0)
-    pos = dm.n0
-    for e in mesh.element_edges[eid]:
-        off = dm.edge_offset[e]
-        if off >= 0:
-            ids[pos: pos + dm.nb] = np.arange(off, off + dm.nb)
-        else:
-            ids[pos: pos + dm.nb] = -(e + 1)
-        pos += dm.nb
-    return ids
+def _local_dof_ids(mesh: Mesh2D, dm: DofMap) -> np.ndarray:
+    """(ne, ndof) global ids of every element's local dofs; -1 marks the
+    fixed (Dirichlet) edge blocks."""
+    ne = mesh.num_elements
+    off = dm.edge_offset[mesh.element_edges]  # (ne, m)
+    edge_ids = np.where(off[:, :, None] >= 0, off[:, :, None] + np.arange(dm.nb), -1)
+    return np.concatenate([np.arange(ne * dm.n0).reshape(ne, dm.n0),
+                           edge_ids.reshape(ne, -1)], axis=1)
 
 
 def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
@@ -151,75 +127,51 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
     if quad_degree is None:
         quad_degree = default_quad_degree(spaces.interior)
     dm = dof_map(mesh, spaces)
-    fixed = apply_dirichlet(mesh, g, spaces, quad_degree)
-    edge_cache: dict = {}
-
-    rows, cols, vals = [], [], []
+    edges = edge_rule(mesh, spaces.boundary, quad_degree)
+    fixed = _dirichlet(mesh, edges, g)
+    ids = _local_dof_ids(mesh, dm)
+    ne, ndof = ids.shape
     n0 = dm.n0
+
+    A = np.empty((ne, ndof, ndof))
+    b = np.empty((ne, ndof))
+    for eids in element_blocks(np.arange(ne)):
+        kern = ElementKernel(mesh, spaces, rb, edges, eids, quad_degree)
+        A[eids] = kern.local_stiffness(mu, lam, rho, gamma)
+        b[eids] = kern.local_load(f)
+    # fixed coefficients per local dof; zero on free dofs (rows of free
+    # edges in ``fixed`` are zero)
+    ufix = np.zeros((ne, ndof))
+    ufix[:, n0:] = fixed[mesh.element_edges].reshape(ne, -1)
+
+    recovery = None
+    n_unknowns = dm.num_unknowns
     if condense:
-        n_unknowns = dm.num_unknowns - mesh.num_elements * n0
-        shift = mesh.num_elements * n0
-        rhs = np.zeros(n_unknowns)
-        recovery = []
-    else:
-        n_unknowns = dm.num_unknowns
-        rhs = np.zeros(n_unknowns)
-        recovery = None
+        # Schur complement onto the edge block (fixed and free alike),
+        # then eliminate the fixed columns
+        Aii, Aib, bi = A[:, :n0, :n0], A[:, :n0, n0:], b[:, :n0]
+        sol = np.linalg.solve(Aii, np.concatenate([Aib, bi[:, :, None]], axis=2))
+        AibT = Aib.transpose(0, 2, 1)
+        recovery = (Aii.copy(), Aib.copy(), bi.copy())
+        b = b[:, n0:] - (AibT @ sol[:, :, -1:])[:, :, 0]
+        A = A[:, n0:, n0:] - AibT @ sol[:, :, :-1]
+        shift = ne * n0
+        ids = np.where(ids[:, n0:] >= 0, ids[:, n0:] - shift, -1)
+        ufix = ufix[:, n0:]
+        n_unknowns -= shift
 
-    for eid in range(mesh.num_elements):
-        kern = ElementKernel(mesh, eid, spaces, rb, quad_degree, edge_cache)
-        A = kern.local_stiffness(mu, lam, rho, gamma)
-        b = kern.local_load(f)
-        ids = _local_dof_ids(mesh, eid, dm)
-
-        if condense:
-            # Schur complement onto the edge block (fixed and free alike),
-            # then eliminate the fixed columns
-            Aii = A[:n0, :n0]
-            Aib = A[:n0, n0:]
-            Abb = A[n0:, n0:]
-            solve_ii = np.linalg.solve(Aii, np.hstack([Aib, b[:n0, None]]))
-            Xib = solve_ii[:, :-1]
-            xi = solve_ii[:, -1]
-            S = Abb - Aib.T @ Xib
-            sb = b[n0:] - Aib.T @ xi
-            bids = ids[n0:]
-            recovery.append((Aii, Aib, b[:n0].copy()))
-            A_eff, b_eff, ids_eff = S, sb, bids - shift * (bids >= 0)
-        else:
-            A_eff, b_eff, ids_eff = A, b.copy(), ids
-
-        free = ids_eff >= 0
-        if not np.all(free):
-            fixvals = _fixed_values(ids_eff[~free], fixed, dm.nb)
-            b_eff = b_eff.copy()
-            b_eff[free] -= A_eff[np.ix_(free, ~free)] @ fixvals
-        gids = ids_eff[free]
-        sub = A_eff[np.ix_(free, free)]
-        rr, cc = np.meshgrid(gids, gids, indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        vals.append(sub.ravel())
-        np.add.at(rhs, gids, b_eff[free])
-
-    matrix = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_unknowns, n_unknowns),
-    ).tocsr()
+    free = ids >= 0
+    b = b - (A @ ufix[:, :, None])[:, :, 0]
+    pairs = free[:, :, None] & free[:, None, :]
+    rows = np.broadcast_to(ids[:, :, None], A.shape)[pairs]
+    cols = np.broadcast_to(ids[:, None, :], A.shape)[pairs]
+    matrix = sparse.coo_matrix((A[pairs], (rows, cols)),
+                               shape=(n_unknowns, n_unknowns)).tocsr()
+    rhs = np.bincount(ids[free], weights=b[free], minlength=n_unknowns)
     return DiscreteSystem(matrix=matrix, rhs=rhs, dofmap=dm, fixed_coeffs=fixed,
                           mesh=mesh, spaces=spaces, rb=rb, mu=mu, lam=lam,
                           rho=rho, gamma=gamma, quad_degree=quad_degree,
                           condensed=condense, recovery=recovery)
-
-
-def _fixed_values(neg_ids: np.ndarray, fixed: np.ndarray, nb: int) -> np.ndarray:
-    """Dirichlet coefficients for encoded fixed ids (-(edge+1), block order)."""
-    out = np.empty(len(neg_ids))
-    # ids come in contiguous runs of nb per fixed edge, in block order
-    for k in range(0, len(neg_ids), nb):
-        e = int(-neg_ids[k] - 1)
-        out[k: k + nb] = fixed[e]
-    return out
 
 
 def extract_solution(system: DiscreteSystem, x: np.ndarray) -> WeakFunction:
@@ -227,22 +179,18 @@ def extract_solution(system: DiscreteSystem, x: np.ndarray) -> WeakFunction:
     edge blocks with their fixed coefficients (and recovering condensed
     interior blocks)."""
     mesh, dm = system.mesh, system.dofmap
+    ne = mesh.num_elements
+    shift = ne * dm.n0 if system.condensed else 0
     wf = WeakFunction.zeros(mesh, system.spaces)
-    for e in range(mesh.num_edges):
-        off = dm.edge_offset[e]
-        if off < 0:
-            wf.boundary[e] = system.fixed_coeffs[e]
-        else:
-            idx = off if not system.condensed else off - mesh.num_elements * dm.n0
-            wf.boundary[e] = x[idx: idx + dm.nb]
+    free = dm.edge_offset >= 0
+    wf.boundary[~free] = system.fixed_coeffs[~free]
+    wf.boundary[free] = x[(dm.edge_offset[free] - shift)[:, None] + np.arange(dm.nb)]
     if system.condensed:
-        for eid in range(mesh.num_elements):
-            Aii, Aib, bi = system.recovery[eid]
-            ub = np.concatenate([wf.boundary[e] for e in mesh.element_edges[eid]])
-            wf.interior[eid] = np.linalg.solve(Aii, bi - Aib @ ub)
+        Aii, Aib, bi = system.recovery
+        ub = wf.boundary[mesh.element_edges].reshape(ne, -1, 1)
+        wf.interior[:] = np.linalg.solve(Aii, bi[:, :, None] - Aib @ ub)[:, :, 0]
     else:
-        for eid in range(mesh.num_elements):
-            wf.interior[eid] = x[dm.interior_slice(eid)]
+        wf.interior[:] = x[: ne * dm.n0].reshape(ne, dm.n0)
     return wf
 
 
@@ -253,60 +201,62 @@ def seminorm(v: WeakFunction, mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator,
     zero-energy weak functions (e.g. matched rigid motions)."""
     if quad_degree is None:
         quad_degree = default_quad_degree(spaces.interior)
-    edge_cache: dict = {}
+    edges = edge_rule(mesh, spaces.boundary, quad_degree)
     total = 0.0
-    for eid in range(mesh.num_elements):
-        kern = ElementKernel(mesh, eid, spaces, rb, quad_degree, edge_cache)
-        vloc = v.local_coefficients(mesh, eid)
-        total += kern.energy(vloc, mu, lam, rho, gamma)
+    for eids in element_blocks(np.arange(mesh.num_elements)):
+        kern = ElementKernel(mesh, spaces, rb, edges, eids, quad_degree)
+        vloc = v.local_coefficients(mesh, eids)
+        total += float(kern.energy(vloc, mu, lam, rho, gamma).sum())
     return float(np.sqrt(max(total, 0.0)))
 
 
 # -- L2 projections (needed by diagnostics and the operator identities) --
 
 
-def project_interior(mesh: Mesh2D, eid: int, spaces: SpaceSet, field_fn,
+def project_interior(mesh: Mesh2D, eid, spaces: SpaceSet, field_fn,
                      quad_degree: int | None = None) -> np.ndarray:
-    """Element L2 projection of a vector field onto V0(T); coefficients."""
+    """Element L2 projection of a vector field onto V0(T); coefficients,
+    (E, n0) for an array of E elements."""
     if quad_degree is None:
         quad_degree = default_quad_degree(spaces.interior)
     rule = element_quadrature(mesh, eid, quad_degree)
     vals = eval_interior(mesh, eid, spaces.interior, spaces.element_params(eid),
                          rule.points)
-    fv = np.asarray(field_fn(rule.points), dtype=float)
-    gram = np.einsum("inc,jnc,n->ij", vals, vals, rule.weights)
-    mom = np.einsum("inc,nc,n->i", vals, fv, rule.weights)
-    return np.linalg.solve(gram, mom)
+    fv = np.asarray(field_fn(rule.points.reshape(-1, 2)), dtype=float)
+    fv = fv.reshape(rule.points.shape)
+    gram = np.einsum("...inc,...jnc,...n->...ij", vals, vals, rule.weights)
+    mom = np.einsum("...inc,...nc,...n->...i", vals, fv, rule.weights)
+    return np.linalg.solve(gram, mom[..., None])[..., 0]
 
 
-def project_boundary(mesh: Mesh2D, edge_id: int, spaces: SpaceSet, field_fn,
+def project_boundary(mesh: Mesh2D, edge_id, spaces: SpaceSet, field_fn,
                      quad_degree: int | None = None) -> np.ndarray:
-    """Edgewise L2 projection onto V^b(e); coefficients in the global basis."""
+    """Edgewise L2 projection onto V^b(e); coefficients in the global basis,
+    (E, nb) for an array of E edges."""
     if quad_degree is None:
         quad_degree = default_quad_degree(spaces.interior)
-    proj = EdgeProjector(mesh, edge_id, spaces.boundary, quad_degree)
-    return proj.coefficients(np.asarray(field_fn(proj.points), dtype=float))
+    return edge_rule(mesh, spaces.boundary, quad_degree).project(edge_id, field_fn)
 
 
 def project_g1(kern: ElementKernel, field_vals: np.ndarray) -> np.ndarray:
-    """L2 projection of a matrix field (values (nq, 2, 2) at the kernel's
-    volume rule) onto the constant-matrix correction space."""
+    """L2 projection of matrix fields (values (E, nq, 2, 2) at the kernel's
+    volume rule) onto the constant-matrix correction space; (E, 2, 2)."""
     w = kern.vol.weights
-    return np.einsum("nab,n->ab", field_vals, w) / np.sum(w)
+    return np.einsum("enab,en->eab", field_vals, w) / w.sum(axis=1)[:, None, None]
 
 
-def project_g2(kern: ElementKernel, field_vals: np.ndarray) -> float:
-    """L2 projection of a scalar field onto constants."""
+def project_g2(kern: ElementKernel, field_vals: np.ndarray) -> np.ndarray:
+    """L2 projection of scalar fields (E, nq) onto constants; (E,)."""
     w = kern.vol.weights
-    return float(np.dot(field_vals, w) / np.sum(w))
+    return np.einsum("en,en->e", field_vals, w) / w.sum(axis=1)
 
 
 def interpolate(mesh: Mesh2D, spaces: SpaceSet, field_fn,
                 quad_degree: int | None = None) -> WeakFunction:
     """The projection-based interpolant {Q0 u, Qb u} as a weak function."""
     wf = WeakFunction.zeros(mesh, spaces)
-    for eid in range(mesh.num_elements):
-        wf.interior[eid] = project_interior(mesh, eid, spaces, field_fn, quad_degree)
-    for e in range(mesh.num_edges):
-        wf.boundary[e] = project_boundary(mesh, e, spaces, field_fn, quad_degree)
+    for eids in element_blocks(np.arange(mesh.num_elements)):
+        wf.interior[eids] = project_interior(mesh, eids, spaces, field_fn, quad_degree)
+    wf.boundary[:] = project_boundary(mesh, np.arange(mesh.num_edges), spaces,
+                                      field_fn, quad_degree)
     return wf

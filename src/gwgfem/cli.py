@@ -8,8 +8,9 @@ Two subcommands:
                invariance of R_b and edge-space injectivity) for the
                configured (boundary space, R_b) pair.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 assumption-check failure under --strict.
+Exit codes: 0 success, 2 configuration error, 3 solver failure (or an
+element space that stays ill-conditioned after resampling), 4
+assumption-check failure under --strict.
 
 Reproducibility: spaces at level n are sampled from the seed sequence
 (seed, n) with one spawned stream per element, so identical configs and
@@ -19,12 +20,19 @@ seeds give bitwise-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 
 from . import assembly, postproc, solver
 from .mesh import MAX_QUAD_DEGREE, Mesh2D, build_rectangular, build_triangular
-from .spaces import build_spaces, default_quad_degree, parse_boundary, parse_interior
+from .spaces import (
+    SpaceConditioningError,
+    build_spaces,
+    default_quad_degree,
+    parse_boundary,
+    parse_interior,
+)
 from .weakops import check_assumption_pair, parse_rb
 
 __all__ = ["RunConfig", "ConfigError", "run_convergence", "check_assumptions", "main"]
@@ -73,8 +81,12 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self.example not in (1, 2):
             raise ConfigError(f"unknown example {self.example}")
+        if not all(math.isfinite(v) for v in (self.mu, self.lam, self.rho, self.gamma)):
+            raise ConfigError("mu, lambda, rho, gamma must be finite")
         if self.mu <= 0 or self.lam <= 0 or self.rho <= 0:
             raise ConfigError("mu, lambda, rho must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.quad_degree is not None and not 1 <= self.quad_degree <= MAX_QUAD_DEGREE:
             raise ConfigError(
                 f"quadrature degree must be in 1..{MAX_QUAD_DEGREE}")
@@ -169,9 +181,12 @@ def _read_config_file(path: str) -> dict:
     """Flat key=value document mirroring the flag names (lambda -> lam)."""
     values: dict = {}
     aliases = {"lambda": "lam", "format": "fmt", "quad-degree": "quad_degree"}
-    bools = {"condense", "strict"}
-    ints = {"example", "seed", "quad_degree"}
-    floats = {"gamma", "rho", "mu", "lam"}
+    convert = dict.fromkeys(("mesh", "interior", "boundary", "rb", "out", "fmt"), str)
+    convert.update(dict.fromkeys(("example", "seed", "quad_degree"), int))
+    convert.update(dict.fromkeys(("gamma", "rho", "mu", "lam"), float))
+    convert.update(dict.fromkeys(("condense", "strict"),
+                                 lambda v: v.lower() in ("1", "true", "yes", "on")))
+    convert["levels"] = _parse_levels
     try:
         with open(path) as fh:
             for raw in fh:
@@ -182,19 +197,12 @@ def _read_config_file(path: str) -> dict:
                     raise ConfigError(f"malformed config line {raw.strip()!r}")
                 key, _, val = line.partition("=")
                 key = aliases.get(key.strip(), key.strip().replace("-", "_"))
-                val = val.strip()
-                if key == "levels":
-                    values[key] = _parse_levels(val)
-                elif key in bools:
-                    values[key] = val.lower() in ("1", "true", "yes", "on")
-                elif key in ints:
-                    values[key] = int(val)
-                elif key in floats:
-                    values[key] = float(val)
-                elif key in ("mesh", "interior", "boundary", "rb", "out", "fmt"):
-                    values[key] = val
-                else:
+                if key not in convert:
                     raise ConfigError(f"unknown config key {key!r}")
+                try:
+                    values[key] = convert[key](val.strip())
+                except ValueError as exc:
+                    raise ConfigError(f"invalid value {val.strip()!r} for {key!r}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -266,6 +274,9 @@ def main(argv=None) -> int:
         report = run_convergence(config)
     except solver.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except SpaceConditioningError as exc:
+        print(f"space conditioning failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
     _emit_output(postproc.emit(report, config.fmt), config.out)

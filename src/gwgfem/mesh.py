@@ -9,8 +9,10 @@ comes first; vertex indices increase lexicographically in (y, x)), so
 that quantities attached to an edge are single-valued from both owner
 elements.
 
-Gauss quadrature rules on elements and edges are returned in physical
-coordinates with positive weights summing to the measure of the domain.
+Gauss quadrature rules on elements are returned in physical coordinates
+with positive weights summing to the element area.  Element-wise work is
+done over blocks of ``ELEMENT_BLOCK`` elements at a time (see
+:func:`element_blocks`), which bounds the size of batched temporaries.
 """
 
 from __future__ import annotations
@@ -22,48 +24,35 @@ import numpy as np
 
 __all__ = [
     "QuadratureRule",
-    "ElementGeometry",
     "Mesh2D",
     "build_rectangular",
     "build_triangular",
+    "element_blocks",
     "element_quadrature",
-    "edge_quadrature",
     "dump_mesh",
+    "ELEMENT_BLOCK",
     "MAX_QUAD_DEGREE",
 ]
 
 MAX_QUAD_DEGREE = 40
+
+# Elements per batch in every element-wise computation.  At 256, one block
+# of degree-10 activation kernels holds about 20 MB of temporaries.
+ELEMENT_BLOCK = 256
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
     """Quadrature points (physical coordinates) and weights.
 
-    Weights are positive and sum to the measure of the integration
-    domain (element area or edge length).  The rule integrates
-    polynomials of total degree <= ``degree`` exactly on its domain.
+    Weights are positive and sum to the element area.  The rule
+    integrates polynomials of total degree <= ``degree`` exactly.  For a
+    block of elements both arrays carry a leading element axis.
     """
 
-    points: np.ndarray  # (nq, 2)
-    weights: np.ndarray  # (nq,)
+    points: np.ndarray  # (nq, 2) or (E, nq, 2)
+    weights: np.ndarray  # (nq,) or (E, nq)
     degree: int
-
-
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Geometry of a single element.
-
-    ``diameter`` is the maximal pairwise vertex distance, ``barycenter``
-    the polygon centroid.  Edge arrays follow the local (counterclockwise)
-    edge order of the element; normals are outward unit vectors.
-    """
-
-    diameter: float
-    area: float
-    barycenter: np.ndarray  # (2,)
-    edge_lengths: np.ndarray  # (m,)
-    edge_midpoints: np.ndarray  # (m, 2)
-    edge_normals: np.ndarray  # (m, 2)
 
 
 @dataclass(frozen=True)
@@ -99,17 +88,6 @@ class Mesh2D:
         """h = max element diameter."""
         return float(self.elem_diameter.max())
 
-    def geometry(self, eid: int) -> ElementGeometry:
-        eids = self.element_edges[eid]
-        return ElementGeometry(
-            diameter=float(self.elem_diameter[eid]),
-            area=float(self.elem_area[eid]),
-            barycenter=self.elem_barycenter[eid],
-            edge_lengths=self.edge_length[eids],
-            edge_midpoints=self.edge_midpoint[eids],
-            edge_normals=self.elem_edge_normals[eid],
-        )
-
     def interior_edges(self) -> np.ndarray:
         return np.nonzero(~self.boundary)[0]
 
@@ -136,12 +114,15 @@ def _finish_mesh(kind: str, n: int, vertices: np.ndarray, elements: np.ndarray) 
     edges, inverse = np.unique(key, axis=0, return_inverse=True)
     element_edges = inverse.reshape(ne, m)
 
+    # owners in element order: the first element touching an edge takes slot 0
     ned = edges.shape[0]
     edge_elements = np.full((ned, 2), -1, dtype=np.int64)
-    for k in range(ne * m):
-        e = inverse[k]
-        slot = 0 if edge_elements[e, 0] < 0 else 1
-        edge_elements[e, slot] = ea[k]
+    order = np.argsort(inverse, kind="stable")
+    sorted_edges = inverse[order]
+    first = np.ones(ne * m, dtype=bool)
+    first[1:] = sorted_edges[1:] != sorted_edges[:-1]
+    edge_elements[sorted_edges[first], 0] = ea[order[first]]
+    edge_elements[sorted_edges[~first], 1] = ea[order[~first]]
     boundary = edge_elements[:, 1] < 0
 
     # element geometry
@@ -233,6 +214,12 @@ def build_triangular(n: int) -> Mesh2D:
     return _finish_mesh("triangular", n, vertices, elements)
 
 
+def element_blocks(eids: np.ndarray):
+    """Consecutive blocks of at most ``ELEMENT_BLOCK`` of the ids ``eids``."""
+    for start in range(0, len(eids), ELEMENT_BLOCK):
+        yield eids[start:start + ELEMENT_BLOCK]
+
+
 @lru_cache(maxsize=None)
 def _gauss_1d(npts: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0, 1]."""
@@ -277,33 +264,25 @@ def _reference_triangle(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([X.ravel(), Y.ravel()]), W.ravel()
 
 
-def element_quadrature(mesh: Mesh2D, eid: int, degree: int) -> QuadratureRule:
-    """Quadrature on element ``eid`` exact for polynomials of total degree <= degree."""
+def element_quadrature(mesh: Mesh2D, eid, degree: int) -> QuadratureRule:
+    """Quadrature on element ``eid`` exact for polynomials of total degree <= degree.
+
+    ``eid`` may be an array of element ids; the rule then carries a
+    leading element axis.
+    """
     _check_degree(degree)
-    verts = mesh.element_vertices(eid)
+    verts = mesh.vertices[mesh.elements[eid]]  # (..., m, 2)
     if mesh.kind == "rectangular":
         ref_pts, ref_w = _reference_square(degree)
-        lo = verts[0]
-        span = verts[2] - verts[0]
+        lo = verts[..., 0:1, :]
+        span = verts[..., 2:3, :] - lo
         points = lo + ref_pts * span
-        weights = ref_w * span[0] * span[1]
+        weights = ref_w * span[..., 0] * span[..., 1]
     else:
         ref_pts, ref_w = _reference_triangle(degree)
-        a, b, c = verts
-        points = a + np.outer(ref_pts[:, 0], b - a) + np.outer(ref_pts[:, 1], c - a)
-        weights = ref_w * 2.0 * mesh.elem_area[eid]
-    return QuadratureRule(points=points, weights=weights, degree=degree)
-
-
-def edge_quadrature(mesh: Mesh2D, edge_id: int, degree: int) -> QuadratureRule:
-    """Gauss-Legendre quadrature along edge ``edge_id``; weights sum to its length."""
-    _check_degree(degree)
-    npts = (degree + 2) // 2
-    x, w = _gauss_1d(npts)
-    p0 = mesh.vertices[mesh.edges[edge_id, 0]]
-    p1 = mesh.vertices[mesh.edges[edge_id, 1]]
-    points = p0 + np.outer(x, p1 - p0)
-    weights = w * mesh.edge_length[edge_id]
+        a, b, c = (verts[..., k:k + 1, :] for k in range(3))
+        points = a + ref_pts[:, 0:1] * (b - a) + ref_pts[:, 1:2] * (c - a)
+        weights = ref_w * 2.0 * mesh.elem_area[eid][..., None]
     return QuadratureRule(points=points, weights=weights, degree=degree)
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh2D, edge_quadrature, element_quadrature
+from .mesh import Mesh2D, element_blocks, element_quadrature
 from .spaces import SpaceSet, default_quad_degree, eval_boundary, eval_interior
-from .weakops import WeakFunction
+from .weakops import WeakFunction, edge_rule
 
 __all__ = [
     "ManufacturedCase",
@@ -155,15 +155,11 @@ class ErrorNorms:
         return {k: getattr(self, k) for k in NORM_KEYS}
 
 
-def _u0_values(mesh, spaces, wf, eid, points):
-    basis = eval_interior(mesh, eid, spaces.interior, spaces.element_params(eid),
-                          points)
-    return np.einsum("j,jnc->nc", wf.interior[eid], basis)
-
-
-def _ub_values(mesh, spaces, wf, edge, points):
-    basis = eval_boundary(mesh, edge, spaces.boundary, points)
-    return np.einsum("j,jnc->nc", wf.boundary[edge], basis)
+def _misfit(u_exact, points: np.ndarray, coeffs: np.ndarray,
+            basis: np.ndarray) -> np.ndarray:
+    """u_exact - sum_j coeffs_j basis_j at points (..., nq, 2)."""
+    exact = np.asarray(u_exact(points.reshape(-1, 2)), dtype=float)
+    return exact.reshape(points.shape) - np.einsum("...j,...jnc->...nc", coeffs, basis)
 
 
 def error_norms(mesh: Mesh2D, spaces: SpaceSet, solution: WeakFunction,
@@ -173,32 +169,28 @@ def error_norms(mesh: Mesh2D, spaces: SpaceSet, solution: WeakFunction,
         quad_degree = default_quad_degree(spaces.interior)
 
     acc0 = 0.0
-    for eid in range(mesh.num_elements):
-        rule = element_quadrature(mesh, eid, quad_degree)
-        diff = u_exact(rule.points) - _u0_values(mesh, spaces, solution, eid,
-                                                 rule.points)
-        acc0 += float(np.einsum("nc,nc,n->", diff, diff, rule.weights))
-
-    accb = 0.0
-    for e in range(mesh.num_edges):
-        rule = edge_quadrature(mesh, e, quad_degree)
-        diff = u_exact(rule.points) - _ub_values(mesh, spaces, solution, e,
-                                                 rule.points)
-        accb += float(mesh.edge_length[e]
-                      * np.einsum("nc,nc,n->", diff, diff, rule.weights))
-
-    centers = mesh.elem_barycenter
     inf0 = 0.0
-    for eid in range(mesh.num_elements):
-        pt = centers[eid][None, :]
-        diff = u_exact(pt) - _u0_values(mesh, spaces, solution, eid, pt)
+    for eids in element_blocks(np.arange(mesh.num_elements)):
+        prm = spaces.element_params(eids)
+        coeffs = solution.interior[eids]
+        rule = element_quadrature(mesh, eids, quad_degree)
+        diff = _misfit(u_exact, rule.points, coeffs,
+                       eval_interior(mesh, eids, spaces.interior, prm, rule.points))
+        acc0 += float(np.einsum("enc,enc,en->", diff, diff, rule.weights))
+        centers = mesh.elem_barycenter[eids][:, None, :]
+        diff = _misfit(u_exact, centers, coeffs,
+                       eval_interior(mesh, eids, spaces.interior, prm, centers))
         inf0 = max(inf0, float(np.abs(diff).max()))
 
-    infb = 0.0
-    for e in range(mesh.num_edges):
-        pt = mesh.edge_midpoint[e][None, :]
-        diff = u_exact(pt) - _ub_values(mesh, spaces, solution, e, pt)
-        infb = max(infb, float(np.abs(diff).max()))
+    rule = edge_rule(mesh, spaces.boundary, quad_degree)
+    diff = _misfit(u_exact, rule.points, solution.boundary, rule.basis)
+    accb = float(np.einsum("e,enc,enc,en->", mesh.edge_length, diff, diff, rule.weights))
+
+    edges = np.arange(mesh.num_edges)
+    mids = mesh.edge_midpoint[:, None, :]
+    diff = _misfit(u_exact, mids, solution.boundary,
+                   eval_boundary(mesh, edges, spaces.boundary, mids))
+    infb = float(np.abs(diff).max())
 
     return ErrorNorms(u0_l2=math.sqrt(acc0), ub_l2=math.sqrt(accb),
                       u0_inf=inf0, ub_inf=infb)

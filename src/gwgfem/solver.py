@@ -3,9 +3,13 @@
 Primary path: SuperLU factorization in symmetric mode with diagonal
 pivoting suppressed, so the factorization acts as an LDL^T of the
 symmetrically permuted matrix; all-positive U diagonal then certifies
-positive definiteness (the signs of D carry the inertia).  Fallback:
-diagonally preconditioned conjugate gradients with an explicit
-indefinite-curvature check.
+positive definiteness (the signs of D carry the inertia).  SuperLU still
+pivots off the diagonal after a zero diagonal pivot, which a positive
+definite matrix never produces, so row and column permutations that
+differ are reported as indefiniteness.  Fallback: diagonally
+preconditioned conjugate gradients with an explicit indefinite-curvature
+check; convergence alone certifies nothing, so a forced CG solve reports
+``spd_certified=False``.
 
 Every accepted solution is re-verified against the residual contract by
 an independent matrix-vector multiply.
@@ -155,66 +159,65 @@ def solve(matrix, rhs: np.ndarray, tol: float = 1e-12,
     if max_iter is None:
         max_iter = max(1000, 10 * n)
 
-    if method == "cg":
-        x, iters = _pcg(A.tocsr(), b, tol, max_iter)
-        res = _relative_residual(A, b, x)
-        if res > tol:
-            raise IterationLimitError(
-                f"cg residual {res:.3e} exceeds tolerance {tol:.1e}", residual=res)
-        return SolveReport(x=x, relative_residual=res, method="cg",
-                           iterations=iters, spd_certified=True,
-                           condition_estimate=None)
-
-    try:
-        lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options=dict(SymmetricMode=True))
-    except RuntimeError as exc:  # SuperLU reports exact singularity this way
-        raise SingularMatrixError(f"factorization failed: {exc}") from exc
-
-    pivots = lu.U.diagonal()
-    bad = np.nonzero(pivots <= 0)[0]
-    if bad.size:
-        raise IndefiniteMatrixError(
-            f"nonpositive pivot {pivots[bad[0]]:.3e} at position {int(bad[0])} "
-            f"of {n}; matrix is not positive definite",
-            pivot=int(bad[0]),
-        )
-
     cond = None
-    if estimate_condition:
-        norm_a = float(np.abs(A).sum(axis=0).max())
-        cond = norm_a * _hager_inverse_norm(lu.solve, n)
-        if cond > CONDITION_WARNING_LIMIT:
-            warnings.warn(
-                f"system condition estimate {cond:.3e} exceeds "
-                f"{CONDITION_WARNING_LIMIT:.0e}; results may be inaccurate",
-                RuntimeWarning,
-                stacklevel=2,
+    if method != "cg":
+        try:
+            lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options=dict(SymmetricMode=True))
+        except RuntimeError as exc:  # SuperLU reports exact singularity this way
+            raise SingularMatrixError(f"factorization failed: {exc}") from exc
+
+        offdiag = np.nonzero(lu.perm_r != lu.perm_c)[0]
+        if offdiag.size:
+            raise IndefiniteMatrixError(
+                f"off-diagonal pivot at position {int(offdiag[0])} of {n} after a "
+                f"zero diagonal pivot; matrix is not positive definite",
+                pivot=int(offdiag[0]),
+            )
+        pivots = lu.U.diagonal()
+        bad = np.nonzero(pivots <= 0)[0]
+        if bad.size:
+            raise IndefiniteMatrixError(
+                f"nonpositive pivot {pivots[bad[0]]:.3e} at position {int(bad[0])} "
+                f"of {n}; matrix is not positive definite",
+                pivot=int(bad[0]),
             )
 
-    x = lu.solve(b)
-    for _ in range(3):  # iterative refinement, usually a no-op
-        res = _relative_residual(A, b, x)
-        if res <= tol:
-            break
-        x = x + lu.solve(b - A @ x)
-    res = _relative_residual(A, b, x)
-    if res <= tol or method == "factorization":
-        if res > tol:
-            raise IterationLimitError(
-                f"factorization residual {res:.3e} exceeds tolerance {tol:.1e}",
-                residual=res)
-        return SolveReport(x=x, relative_residual=res, method="factorization",
-                           iterations=0, spd_certified=True,
-                           condition_estimate=cond)
+        if estimate_condition:
+            norm_a = float(np.abs(A).sum(axis=0).max())
+            cond = norm_a * _hager_inverse_norm(lu.solve, n)
+            if cond > CONDITION_WARNING_LIMIT:
+                warnings.warn(
+                    f"system condition estimate {cond:.3e} exceeds "
+                    f"{CONDITION_WARNING_LIMIT:.0e}; results may be inaccurate",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
 
+        x = lu.solve(b)
+        for _ in range(3):  # iterative refinement, usually a no-op
+            res = _relative_residual(A, b, x)
+            if res <= tol:
+                break
+            x = x + lu.solve(b - A @ x)
+        res = _relative_residual(A, b, x)
+        if res <= tol or method == "factorization":
+            if res > tol:
+                raise IterationLimitError(
+                    f"factorization residual {res:.3e} exceeds tolerance {tol:.1e}",
+                    residual=res)
+            return SolveReport(x=x, relative_residual=res, method="factorization",
+                               iterations=0, spd_certified=True,
+                               condition_estimate=cond)
+
+    # forced, or the fallback after a certified factorization missed tol
     x, iters = _pcg(A.tocsr(), b, tol, max_iter)
     res = _relative_residual(A, b, x)
     if res > tol:
         raise IterationLimitError(
             f"cg residual {res:.3e} exceeds tolerance {tol:.1e}", residual=res)
     return SolveReport(x=x, relative_residual=res, method="cg", iterations=iters,
-                       spd_certified=True, condition_estimate=cond)
+                       spd_certified=method != "cg", condition_estimate=cond)
 
 
 def solve_system(system, tol: float = 1e-12, max_iter: int | None = None,

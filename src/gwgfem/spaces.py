@@ -12,7 +12,10 @@ edge-local coordinate (dimension 4), or rigid motions span{(1,0), (0,1),
 (-y, x)} restricted to the edge (dimension 3).
 
 Basis ordering is fixed and documented per kind; weak-function
-coefficient blocks refer to these orderings.
+coefficient blocks refer to these orderings.  The evaluation functions
+accept either one element (edge) id with points (nq, 2) or an array of E
+ids with points (E, nq, 2); batched results carry a leading element (edge)
+axis.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import Mesh2D, element_quadrature
+from .mesh import Mesh2D, element_blocks, element_quadrature
 
 __all__ = [
     "ACTIVATIONS",
@@ -35,7 +38,6 @@ __all__ = [
     "parse_boundary",
     "default_quad_degree",
     "sample_element_params",
-    "sample_params",
     "build_spaces",
     "eval_interior",
     "grad_interior",
@@ -124,14 +126,19 @@ class BoundarySpaceConfig:
 
 @dataclass
 class ElementRandomParams:
-    """Per-element activation parameters: directions w (p, 2) and anchors x0 (p, 2).
+    """Activation parameters: directions w (p, 2) and anchors x0 (p, 2).
 
-    Anchors lie inside the closed element; parameters are never shared
-    across elements.  Treated as immutable after sampling.
+    For a set of elements both arrays carry a leading element axis,
+    (ne, p, 2); indexing selects elements.  Anchors lie inside the closed
+    element; parameters are never shared across elements.  Treated as
+    immutable after sampling.
     """
 
     w: np.ndarray
     x0: np.ndarray
+
+    def __getitem__(self, eid) -> "ElementRandomParams":
+        return ElementRandomParams(w=self.w[eid], x0=self.x0[eid])
 
 
 @dataclass(frozen=True)
@@ -140,10 +147,11 @@ class SpaceSet:
 
     interior: InteriorSpaceConfig
     boundary: BoundarySpaceConfig
-    params: tuple | None  # per-element ElementRandomParams, None for p1
+    params: ElementRandomParams | None  # arrays over all elements, None for p1
     gram_condition: np.ndarray | None = None  # per-element interior mass condition
 
-    def element_params(self, eid: int) -> ElementRandomParams | None:
+    def element_params(self, eid) -> ElementRandomParams | None:
+        """Parameters of element ``eid`` (or of an array of elements)."""
         return None if self.params is None else self.params[eid]
 
 
@@ -236,28 +244,21 @@ def _element_streams(seed_entropy, ne: int):
     return [np.random.Generator(np.random.PCG64(s)) for s in root.spawn(ne)]
 
 
-def sample_params(mesh: Mesh2D, cfg: InteriorSpaceConfig, seed_entropy=None) -> list:
-    """Sample activation parameters for every element (empty list for p1)."""
-    if cfg.kind != "activation":
-        return []
-    if seed_entropy is None:
-        seed_entropy = cfg.seed
-    streams = _element_streams(seed_entropy, mesh.num_elements)
-    return [
-        sample_element_params(cfg, mesh.kind, mesh.element_vertices(eid),
-                              streams[eid].uniform)
-        for eid in range(mesh.num_elements)
-    ]
+def _activation_args(points: np.ndarray, params: ElementRandomParams) -> np.ndarray:
+    """t_i = w_i . (x - x0_i) at every point; shape (..., p, nq)."""
+    return np.einsum("...pqd,...pd->...pq",
+                     points[..., None, :, :] - params.x0[..., :, None, :], params.w)
 
 
 def eval_interior(
     mesh: Mesh2D,
-    eid: int,
+    eid,
     cfg: InteriorSpaceConfig,
     params: ElementRandomParams | None,
     points: np.ndarray,
 ) -> np.ndarray:
-    """Interior basis values at ``points``; shape (dim, nq, 2).
+    """Interior basis values at ``points``; shape (dim, nq, 2), or
+    (E, dim, nq, 2) for an array of E elements.
 
     Basis order: constants (1,0), (0,1) first.  For p1 these are followed
     by (xi,0), (0,xi), (eta,0), (0,eta) with xi, eta the barycenter-centered
@@ -266,64 +267,63 @@ def eval_interior(
     vectors for i = 1..p.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    nq = points.shape[0]
-    out = np.zeros((cfg.dim, nq, 2))
-    out[0, :, 0] = 1.0
-    out[1, :, 1] = 1.0
+    out = np.zeros(points.shape[:-2] + (cfg.dim,) + points.shape[-2:])
+    out[..., 0, :, 0] = 1.0
+    out[..., 1, :, 1] = 1.0
     if cfg.kind == "p1":
-        center = mesh.elem_barycenter[eid]
-        scale = mesh.elem_diameter[eid]
-        xi = (points[:, 0] - center[0]) / scale
-        eta = (points[:, 1] - center[1]) / scale
-        out[2, :, 0] = xi
-        out[3, :, 1] = xi
-        out[4, :, 0] = eta
-        out[5, :, 1] = eta
+        center = mesh.elem_barycenter[eid][..., None, :]
+        scale = mesh.elem_diameter[eid][..., None]
+        xi = (points[..., 0] - center[..., 0]) / scale
+        eta = (points[..., 1] - center[..., 1]) / scale
+        out[..., 2, :, 0] = xi
+        out[..., 3, :, 1] = xi
+        out[..., 4, :, 0] = eta
+        out[..., 5, :, 1] = eta
     else:
         f, _ = _activation_pair(cfg.activation, cfg.leaky_slope)
-        t = np.einsum("pqd,pd->pq", points[None, :, :] - params.x0[:, None, :], params.w)
-        vals = f(t)
+        vals = f(_activation_args(points, params))
         for k in range(cfg.p):
-            out[2 + k, :, k % 2] = vals[k]
+            out[..., 2 + k, :, k % 2] = vals[..., k, :]
     return out
 
 
 def grad_interior(
     mesh: Mesh2D,
-    eid: int,
+    eid,
     cfg: InteriorSpaceConfig,
     params: ElementRandomParams | None,
     points: np.ndarray,
 ) -> np.ndarray:
-    """Exact analytic basis gradients at ``points``; shape (dim, nq, 2, 2).
+    """Exact analytic basis gradients at ``points``; shape (dim, nq, 2, 2),
+    or (E, dim, nq, 2, 2) for an array of E elements.
 
     Entry (i, q, a, b) is d(phi_i)_a / d x_b.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    nq = points.shape[0]
-    out = np.zeros((cfg.dim, nq, 2, 2))
+    out = np.zeros(points.shape[:-2] + (cfg.dim, points.shape[-2], 2, 2))
     if cfg.kind == "p1":
-        scale = mesh.elem_diameter[eid]
-        out[2, :, 0, 0] = 1.0 / scale
-        out[3, :, 1, 0] = 1.0 / scale
-        out[4, :, 0, 1] = 1.0 / scale
-        out[5, :, 1, 1] = 1.0 / scale
+        inv = 1.0 / mesh.elem_diameter[eid][..., None]
+        out[..., 2, :, 0, 0] = inv
+        out[..., 3, :, 1, 0] = inv
+        out[..., 4, :, 0, 1] = inv
+        out[..., 5, :, 1, 1] = inv
     else:
         _, df = _activation_pair(cfg.activation, cfg.leaky_slope)
-        t = np.einsum("pqd,pd->pq", points[None, :, :] - params.x0[:, None, :], params.w)
-        slopes = df(t)  # (p, nq)
+        slopes = df(_activation_args(points, params))  # (..., p, nq)
         for k in range(cfg.p):
-            out[2 + k, :, k % 2, :] = slopes[k][:, None] * params.w[k][None, :]
+            out[..., 2 + k, :, k % 2, :] = (slopes[..., k, :, None]
+                                            * params.w[..., k, None, :])
     return out
 
 
 def eval_boundary(
     mesh: Mesh2D,
-    edge_id: int,
+    edge_id,
     cfg: BoundarySpaceConfig,
     points: np.ndarray,
 ) -> np.ndarray:
-    """Edge basis values at ``points`` on the edge; shape (dim, nq, 2).
+    """Edge basis values at ``points`` on the edge; shape (dim, nq, 2), or
+    (E, dim, nq, 2) for an array of E edges.
 
     p0: (1,0), (0,1).  p1: additionally (s,0), (0,s) where s is the
     midpoint-centered arclength coordinate along the canonical tangent,
@@ -331,34 +331,34 @@ def eval_boundary(
     All values are identical from either owner element.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    nq = points.shape[0]
-    out = np.zeros((cfg.dim, nq, 2))
-    out[0, :, 0] = 1.0
-    out[1, :, 1] = 1.0
+    out = np.zeros(points.shape[:-2] + (cfg.dim,) + points.shape[-2:])
+    out[..., 0, :, 0] = 1.0
+    out[..., 1, :, 1] = 1.0
     if cfg.kind == "p1":
-        mid = mesh.edge_midpoint[edge_id]
-        tangent = mesh.edge_tangent[edge_id]
-        s = (points - mid) @ tangent / mesh.edge_length[edge_id]
-        out[2, :, 0] = s
-        out[3, :, 1] = s
+        rel = points - mesh.edge_midpoint[edge_id][..., None, :]
+        s = (np.einsum("...nc,...c->...n", rel, mesh.edge_tangent[edge_id])
+             / mesh.edge_length[edge_id][..., None])
+        out[..., 2, :, 0] = s
+        out[..., 3, :, 1] = s
     elif cfg.kind == "rm":
-        out[2, :, 0] = -points[:, 1]
-        out[2, :, 1] = points[:, 0]
+        out[..., 2, :, 0] = -points[..., 1]
+        out[..., 2, :, 1] = points[..., 0]
     return out
 
 
 def interior_gram_condition(
     mesh: Mesh2D,
-    eid: int,
+    eid,
     cfg: InteriorSpaceConfig,
     params: ElementRandomParams | None,
     quad_degree: int,
-) -> float:
-    """2-norm condition estimate of the element interior mass matrix."""
+):
+    """2-norm condition estimate of the element interior mass matrix
+    (an array of them for an array of elements)."""
     rule = element_quadrature(mesh, eid, quad_degree)
     vals = eval_interior(mesh, eid, cfg, params, rule.points)
-    gram = np.einsum("inc,jnc,n->ij", vals, vals, rule.weights)
-    return float(np.linalg.cond(gram))
+    gram = np.einsum("...inc,...jnc,...n->...ij", vals, vals, rule.weights)
+    return np.linalg.cond(gram)
 
 
 def build_spaces(
@@ -370,36 +370,40 @@ def build_spaces(
 ) -> SpaceSet:
     """Sample parameters and enforce per-element Gram conditioning.
 
-    Elements whose interior mass matrix condition exceeds
-    ``GRAM_CONDITION_LIMIT`` are resampled (drawing further from the same
-    per-element stream) up to ``MAX_RESAMPLE_ATTEMPTS`` times before
-    raising :class:`SpaceConditioningError`.
+    Every element draws from its own stream.  Elements whose interior
+    mass matrix condition exceeds ``GRAM_CONDITION_LIMIT`` are resampled
+    (drawing further from the same stream) up to ``MAX_RESAMPLE_ATTEMPTS``
+    times before raising :class:`SpaceConditioningError`.
     """
     if quad_degree is None:
         quad_degree = default_quad_degree(interior)
     ne = mesh.num_elements
     cond = np.empty(ne)
     if interior.kind != "activation":
-        for eid in range(ne):
-            cond[eid] = interior_gram_condition(mesh, eid, interior, None, quad_degree)
+        for eids in element_blocks(np.arange(ne)):
+            cond[eids] = interior_gram_condition(mesh, eids, interior, None, quad_degree)
         return SpaceSet(interior=interior, boundary=boundary, params=None,
                         gram_condition=cond)
 
     if seed_entropy is None:
         seed_entropy = interior.seed
     streams = _element_streams(seed_entropy, ne)
-    params = []
-    for eid in range(ne):
-        draw = streams[eid].uniform
-        verts = mesh.element_vertices(eid)
-        for attempt in range(1 + MAX_RESAMPLE_ATTEMPTS):
-            prm = sample_element_params(interior, mesh.kind, verts, draw)
-            c = interior_gram_condition(mesh, eid, interior, prm, quad_degree)
-            if c <= GRAM_CONDITION_LIMIT:
-                break
-        else:
-            raise SpaceConditioningError(eid, c, MAX_RESAMPLE_ATTEMPTS)
-        cond[eid] = c
-        params.append(prm)
-    return SpaceSet(interior=interior, boundary=boundary, params=tuple(params),
-                    gram_condition=cond)
+    verts = mesh.vertices[mesh.elements]
+    params = ElementRandomParams(w=np.empty((ne, interior.p, 2)),
+                                 x0=np.empty((ne, interior.p, 2)))
+    todo = np.arange(ne)
+    for _ in range(1 + MAX_RESAMPLE_ATTEMPTS):
+        for eid in todo:
+            prm = sample_element_params(interior, mesh.kind, verts[eid],
+                                        streams[eid].uniform)
+            params.w[eid] = prm.w
+            params.x0[eid] = prm.x0
+        for eids in element_blocks(todo):
+            cond[eids] = interior_gram_condition(mesh, eids, interior, params[eids],
+                                                 quad_degree)
+        todo = todo[~(cond[todo] <= GRAM_CONDITION_LIMIT)]  # NaN is rejected too
+        if not todo.size:
+            return SpaceSet(interior=interior, boundary=boundary, params=params,
+                            gram_condition=cond)
+    raise SpaceConditioningError(int(todo[0]), float(cond[todo[0]]),
+                                 MAX_RESAMPLE_ATTEMPTS)

@@ -14,8 +14,11 @@ jump R_b(vb - v0):
     (delta2, phi)_T = <R_b(vb - v0), phi n>_dT   for phi constant scalar.
 
 R_b is either the edgewise L2 projection onto V^b(e) (``qb``) or the
-identity.  Everything here is element-local and pure, hence safe to call
-concurrently across elements.
+identity.  Every element solves its moment problem independently of the
+others, so the element kernel works on a block of elements at once, with
+arrays carrying a leading element axis.  Edge data (quadrature, basis
+values, Gram matrices and projectors) is computed once per mesh as arrays
+over edges, and gathered per element through ``mesh.element_edges``.
 """
 
 from __future__ import annotations
@@ -24,30 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh2D, _gauss_1d, element_quadrature
-from .spaces import (
-    BoundarySpaceConfig,
-    SpaceSet,
-    default_quad_degree,
-    eval_boundary,
-    eval_interior,
-    grad_interior,
-)
+from .mesh import Mesh2D, _check_degree, _gauss_1d, element_quadrature
+from .spaces import BoundarySpaceConfig, SpaceSet, eval_boundary, eval_interior, grad_interior
 
 __all__ = [
     "RbOperator",
     "parse_rb",
     "WeakFunction",
-    "EdgeProjector",
+    "EdgeRule",
+    "edge_rule",
     "ElementKernel",
-    "WeakGradientValue",
-    "WeakDivergenceValue",
-    "apply_rb",
-    "correction_gradient",
-    "correction_divergence",
-    "weak_gradient",
-    "weak_divergence",
-    "weak_strain",
     "AssumptionCheck",
     "check_rigid_motion_invariance",
     "check_rb_injectivity",
@@ -55,11 +44,7 @@ __all__ = [
 ]
 
 # Constant-matrix basis of the gradient-correction space, row-major entry order.
-_G1_BASIS = np.zeros((4, 2, 2))
-_G1_BASIS[0, 0, 0] = 1.0
-_G1_BASIS[1, 0, 1] = 1.0
-_G1_BASIS[2, 1, 0] = 1.0
-_G1_BASIS[3, 1, 1] = 1.0
+_G1_BASIS = np.eye(4).reshape(4, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -100,388 +85,224 @@ class WeakFunction:
             boundary=np.zeros((mesh.num_edges, spaces.boundary.dim)),
         )
 
-    def local_coefficients(self, mesh: Mesh2D, eid: int) -> np.ndarray:
+    def local_coefficients(self, mesh: Mesh2D, eid) -> np.ndarray:
         """Element-local coefficient vector: interior block then edge blocks
-        in the element's local edge order."""
-        parts = [self.interior[eid]]
-        parts.extend(self.boundary[e] for e in mesh.element_edges[eid])
-        return np.concatenate(parts)
+        in the element's local edge order; (E, ndof) for an array of E
+        elements."""
+        edges = self.boundary[mesh.element_edges[eid]]  # (..., m, nb)
+        return np.concatenate(
+            [self.interior[eid], edges.reshape(edges.shape[:-2] + (-1,))], axis=-1)
 
 
-class _EdgeClass:
-    """Quadrature layout and projection data shared by congruent edges.
+@dataclass(frozen=True)
+class EdgeRule:
+    """Gauss rule and L2-projection data of V^b(e) for every edge of a mesh.
 
-    Built from the edge vector only: quadrature offsets relative to the
-    midpoint, edge-basis values in a midpoint-centered form (for ``rm``
-    the rotation basis vector is centered, which spans the same space but
-    keeps the Gram matrix well conditioned far from the origin), the Gram
-    matrix, and the value-space projector matrix.
+    Arrays carry a leading edge axis.  The projection is solved in a
+    midpoint-centered basis of the same span (for ``rm`` the rotation
+    vector is centered, which keeps the Gram matrix well conditioned far
+    from the origin): ``coeff_map`` maps values at the rule's points to
+    centered coefficients, and ``to_global`` maps those to coefficients in
+    the global basis of :func:`gwgfem.spaces.eval_boundary`.
     """
 
-    def __init__(self, kind: str, degree: int, dx: float, dy: float):
-        npts = (degree + 2) // 2
-        x, w = _gauss_1d(npts)
-        vec = np.array([dx, dy])
-        self.length = float(np.hypot(dx, dy))
-        self.offsets = np.outer(x - 0.5, vec)  # (nq, 2) relative to midpoint
-        self.weights = w * self.length
-        self.nq = npts
+    points: np.ndarray  # (ned, nq, 2)
+    weights: np.ndarray  # (ned, nq), summing to the edge length
+    basis: np.ndarray  # (ned, nb, nq, 2) global-basis values at the points
+    gram: np.ndarray  # (ned, nb, nb) Gram matrix of the centered basis
+    coeff_map: np.ndarray  # (ned, nb, 2 nq) values -> centered coefficients
+    to_global: np.ndarray  # (ned, nb, nb) centered -> global coefficients
+    projector: np.ndarray  # (ned, 2 nq, 2 nq) in flattened (point, component) space
 
-        nb = {"p0": 2, "p1": 4, "rm": 3}[kind]
-        B = np.zeros((nb, npts, 2))
-        B[0, :, 0] = 1.0
-        B[1, :, 1] = 1.0
-        if kind == "p1":
-            s = x - 0.5  # midpoint-centered arclength / length
-            B[2, :, 0] = s
-            B[3, :, 1] = s
-        elif kind == "rm":
-            B[2, :, 0] = -self.offsets[:, 1]
-            B[2, :, 1] = self.offsets[:, 0]
-        self.centered_basis = B
-        self.gram = np.einsum("inc,jnc,n->ij", B, B, self.weights)
+    def project(self, edges, field_fn) -> np.ndarray:
+        """L2 projection of a vector field onto V^b(e) for ``edges`` (an id
+        or an array of ids); coefficients in the global basis."""
+        pts = self.points[edges]
+        vals = np.asarray(field_fn(pts.reshape(-1, 2)), dtype=float)
+        vals = vals.reshape(pts.shape[:-2] + (-1,))
+        coeffs = np.einsum("...jk,...k->...j", self.coeff_map[edges], vals)
+        return np.einsum("...ij,...j->...i", self.to_global[edges], coeffs)
 
-        # projector in flattened (point, component) value space
-        flat = B.reshape(nb, -1)
-        wflat = np.repeat(self.weights, 2)
-        coeff_map = np.linalg.solve(self.gram, flat * wflat[None, :])
-        self.value_projector = flat.T @ coeff_map  # (2nq, 2nq)
-
-    @property
-    def normalized_condition(self) -> float:
-        d = np.sqrt(np.diag(self.gram))
-        scaled = self.gram / np.outer(d, d)
-        return float(np.linalg.cond(scaled))
+    def apply(self, edges, values: np.ndarray) -> np.ndarray:
+        """Project k traces per edge: ``values`` has shape
+        ``edges.shape + (k, nq, 2)``; returns the same shape."""
+        flat = values.reshape(values.shape[:-2] + (-1,))
+        P = self.projector[edges]
+        return (flat @ np.swapaxes(P, -1, -2)).reshape(values.shape)
 
 
-class EdgeProjector:
-    """L2 projection onto V^b(e) for one edge, in quadrature-value space.
+def edge_rule(mesh: Mesh2D, cfg: BoundarySpaceConfig, quad_degree: int) -> EdgeRule:
+    """Gauss-Legendre rule of degree ``quad_degree`` on every edge, with the
+    edge-space basis values, Gram matrices and projectors."""
+    _check_degree(quad_degree)
+    x, w = _gauss_1d((quad_degree + 2) // 2)
+    edges = np.arange(mesh.num_edges)
+    vec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
+    offsets = (x - 0.5)[None, :, None] * vec[:, None, :]  # relative to midpoint
+    mid = mesh.edge_midpoint
+    points = mid[:, None, :] + offsets
+    weights = w[None, :] * np.hypot(vec[:, 0], vec[:, 1])[:, None]
+    basis = eval_boundary(mesh, edges, cfg, points)
 
-    ``coefficients`` returns coefficients in the global basis order of
-    :func:`gwgfem.spaces.eval_boundary`; internally the solve uses the
-    midpoint-centered basis of the edge class (exact change of basis).
-    """
-
-    def __init__(self, mesh: Mesh2D, edge_id: int, cfg: BoundarySpaceConfig,
-                 quad_degree: int, cache: dict | None = None):
-        p0 = mesh.vertices[mesh.edges[edge_id, 0]]
-        p1 = mesh.vertices[mesh.edges[edge_id, 1]]
-        dx, dy = p1 - p0
-        key = (cfg.kind, quad_degree, round(dx, 12), round(dy, 12))
-        if cache is not None and key in cache:
-            klass = cache[key]
-        else:
-            klass = _EdgeClass(cfg.kind, quad_degree, dx, dy)
-            if cache is not None:
-                cache[key] = klass
-        self.klass = klass
-        self.cfg = cfg
-        self.edge_id = edge_id
-        self.mid = mesh.edge_midpoint[edge_id]
-        self.points = self.mid + klass.offsets
-        self.weights = klass.weights
-
-    @property
-    def dim(self) -> int:
-        return self.klass.centered_basis.shape[0]
-
-    def basis_values(self) -> np.ndarray:
-        """Global-basis values at the projector's quadrature points."""
-        B = self.klass.centered_basis.copy()
-        if self.cfg.kind == "rm":
-            B[2, :, 0] -= self.mid[1]
-            B[2, :, 1] += self.mid[0]
-        return B
-
-    def coefficients(self, values: np.ndarray) -> np.ndarray:
-        """Project values (nq, 2) at self.points; coefficients in the global basis."""
-        moments = np.einsum("jnc,n,nc->j", self.klass.centered_basis,
-                            self.weights, values)
-        c = np.linalg.solve(self.klass.gram, moments)
-        if self.cfg.kind == "rm":
-            c = np.array([c[0] + self.mid[1] * c[2],
-                          c[1] - self.mid[0] * c[2],
-                          c[2]])
-        return c
-
-    def values_from_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.einsum("j,jnc->nc", coeffs, self.basis_values())
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Project a batch (..., nq, 2) of traces; returns the same shape."""
-        shape = values.shape
-        flat = values.reshape(-1, shape[-2] * 2)
-        out = flat @ self.klass.value_projector.T
-        return out.reshape(shape)
-
-    @property
-    def normalized_gram_condition(self) -> float:
-        return self.klass.normalized_condition
-
-
-def apply_rb(mesh: Mesh2D, edge_id: int, w, cfg: BoundarySpaceConfig,
-             op: RbOperator, quad_degree: int = 10):
-    """Apply R_b to a trace on an edge.
-
-    ``w`` is a callable mapping points (nq, 2) on the edge to values
-    (nq, 2).  The identity returns ``w`` unchanged; the projection returns
-    a callable evaluating the edgewise L2 projection of ``w`` onto V^b(e).
-    """
-    if op.kind == "identity":
-        return w
-    proj = EdgeProjector(mesh, edge_id, cfg, quad_degree)
-    coeffs = proj.coefficients(np.asarray(w(proj.points), dtype=float))
-
-    def projected(points):
-        basis = eval_boundary(mesh, edge_id, cfg, points)
-        return np.einsum("j,jnc->nc", coeffs, basis)
-
-    return projected
-
-
-@dataclass
-class WeakGradientValue:
-    """Generalized weak gradient on one element: classical part at the
-    element quadrature points plus the constant correction."""
-
-    points: np.ndarray  # (nq, 2)
-    classical: np.ndarray  # (nq, 2, 2)
-    correction: np.ndarray  # (2, 2)
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.classical + self.correction[None, :, :]
-
-
-@dataclass
-class WeakDivergenceValue:
-    points: np.ndarray  # (nq, 2)
-    classical: np.ndarray  # (nq,)
-    correction: float
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.classical + self.correction
+    centered = basis.copy()
+    if cfg.kind == "rm":
+        centered[:, 2, :, 0] = -offsets[:, :, 1]
+        centered[:, 2, :, 1] = offsets[:, :, 0]
+    gram = np.einsum("einc,ejnc,en->eij", centered, centered, weights)
+    flat = centered.reshape(len(edges), cfg.dim, -1)
+    coeff_map = np.linalg.solve(gram, flat * np.repeat(weights, 2, axis=1)[:, None, :])
+    projector = np.swapaxes(flat, 1, 2) @ coeff_map
+    to_global = np.tile(np.eye(cfg.dim), (len(edges), 1, 1))
+    if cfg.kind == "rm":  # (-y, x) = centered rotation - (mid_y, -mid_x)
+        to_global[:, 0, 2] = mid[:, 1]
+        to_global[:, 1, 2] = -mid[:, 0]
+    return EdgeRule(points=points, weights=weights, basis=basis, gram=gram,
+                    coeff_map=coeff_map, to_global=to_global, projector=projector)
 
 
 class ElementKernel:
-    """All element-local computations for one element.
+    """All element-local computations for a block of E elements.
 
     Precomputes interior basis values/gradients at the volume rule,
     boundary jumps of every local basis weak function at the edge rules,
     their R_b images, and the corrections delta1 (constant matrix) and
-    delta2 (constant scalar) per local degree of freedom.
+    delta2 (constant scalar) per local degree of freedom.  Every array
+    carries a leading element axis; methods taking local coefficient
+    vectors expect them as (E, ndof).
 
     Local dof layout: interior basis functions first, then the edge basis
     blocks in the element's local edge order.
     """
 
-    def __init__(self, mesh: Mesh2D, eid: int, spaces: SpaceSet, rb: RbOperator,
-                 quad_degree: int | None = None, edge_cache: dict | None = None):
-        if quad_degree is None:
-            quad_degree = default_quad_degree(spaces.interior)
-        self.mesh = mesh
-        self.eid = eid
-        self.spaces = spaces
-        self.rb = rb
-        self.quad_degree = quad_degree
-
+    def __init__(self, mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator,
+                 edges: EdgeRule, eids: np.ndarray, quad_degree: int):
         icfg = spaces.interior
-        bcfg = spaces.boundary
-        prm = spaces.element_params(eid)
+        prm = spaces.element_params(eids)
+        self.eids = eids
         self.n0 = icfg.dim
-        self.nb = bcfg.dim
-        self.edge_ids = mesh.element_edges[eid]
-        self.m = len(self.edge_ids)
+        self.nb = spaces.boundary.dim
+        self.edge_ids = mesh.element_edges[eids]  # (E, m)
+        E, self.m = self.edge_ids.shape
         self.ndof = self.n0 + self.m * self.nb
-        self.area = float(mesh.elem_area[eid])
-        self.diameter = float(mesh.elem_diameter[eid])
-        self.normals = mesh.elem_edge_normals[eid]
+        self.area = mesh.elem_area[eids]
+        self.diameter = mesh.elem_diameter[eids]
+        self.normals = mesh.elem_edge_normals[eids]  # (E, m, 2)
 
-        self.vol = element_quadrature(mesh, eid, quad_degree)
-        self.V0 = eval_interior(mesh, eid, icfg, prm, self.vol.points)
-        self.G0 = grad_interior(mesh, eid, icfg, prm, self.vol.points)
+        self.vol = element_quadrature(mesh, eids, quad_degree)
+        self.V0 = eval_interior(mesh, eids, icfg, prm, self.vol.points)
+        self.G0 = grad_interior(mesh, eids, icfg, prm, self.vol.points)
 
-        self.projectors = []
-        for e in self.edge_ids:
-            proj = None if edge_cache is None else edge_cache.get(("projector", e))
-            if proj is None:
-                proj = EdgeProjector(mesh, e, bcfg, quad_degree, edge_cache)
-                if edge_cache is not None:
-                    edge_cache[("projector", e)] = proj
-            self.projectors.append(proj)
-
-        # boundary jumps vb - v0 of each local basis function, and their
-        # R_b images, per local edge
-        self.jumps: list[np.ndarray] = []
-        self.rb_jumps: list[np.ndarray] = []
-        flux = np.zeros((self.ndof, 2, 2))
-        divflux = np.zeros(self.ndof)
-        for le, proj in enumerate(self.projectors):
-            tr0 = eval_interior(mesh, eid, icfg, prm, proj.points)
-            J = np.zeros((self.ndof, proj.points.shape[0], 2))
-            J[: self.n0] = -tr0
+        # boundary jumps vb - v0 of each local basis function on each local
+        # edge, and their R_b images: (E, m, ndof, nqe, 2)
+        self.edge_points = edges.points[self.edge_ids]  # (E, m, nqe, 2)
+        self.edge_weights = edges.weights[self.edge_ids]  # (E, m, nqe)
+        nqe = self.edge_points.shape[2]
+        tr0 = eval_interior(mesh, eids, icfg, prm,
+                            self.edge_points.reshape(E, self.m * nqe, 2))
+        J = np.zeros((E, self.m, self.ndof, nqe, 2))
+        J[:, :, : self.n0] = -tr0.reshape(E, self.n0, self.m, nqe, 2).transpose(0, 2, 1, 3, 4)
+        for le in range(self.m):
             base = self.n0 + le * self.nb
-            J[base: base + self.nb] = proj.basis_values()
-            R = proj.apply(J) if rb.kind == "qb" else J
-            self.jumps.append(J)
-            self.rb_jumps.append(R)
-            edge_int = np.einsum("knc,n->kc", R, proj.weights)
-            flux += edge_int[:, :, None] * self.normals[le][None, None, :]
-            divflux += edge_int @ self.normals[le]
-        self.jump_flux = flux
-        self.jump_divflux = divflux
+            J[:, le, base: base + self.nb] = edges.basis[self.edge_ids[:, le]]
+        self.rb_jumps = edges.apply(self.edge_ids, J) if rb.kind == "qb" else J
+        edge_int = np.einsum("emknc,emn->emkc", self.rb_jumps, self.edge_weights)
+        self.jump_flux = np.einsum("emkc,emd->ekcd", edge_int, self.normals)
+        self.jump_divflux = np.einsum("emkc,emc->ek", edge_int, self.normals)
 
         # corrections through the general Gram-solve path; the correction
         # bases are constant, so their mass matrices only need the rule's
         # total weight
-        qarea = float(np.sum(self.vol.weights))
-        mass1 = np.einsum("aij,bij->ab", _G1_BASIS, _G1_BASIS) * qarea
-        sol = np.linalg.solve(mass1, flux.reshape(self.ndof, 4).T)
-        self.delta1 = sol.T.reshape(self.ndof, 2, 2)
-        self.delta2 = divflux / qarea
-
-        self._eps = None
-        self._div = None
+        self.qarea = self.vol.weights.sum(axis=1)
+        mass1 = np.einsum("aij,bij->ab", _G1_BASIS, _G1_BASIS) * self.qarea[:, None, None]
+        sol = np.linalg.solve(mass1, self.jump_flux.reshape(E, self.ndof, 4).transpose(0, 2, 1))
+        self.delta1 = sol.transpose(0, 2, 1).reshape(E, self.ndof, 2, 2)
+        self.delta2 = self.jump_divflux / self.qarea[:, None]
 
     # -- closed forms (cross-checked against the Gram path in tests) --
 
     def corrections_closed_form(self) -> tuple[np.ndarray, np.ndarray]:
         """delta1 = |T|^-1 * surface integral of R_b(jump) (x) n, and its
         divergence counterpart."""
-        return self.jump_flux / self.area, self.jump_divflux / self.area
-
-    # -- per-dof fields at the volume rule --
-
-    def _fields(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eps is None:
-            nq = self.vol.points.shape[0]
-            eps = np.zeros((self.ndof, nq, 2, 2))
-            eps[: self.n0] = 0.5 * (self.G0 + self.G0.transpose(0, 1, 3, 2))
-            eps += 0.5 * (self.delta1 + self.delta1.transpose(0, 2, 1))[:, None]
-            div = np.zeros((self.ndof, nq))
-            div[: self.n0] = np.trace(self.G0, axis1=2, axis2=3)
-            div += self.delta2[:, None]
-            self._eps = eps
-            self._div = div
-        return self._eps, self._div
+        return (self.jump_flux / self.area[:, None, None, None],
+                self.jump_divflux / self.area[:, None])
 
     # -- local matrices --
 
     def local_stiffness(self, mu: float, lam: float, rho: float,
                         gamma: float) -> np.ndarray:
-        """Local energy matrix: 2 mu (eps_g, eps_g) + lam (div_g, div_g)
-        plus the stabilizer rho h_T^gamma <R_b jump, R_b jump>_dT.
+        """Local energy matrices (E, ndof, ndof): 2 mu (eps_g, eps_g) +
+        lam (div_g, div_g) plus the stabilizer
+        rho h_T^gamma <R_b jump, R_b jump>_dT.
 
         Assembled as F F^T with one weighted factor column per quadrature
-        sample, which keeps the matrix symmetric by construction.
+        sample, which keeps each matrix symmetric by construction.
         """
-        eps, div = self._fields()
+        E, nq = self.vol.weights.shape
+        eps = np.zeros((E, self.ndof, nq, 2, 2))
+        eps[:, : self.n0] = 0.5 * (self.G0 + self.G0.transpose(0, 1, 2, 4, 3))
+        eps += 0.5 * (self.delta1 + self.delta1.transpose(0, 1, 3, 2))[:, :, None]
+        div = np.zeros((E, self.ndof, nq))
+        div[:, : self.n0] = np.trace(self.G0, axis1=3, axis2=4)
+        div += self.delta2[:, :, None]
         w = self.vol.weights
+        we = np.repeat(self.edge_weights.reshape(E, -1), 2, axis=1)  # (E, m nqe 2)
         scale = rho * self.diameter ** gamma
-        blocks = [
-            eps.reshape(self.ndof, -1) * np.sqrt(2.0 * mu * np.repeat(w, 4)),
-            div * np.sqrt(lam * w),
-        ]
-        for le, proj in enumerate(self.projectors):
-            R = self.rb_jumps[le].reshape(self.ndof, -1)
-            blocks.append(R * np.sqrt(scale * np.repeat(proj.weights, 2)))
-        F = np.concatenate(blocks, axis=1)
-        return F @ F.T
+        F = np.concatenate([
+            eps.reshape(E, self.ndof, -1) * np.sqrt(2.0 * mu * np.repeat(w, 4, axis=1))[:, None],
+            div * np.sqrt(lam * w)[:, None],
+            self.rb_jumps.transpose(0, 2, 1, 3, 4).reshape(E, self.ndof, -1)
+            * np.sqrt(scale[:, None] * we)[:, None],
+        ], axis=2)
+        return F @ F.transpose(0, 2, 1)
 
     def local_load(self, f) -> np.ndarray:
         """(f, v0)_T for interior basis functions; edge dofs receive 0."""
-        fv = np.asarray(f(self.vol.points), dtype=float)
-        b = np.zeros(self.ndof)
-        b[: self.n0] = np.einsum("inc,nc,n->i", self.V0, fv, self.vol.weights)
+        pts = self.vol.points
+        fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape)
+        b = np.zeros((pts.shape[0], self.ndof))
+        b[:, : self.n0] = np.einsum("einc,enc,en->ei", self.V0, fv, self.vol.weights)
         return b
 
     def energy(self, vloc: np.ndarray, mu: float, lam: float, rho: float,
-               gamma: float) -> float:
-        """Local energy of one weak function, evaluated through its fields
-        (not v^T A v, so exact-kernel functions come out at field-roundoff
-        scale instead of matrix-cancellation scale)."""
+               gamma: float) -> np.ndarray:
+        """Local energies (E,) of weak functions, evaluated through their
+        fields (not v^T A v, so exact-kernel functions come out at
+        field-roundoff scale instead of matrix-cancellation scale)."""
         d1, d2 = self.correction_pair(vloc)
         grad = self.classical_gradient(vloc)
-        eps = 0.5 * (grad + grad.transpose(0, 2, 1)) + 0.5 * (d1 + d1.T)[None]
-        div = np.trace(grad, axis1=1, axis2=2) + d2
+        eps = 0.5 * (grad + grad.transpose(0, 1, 3, 2)) + 0.5 * (d1 + d1.transpose(0, 2, 1))[:, None]
+        div = np.trace(grad, axis1=2, axis2=3) + d2[:, None]
         w = self.vol.weights
-        val = 2.0 * mu * np.einsum("nab,nab,n->", eps, eps, w)
-        val += lam * np.einsum("n,n,n->", div, div, w)
-        scale = rho * self.diameter ** gamma
-        for le, proj in enumerate(self.projectors):
-            rj = np.einsum("k,knc->nc", vloc, self.rb_jumps[le])
-            val += scale * np.einsum("nc,nc,n->", rj, rj, proj.weights)
-        return float(val)
+        val = 2.0 * mu * np.einsum("enab,enab,en->e", eps, eps, w)
+        val += lam * np.einsum("en,en,en->e", div, div, w)
+        rj = self.rb_jump_values(vloc)
+        val += rho * self.diameter ** gamma * np.einsum("emnc,emnc,emn->e", rj, rj,
+                                                         self.edge_weights)
+        return val
 
-    # -- weak operators for a local coefficient vector --
+    # -- weak operators for local coefficient vectors (E, ndof) --
 
-    def correction_pair(self, vloc: np.ndarray) -> tuple[np.ndarray, float]:
-        d1 = np.einsum("k,kab->ab", vloc, self.delta1)
-        d2 = float(vloc @ self.delta2)
-        return d1, d2
+    def correction_pair(self, vloc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The corrections delta1 (E, 2, 2) and delta2 (E,)."""
+        return (np.einsum("ek,ekab->eab", vloc, self.delta1),
+                np.einsum("ek,ek->e", vloc, self.delta2))
 
     def classical_gradient(self, vloc: np.ndarray) -> np.ndarray:
-        return np.einsum("k,knab->nab", vloc[: self.n0], self.G0)
+        """Gradient of v0 at the volume rule; (E, nq, 2, 2)."""
+        return np.einsum("ek,eknab->enab", vloc[:, : self.n0], self.G0)
 
-    def rb_jump_values(self, vloc: np.ndarray, le: int) -> np.ndarray:
-        """R_b(vb - v0) of the weak function on local edge le, at the edge rule."""
-        return np.einsum("k,knc->nc", vloc, self.rb_jumps[le])
+    def rb_jump_values(self, vloc: np.ndarray) -> np.ndarray:
+        """R_b(vb - v0) on every local edge at the edge rule; (E, m, nqe, 2)."""
+        return np.einsum("ek,emknc->emnc", vloc, self.rb_jumps)
 
-    def moment_residuals(self, vloc: np.ndarray) -> tuple[np.ndarray, float]:
-        """Residuals of the correction moment equations for a weak function:
-        (delta, psi)_T - <R_b(vb - v0), psi n>_dT per basis psi."""
+    def moment_residuals(self, vloc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals of the correction moment equations for weak functions:
+        (delta, psi)_T - <R_b(vb - v0), psi n>_dT per basis psi; (E, 4), (E,)."""
         d1, d2 = self.correction_pair(vloc)
-        qarea = float(np.sum(self.vol.weights))
-        lhs1 = qarea * np.einsum("ab,kab->k", d1, _G1_BASIS)
-        rhs1 = np.einsum("k,kab->ab", vloc, self.jump_flux).reshape(4)
-        lhs2 = qarea * d2
-        rhs2 = float(vloc @ self.jump_divflux)
-        return lhs1 - rhs1, lhs2 - rhs2
-
-
-def _local(mesh, eid, v, spaces, rb, quad_degree):
-    kern = ElementKernel(mesh, eid, spaces, rb, quad_degree)
-    return kern, v.local_coefficients(mesh, eid)
-
-
-def correction_gradient(mesh: Mesh2D, eid: int, v: WeakFunction, spaces: SpaceSet,
-                        rb: RbOperator, quad_degree: int | None = None) -> np.ndarray:
-    """The constant gradient correction delta1 of v on element eid."""
-    kern, vloc = _local(mesh, eid, v, spaces, rb, quad_degree)
-    return kern.correction_pair(vloc)[0]
-
-
-def correction_divergence(mesh: Mesh2D, eid: int, v: WeakFunction, spaces: SpaceSet,
-                          rb: RbOperator, quad_degree: int | None = None) -> float:
-    kern, vloc = _local(mesh, eid, v, spaces, rb, quad_degree)
-    return kern.correction_pair(vloc)[1]
-
-
-def weak_gradient(mesh: Mesh2D, eid: int, v: WeakFunction, spaces: SpaceSet,
-                  rb: RbOperator, quad_degree: int | None = None) -> WeakGradientValue:
-    kern, vloc = _local(mesh, eid, v, spaces, rb, quad_degree)
-    d1, _ = kern.correction_pair(vloc)
-    return WeakGradientValue(points=kern.vol.points,
-                             classical=kern.classical_gradient(vloc),
-                             correction=d1)
-
-
-def weak_divergence(mesh: Mesh2D, eid: int, v: WeakFunction, spaces: SpaceSet,
-                    rb: RbOperator, quad_degree: int | None = None) -> WeakDivergenceValue:
-    kern, vloc = _local(mesh, eid, v, spaces, rb, quad_degree)
-    _, d2 = kern.correction_pair(vloc)
-    grad = kern.classical_gradient(vloc)
-    return WeakDivergenceValue(points=kern.vol.points,
-                               classical=np.trace(grad, axis1=1, axis2=2),
-                               correction=d2)
-
-
-def weak_strain(mesh: Mesh2D, eid: int, v: WeakFunction, spaces: SpaceSet,
-                rb: RbOperator, quad_degree: int | None = None) -> np.ndarray:
-    """Symmetrized weak gradient at the element quadrature points; (nq, 2, 2)."""
-    g = weak_gradient(mesh, eid, v, spaces, rb, quad_degree).total
-    return 0.5 * (g + g.transpose(0, 2, 1))
+        lhs1 = self.qarea[:, None] * np.einsum("eab,kab->ek", d1, _G1_BASIS)
+        rhs1 = np.einsum("ek,ekab->eab", vloc, self.jump_flux).reshape(-1, 4)
+        rhs2 = np.einsum("ek,ek->e", vloc, self.jump_divflux)
+        return lhs1 - rhs1, self.qarea * d2 - rhs2
 
 
 # -- admissibility predicates for (V^b, R_b) --
@@ -496,6 +317,12 @@ class AssumptionCheck:
     detail: str
 
 
+def _worst(values: np.ndarray) -> tuple[float, int]:
+    """Largest per-edge value and its edge (-1 when every value is 0)."""
+    e = int(np.argmax(values))
+    return float(values[e]), (e if values[e] != 0 else -1)
+
+
 def check_rigid_motion_invariance(mesh: Mesh2D, boundary_cfg: BoundarySpaceConfig,
                                   rb: RbOperator, quad_degree: int = 10,
                                   tol: float = 1e-10) -> AssumptionCheck:
@@ -508,17 +335,11 @@ def check_rigid_motion_invariance(mesh: Mesh2D, boundary_cfg: BoundarySpaceConfi
     name = "rigid-motion invariance"
     if rb.kind == "identity":
         return AssumptionCheck(name, True, 0.0, -1, "identity preserves all traces")
-    rm = BoundarySpaceConfig("rm")
-    cache: dict = {}
-    worst = 0.0
-    worst_edge = -1
-    for e in range(mesh.num_edges):
-        proj = EdgeProjector(mesh, e, boundary_cfg, quad_degree, cache)
-        gens = eval_boundary(mesh, e, rm, proj.points)  # the three generators
-        resid = float(np.max(np.abs(proj.apply(gens) - gens)))
-        if resid > worst:
-            worst = resid
-            worst_edge = e
+    rule = edge_rule(mesh, boundary_cfg, quad_degree)
+    edges = np.arange(mesh.num_edges)
+    gens = eval_boundary(mesh, edges, BoundarySpaceConfig("rm"), rule.points)
+    resid = np.abs(rule.apply(edges, gens) - gens).max(axis=(1, 2, 3))
+    worst, worst_edge = _worst(resid)
     passed = worst <= tol
     return AssumptionCheck(
         name, passed, worst, worst_edge,
@@ -531,15 +352,9 @@ def check_rb_injectivity(mesh: Mesh2D, boundary_cfg: BoundarySpaceConfig,
                          quad_degree: int = 10,
                          condition_limit: float = 1e12) -> AssumptionCheck:
     """Are the edge Gram matrices of V^b(e) nonsingular (R_b one-to-one)?"""
-    cache: dict = {}
-    worst = 0.0
-    worst_edge = -1
-    for e in range(mesh.num_edges):
-        proj = EdgeProjector(mesh, e, boundary_cfg, quad_degree, cache)
-        c = proj.normalized_gram_condition
-        if c > worst:
-            worst = c
-            worst_edge = e
+    gram = edge_rule(mesh, boundary_cfg, quad_degree).gram
+    d = np.sqrt(np.einsum("eii->ei", gram))
+    worst, worst_edge = _worst(np.linalg.cond(gram / (d[:, :, None] * d[:, None, :])))
     passed = bool(np.isfinite(worst)) and worst <= condition_limit
     return AssumptionCheck(
         "edge-space injectivity", passed, worst, worst_edge,

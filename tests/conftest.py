@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from gwgfem.assembly import project_boundary, project_interior
-from gwgfem.spaces import build_spaces, eval_interior, parse_boundary, parse_interior
-from gwgfem.weakops import ElementKernel, WeakFunction
+from gwgfem.assembly import interpolate
+from gwgfem.spaces import (
+    build_spaces,
+    default_quad_degree,
+    eval_interior,
+    parse_boundary,
+    parse_interior,
+)
+from gwgfem.weakops import ElementKernel, edge_rule
 
 
 def vec_field(fx, fy):
@@ -34,70 +40,87 @@ def x_comp_field():
     return vec_field(lambda x, y: x, lambda x, y: 0.0 * x)
 
 
-def operator_identity_residuals(mesh, spaces, rb, phi, grad_phi, eid, quad=10):
+def kernel(mesh, spaces, rb, eids=None, quad=None):
+    """Batched element kernel over ``eids`` (default: every element)."""
+    if quad is None:
+        quad = default_quad_degree(spaces.interior)
+    if eids is None:
+        eids = np.arange(mesh.num_elements)
+    edges = edge_rule(mesh, spaces.boundary, quad)
+    return ElementKernel(mesh, spaces, rb, edges, np.asarray(eids), quad)
+
+
+def weak_gradient(kern, vloc):
+    """Generalized weak gradient (E, nq, 2, 2): classical part plus the
+    constant correction."""
+    return kern.classical_gradient(vloc) + kern.correction_pair(vloc)[0][:, None]
+
+
+def weak_strain(kern, vloc):
+    g = weak_gradient(kern, vloc)
+    return 0.5 * (g + g.transpose(0, 1, 3, 2))
+
+
+def operator_identity_residuals(mesh, spaces, rb, phi, grad_phi, eids, quad=10):
     """Residuals of the projection identities for the interpolant of a
     smooth field: the weak strain / weak divergence of {Q0 phi, Qb phi}
     tested against constant matrices/scalars must match the four-term
     expansion in the exact field, the interior projection defect, and the
     two boundary jump terms.  Returns (strain residual, divergence
-    residual), both maxima over the constant test bases.
+    residual), both maxima over the constant test bases and the elements
+    ``eids``.
     """
-    kern = ElementKernel(mesh, eid, spaces, rb, quad)
-    wf = WeakFunction.zeros(mesh, spaces)
-    wf.interior[eid] = project_interior(mesh, eid, spaces, phi, quad)
-    for e in mesh.element_edges[eid]:
-        wf.boundary[e] = project_boundary(mesh, e, spaces, phi, quad)
-    vloc = wf.local_coefficients(mesh, eid)
+    kern = kernel(mesh, spaces, rb, eids, quad)
+    edges = edge_rule(mesh, spaces.boundary, quad)
+    wf = interpolate(mesh, spaces, phi, quad)
+    vloc = wf.local_coefficients(mesh, kern.eids)
+    E, nq = kern.vol.weights.shape
 
     d1, d2 = kern.correction_pair(vloc)
     w = kern.vol.weights
     pts = kern.vol.points
     grad_q0 = kern.classical_gradient(vloc)
-    eps_q0 = 0.5 * (grad_q0 + grad_q0.transpose(0, 2, 1))
-    eps_weak = eps_q0 + 0.5 * (d1 + d1.T)[None]
-    div_weak = np.trace(grad_q0, axis1=1, axis2=2) + d2
+    eps_q0 = 0.5 * (grad_q0 + grad_q0.transpose(0, 1, 3, 2))
+    eps_weak = eps_q0 + 0.5 * (d1 + d1.transpose(0, 2, 1))[:, None]
+    div_weak = np.trace(grad_q0, axis1=2, axis2=3) + d2[:, None]
 
-    g_exact = grad_phi(pts)
-    eps_exact = 0.5 * (g_exact + g_exact.transpose(0, 2, 1))
-    div_exact = np.trace(g_exact, axis1=1, axis2=2)
+    g_exact = grad_phi(pts.reshape(-1, 2)).reshape(E, nq, 2, 2)
+    eps_exact = 0.5 * (g_exact + g_exact.transpose(0, 1, 3, 2))
+    div_exact = np.trace(g_exact, axis1=2, axis2=3)
 
     # per-edge R_b images of (Qb phi - phi) and (phi - Q0 phi)
-    edge_terms = []
-    for le, e in enumerate(mesh.element_edges[eid]):
-        proj = kern.projectors[le]
-        phi_vals = phi(proj.points)
-        qb_vals = proj.values_from_coefficients(wf.boundary[e])
-        q0_vals = np.einsum(
-            "j,jnc->nc", vloc[: kern.n0],
-            eval_interior(mesh, eid, spaces.interior,
-                          spaces.element_params(eid), proj.points))
-        j1 = qb_vals - phi_vals
-        j2 = phi_vals - q0_vals
-        if rb.kind == "qb":
-            j1 = proj.apply(j1)
-            j2 = proj.apply(j2)
-        edge_terms.append((proj, kern.normals[le], j1, j2))
+    ep, ew, nrm = kern.edge_points, kern.edge_weights, kern.normals
+    m, nqe = ep.shape[1:3]
+    phi_vals = phi(ep.reshape(-1, 2)).reshape(ep.shape)
+    qb_vals = np.einsum("emj,emjnc->emnc", wf.boundary[kern.edge_ids],
+                        edges.basis[kern.edge_ids])
+    tr0 = eval_interior(mesh, kern.eids, spaces.interior,
+                        spaces.element_params(kern.eids), ep.reshape(E, -1, 2))
+    q0_vals = np.einsum("ej,ejmnc->emnc", vloc[:, : kern.n0],
+                        tr0.reshape(E, kern.n0, m, nqe, 2))
+    j1 = qb_vals - phi_vals
+    j2 = phi_vals - q0_vals
+    if rb.kind == "qb":
+        j1 = edges.apply(kern.edge_ids, j1[:, :, None])[:, :, 0]
+        j2 = edges.apply(kern.edge_ids, j2[:, :, None])[:, :, 0]
 
     worst_eps = 0.0
     for a in range(2):
         for b in range(2):
             psi = np.zeros((2, 2))
             psi[a, b] = 1.0
-            lhs = np.einsum("nab,ab,n->", eps_weak, psi, w)
-            rhs = np.einsum("nab,ab,n->", eps_exact, psi, w)
-            rhs += np.einsum("nab,ab,n->", eps_q0 - eps_exact, psi, w)
-            sym_n = psi + psi.T
-            for proj, nrm, j1, j2 in edge_terms:
-                pn = sym_n @ nrm
-                rhs += 0.5 * np.einsum("nc,c,n->", j1, pn, proj.weights)
-                rhs += 0.5 * np.einsum("nc,c,n->", j2, pn, proj.weights)
-            worst_eps = max(worst_eps, abs(lhs - rhs))
+            lhs = np.einsum("enab,ab,en->e", eps_weak, psi, w)
+            rhs = np.einsum("enab,ab,en->e", eps_exact, psi, w)
+            rhs += np.einsum("enab,ab,en->e", eps_q0 - eps_exact, psi, w)
+            pn = np.einsum("ab,emb->ema", psi + psi.T, nrm)
+            rhs += 0.5 * np.einsum("emnc,emc,emn->e", j1, pn, ew)
+            rhs += 0.5 * np.einsum("emnc,emc,emn->e", j2, pn, ew)
+            worst_eps = max(worst_eps, float(np.abs(lhs - rhs).max()))
 
-    lhs = np.einsum("n,n->", div_weak, w)
-    rhs = np.einsum("n,n->", div_exact, w)
-    rhs += np.einsum("n,n->", np.trace(grad_q0, axis1=1, axis2=2) - div_exact, w)
-    for proj, nrm, j1, j2 in edge_terms:
-        rhs += np.einsum("nc,c,n->", j1, nrm, proj.weights)
-        rhs += np.einsum("nc,c,n->", j2, nrm, proj.weights)
-    worst_div = abs(lhs - rhs)
+    lhs = np.einsum("en,en->e", div_weak, w)
+    rhs = np.einsum("en,en->e", div_exact, w)
+    rhs += np.einsum("en,en->e", np.trace(grad_q0, axis1=2, axis2=3) - div_exact, w)
+    rhs += np.einsum("emnc,emc,emn->e", j1, nrm, ew)
+    rhs += np.einsum("emnc,emc,emn->e", j2, nrm, ew)
+    worst_div = float(np.abs(lhs - rhs).max())
     return worst_eps, worst_div

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import make_spaces, operator_identity_residuals, vec_field, zero_field
+from conftest import kernel, make_spaces, operator_identity_residuals, vec_field, zero_field
+from gwgfem import mesh as meshmod
 from gwgfem import solver
 from gwgfem.assembly import (
     apply_dirichlet,
@@ -9,8 +10,6 @@ from gwgfem.assembly import (
     dof_map,
     extract_solution,
     interpolate,
-    local_load,
-    local_stiffness,
     project_boundary,
     project_g1,
     project_g2,
@@ -19,7 +18,7 @@ from gwgfem.assembly import (
 )
 from gwgfem.mesh import build_rectangular, build_triangular
 from gwgfem.postproc import error_norms, manufactured
-from gwgfem.weakops import ElementKernel, WeakFunction, parse_rb
+from gwgfem.weakops import WeakFunction, edge_rule, parse_rb
 
 QB = parse_rb("qb")
 ID = parse_rb("id")
@@ -31,7 +30,8 @@ class TestLocalStiffness:
     def test_stabilizer_only_is_psd(self):
         mesh = build_rectangular(2)
         spaces = make_spaces(mesh, "p1", "p0")
-        A = local_stiffness(mesh, 1, spaces, QB, mu=0.0, lam=0.0, rho=1.0, gamma=-1.0)
+        A = kernel(mesh, spaces, QB, [1]).local_stiffness(mu=0.0, lam=0.0, rho=1.0,
+                                                          gamma=-1.0)[0]
         eigs = np.linalg.eigvalsh(A)
         assert eigs.min() > -1e-12
         assert eigs.max() > 0
@@ -44,9 +44,9 @@ class TestLocalStiffness:
         spaces = make_spaces(mesh, "p1", "p0")
         wf = WeakFunction.zeros(mesh, spaces)
         wf.interior[0] = project_interior(mesh, 0, spaces, X_FIELD)
-        kern = ElementKernel(mesh, 0, spaces, ID)
-        vloc = wf.local_coefficients(mesh, 0)
-        value = kern.energy(vloc, mu=0.0, lam=0.0, rho=1.0, gamma=-1.0)
+        kern = kernel(mesh, spaces, ID)
+        vloc = wf.local_coefficients(mesh, kern.eids)
+        value = kern.energy(vloc, mu=0.0, lam=0.0, rho=1.0, gamma=-1.0)[0]
         assert value == pytest.approx(5.0 / (3.0 * np.sqrt(2.0)), rel=1e-12)
 
     def test_rigid_motion_zero_energy(self):
@@ -56,10 +56,9 @@ class TestLocalStiffness:
         for boundary, rb in (("rm", QB), ("p1", QB), ("rm", ID), ("p1", ID)):
             spaces = make_spaces(mesh, "p1", boundary)
             wf = interpolate(mesh, spaces, RIGID)
-            for eid in range(mesh.num_elements):
-                kern = ElementKernel(mesh, eid, spaces, rb)
-                vloc = wf.local_coefficients(mesh, eid)
-                assert kern.energy(vloc, 0.5, 1.0, 1.0, -1.0) < 1e-24
+            kern = kernel(mesh, spaces, rb)
+            vloc = wf.local_coefficients(mesh, kern.eids)
+            assert kern.energy(vloc, 0.5, 1.0, 1.0, -1.0).max() < 1e-24
 
     def test_translation_zero_energy_p0(self):
         # with constant edge spaces the energy kernel holds translations
@@ -68,15 +67,14 @@ class TestLocalStiffness:
         shift = vec_field(lambda x, y: 0.4 + 0 * x, lambda x, y: -0.9 + 0 * x)
         wf = interpolate(mesh, spaces, shift)
         for rb in (QB, ID):
-            for eid in range(mesh.num_elements):
-                kern = ElementKernel(mesh, eid, spaces, rb)
-                vloc = wf.local_coefficients(mesh, eid)
-                assert kern.energy(vloc, 0.5, 1.0, 1.0, -1.0) < 1e-24
+            kern = kernel(mesh, spaces, rb)
+            vloc = wf.local_coefficients(mesh, kern.eids)
+            assert kern.energy(vloc, 0.5, 1.0, 1.0, -1.0).max() < 1e-24
 
     def test_local_matrix_symmetry(self):
         mesh = build_triangular(2)
         spaces = make_spaces(mesh, "sigmoid", "rm", seed=8)
-        A = local_stiffness(mesh, 3, spaces, QB, 0.5, 1.0, 1.0, -1.0)
+        A = kernel(mesh, spaces, QB, [3]).local_stiffness(0.5, 1.0, 1.0, -1.0)[0]
         assert np.abs(A - A.T).max() < 1e-12 * np.abs(A).max()
 
 
@@ -84,13 +82,13 @@ class TestLocalLoad:
     def test_zero_force(self):
         mesh = build_rectangular(2)
         spaces = make_spaces(mesh, "p1", "p0")
-        assert np.allclose(local_load(mesh, 0, spaces, zero_field), 0.0)
+        assert np.allclose(kernel(mesh, spaces, ID, [0]).local_load(zero_field), 0.0)
 
     def test_constant_force_small_square(self):
         mesh = build_rectangular(8)
         spaces = make_spaces(mesh, "p1", "p0")
         e1 = vec_field(lambda x, y: 1.0 + 0 * x, lambda x, y: 0.0 * x)
-        b = local_load(mesh, 0, spaces, e1)
+        b = kernel(mesh, spaces, ID, [0]).local_load(e1)[0]
         assert b[0] == pytest.approx(1.0 / 64, abs=1e-15)  # (f, [1;0])
         assert b[1] == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(b[6:], 0.0)  # edge dofs receive nothing
@@ -98,7 +96,7 @@ class TestLocalLoad:
     def test_linear_force_unit_square(self):
         mesh = build_rectangular(1)
         spaces = make_spaces(mesh, "p1", "p0")
-        b = local_load(mesh, 0, spaces, X_FIELD)
+        b = kernel(mesh, spaces, ID, [0]).local_load(X_FIELD)[0]
         assert b[0] == pytest.approx(0.5, abs=1e-14)
 
 
@@ -123,11 +121,11 @@ class TestDirichlet:
         mesh = build_triangular(2)
         spaces = make_spaces(mesh, "p1", "rm")
         fixed = apply_dirichlet(mesh, RIGID, spaces)
-        from gwgfem.weakops import EdgeProjector
-        for e in np.nonzero(mesh.boundary)[0]:
-            proj = EdgeProjector(mesh, e, spaces.boundary, 10)
-            resid = proj.values_from_coefficients(fixed[e]) - RIGID(proj.points)
-            assert np.abs(resid).max() < 1e-12
+        rule = edge_rule(mesh, spaces.boundary, 10)
+        bnd = np.nonzero(mesh.boundary)[0]
+        values = np.einsum("ej,ejnc->enc", fixed[bnd], rule.basis[bnd])
+        resid = values - RIGID(rule.points[bnd].reshape(-1, 2)).reshape(values.shape)
+        assert np.abs(resid).max() < 1e-12
 
 
 class TestGlobalSystem:
@@ -187,6 +185,26 @@ class TestGlobalSystem:
         rep = solver.solve_system(system)
         assert rep.spd_certified
         assert rep.relative_residual <= 1e-12
+
+    @pytest.mark.parametrize("build,interior,boundary,n", [
+        (build_rectangular, "sin", "p0", 17),
+        (build_triangular, "p1", "p1", 12),
+    ])
+    def test_element_blocking_is_exact(self, monkeypatch, build, interior,
+                                       boundary, n):
+        # one element per block gives the same system as the default blocks
+        # (the meshes have more elements than one default block)
+        mesh = build(n)
+        assert mesh.num_elements > meshmod.ELEMENT_BLOCK
+        spaces = make_spaces(mesh, interior, boundary, seed=2)
+        case = manufactured("example1", 0.5, 1.0)
+        systems = [assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g)]
+        monkeypatch.setattr(meshmod, "ELEMENT_BLOCK", 1)
+        systems.append(assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g))
+        A, B = (s.matrix for s in systems)
+        assert abs(A - B).max() <= 1e-14 * abs(A).max()
+        a, b = (s.rhs for s in systems)
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max()
 
     def test_linear_field_reproduced(self):
         # u in the discrete space exactly: solver must return it
@@ -268,21 +286,21 @@ class TestProjections:
     def test_edge_projection_p1_reproduces_linears(self):
         mesh = build_rectangular(2)
         spaces = make_spaces(mesh, "p1", "p1")
-        from gwgfem.weakops import EdgeProjector
-        for e in (0, int(mesh.interior_edges()[0])):
-            coeffs = project_boundary(mesh, e, spaces, X_FIELD)
-            proj = EdgeProjector(mesh, e, spaces.boundary, 10)
-            resid = proj.values_from_coefficients(coeffs) - X_FIELD(proj.points)
-            assert np.abs(resid).max() < 1e-13
+        rule = edge_rule(mesh, spaces.boundary, 10)
+        edges = np.array([0, mesh.interior_edges()[0]])
+        coeffs = project_boundary(mesh, edges, spaces, X_FIELD)
+        values = np.einsum("ej,ejnc->enc", coeffs, rule.basis[edges])
+        resid = values - X_FIELD(rule.points[edges].reshape(-1, 2)).reshape(values.shape)
+        assert np.abs(resid).max() < 1e-13
 
     def test_constant_matrix_and_scalar_projections(self):
         mesh = build_triangular(1)
         spaces = make_spaces(mesh, "p1", "p0")
-        kern = ElementKernel(mesh, 0, spaces, QB)
-        nq = kern.vol.points.shape[0]
-        const = np.tile(np.array([[1.0, 2.0], [3.0, 4.0]]), (nq, 1, 1))
-        assert np.allclose(project_g1(kern, const), [[1, 2], [3, 4]], atol=1e-14)
-        assert project_g2(kern, np.full(nq, 2.5)) == pytest.approx(2.5, abs=1e-14)
+        kern = kernel(mesh, spaces, QB, [0])
+        nq = kern.vol.points.shape[1]
+        const = np.tile(np.array([[1.0, 2.0], [3.0, 4.0]]), (1, nq, 1, 1))
+        assert np.allclose(project_g1(kern, const)[0], [[1, 2], [3, 4]], atol=1e-14)
+        assert project_g2(kern, np.full((1, nq), 2.5))[0] == pytest.approx(2.5, abs=1e-14)
 
 
 class TestOperatorIdentities:
@@ -294,11 +312,10 @@ class TestOperatorIdentities:
         for build in (build_rectangular, build_triangular):
             mesh = build(3)
             spaces = make_spaces(mesh, interior, "p0", seed=13)
-            for eid in (0, mesh.num_elements // 2):
-                r_eps, r_div = operator_identity_residuals(
-                    mesh, spaces, rb, case.u, case.grad_u, eid)
-                assert r_eps < 1e-10
-                assert r_div < 1e-10
+            r_eps, r_div = operator_identity_residuals(
+                mesh, spaces, rb, case.u, case.grad_u, [0, mesh.num_elements // 2])
+            assert r_eps < 1e-10
+            assert r_div < 1e-10
 
 
 class TestQuadratureAdequacy:

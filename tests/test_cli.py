@@ -28,6 +28,11 @@ class TestConfig:
         dict(mu=-1.0),
         dict(quad_degree=99),
         dict(fmt="yaml"),
+        dict(seed=-1),
+        dict(lam=float("nan")),
+        dict(mu=float("inf")),
+        dict(rho=float("nan")),
+        dict(gamma=float("-inf")),
     ])
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -57,8 +62,12 @@ class TestRun:
         assert first[3] != ""  # seeded by the unreported coarser level
 
     def test_bad_flag_exits_config(self, capsys):
-        code = main(["run", "--mesh", "rect", "--levels", "abc"])
-        assert code == EXIT_CONFIG
+        for flags in (["--levels", "abc"],
+                      ["--levels", "4", "--interior", "sin", "--seed", "-1"],
+                      ["--levels", "4", "--lambda", "nan"]):
+            code = main(["run", "--mesh", "rect"] + flags)
+            assert code == EXIT_CONFIG
+            assert "configuration error" in capsys.readouterr().err
 
     def test_table_format(self, capsys):
         code = main(["run", "--mesh", "rect", "--levels", "4",
@@ -105,8 +114,10 @@ class TestRun:
 
     def test_config_file_unknown_key(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
-        cfgfile.write_text("meshes=rect\n")
-        assert main(["run", "--config", str(cfgfile)]) == EXIT_CONFIG
+        # an unknown key, then non-numeric values of numeric keys
+        for text in ("meshes=rect\n", "seed=abc\n", "lambda=big\n"):
+            cfgfile.write_text(text)
+            assert main(["run", "--config", str(cfgfile)]) == EXIT_CONFIG
 
     def test_run_convergence_rates_shape(self):
         rep = run_convergence(RunConfig(mesh="rect", levels=(2, 4)))
@@ -117,15 +128,26 @@ class TestRun:
 
     def test_solver_failure_exit_code(self, monkeypatch, capsys):
         from gwgfem import cli as climod
+        from gwgfem import spaces
         from gwgfem.solver import SolverError
 
         def boom(config):
             raise SolverError("injected failure at level 8")
 
-        monkeypatch.setattr(climod, "run_convergence", boom)
-        code = climod.main(["run", "--mesh", "rect", "--levels", "8"])
+        with monkeypatch.context() as patch:
+            patch.setattr(climod, "run_convergence", boom)
+            code = climod.main(["run", "--mesh", "rect", "--levels", "8"])
         assert code == 3
         assert "solver failure" in capsys.readouterr().err
+
+        # no activation basis can meet the Gram condition limit
+        monkeypatch.setattr(spaces, "GRAM_CONDITION_LIMIT", 1.0)
+        code = climod.main(["run", "--mesh", "rect", "--levels", "2",
+                            "--interior", "sin"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("space conditioning failure: element 0")
+        assert err.count("\n") == 1
 
 
 class TestCheck:

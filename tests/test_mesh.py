@@ -8,9 +8,12 @@ from gwgfem.mesh import (
     build_rectangular,
     build_triangular,
     dump_mesh,
-    edge_quadrature,
     element_quadrature,
 )
+from gwgfem.spaces import parse_boundary
+from gwgfem.weakops import edge_rule
+
+P0 = parse_boundary("p0")
 
 
 class TestConstruction:
@@ -76,10 +79,9 @@ class TestConstruction:
     @pytest.mark.parametrize("build", [build_rectangular, build_triangular])
     def test_closed_boundary_normal_integral(self, build):
         m = build(2)
-        for eid in range(m.num_elements):
-            geom = m.geometry(eid)
-            total = (geom.edge_lengths[:, None] * geom.edge_normals).sum(axis=0)
-            assert np.allclose(total, 0.0, atol=1e-12)
+        lengths = m.edge_length[m.element_edges]  # (ne, m)
+        total = (lengths[:, :, None] * m.elem_edge_normals).sum(axis=1)
+        assert np.allclose(total, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("build", [build_rectangular, build_triangular])
     def test_diameter_is_max_vertex_distance(self, build):
@@ -143,27 +145,28 @@ class TestQuadrature:
         m = build(2)
         for deg in (1, 4, 10):
             assert (element_quadrature(m, 0, deg).weights > 0).all()
-            assert (edge_quadrature(m, 0, deg).weights > 0).all()
+            assert (edge_rule(m, P0, deg).weights > 0).all()
 
     def test_edge_length_and_moments(self):
         m = build_rectangular(8)
-        rule = edge_quadrature(m, 0, 1)
-        assert rule.weights.sum() == pytest.approx(1.0 / 8, abs=1e-15)
+        rule = edge_rule(m, P0, 1)
+        assert rule.weights[0].sum() == pytest.approx(1.0 / 8, abs=1e-15)
         # bottom edge of the unit square: int x ds = 1/2, int x^3 ds = 1/4
         m1 = build_rectangular(1)
         bottom = [e for e in range(4)
                   if np.allclose(m1.edge_midpoint[e], [0.5, 0.0])][0]
-        r3 = edge_quadrature(m1, bottom, 3)
-        assert r3.points[:, 0] @ r3.weights == pytest.approx(0.5, abs=1e-14)
-        r5 = edge_quadrature(m1, bottom, 5)
-        assert r5.points[:, 0] ** 3 @ r5.weights == pytest.approx(0.25, abs=1e-14)
+        r3 = edge_rule(m1, P0, 3)
+        assert r3.points[bottom, :, 0] @ r3.weights[bottom] == pytest.approx(0.5, abs=1e-14)
+        r5 = edge_rule(m1, P0, 5)
+        assert (r5.points[bottom, :, 0] ** 3 @ r5.weights[bottom]
+                == pytest.approx(0.25, abs=1e-14))
 
     def test_unsupported_degree_message(self):
         m = build_rectangular(1)
         with pytest.raises(ValueError, match=f"1..{MAX_QUAD_DEGREE}"):
             element_quadrature(m, 0, 0)
         with pytest.raises(ValueError, match=f"1..{MAX_QUAD_DEGREE}"):
-            edge_quadrature(m, 0, MAX_QUAD_DEGREE + 1)
+            edge_rule(m, P0, MAX_QUAD_DEGREE + 1)
 
 
 class TestDump:

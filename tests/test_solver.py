@@ -54,6 +54,12 @@ class TestDirectPath:
             solve(A, np.ones(3))
         assert err.value.pivot is not None
 
+    def test_off_diagonal_pivot_is_not_certified(self):
+        # eigenvalues +-1: SuperLU pivots off the diagonal, and the positive
+        # U diagonal it then reports says nothing about definiteness
+        with pytest.raises(IndefiniteMatrixError):
+            solve(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 2.0]))
+
     def test_singular_raises(self):
         A = np.zeros((3, 3))
         A[0, 0] = 1.0
@@ -78,6 +84,7 @@ class TestCgPath:
         assert np.allclose(rep.x, [1.0, 1.0], atol=1e-11)
         assert rep.method == "cg"
         assert rep.iterations >= 1
+        assert not rep.spd_certified  # convergence is not a certificate
 
     def test_cg_detects_indefinite_curvature(self):
         A = np.array([[1.0, 0.0], [0.0, -1.0]])

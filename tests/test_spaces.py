@@ -17,7 +17,6 @@ from gwgfem.spaces import (
     parse_boundary,
     parse_interior,
     sample_element_params,
-    sample_params,
 )
 
 
@@ -100,27 +99,28 @@ class TestSampling:
     def test_params_inside_element_and_unshared(self):
         for build in (build_rectangular, build_triangular):
             m = build(3)
-            params = sample_params(m, parse_interior("sigmoid"), seed_entropy=(1, 3))
-            assert len(params) == m.num_elements
-            for eid, prm in enumerate(params):
-                verts = m.element_vertices(eid)
-                lo, hi = verts.min(axis=0), verts.max(axis=0)
-                assert (prm.x0 >= lo - 1e-12).all()
-                assert (prm.x0 <= hi + 1e-12).all()
-                assert (np.abs(prm.w) <= 0.5).all()
+            params = build_spaces(m, parse_interior("sigmoid"), parse_boundary("p0"),
+                                  seed_entropy=(1, 3)).params
+            assert params.w.shape == params.x0.shape == (m.num_elements, 4, 2)
+            verts = m.vertices[m.elements]
+            lo, hi = verts.min(axis=1), verts.max(axis=1)  # (ne, 2)
+            assert (params.x0 >= lo[:, None] - 1e-12).all()
+            assert (params.x0 <= hi[:, None] + 1e-12).all()
+            assert (np.abs(params.w) <= 0.5).all()
             assert not np.allclose(params[0].x0, params[1].x0)
 
     def test_seed_reproducibility(self):
         m = build_rectangular(2)
-        a = sample_params(m, parse_interior("sin"), seed_entropy=(9, 2))
-        b = sample_params(m, parse_interior("sin"), seed_entropy=(9, 2))
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.w, pb.w)
-            assert np.array_equal(pa.x0, pb.x0)
+        a, b = (build_spaces(m, parse_interior("sin"), parse_boundary("p0"),
+                             seed_entropy=(9, 2)).params for _ in range(2))
+        assert np.array_equal(a.w, b.w)
+        assert np.array_equal(a.x0, b.x0)
 
     def test_p1_has_no_params(self):
         m = build_rectangular(2)
-        assert sample_params(m, parse_interior("p1")) == []
+        spaces = build_spaces(m, parse_interior("p1"), parse_boundary("p0"))
+        assert spaces.params is None
+        assert spaces.element_params(0) is None
 
 
 class TestEvaluation:

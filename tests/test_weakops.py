@@ -3,22 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_spaces, vec_field
+from conftest import kernel, make_spaces, vec_field, weak_gradient, weak_strain
 from gwgfem.assembly import interpolate, project_interior
-from gwgfem.mesh import build_rectangular, build_triangular, edge_quadrature
-from gwgfem.spaces import parse_boundary
+from gwgfem.mesh import build_rectangular, build_triangular
+from gwgfem.spaces import eval_boundary, eval_interior, parse_boundary
 from gwgfem.weakops import (
-    ElementKernel,
     WeakFunction,
-    apply_rb,
     check_rb_injectivity,
     check_rigid_motion_invariance,
-    correction_divergence,
-    correction_gradient,
+    edge_rule,
     parse_rb,
-    weak_divergence,
-    weak_gradient,
-    weak_strain,
 )
 
 QB = parse_rb("qb")
@@ -39,49 +33,68 @@ def unit_square_weak_x():
     return mesh, spaces, wf
 
 
+def project_traces(rule, edges, field):
+    """Q_b of a field on ``edges``, as values at the rule's points."""
+    vals = field(rule.points[edges].reshape(-1, 2)).reshape(rule.points[edges].shape)
+    return rule.apply(edges, vals[:, None])[:, 0]
+
+
+def divergence(kern, vloc):
+    return np.trace(kern.classical_gradient(vloc), axis1=2, axis2=3) \
+        + kern.correction_pair(vloc)[1][:, None]
+
+
 class TestApplyRb:
     def test_projection_fixes_constants(self):
         mesh = build_rectangular(1)
         const = vec_field(lambda x, y: 0.7 + 0 * x, lambda x, y: -0.2 + 0 * x)
-        out = apply_rb(mesh, 0, const, parse_boundary("p0"), QB)
-        pts = edge_quadrature(mesh, 0, 4).points
-        assert np.allclose(out(pts), const(pts), atol=1e-14)
+        rule = edge_rule(mesh, parse_boundary("p0"), 4)
+        out = project_traces(rule, np.array([0]), const)[0]
+        assert np.allclose(out, const(rule.points[0]), atol=1e-14)
 
     def test_projection_onto_constants_is_edge_mean(self):
         mesh = build_rectangular(1)
         bottom = [e for e in range(4)
                   if np.allclose(mesh.edge_midpoint[e], [0.5, 0.0])][0]
-        out = apply_rb(mesh, bottom, x_field, parse_boundary("p0"), QB)
-        assert np.allclose(out(np.array([[0.1, 0.0]])), [[0.5, 0.0]], atol=1e-14)
+        rule = edge_rule(mesh, parse_boundary("p0"), 10)
+        assert np.allclose(rule.project(bottom, x_field), [0.5, 0.0], atol=1e-14)
 
     def test_identity_passthrough(self):
+        # identity R_b leaves the trace jump vb - v0 unchanged
         mesh = build_rectangular(1)
-        out = apply_rb(mesh, 2, x_field, parse_boundary("p0"), ID)
-        assert out is x_field
+        spaces = make_spaces(mesh, "p1", "p0")
+        kern = kernel(mesh, spaces, ID)
+        vloc = np.random.default_rng(1).normal(size=(1, kern.ndof))
+        pts = kern.edge_points[0]  # (m, nqe, 2)
+        edges = kern.edge_ids[0]
+        vb = np.einsum("mj,mjnc->mnc", vloc[0, kern.n0:].reshape(kern.m, -1),
+                       eval_boundary(mesh, edges, spaces.boundary, pts))
+        v0 = np.einsum("j,jmnc->mnc", vloc[0, : kern.n0],
+                       eval_interior(mesh, 0, spaces.interior, None,
+                                     pts.reshape(-1, 2)).reshape(kern.n0, *pts.shape))
+        assert np.allclose(kern.rb_jump_values(vloc)[0], vb - v0, atol=1e-14)
 
     @pytest.mark.parametrize("kind", ["p0", "p1", "rm"])
     def test_idempotent_on_traces(self, kind):
         # Qb(Qb w) = Qb w, including rm on fine-mesh edges away from origin
         mesh = build_triangular(8)
-        cfg = parse_boundary(kind)
+        rule = edge_rule(mesh, parse_boundary(kind), 10)
         w = vec_field(lambda x, y: np.sin(3 * x) + y, lambda x, y: x * y)
-        for e in (0, mesh.num_edges // 2, mesh.num_edges - 1):
-            once = apply_rb(mesh, e, w, cfg, QB)
-            twice = apply_rb(mesh, e, once, cfg, QB)
-            pts = edge_quadrature(mesh, e, 6).points
-            assert np.allclose(once(pts), twice(pts), atol=1e-12)
+        edges = np.array([0, mesh.num_edges // 2, mesh.num_edges - 1])
+        once = project_traces(rule, edges, w)
+        twice = rule.apply(edges, once[:, None])[:, 0]
+        assert np.allclose(once, twice, atol=1e-12)
 
     def test_linearity_on_jumps(self):
         # R_b applied to the jump equals the difference of the images
         mesh = build_rectangular(2)
-        cfg = parse_boundary("p1")
+        rule = edge_rule(mesh, parse_boundary("p1"), 10)
         a = vec_field(lambda x, y: np.sin(x + y), lambda x, y: x ** 2)
         b = vec_field(lambda x, y: np.cos(x), lambda x, y: y ** 3)
         jump = lambda pts: a(pts) - b(pts)
-        e = int(mesh.interior_edges()[0])
-        pts = edge_quadrature(mesh, e, 6).points
-        whole = apply_rb(mesh, e, jump, cfg, QB)(pts)
-        parts = apply_rb(mesh, e, a, cfg, QB)(pts) - apply_rb(mesh, e, b, cfg, QB)(pts)
+        e = mesh.interior_edges()[:1]
+        whole = project_traces(rule, e, jump)
+        parts = project_traces(rule, e, a) - project_traces(rule, e, b)
         assert np.allclose(whole, parts, atol=1e-13)
 
 
@@ -90,20 +103,18 @@ class TestCorrections:
         mesh = build_triangular(2)
         spaces = make_spaces(mesh, "p1", "p1")
         wf = interpolate(mesh, spaces, x_field)  # traces match exactly
-        for eid in range(mesh.num_elements):
-            d1 = correction_gradient(mesh, eid, wf, spaces, ID)
-            d2 = correction_divergence(mesh, eid, wf, spaces, ID)
-            assert np.allclose(d1, 0.0, atol=1e-13)
-            assert abs(d2) < 1e-13
+        kern = kernel(mesh, spaces, ID)
+        d1, d2 = kern.correction_pair(wf.local_coefficients(mesh, kern.eids))
+        assert np.allclose(d1, 0.0, atol=1e-13)
+        assert np.abs(d2).max() < 1e-13
 
     def test_unit_square_closed_form(self):
         # independent analytic oracle: delta = -oint (x,0) (x) n ds over the
         # unit square boundary = [[-1, 0], [0, 0]]; divergence = -1
         mesh, spaces, wf = unit_square_weak_x()
-        d1 = correction_gradient(mesh, 0, wf, spaces, ID)
-        assert np.allclose(d1, [[-1.0, 0.0], [0.0, 0.0]], atol=1e-13)
-        d2 = correction_divergence(mesh, 0, wf, spaces, ID)
-        assert d2 == pytest.approx(-1.0, abs=1e-13)
+        d1, d2 = kernel(mesh, spaces, ID).correction_pair(wf.local_coefficients(mesh, [0]))
+        assert np.allclose(d1[0], [[-1.0, 0.0], [0.0, 0.0]], atol=1e-13)
+        assert d2[0] == pytest.approx(-1.0, abs=1e-13)
 
     def test_rigid_motion_preserved_under_admissible_pairs(self):
         mesh = build_triangular(2)
@@ -111,12 +122,11 @@ class TestCorrections:
         for boundary, rb in (("rm", QB), ("p1", QB), ("p0", ID)):
             spaces = make_spaces(mesh, "p1", boundary)
             wf = interpolate(mesh, spaces, rmf)
-            for eid in range(mesh.num_elements):
-                d1 = correction_gradient(mesh, eid, wf, spaces, rb)
-                # correction must recover exactly the jump-free state:
-                # strain of the total weak gradient vanishes
-                eps = weak_strain(mesh, eid, wf, spaces, rb)
-                assert np.abs(eps).max() < 1e-12
+            kern = kernel(mesh, spaces, rb)
+            # correction must recover exactly the jump-free state:
+            # strain of the total weak gradient vanishes
+            eps = weak_strain(kern, wf.local_coefficients(mesh, kern.eids))
+            assert np.abs(eps).max() < 1e-12
 
     def test_constant_vb_closed_surface(self):
         # v0 = 0, vb = (1, 0) on all edges: oint (1,0).n ds = 0
@@ -124,18 +134,18 @@ class TestCorrections:
         spaces = make_spaces(mesh, "p1", "p0")
         wf = WeakFunction.zeros(mesh, spaces)
         wf.boundary[:, 0] = 1.0
-        assert correction_divergence(mesh, 0, wf, spaces, ID) == pytest.approx(0.0, abs=1e-13)
+        _, d2 = kernel(mesh, spaces, ID).correction_pair(wf.local_coefficients(mesh, [0]))
+        assert d2[0] == pytest.approx(0.0, abs=1e-13)
 
     def test_closed_form_matches_gram_solve(self):
         for build, interior in ((build_rectangular, "sin"), (build_triangular, "p1")):
             mesh = build(2)
             spaces = make_spaces(mesh, interior, "p1", seed=4)
             for rb in (QB, ID):
-                for eid in range(mesh.num_elements):
-                    kern = ElementKernel(mesh, eid, spaces, rb)
-                    d1c, d2c = kern.corrections_closed_form()
-                    assert np.abs(kern.delta1 - d1c).max() < 1e-12
-                    assert np.abs(kern.delta2 - d2c).max() < 1e-12
+                kern = kernel(mesh, spaces, rb)
+                d1c, d2c = kern.corrections_closed_form()
+                assert np.abs(kern.delta1 - d1c).max() < 1e-12
+                assert np.abs(kern.delta2 - d2c).max() < 1e-12
 
 
 class TestWeakOperators:
@@ -144,21 +154,21 @@ class TestWeakOperators:
         spaces = make_spaces(mesh, "p1", "p0")
         cfield = vec_field(lambda x, y: 0.3 + 0 * x, lambda x, y: -1.2 + 0 * x)
         wf = interpolate(mesh, spaces, cfield)
-        for eid in range(mesh.num_elements):
-            wg = weak_gradient(mesh, eid, wf, spaces, QB)
-            wd = weak_divergence(mesh, eid, wf, spaces, QB)
-            assert np.abs(wg.total).max() < 1e-13
-            assert np.abs(wd.total).max() < 1e-13
+        kern = kernel(mesh, spaces, QB)
+        vloc = wf.local_coefficients(mesh, kern.eids)
+        assert np.abs(weak_gradient(kern, vloc)).max() < 1e-13
+        assert np.abs(divergence(kern, vloc)).max() < 1e-13
 
     def test_classical_cancels_correction(self):
         # v0 = (x, 0), vb = 0 on the unit square: grad v0 = [[1,0],[0,0]]
         # cancels delta exactly
         mesh, spaces, wf = unit_square_weak_x()
-        wg = weak_gradient(mesh, 0, wf, spaces, ID)
-        assert np.allclose(wg.classical[0], [[1.0, 0.0], [0.0, 0.0]], atol=1e-13)
-        assert np.abs(wg.total).max() < 1e-12
-        wd = weak_divergence(mesh, 0, wf, spaces, ID)
-        assert np.abs(wd.total).max() < 1e-12
+        kern = kernel(mesh, spaces, ID)
+        vloc = wf.local_coefficients(mesh, kern.eids)
+        classical = kern.classical_gradient(vloc)
+        assert np.allclose(classical[0, 0], [[1.0, 0.0], [0.0, 0.0]], atol=1e-13)
+        assert np.abs(weak_gradient(kern, vloc)).max() < 1e-12
+        assert np.abs(divergence(kern, vloc)).max() < 1e-12
 
     def test_rigid_motion_strain_free_but_rotating(self):
         mesh = build_triangular(1)
@@ -166,11 +176,11 @@ class TestWeakOperators:
         omega = 0.9
         rmf = vec_field(lambda x, y: -omega * y, lambda x, y: omega * x)
         wf = interpolate(mesh, spaces, rmf)
-        eps = weak_strain(mesh, 0, wf, spaces, QB)
-        assert np.abs(eps).max() < 1e-12
-        wg = weak_gradient(mesh, 0, wf, spaces, QB).total
+        kern = kernel(mesh, spaces, QB, [0])
+        vloc = wf.local_coefficients(mesh, kern.eids)
+        assert np.abs(weak_strain(kern, vloc)).max() < 1e-12
         skew = np.array([[0.0, -omega], [omega, 0.0]])
-        assert np.allclose(wg, skew[None], atol=1e-12)
+        assert np.allclose(weak_gradient(kern, vloc)[0], skew[None], atol=1e-12)
 
     def test_consistency_when_jump_vanishes(self):
         # R_b(vb - v0) = 0 on all edges => weak operators equal classical
@@ -179,33 +189,33 @@ class TestWeakOperators:
         smooth = vec_field(lambda x, y: 0.2 * x + 0.1 * y,
                            lambda x, y: -0.3 * x + 0.7 * y)
         wf = interpolate(mesh, spaces, smooth)
-        for eid in range(mesh.num_elements):
-            wg = weak_gradient(mesh, eid, wf, spaces, QB)
-            assert np.allclose(wg.total, wg.classical, atol=1e-12)
+        kern = kernel(mesh, spaces, QB)
+        vloc = wf.local_coefficients(mesh, kern.eids)
+        assert np.allclose(weak_gradient(kern, vloc), kern.classical_gradient(vloc),
+                           atol=1e-12)
 
     def test_trace_of_delta1_equals_delta2(self):
         mesh = build_triangular(2)
         spaces = make_spaces(mesh, "sin", "p0", seed=2)
         rng = np.random.default_rng(5)
         for rb in (QB, ID):
-            for eid in range(mesh.num_elements):
-                kern = ElementKernel(mesh, eid, spaces, rb)
-                vloc = rng.normal(size=kern.ndof)
-                d1, d2 = kern.correction_pair(vloc)
-                assert np.trace(d1) == pytest.approx(d2, abs=1e-12)
+            kern = kernel(mesh, spaces, rb)
+            vloc = rng.normal(size=(mesh.num_elements, kern.ndof))
+            d1, d2 = kern.correction_pair(vloc)
+            assert np.abs(np.trace(d1, axis1=1, axis2=2) - d2).max() < 1e-12
 
     @given(st.integers(0, 7), st.booleans())
     @settings(max_examples=16, deadline=None)
     def test_moment_equation_residuals(self, eid, use_qb):
         mesh = build_triangular(2)
         spaces = make_spaces(mesh, "sigmoid", "p1", seed=11)
-        kern = ElementKernel(mesh, eid, spaces, QB if use_qb else ID)
+        kern = kernel(mesh, spaces, QB if use_qb else ID, [eid])
         rng = np.random.default_rng(eid)
-        vloc = rng.normal(size=kern.ndof)
+        vloc = rng.normal(size=(1, kern.ndof))
         r1, r2 = kern.moment_residuals(vloc)
         scale = max(1.0, np.abs(vloc).max())
         assert np.abs(r1).max() < 1e-12 * scale
-        assert abs(r2) < 1e-12 * scale
+        assert np.abs(r2).max() < 1e-12 * scale
 
 
 class TestAssumptionPredicates:
