@@ -6,14 +6,12 @@ domain boundary and
     (2 mu eps_g(u_h), eps_g(v)) + (lam div_g u_h, div_g v)
         + sum_T rho h_T^gamma <R_b(u0 - ub), R_b(v0 - vb)>_dT = (f, v0)
 
-for all weak test functions vanishing on the boundary.  Dirichlet data is
-enforced by elimination: fixed edge blocks are moved to the load vector,
-which keeps the reduced matrix symmetric positive definite whenever the
-admissibility predicates hold.
-
-Interior dofs couple only to their own element's edges, so they can
-optionally be condensed out before the global solve; the condensed path
-must reproduce the uncondensed solution to 1e-10 (tested).
+for all weak test functions vanishing on the boundary.  Interior dofs
+couple only to their own element's edges, so they are condensed out
+element by element (static condensation) and the global unknowns are the
+free edge blocks only.  Dirichlet data is enforced by elimination: fixed
+edge blocks are moved to the load vector, which keeps the reduced matrix
+symmetric positive definite whenever the admissibility predicates hold.
 """
 
 from __future__ import annotations
@@ -24,6 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .mesh import Mesh2D, element_blocks, element_quadrature
+from .solver import IndefiniteMatrixError
 from .spaces import SpaceSet, default_quad_degree, eval_interior
 from .weakops import EdgeRule, ElementKernel, RbOperator, WeakFunction, edge_rule
 
@@ -45,20 +44,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DofMap:
-    """Unknown numbering: per-element interior blocks first, then one block
-    per interior edge.  Dirichlet (boundary) edges carry fixed coefficients
-    and are excluded from the unknowns."""
+    """Unknown numbering: one block per interior edge.  Dirichlet (boundary)
+    edges carry fixed coefficients and element interiors are condensed, so
+    neither is among the unknowns."""
 
-    n0: int
     nb: int
-    num_elements: int
     edge_offset: np.ndarray  # (ned,) start of the edge block, -1 if fixed
     num_unknowns: int
 
 
 @dataclass
 class DiscreteSystem:
-    """Sparse symmetric system plus everything needed to interpret it."""
+    """Sparse symmetric edge system plus everything needed to interpret it."""
 
     matrix: sparse.csr_matrix
     rhs: np.ndarray
@@ -72,20 +69,16 @@ class DiscreteSystem:
     rho: float
     gamma: float
     quad_degree: int
-    condensed: bool = False
-    # condensed only: per-element (A_ii, A_ib, b_i) arrays, (ne, n0, ...)
-    recovery: tuple | None = field(default=None, repr=False)
+    # interior recovery A_ii^-1 [A_ib | b_i] per element, (ne, n0, m*nb + 1)
+    recovery: np.ndarray = field(repr=False)
 
 
 def dof_map(mesh: Mesh2D, spaces: SpaceSet) -> DofMap:
-    n0 = spaces.interior.dim
     nb = spaces.boundary.dim
-    ne = mesh.num_elements
     free = np.nonzero(~mesh.boundary)[0]
     edge_offset = np.full(mesh.num_edges, -1, dtype=np.int64)
-    edge_offset[free] = ne * n0 + nb * np.arange(len(free))
-    return DofMap(n0=n0, nb=nb, num_elements=ne, edge_offset=edge_offset,
-                  num_unknowns=ne * n0 + nb * len(free))
+    edge_offset[free] = nb * np.arange(len(free))
+    return DofMap(nb=nb, edge_offset=edge_offset, num_unknowns=nb * len(free))
 
 
 def _dirichlet(mesh: Mesh2D, edges: EdgeRule, g) -> np.ndarray:
@@ -105,24 +98,26 @@ def apply_dirichlet(mesh: Mesh2D, g, spaces: SpaceSet,
 
 
 def _local_dof_ids(mesh: Mesh2D, dm: DofMap) -> np.ndarray:
-    """(ne, ndof) global ids of every element's local dofs; -1 marks the
+    """(ne, m*nb) global ids of every element's edge dofs; -1 marks the
     fixed (Dirichlet) edge blocks."""
-    ne = mesh.num_elements
-    off = dm.edge_offset[mesh.element_edges]  # (ne, m)
-    edge_ids = np.where(off[:, :, None] >= 0, off[:, :, None] + np.arange(dm.nb), -1)
-    return np.concatenate([np.arange(ne * dm.n0).reshape(ne, dm.n0),
-                           edge_ids.reshape(ne, -1)], axis=1)
+    off = dm.edge_offset[mesh.element_edges][:, :, None]  # (ne, m, 1)
+    return np.where(off >= 0, off + np.arange(dm.nb), -1).reshape(mesh.num_elements, -1)
 
 
 def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
              lam: float, rho: float, gamma: float, f, g,
              quad_degree: int | None = None,
-             condense: bool = False) -> DiscreteSystem:
-    """Assemble the global sparse system (scatter of local matrices).
+             condense: bool = True) -> DiscreteSystem:
+    """Assemble the global sparse system on the free edge unknowns.
 
-    With ``condense=True`` the element-interior dofs are eliminated
-    locally (Schur complement); the returned system then has edge
-    unknowns only and carries the per-element recovery data.
+    Each element's interior block is eliminated locally: the scattered
+    matrices are the Schur complements A_bb - A_bi A_ii^-1 A_ib.  Every
+    A_ii must pass a Cholesky factorization, else
+    :class:`~gwgfem.solver.IndefiniteMatrixError` is raised; since the
+    inertia of the block matrix is that of A_ii plus that of its Schur
+    complement, an SPD certificate for the edge system then holds for the
+    whole system.  ``condense`` is accepted for compatibility and ignored:
+    condensation is always on.
     """
     if quad_degree is None:
         quad_degree = default_quad_degree(spaces.interior)
@@ -130,8 +125,9 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
     edges = edge_rule(mesh, spaces.boundary, quad_degree)
     fixed = _dirichlet(mesh, edges, g)
     ids = _local_dof_ids(mesh, dm)
-    ne, ndof = ids.shape
-    n0 = dm.n0
+    ne = mesh.num_elements
+    n0 = spaces.interior.dim
+    ndof = n0 + ids.shape[1]
 
     A = np.empty((ne, ndof, ndof))
     b = np.empty((ne, ndof))
@@ -139,58 +135,52 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
         kern = ElementKernel(mesh, spaces, rb, edges, eids, quad_degree)
         A[eids] = kern.local_stiffness(mu, lam, rho, gamma)
         b[eids] = kern.local_load(f)
-    # fixed coefficients per local dof; zero on free dofs (rows of free
-    # edges in ``fixed`` are zero)
-    ufix = np.zeros((ne, ndof))
-    ufix[:, n0:] = fixed[mesh.element_edges].reshape(ne, -1)
 
-    recovery = None
-    n_unknowns = dm.num_unknowns
-    if condense:
-        # Schur complement onto the edge block (fixed and free alike),
-        # then eliminate the fixed columns
-        Aii, Aib, bi = A[:, :n0, :n0], A[:, :n0, n0:], b[:, :n0]
-        sol = np.linalg.solve(Aii, np.concatenate([Aib, bi[:, :, None]], axis=2))
-        AibT = Aib.transpose(0, 2, 1)
-        recovery = (Aii.copy(), Aib.copy(), bi.copy())
-        b = b[:, n0:] - (AibT @ sol[:, :, -1:])[:, :, 0]
-        A = A[:, n0:, n0:] - AibT @ sol[:, :, :-1]
-        shift = ne * n0
-        ids = np.where(ids[:, n0:] >= 0, ids[:, n0:] - shift, -1)
-        ufix = ufix[:, n0:]
-        n_unknowns -= shift
+    Aii, Aib, bi = A[:, :n0, :n0], A[:, :n0, n0:], b[:, :n0]
+    try:
+        L = np.linalg.cholesky(Aii)
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(Aii)[:, 0]
+        eid = int(np.argmin(low))
+        raise IndefiniteMatrixError(
+            f"interior block of element {eid} is not positive definite "
+            f"(smallest eigenvalue {low[eid]:.3e})") from None
+    # Schur complement onto the edge block (fixed and free alike) as
+    # A_bb - W^T W with A_ii = L L^T and W = L^-1 A_ib, which is symmetric
+    # by construction
+    W = np.linalg.solve(L, np.concatenate([Aib, bi[:, :, None]], axis=2))
+    WT = W[:, :, :-1].transpose(0, 2, 1)
+    b = b[:, n0:] - (WT @ W[:, :, -1:])[:, :, 0]
+    A = A[:, n0:, n0:] - WT @ W[:, :, :-1]
+    recovery = np.linalg.solve(L.transpose(0, 2, 1), W)
+    # eliminate the fixed columns; ``ufix`` is zero on free dofs
+    ufix = fixed[mesh.element_edges].reshape(ne, -1)
+    b = b - (A @ ufix[:, :, None])[:, :, 0]
 
     free = ids >= 0
-    b = b - (A @ ufix[:, :, None])[:, :, 0]
     pairs = free[:, :, None] & free[:, None, :]
     rows = np.broadcast_to(ids[:, :, None], A.shape)[pairs]
     cols = np.broadcast_to(ids[:, None, :], A.shape)[pairs]
-    matrix = sparse.coo_matrix((A[pairs], (rows, cols)),
-                               shape=(n_unknowns, n_unknowns)).tocsr()
-    rhs = np.bincount(ids[free], weights=b[free], minlength=n_unknowns)
+    n = dm.num_unknowns
+    matrix = sparse.coo_matrix((A[pairs], (rows, cols)), shape=(n, n)).tocsr()
+    rhs = np.bincount(ids[free], weights=b[free], minlength=n)
     return DiscreteSystem(matrix=matrix, rhs=rhs, dofmap=dm, fixed_coeffs=fixed,
                           mesh=mesh, spaces=spaces, rb=rb, mu=mu, lam=lam,
                           rho=rho, gamma=gamma, quad_degree=quad_degree,
-                          condensed=condense, recovery=recovery)
+                          recovery=recovery)
 
 
 def extract_solution(system: DiscreteSystem, x: np.ndarray) -> WeakFunction:
-    """Expand a solution vector into a weak function, filling Dirichlet
-    edge blocks with their fixed coefficients (and recovering condensed
-    interior blocks)."""
+    """Expand an edge solution vector into a weak function: Dirichlet edge
+    blocks get their fixed coefficients, and every element's interior
+    block is recovered from its edges."""
     mesh, dm = system.mesh, system.dofmap
-    ne = mesh.num_elements
-    shift = ne * dm.n0 if system.condensed else 0
     wf = WeakFunction.zeros(mesh, system.spaces)
     free = dm.edge_offset >= 0
     wf.boundary[~free] = system.fixed_coeffs[~free]
-    wf.boundary[free] = x[(dm.edge_offset[free] - shift)[:, None] + np.arange(dm.nb)]
-    if system.condensed:
-        Aii, Aib, bi = system.recovery
-        ub = wf.boundary[mesh.element_edges].reshape(ne, -1, 1)
-        wf.interior[:] = np.linalg.solve(Aii, bi[:, :, None] - Aib @ ub)[:, :, 0]
-    else:
-        wf.interior[:] = x[: ne * dm.n0].reshape(ne, dm.n0)
+    wf.boundary[free] = x[dm.edge_offset[free][:, None] + np.arange(dm.nb)]
+    ub = wf.boundary[mesh.element_edges].reshape(mesh.num_elements, -1, 1)
+    wf.interior[:] = system.recovery[:, :, -1] - (system.recovery[:, :, :-1] @ ub)[:, :, 0]
     return wf
 
 

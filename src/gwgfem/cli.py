@@ -12,6 +12,10 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure (or an
 element space that stays ill-conditioned after resampling), 4
 assumption-check failure under --strict.
 
+Element interiors are always condensed out of the global system;
+``--condense`` (the ``condense`` config key, ``RunConfig.condense``) is
+accepted for compatibility and has no effect.
+
 Reproducibility: spaces at level n are sampled from the seed sequence
 (seed, n) with one spawned stream per element, so identical configs and
 seeds give bitwise-identical output.
@@ -63,7 +67,7 @@ class RunConfig:
     example: int = 1
     seed: int = 0
     quad_degree: int | None = None
-    condense: bool = False
+    condense: bool = False  # no effect: condensation is always on
     strict: bool = False
     out: str | None = None
     fmt: str = "csv"
@@ -109,7 +113,7 @@ def _solve_level(config: RunConfig, case, n: int):
                           seed_entropy=(config.seed, n))
     system = assembly.assemble(mesh, spaces, rb, config.mu, config.lam,
                                config.rho, config.gamma, case.f, case.g,
-                               quad_degree=quad, condense=config.condense)
+                               quad_degree=quad)
     report = solver.solve_system(system)
     wf = assembly.extract_solution(system, report.x)
     return postproc.error_norms(mesh, spaces, wf, case.u, quad_degree=quad)
@@ -164,7 +168,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--example", type=int, choices=[1, 2])
     p.add_argument("--seed", type=int)
     p.add_argument("--quad-degree", dest="quad_degree", type=int)
-    p.add_argument("--condense", action="store_const", const=True)
+    p.add_argument("--condense", action="store_const", const=True,
+                   help="no effect (condensation is always on); accepted for compatibility")
     p.add_argument("--strict", action="store_const", const=True)
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", dest="fmt", choices=["csv", "table"])

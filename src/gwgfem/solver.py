@@ -140,8 +140,7 @@ def _pcg(A, b, tol: float, max_iter: int):
 
 
 def solve(matrix, rhs: np.ndarray, tol: float = 1e-12,
-          max_iter: int | None = None, method: str = "auto",
-          estimate_condition: bool = True) -> SolveReport:
+          max_iter: int | None = None, method: str = "auto") -> SolveReport:
     """Solve a symmetric (expected SPD) sparse or dense system.
 
     ``method``: "auto" tries the factorization first and falls back to
@@ -152,7 +151,7 @@ def solve(matrix, rhs: np.ndarray, tol: float = 1e-12,
     A = sparse.csc_matrix(matrix)
     b = np.asarray(rhs, dtype=float)
     n = A.shape[0]
-    if n == 0:  # fully condensed or fully constrained system
+    if n == 0:  # every edge fixed: no unknowns
         return SolveReport(x=np.zeros(0), relative_residual=0.0,
                            method="factorization", iterations=0,
                            spd_certified=True, condition_estimate=None)
@@ -183,16 +182,14 @@ def solve(matrix, rhs: np.ndarray, tol: float = 1e-12,
                 pivot=int(bad[0]),
             )
 
-        if estimate_condition:
-            norm_a = float(np.abs(A).sum(axis=0).max())
-            cond = norm_a * _hager_inverse_norm(lu.solve, n)
-            if cond > CONDITION_WARNING_LIMIT:
-                warnings.warn(
-                    f"system condition estimate {cond:.3e} exceeds "
-                    f"{CONDITION_WARNING_LIMIT:.0e}; results may be inaccurate",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+        cond = float(np.abs(A).sum(axis=0).max()) * _hager_inverse_norm(lu.solve, n)
+        if cond > CONDITION_WARNING_LIMIT:
+            warnings.warn(
+                f"system condition estimate {cond:.3e} exceeds "
+                f"{CONDITION_WARNING_LIMIT:.0e}; results may be inaccurate",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
         x = lu.solve(b)
         for _ in range(3):  # iterative refinement, usually a no-op

@@ -202,36 +202,31 @@ def sample_element_params(
     cfg: InteriorSpaceConfig,
     kind: str,
     vertices: np.ndarray,
-    draw: Callable[[], float],
+    u: np.ndarray,
 ) -> ElementRandomParams:
-    """Sample one element's activation parameters from a uniform(0,1) source.
+    """Map uniform(0,1) draws to activation parameters.
 
-    Draw order, for i = 1..p: direction components (w_x, w_y), each
-    uniform draw shifted by -0.5, then the anchor draws:
+    ``u`` holds one element's draws as (p, 4), or E elements' as (E, p, 4)
+    with ``vertices`` (E, nv, 2).  Draw order, for i = 1..p: direction
+    components (w_x, w_y), each shifted by -0.5, then the two anchor draws:
 
     * rectangular element (vertices counterclockwise from lower-left):
-      two draws rx, ry give x0 = (x1 + rx*(x2-x1), y2 + ry*(y3-y2));
+      draws rx, ry give x0 = (x1 + rx*(x2-x1), y2 + ry*(y3-y2));
     * triangular element with vertices A1, A2, A3: draws a, r give
       alpha = a, beta = sqrt(r), x0 = beta*(alpha*A1 + (1-alpha)*A2)
       + (1-beta)*A3.
     """
-    p = cfg.p
-    w = np.empty((p, 2))
-    x0 = np.empty((p, 2))
-    for i in range(p):
-        w[i, 0] = draw() - 0.5
-        w[i, 1] = draw() - 0.5
-        if kind == "rectangular":
-            rx = draw()
-            ry = draw()
-            x0[i, 0] = vertices[0, 0] + rx * (vertices[1, 0] - vertices[0, 0])
-            x0[i, 1] = vertices[1, 1] + ry * (vertices[2, 1] - vertices[1, 1])
-        else:
-            alpha = draw()
-            beta = np.sqrt(draw())
-            x0[i] = beta * (alpha * vertices[0] + (1.0 - alpha) * vertices[1]) \
-                + (1.0 - beta) * vertices[2]
-    return ElementRandomParams(w=w, x0=x0)
+    v = vertices[..., None, :, :]  # broadcast over the p activations
+    a, r = u[..., 2:3], u[..., 3:4]  # the anchor draws (rx, ry on rectangles)
+    if kind == "rectangular":
+        x0 = np.concatenate([
+            v[..., 0, 0:1] + a * (v[..., 1, 0:1] - v[..., 0, 0:1]),
+            v[..., 1, 1:2] + r * (v[..., 2, 1:2] - v[..., 1, 1:2]),
+        ], axis=-1)
+    else:
+        beta = np.sqrt(r)
+        x0 = beta * (a * v[..., 0, :] + (1.0 - a) * v[..., 1, :]) + (1.0 - beta) * v[..., 2, :]
+    return ElementRandomParams(w=u[..., :2] - 0.5, x0=x0)
 
 
 def _element_streams(seed_entropy, ne: int):
@@ -393,11 +388,10 @@ def build_spaces(
                                  x0=np.empty((ne, interior.p, 2)))
     todo = np.arange(ne)
     for _ in range(1 + MAX_RESAMPLE_ATTEMPTS):
-        for eid in todo:
-            prm = sample_element_params(interior, mesh.kind, verts[eid],
-                                        streams[eid].uniform)
-            params.w[eid] = prm.w
-            params.x0[eid] = prm.x0
+        u = np.stack([streams[eid].uniform(size=(interior.p, 4)) for eid in todo])
+        prm = sample_element_params(interior, mesh.kind, verts[todo], u)
+        params.w[todo] = prm.w
+        params.x0[todo] = prm.x0
         for eids in element_blocks(todo):
             cond[eids] = interior_gram_condition(mesh, eids, interior, params[eids],
                                                  quad_degree)

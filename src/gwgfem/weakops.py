@@ -234,8 +234,10 @@ class ElementKernel:
         lam (div_g, div_g) plus the stabilizer
         rho h_T^gamma <R_b jump, R_b jump>_dT.
 
-        Assembled as F F^T with one weighted factor column per quadrature
-        sample, which keeps each matrix symmetric by construction.
+        Assembled as F F^T with one factor column per quadrature sample,
+        weighted by the square root of the sample's coefficient, which keeps
+        each matrix symmetric by construction; columns with a negative
+        coefficient (a negative mu, lam or rho) are subtracted instead.
         """
         E, nq = self.vol.weights.shape
         eps = np.zeros((E, self.ndof, nq, 2, 2))
@@ -247,13 +249,18 @@ class ElementKernel:
         w = self.vol.weights
         we = np.repeat(self.edge_weights.reshape(E, -1), 2, axis=1)  # (E, m nqe 2)
         scale = rho * self.diameter ** gamma
+        coef = np.concatenate([2.0 * mu * np.repeat(w, 4, axis=1), lam * w,
+                               scale[:, None] * we], axis=1)
         F = np.concatenate([
-            eps.reshape(E, self.ndof, -1) * np.sqrt(2.0 * mu * np.repeat(w, 4, axis=1))[:, None],
-            div * np.sqrt(lam * w)[:, None],
-            self.rb_jumps.transpose(0, 2, 1, 3, 4).reshape(E, self.ndof, -1)
-            * np.sqrt(scale[:, None] * we)[:, None],
-        ], axis=2)
-        return F @ F.transpose(0, 2, 1)
+            eps.reshape(E, self.ndof, -1), div,
+            self.rb_jumps.transpose(0, 2, 1, 3, 4).reshape(E, self.ndof, -1),
+        ], axis=2) * np.sqrt(np.abs(coef))[:, None]
+        A = F @ F.transpose(0, 2, 1)
+        neg = coef < 0
+        if neg.any():
+            Fn = F * neg[:, None]
+            A -= 2.0 * (Fn @ Fn.transpose(0, 2, 1))
+        return A
 
     def local_load(self, f) -> np.ndarray:
         """(f, v0)_T for interior basis functions; edge dofs receive 0."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gwgfem.assembly import interpolate
+from gwgfem.assembly import apply_dirichlet, interpolate
 from gwgfem.spaces import (
     build_spaces,
     default_quad_degree,
@@ -9,7 +9,7 @@ from gwgfem.spaces import (
     parse_boundary,
     parse_interior,
 )
-from gwgfem.weakops import ElementKernel, edge_rule
+from gwgfem.weakops import ElementKernel, WeakFunction, edge_rule
 
 
 def vec_field(fx, fy):
@@ -48,6 +48,39 @@ def kernel(mesh, spaces, rb, eids=None, quad=None):
         eids = np.arange(mesh.num_elements)
     edges = edge_rule(mesh, spaces.boundary, quad)
     return ElementKernel(mesh, spaces, rb, edges, np.asarray(eids), quad)
+
+
+def dense_reference_solution(mesh, spaces, rb, mu, lam, rho, gamma, f, g, quad=None):
+    """Uncondensed reference solve: scatter every element's full local
+    matrix and load into one dense block system (the interior blocks of
+    all elements, then one block per edge), eliminate the Dirichlet edge
+    blocks and solve with ``np.linalg.solve``.  Returns the weak function.
+    """
+    if quad is None:
+        quad = default_quad_degree(spaces.interior)
+    kern = kernel(mesh, spaces, rb, quad=quad)
+    ne, n0, nb = mesh.num_elements, kern.n0, kern.nb
+    edge_dofs = ne * n0 + nb * kern.edge_ids[:, :, None] + np.arange(nb)
+    ids = np.concatenate([np.arange(ne * n0).reshape(ne, n0),
+                          edge_dofs.reshape(ne, -1)], axis=1)
+    size = ne * n0 + nb * mesh.num_edges
+    K = np.zeros((size, size))
+    F = np.zeros(size)
+    np.add.at(K, (ids[:, :, None], ids[:, None, :]), kern.local_stiffness(mu, lam, rho, gamma))
+    np.add.at(F, ids, kern.local_load(f))
+
+    bnd = np.nonzero(mesh.boundary)[0]
+    fixed = (ne * n0 + nb * bnd[:, None] + np.arange(nb)).ravel()
+    free = np.ones(size, dtype=bool)
+    free[fixed] = False
+    u = np.zeros(size)
+    u[fixed] = apply_dirichlet(mesh, g, spaces, quad)[bnd].ravel()
+    u[free] = np.linalg.solve(K[np.ix_(free, free)],
+                              F[free] - K[np.ix_(free, ~free)] @ u[~free])
+    wf = WeakFunction.zeros(mesh, spaces)
+    wf.interior[:] = u[: ne * n0].reshape(ne, n0)
+    wf.boundary[:] = u[ne * n0:].reshape(-1, nb)
+    return wf
 
 
 def weak_gradient(kern, vloc):

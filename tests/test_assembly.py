@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import kernel, make_spaces, operator_identity_residuals, vec_field, zero_field
+from conftest import (
+    dense_reference_solution,
+    kernel,
+    make_spaces,
+    operator_identity_residuals,
+    vec_field,
+    zero_field,
+)
 from gwgfem import mesh as meshmod
 from gwgfem import solver
 from gwgfem.assembly import (
@@ -133,13 +140,13 @@ class TestGlobalSystem:
         mesh = build_rectangular(1)
         spaces = make_spaces(mesh, "p1", "p0")
         dm = dof_map(mesh, spaces)
-        assert dm.num_unknowns == 6  # all edges Dirichlet
+        assert dm.num_unknowns == 0  # all edges Dirichlet, interior condensed
 
     def test_unknown_count_n2(self):
         mesh = build_rectangular(2)
         spaces = make_spaces(mesh, "p1", "p0")
         dm = dof_map(mesh, spaces)
-        assert dm.num_unknowns == 4 * 6 + 4 * 2  # 32
+        assert dm.num_unknowns == 4 * 2  # four interior p0 edges
 
     def test_zero_data_zero_solution(self):
         mesh = build_rectangular(2)
@@ -225,11 +232,10 @@ class TestGlobalSystem:
         for build, boundary in ((build_rectangular, "p0"), (build_triangular, "p1")):
             mesh = build(3)
             spaces = make_spaces(mesh, "p1", boundary)
-            full = assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g)
-            cond = assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g,
-                            condense=True)
-            assert cond.matrix.shape[0] < full.matrix.shape[0]
-            wf_full = extract_solution(full, solver.solve_system(full).x)
+            cond = assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g)
+            assert cond.matrix.shape[0] == spaces.boundary.dim * len(mesh.interior_edges())
+            wf_full = dense_reference_solution(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0,
+                                               case.f, case.g)
             wf_cond = extract_solution(cond, solver.solve_system(cond).x)
             assert np.abs(wf_full.interior - wf_cond.interior).max() < 1e-10
             assert np.abs(wf_full.boundary - wf_cond.boundary).max() < 1e-10
@@ -238,13 +244,22 @@ class TestGlobalSystem:
         case = manufactured("example1", 0.5, 1.0)
         mesh = build_rectangular(1)
         spaces = make_spaces(mesh, "p1", "p0")
-        cond = assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g,
-                        condense=True)
-        full = assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g)
+        cond = assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g)
         assert cond.matrix.shape[0] == 0
         wf_cond = extract_solution(cond, np.zeros(0))
-        wf_full = extract_solution(full, solver.solve_system(full).x)
+        wf_full = dense_reference_solution(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0,
+                                           case.f, case.g)
         assert np.abs(wf_full.interior - wf_cond.interior).max() < 1e-10
+
+    def test_indefinite_interior_block_raises(self):
+        # a constant interior vector has zero weak strain and divergence
+        # (its jump integrates to zero against the normals), so its local
+        # energy is rho h^gamma * oint |c|^2 < 0 for rho = -1
+        case = manufactured("example1", 0.5, 1.0)
+        mesh = build_rectangular(2)
+        spaces = make_spaces(mesh, "p1", "p0")
+        with pytest.raises(solver.IndefiniteMatrixError, match="interior block"):
+            assemble(mesh, spaces, QB, 0.5, 1.0, -1.0, -1.0, case.f, case.g)
 
 
 class TestSeminorm:

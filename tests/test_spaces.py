@@ -20,19 +20,6 @@ from gwgfem.spaces import (
 )
 
 
-class _StubDraws:
-    """Deterministic uniform(0,1) source from a fixed sequence (repeats last)."""
-
-    def __init__(self, values):
-        self.values = list(values)
-        self.k = 0
-
-    def __call__(self):
-        v = self.values[min(self.k, len(self.values) - 1)]
-        self.k += 1
-        return v
-
-
 class TestConfigs:
     def test_dimensions(self):
         assert parse_interior("p1").dim == 6
@@ -58,7 +45,7 @@ class TestSampling:
         m = build_rectangular(1)
         cfg = parse_interior("sin")
         prm = sample_element_params(cfg, m.kind, m.element_vertices(0),
-                                    _StubDraws([0.5]))
+                                    np.full((4, 4), 0.5))
         assert np.allclose(prm.w, 0.0)
         assert np.allclose(prm.x0, 0.5)
 
@@ -68,8 +55,9 @@ class TestSampling:
         verts = m.element_vertices(0)
         assert np.allclose(verts, [[0, 0], [1, 0], [0, 1]])
         cfg = parse_interior("sin")
-        prm = sample_element_params(cfg, m.kind, verts,
-                                    _StubDraws([0.0, 0.0, 1.0, 1.0]))
+        u = np.ones((4, 4))
+        u[0] = [0.0, 0.0, 1.0, 1.0]
+        prm = sample_element_params(cfg, m.kind, verts, u)
         assert np.allclose(prm.x0[0], [0.0, 0.0])
 
     def test_triangle_affine_map(self):
@@ -77,20 +65,19 @@ class TestSampling:
         # x0 = 0.5*(0.5*A1 + 0.5*A2) + 0.5*A3 = (0.25, 0.5)
         m = build_triangular(1)
         cfg = parse_interior("sin")
-        prm = sample_element_params(cfg, m.kind, m.element_vertices(0),
-                                    _StubDraws([0.0, 0.0, 0.5, 0.25]))
+        u = np.full((4, 4), 0.25)
+        u[0] = [0.0, 0.0, 0.5, 0.25]
+        prm = sample_element_params(cfg, m.kind, m.element_vertices(0), u)
         assert np.allclose(prm.x0[0], [0.25, 0.5])
 
     def test_draw_order_documented(self):
         # per i: w_x, w_y then the anchor draws (rect: rx, ry)
         m = build_rectangular(1)
-        cfg = parse_interior("sin")
-        seq = [0.6, 0.7, 0.1, 0.2,  # i=1
-               0.8, 0.9, 0.3, 0.4]  # i=2
+        u = np.array([[0.6, 0.7, 0.1, 0.2],   # i=1
+                      [0.8, 0.9, 0.3, 0.4]])  # i=2
         prm = sample_element_params(
             InteriorSpaceConfig("activation", "sin", p=2),
-            m.kind, m.element_vertices(0), _StubDraws(seq))
-        assert np.allclose(prm.w[0], [0.1, 0.2])
+            m.kind, m.element_vertices(0), u)
         assert np.allclose(prm.x0[0], [0.1, 0.2])
         assert np.allclose(prm.w[0], [0.6 - 0.5, 0.7 - 0.5])
         assert np.allclose(prm.w[1], [0.8 - 0.5, 0.9 - 0.5])
@@ -278,11 +265,11 @@ class TestConditioning:
 
         retry = [0.91, 0.13, 0.37, 0.58, 0.24, 0.71, 0.66, 0.08,
                  0.45, 0.83, 0.19, 0.52, 0.77, 0.31, 0.62, 0.98]
-        stub = _StubDraws([0.5] * 16 + retry)
+        draws = iter([np.full((4, 4), 0.5), np.reshape(retry, (4, 4))])
 
         class Stream:
-            def uniform(self):
-                return stub()
+            def uniform(self, size):
+                return next(draws)
 
         monkeypatch.setattr(sp, "_element_streams",
                             lambda entropy, ne: [Stream() for _ in range(ne)])
@@ -294,8 +281,8 @@ class TestConditioning:
         from gwgfem import spaces as sp
 
         class DegenerateStream:
-            def uniform(self):
-                return 0.5  # w = 0 every time
+            def uniform(self, size):
+                return np.full(size, 0.5)  # w = 0 every time
 
         monkeypatch.setattr(sp, "_element_streams",
                             lambda entropy, ne: [DegenerateStream() for _ in range(ne)])
