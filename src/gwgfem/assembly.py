@@ -63,12 +63,6 @@ class DiscreteSystem:
     fixed_coeffs: np.ndarray  # (ned, nb); valid rows only for boundary edges
     mesh: Mesh2D
     spaces: SpaceSet
-    rb: RbOperator
-    mu: float
-    lam: float
-    rho: float
-    gamma: float
-    quad_degree: int
     # interior recovery A_ii^-1 [A_ib | b_i] per element, (ne, n0, m*nb + 1)
     recovery: np.ndarray = field(repr=False)
 
@@ -165,9 +159,7 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
     matrix = sparse.coo_matrix((A[pairs], (rows, cols)), shape=(n, n)).tocsr()
     rhs = np.bincount(ids[free], weights=b[free], minlength=n)
     return DiscreteSystem(matrix=matrix, rhs=rhs, dofmap=dm, fixed_coeffs=fixed,
-                          mesh=mesh, spaces=spaces, rb=rb, mu=mu, lam=lam,
-                          rho=rho, gamma=gamma, quad_degree=quad_degree,
-                          recovery=recovery)
+                          mesh=mesh, spaces=spaces, recovery=recovery)
 
 
 def extract_solution(system: DiscreteSystem, x: np.ndarray) -> WeakFunction:

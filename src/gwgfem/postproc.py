@@ -220,10 +220,6 @@ class ConvergenceReport:
     errors: dict  # key -> list of floats
     rate_columns: dict  # key -> list of float | None
 
-    @property
-    def h(self) -> list:
-        return [1.0 / n for n in self.levels]
-
     @classmethod
     def from_errors(cls, levels, errors, seed_errors=None) -> "ConvergenceReport":
         """Build a report; ``seed_errors`` (from one coarser, unreported

@@ -41,7 +41,14 @@ __all__ = [
     "check_rigid_motion_invariance",
     "check_rb_injectivity",
     "check_assumption_pair",
+    "RIGID_MOTION_TOL",
+    "EDGE_GRAM_CONDITION_LIMIT",
 ]
+
+# Admissibility thresholds: largest rigid-motion residual of R_b, and
+# largest normalized edge Gram condition of V^b(e).
+RIGID_MOTION_TOL = 1e-10
+EDGE_GRAM_CONDITION_LIMIT = 1e12
 
 # Constant-matrix basis of the gradient-correction space, row-major entry order.
 _G1_BASIS = np.eye(4).reshape(4, 2, 2)
@@ -331,8 +338,7 @@ def _worst(values: np.ndarray) -> tuple[float, int]:
 
 
 def check_rigid_motion_invariance(mesh: Mesh2D, boundary_cfg: BoundarySpaceConfig,
-                                  rb: RbOperator, quad_degree: int = 10,
-                                  tol: float = 1e-10) -> AssumptionCheck:
+                                  rb: RbOperator, quad_degree: int = 10) -> AssumptionCheck:
     """Does R_b fix rigid-motion traces on every edge?
 
     Checks the generators (1,0), (0,1), (-y,x) against their R_b images at
@@ -347,7 +353,7 @@ def check_rigid_motion_invariance(mesh: Mesh2D, boundary_cfg: BoundarySpaceConfi
     gens = eval_boundary(mesh, edges, BoundarySpaceConfig("rm"), rule.points)
     resid = np.abs(rule.apply(edges, gens) - gens).max(axis=(1, 2, 3))
     worst, worst_edge = _worst(resid)
-    passed = worst <= tol
+    passed = worst <= RIGID_MOTION_TOL
     return AssumptionCheck(
         name, passed, worst, worst_edge,
         f"max rigid-motion projection residual {worst:.3e}"
@@ -356,13 +362,12 @@ def check_rigid_motion_invariance(mesh: Mesh2D, boundary_cfg: BoundarySpaceConfi
 
 
 def check_rb_injectivity(mesh: Mesh2D, boundary_cfg: BoundarySpaceConfig,
-                         quad_degree: int = 10,
-                         condition_limit: float = 1e12) -> AssumptionCheck:
+                         quad_degree: int = 10) -> AssumptionCheck:
     """Are the edge Gram matrices of V^b(e) nonsingular (R_b one-to-one)?"""
     gram = edge_rule(mesh, boundary_cfg, quad_degree).gram
     d = np.sqrt(np.einsum("eii->ei", gram))
     worst, worst_edge = _worst(np.linalg.cond(gram / (d[:, :, None] * d[:, None, :])))
-    passed = bool(np.isfinite(worst)) and worst <= condition_limit
+    passed = bool(np.isfinite(worst)) and worst <= EDGE_GRAM_CONDITION_LIMIT
     return AssumptionCheck(
         "edge-space injectivity", passed, worst, worst_edge,
         f"max normalized edge Gram condition {worst:.3e}",

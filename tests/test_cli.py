@@ -128,7 +128,7 @@ class TestRun:
 
     def test_solver_failure_exit_code(self, monkeypatch, capsys):
         from gwgfem import cli as climod
-        from gwgfem import spaces
+        from gwgfem import solver, spaces
         from gwgfem.solver import SolverError
 
         def boom(config):
@@ -139,6 +139,13 @@ class TestRun:
             code = climod.main(["run", "--mesh", "rect", "--levels", "8"])
         assert code == 3
         assert "solver failure" in capsys.readouterr().err
+
+        # the factorization cannot meet a zero residual tolerance
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "RESIDUAL_TOL", 0.0)
+            code = climod.main(["run", "--mesh", "rect", "--levels", "2"])
+        assert code == 3
+        assert "solver failure: factorization residual" in capsys.readouterr().err
 
         # no activation basis can meet the Gram condition limit
         monkeypatch.setattr(spaces, "GRAM_CONDITION_LIMIT", 1.0)

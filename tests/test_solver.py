@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 
 from conftest import make_spaces
-from gwgfem import assembly
+from gwgfem import assembly, solver
 from gwgfem.mesh import build_rectangular
 from gwgfem.postproc import manufactured
 from gwgfem.solver import (
@@ -76,30 +76,16 @@ class TestDirectPath:
         with pytest.warns(RuntimeWarning, match="condition estimate"):
             solve(A, np.ones(2))
 
-
-class TestCgPath:
-    def test_cg_matches_hand_solve(self):
-        rep = solve(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]),
-                    method="cg")
-        assert np.allclose(rep.x, [1.0, 1.0], atol=1e-11)
-        assert rep.method == "cg"
-        assert rep.iterations >= 1
-        assert not rep.spd_certified  # convergence is not a certificate
-
-    def test_cg_detects_indefinite_curvature(self):
-        A = np.array([[1.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(IndefiniteMatrixError):
-            solve(A, np.array([0.0, 1.0]), method="cg")
-
-    def test_cg_iteration_limit(self):
-        system = _table_system(4)
-        with pytest.raises(IterationLimitError) as err:
-            solve(system.matrix, system.rhs, method="cg", max_iter=3)
+    def test_residual_miss_raises(self, monkeypatch):
+        # no refinement reaches a zero tolerance, and there is no other path
+        monkeypatch.setattr(solver, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(IterationLimitError, match="factorization residual") as err:
+            solve_system(_table_system(4))
         assert err.value.residual > 0
 
     def test_paths_agree_on_table_scale_system(self):
         system = _table_system(16)
-        direct = solve_system(system, method="factorization")
-        cg = solve_system(system, method="cg")
-        scale = np.linalg.norm(direct.x)
-        assert np.linalg.norm(direct.x - cg.x) / scale < 1e-8
+        rep = solve_system(system)
+        dense = np.linalg.solve(system.matrix.toarray(), system.rhs)
+        assert rep.iterations == 0
+        assert np.linalg.norm(rep.x - dense) / np.linalg.norm(dense) < 1e-8
