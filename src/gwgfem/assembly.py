@@ -9,9 +9,11 @@ domain boundary and
 for all weak test functions vanishing on the boundary.  Interior dofs
 couple only to their own element's edges, so they are condensed out
 element by element (static condensation) and the global unknowns are the
-free edge blocks only.  Dirichlet data is enforced by elimination: fixed
-edge blocks are moved to the load vector, which keeps the reduced matrix
-symmetric positive definite whenever the admissibility predicates hold.
+free edge blocks only, numbered by nested dissection so that the solver
+factors the matrix in the order it is given.  Dirichlet data is enforced by
+elimination: fixed edge blocks are moved to the load vector, which keeps
+the reduced matrix symmetric positive definite whenever the admissibility
+predicates hold.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DofMap:
-    """Unknown numbering: one block per interior edge.  Dirichlet (boundary)
-    edges carry fixed coefficients and element interiors are condensed, so
-    neither is among the unknowns."""
+    """Unknown numbering: one block per interior edge, blocks in
+    nested-dissection order.  Dirichlet (boundary) edges carry fixed
+    coefficients and element interiors are condensed, so neither is among
+    the unknowns."""
 
     nb: int
     edge_offset: np.ndarray  # (ned,) start of the edge block, -1 if fixed
@@ -57,7 +60,7 @@ class DofMap:
 class DiscreteSystem:
     """Sparse symmetric edge system plus everything needed to interpret it."""
 
-    matrix: sparse.csr_matrix
+    matrix: sparse.csc_matrix
     rhs: np.ndarray
     dofmap: DofMap
     fixed_coeffs: np.ndarray  # (ned, nb); valid rows only for boundary edges
@@ -67,11 +70,71 @@ class DiscreteSystem:
     recovery: np.ndarray = field(repr=False)
 
 
+def _nested_dissection(mesh: Mesh2D, free: np.ndarray) -> np.ndarray:
+    """Number of every free edge in a nested-dissection order.
+
+    The graph has one node per free edge; two nodes are adjacent when their
+    edges share an element.  Each part is bisected at the median edge
+    midpoint along its longer extent, the left-side nodes with a neighbour
+    on the right side form its separator (a separator on any conforming
+    mesh), and the part is numbered left, right, separator.  A part with a
+    single midpoint is numbered as it stands.  All parts of a level are
+    split at once: the unnumbered nodes are kept in two lists grouped by
+    part in numbering order, sorted within each part by x and by y, which a
+    stable partition keeps sorted, so no level sorts by coordinate.
+    """
+    nf = len(free)
+    node = np.full(mesh.num_edges, nf)  # nf marks a fixed edge
+    node[free] = np.arange(nf)
+    elem = node[mesh.element_edges.T]  # (m, ne) nodes of every element
+    xy = mesh.edge_midpoint[free].T.copy()  # (2, nf)
+    pos = np.zeros(nf, dtype=np.int64)  # start of the node's part, then its number
+    lists = [np.argsort(xy[k], kind="stable") for k in (0, 1)]
+    while lists[0].size:
+        ox, oy = lists
+        start = pos[ox]
+        head = np.flatnonzero(np.r_[True, start[1:] != start[:-1]])
+        cnt = np.diff(np.r_[head, ox.size])
+        g = np.repeat(np.arange(head.size), cnt)  # part of each list entry
+        tail = head + cnt - 1
+        ext = np.stack([xy[0, ox[tail]] - xy[0, ox[head]],
+                        xy[1, oy[tail]] - xy[1, oy[head]]])
+        along_y = ext[1] > ext[0]
+        mi = head + (cnt - 1) // 2
+        med = np.where(along_y, xy[1, oy[mi]], xy[0, ox[mi]])[g]
+        c = np.where(along_y[g], xy[1, ox], xy[0, ox])
+        left = c <= med
+        # a median at the part's maximum sends its ties right
+        no_right = np.bincount(g, ~left, minlength=head.size) == 0
+        left &= ~no_right[g] | (c < med)
+        cls = np.full(nf + 1, -1, dtype=np.int8)  # 0 left, 1 right, 2 numbered
+        cls[ox] = ~left
+        side = cls[elem]
+        cls[elem[(side == 0) & (side == 1).any(axis=0)]] = 2
+        cls[ox[ext.max(axis=0)[g] == 0]] = 2
+        k = cls[ox]
+        n = np.bincount(3 * g + k, minlength=3 * head.size).reshape(-1, 3)
+        off = start[head, None] + np.cumsum(n, axis=1) - n  # block starts
+        live = k < 2
+        pos[ox[live]] = off[g[live], k[live]]
+        lists = [o[np.argsort(3 * g + cls[o], kind="stable")] for o in lists]
+        # number each separator along itself: by y after an x split
+        shift = start[head] - head
+        for o, use in zip(lists, (along_y, ~along_y)):
+            i = np.flatnonzero((cls[o] == 2) & use[g])
+            pos[o[i]] = shift[g[i]] + i
+        lists = [o[cls[o] < 2] for o in lists]
+    return pos
+
+
 def dof_map(mesh: Mesh2D, spaces: SpaceSet) -> DofMap:
+    """Number the free edge blocks by nested dissection of the edge graph
+    (see :func:`_nested_dissection`); the same mesh always gives the same
+    numbering."""
     nb = spaces.boundary.dim
     free = np.nonzero(~mesh.boundary)[0]
     edge_offset = np.full(mesh.num_edges, -1, dtype=np.int64)
-    edge_offset[free] = nb * np.arange(len(free))
+    edge_offset[free] = nb * _nested_dissection(mesh, free)
     return DofMap(nb=nb, edge_offset=edge_offset, num_unknowns=nb * len(free))
 
 
@@ -156,7 +219,7 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
     rows = np.broadcast_to(ids[:, :, None], A.shape)[pairs]
     cols = np.broadcast_to(ids[:, None, :], A.shape)[pairs]
     n = dm.num_unknowns
-    matrix = sparse.coo_matrix((A[pairs], (rows, cols)), shape=(n, n)).tocsr()
+    matrix = sparse.coo_matrix((A[pairs], (rows, cols)), shape=(n, n)).tocsc()
     rhs = np.bincount(ids[free], weights=b[free], minlength=n)
     return DiscreteSystem(matrix=matrix, rhs=rhs, dofmap=dm, fixed_coeffs=fixed,
                           mesh=mesh, spaces=spaces, recovery=recovery)

@@ -1,14 +1,16 @@
 """Sparse symmetric positive definite solves.
 
 One path: SuperLU factorization in symmetric mode with diagonal pivoting
-suppressed, so the factorization acts as an LDL^T of the symmetrically
-permuted matrix; all-positive U diagonal then certifies positive
-definiteness (the signs of D carry the inertia).  SuperLU still pivots off
-the diagonal after a zero diagonal pivot, which a positive definite matrix
-never produces, so row and column permutations that differ are reported as
-indefiniteness.  Every solution is refined (at most three steps) and
-re-verified against ``RESIDUAL_TOL`` by an independent matrix-vector
-multiply; a miss raises :class:`IterationLimitError`.
+suppressed, in the caller's numbering (SuperLU runs no fill-reducing
+ordering of its own: the assembled edge system comes numbered by nested
+dissection), so the factorization acts as an LDL^T of the matrix;
+all-positive U diagonal then certifies positive definiteness (the signs of
+D carry the inertia).  SuperLU still pivots off the diagonal after a zero
+diagonal pivot, which a positive definite matrix never produces, so row
+and column permutations that differ are reported as indefiniteness.  Every
+solution is refined (at most three steps) and re-verified against
+``RESIDUAL_TOL`` by an independent matrix-vector multiply; a miss raises
+:class:`IterationLimitError`.
 """
 
 from __future__ import annotations
@@ -99,8 +101,10 @@ def _hager_inverse_norm(solve_fn, n: int, max_sweeps: int = 5) -> float:
 def solve(matrix, rhs: np.ndarray) -> SolveReport:
     """Solve a symmetric positive definite sparse or dense system.
 
-    Indefiniteness, singularity and a residual above ``RESIDUAL_TOL`` after
-    refinement are reported as structured errors rather than ignored.
+    The matrix is factored in the order it is given, so its numbering sets
+    the fill; a CSC matrix is used without a copy.  Indefiniteness,
+    singularity and a residual above ``RESIDUAL_TOL`` after refinement are
+    reported as structured errors rather than ignored.
     """
     A = sparse.csc_matrix(matrix)
     b = np.asarray(rhs, dtype=float)
@@ -110,8 +114,12 @@ def solve(matrix, rhs: np.ndarray) -> SolveReport:
                            method="factorization", iterations=0,
                            spd_certified=True, condition_estimate=None)
 
+    # 1-norm as the largest column sum, before the factors take memory
+    nonempty = np.flatnonzero(np.diff(A.indptr))
+    norm1 = float(np.add.reduceat(np.abs(A.data), A.indptr[nonempty]).max(initial=0.0))
+
     try:
-        lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                   options=dict(SymmetricMode=True))
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise SingularMatrixError(f"factorization failed: {exc}") from exc
@@ -132,7 +140,7 @@ def solve(matrix, rhs: np.ndarray) -> SolveReport:
             pivot=int(bad[0]),
         )
 
-    cond = float(np.abs(A).sum(axis=0).max()) * _hager_inverse_norm(lu.solve, n)
+    cond = norm1 * _hager_inverse_norm(lu.solve, n)
     if cond > CONDITION_WARNING_LIMIT:
         warnings.warn(
             f"system condition estimate {cond:.3e} exceeds "
