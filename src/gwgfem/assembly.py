@@ -14,6 +14,10 @@ factors the matrix in the order it is given.  Dirichlet data is enforced by
 elimination: fixed edge blocks are moved to the load vector, which keeps
 the reduced matrix symmetric positive definite whenever the admissibility
 predicates hold.
+
+Every quadrature rule has the level's degree, ``spaces.quad_degree``.  Each
+function builds the rules it needs and drops them when it returns: one edge
+rule per call, one volume rule per element block.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from scipy import sparse
 
 from .mesh import Mesh2D, element_blocks, element_quadrature
 from .solver import IndefiniteMatrixError
-from .spaces import SpaceSet, default_quad_degree, eval_interior
+from .spaces import SpaceSet, eval_interior
 from .weakops import EdgeRule, ElementKernel, RbOperator, WeakFunction, edge_rule
 
 __all__ = [
@@ -37,7 +41,6 @@ __all__ = [
     "extract_solution",
     "seminorm",
     "project_interior",
-    "project_boundary",
     "project_g1",
     "project_g2",
     "interpolate",
@@ -138,20 +141,14 @@ def dof_map(mesh: Mesh2D, spaces: SpaceSet) -> DofMap:
     return DofMap(nb=nb, edge_offset=edge_offset, num_unknowns=nb * len(free))
 
 
-def _dirichlet(mesh: Mesh2D, edges: EdgeRule, g) -> np.ndarray:
+def apply_dirichlet(mesh: Mesh2D, edges: EdgeRule, g) -> np.ndarray:
+    """L2-project the boundary displacement onto V^b(e) with the edge rule
+    ``edges`` for every boundary edge; returns an (ned, nb) array with
+    valid rows on boundary edges."""
     fixed = np.zeros((mesh.num_edges, edges.basis.shape[1]))
     bnd = np.nonzero(mesh.boundary)[0]
     fixed[bnd] = edges.project(bnd, g)
     return fixed
-
-
-def apply_dirichlet(mesh: Mesh2D, g, spaces: SpaceSet,
-                    quad_degree: int | None = None) -> np.ndarray:
-    """L2-project the boundary displacement onto V^b(e) for every boundary
-    edge; returns an (ned, nb) array with valid rows on boundary edges."""
-    if quad_degree is None:
-        quad_degree = default_quad_degree(spaces.interior)
-    return _dirichlet(mesh, edge_rule(mesh, spaces.boundary, quad_degree), g)
 
 
 def _local_dof_ids(mesh: Mesh2D, dm: DofMap) -> np.ndarray:
@@ -173,14 +170,16 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
     :class:`~gwgfem.solver.IndefiniteMatrixError` is raised; since the
     inertia of the block matrix is that of A_ii plus that of its Schur
     complement, an SPD certificate for the edge system then holds for the
-    whole system.  ``condense`` is accepted for compatibility and ignored:
-    condensation is always on.
+    whole system.  Every rule has the degree ``spaces.quad_degree``;
+    ``quad_degree``, if given, must equal it.  ``condense`` is accepted for
+    compatibility and ignored: condensation is always on.
     """
-    if quad_degree is None:
-        quad_degree = default_quad_degree(spaces.interior)
+    if quad_degree not in (None, spaces.quad_degree):
+        raise ValueError(f"quad_degree {quad_degree} differs from the level's "
+                         f"{spaces.quad_degree}")
     dm = dof_map(mesh, spaces)
-    edges = edge_rule(mesh, spaces.boundary, quad_degree)
-    fixed = _dirichlet(mesh, edges, g)
+    edges = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
+    fixed = apply_dirichlet(mesh, edges, g)
     ids = _local_dof_ids(mesh, dm)
     ne = mesh.num_elements
     n0 = spaces.interior.dim
@@ -189,7 +188,7 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
     A = np.empty((ne, ndof, ndof))
     b = np.empty((ne, ndof))
     for eids in element_blocks(np.arange(ne)):
-        kern = ElementKernel(mesh, spaces, rb, edges, eids, quad_degree)
+        kern = ElementKernel(mesh, spaces, rb, edges, eids)
         A[eids] = kern.local_stiffness(mu, lam, rho, gamma)
         b[eids] = kern.local_load(f)
 
@@ -240,16 +239,13 @@ def extract_solution(system: DiscreteSystem, x: np.ndarray) -> WeakFunction:
 
 
 def seminorm(v: WeakFunction, mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator,
-             mu: float, lam: float, rho: float, gamma: float,
-             quad_degree: int | None = None) -> float:
+             mu: float, lam: float, rho: float, gamma: float) -> float:
     """Energy semi-norm sqrt(a(v,v) + s(v,v)); zero exactly on the
     zero-energy weak functions (e.g. matched rigid motions)."""
-    if quad_degree is None:
-        quad_degree = default_quad_degree(spaces.interior)
-    edges = edge_rule(mesh, spaces.boundary, quad_degree)
+    edges = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
     total = 0.0
     for eids in element_blocks(np.arange(mesh.num_elements)):
-        kern = ElementKernel(mesh, spaces, rb, edges, eids, quad_degree)
+        kern = ElementKernel(mesh, spaces, rb, edges, eids)
         vloc = v.local_coefficients(mesh, eids)
         total += float(kern.energy(vloc, mu, lam, rho, gamma).sum())
     return float(np.sqrt(max(total, 0.0)))
@@ -258,13 +254,10 @@ def seminorm(v: WeakFunction, mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator,
 # -- L2 projections (needed by diagnostics and the operator identities) --
 
 
-def project_interior(mesh: Mesh2D, eid, spaces: SpaceSet, field_fn,
-                     quad_degree: int | None = None) -> np.ndarray:
+def project_interior(mesh: Mesh2D, eid, spaces: SpaceSet, field_fn) -> np.ndarray:
     """Element L2 projection of a vector field onto V0(T); coefficients,
     (E, n0) for an array of E elements."""
-    if quad_degree is None:
-        quad_degree = default_quad_degree(spaces.interior)
-    rule = element_quadrature(mesh, eid, quad_degree)
+    rule = element_quadrature(mesh, eid, spaces.quad_degree)
     vals = eval_interior(mesh, eid, spaces.interior, spaces.element_params(eid),
                          rule.points)
     fv = np.asarray(field_fn(rule.points.reshape(-1, 2)), dtype=float)
@@ -272,15 +265,6 @@ def project_interior(mesh: Mesh2D, eid, spaces: SpaceSet, field_fn,
     gram = np.einsum("...inc,...jnc,...n->...ij", vals, vals, rule.weights)
     mom = np.einsum("...inc,...nc,...n->...i", vals, fv, rule.weights)
     return np.linalg.solve(gram, mom[..., None])[..., 0]
-
-
-def project_boundary(mesh: Mesh2D, edge_id, spaces: SpaceSet, field_fn,
-                     quad_degree: int | None = None) -> np.ndarray:
-    """Edgewise L2 projection onto V^b(e); coefficients in the global basis,
-    (E, nb) for an array of E edges."""
-    if quad_degree is None:
-        quad_degree = default_quad_degree(spaces.interior)
-    return edge_rule(mesh, spaces.boundary, quad_degree).project(edge_id, field_fn)
 
 
 def project_g1(kern: ElementKernel, field_vals: np.ndarray) -> np.ndarray:
@@ -296,12 +280,11 @@ def project_g2(kern: ElementKernel, field_vals: np.ndarray) -> np.ndarray:
     return np.einsum("en,en->e", field_vals, w) / w.sum(axis=1)
 
 
-def interpolate(mesh: Mesh2D, spaces: SpaceSet, field_fn,
-                quad_degree: int | None = None) -> WeakFunction:
+def interpolate(mesh: Mesh2D, spaces: SpaceSet, field_fn) -> WeakFunction:
     """The projection-based interpolant {Q0 u, Qb u} as a weak function."""
     wf = WeakFunction.zeros(mesh, spaces)
     for eids in element_blocks(np.arange(mesh.num_elements)):
-        wf.interior[eids] = project_interior(mesh, eids, spaces, field_fn, quad_degree)
-    wf.boundary[:] = project_boundary(mesh, np.arange(mesh.num_edges), spaces,
-                                      field_fn, quad_degree)
+        wf.interior[eids] = project_interior(mesh, eids, spaces, field_fn)
+    edges = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
+    wf.boundary[:] = edges.project(np.arange(mesh.num_edges), field_fn)
     return wf

@@ -33,7 +33,6 @@ from .mesh import MAX_QUAD_DEGREE, Mesh2D, build_rectangular, build_triangular
 from .spaces import (
     SpaceConditioningError,
     build_spaces,
-    default_quad_degree,
     parse_boundary,
     parse_interior,
 )
@@ -108,15 +107,13 @@ def _solve_level(config: RunConfig, case, n: int):
     interior = parse_interior(config.interior, seed=config.seed)
     boundary = parse_boundary(config.boundary)
     rb = parse_rb(config.rb)
-    quad = config.quad_degree or default_quad_degree(interior)
-    spaces = build_spaces(mesh, interior, boundary, quad,
+    spaces = build_spaces(mesh, interior, boundary, config.quad_degree,
                           seed_entropy=(config.seed, n))
     system = assembly.assemble(mesh, spaces, rb, config.mu, config.lam,
-                               config.rho, config.gamma, case.f, case.g,
-                               quad_degree=quad)
+                               config.rho, config.gamma, case.f, case.g)
     report = solver.solve_system(system)
     wf = assembly.extract_solution(system, report.x)
-    return postproc.error_norms(mesh, spaces, wf, case.u, quad_degree=quad)
+    return postproc.error_norms(mesh, spaces, wf, case.u)
 
 
 def run_convergence(config: RunConfig) -> postproc.ConvergenceReport:
@@ -144,13 +141,16 @@ def run_convergence(config: RunConfig) -> postproc.ConvergenceReport:
 
 
 def check_assumptions(config: RunConfig):
-    """Evaluate both admissibility predicates on the coarsest configured mesh."""
+    """Evaluate both admissibility predicates on the coarsest configured
+    level, with the quadrature degree of that level's spaces."""
     config = config.validate()
-    mesh = _build_mesh(config.mesh, min(config.levels))
-    boundary = parse_boundary(config.boundary)
-    rb = parse_rb(config.rb)
-    quad = config.quad_degree or default_quad_degree(parse_interior(config.interior))
-    return check_assumption_pair(mesh, boundary, rb, quad)
+    n = min(config.levels)
+    mesh = _build_mesh(config.mesh, n)
+    spaces = build_spaces(mesh, parse_interior(config.interior, seed=config.seed),
+                          parse_boundary(config.boundary), config.quad_degree,
+                          seed_entropy=(config.seed, n))
+    return check_assumption_pair(mesh, spaces.boundary, parse_rb(config.rb),
+                                 spaces.quad_degree)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -250,32 +250,27 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.command == "check":
-        rm_check, inj_check = check_assumptions(config)
-        lines = [
-            f"mesh={config.mesh} n={min(config.levels)} "
-            f"boundary={config.boundary} rb={config.rb}",
-        ]
-        for chk in (rm_check, inj_check):
-            status = "PASS" if chk.passed else "FAIL"
-            lines.append(f"{chk.name}: {status} ({chk.detail})")
-        admissible = rm_check.passed and inj_check.passed
-        lines.append(f"result: {'ADMISSIBLE' if admissible else 'INADMISSIBLE'}")
-        _emit_output("\n".join(lines) + "\n", config.out)
+    try:
+        if args.command == "check" or config.strict:
+            checks = check_assumptions(config)
+            admissible = all(chk.passed for chk in checks)
+        if args.command == "check":
+            lines = [
+                f"mesh={config.mesh} n={min(config.levels)} "
+                f"boundary={config.boundary} rb={config.rb}",
+            ]
+            for chk in checks:
+                status = "PASS" if chk.passed else "FAIL"
+                lines.append(f"{chk.name}: {status} ({chk.detail})")
+            lines.append(f"result: {'ADMISSIBLE' if admissible else 'INADMISSIBLE'}")
+            _emit_output("\n".join(lines) + "\n", config.out)
+            return EXIT_ASSUMPTIONS if config.strict and not admissible else EXIT_OK
         if config.strict and not admissible:
-            return EXIT_ASSUMPTIONS
-        return EXIT_OK
-
-    if config.strict:
-        rm_check, inj_check = check_assumptions(config)
-        if not (rm_check.passed and inj_check.passed):
-            for chk in (rm_check, inj_check):
+            for chk in checks:
                 if not chk.passed:
                     print(f"assumption failure: {chk.name}: {chk.detail}",
                           file=sys.stderr)
             return EXIT_ASSUMPTIONS
-
-    try:
         report = run_convergence(config)
     except solver.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

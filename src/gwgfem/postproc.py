@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh2D, element_blocks, element_quadrature
-from .spaces import SpaceSet, default_quad_degree, eval_boundary, eval_interior
+from .spaces import SpaceSet, eval_boundary, eval_interior
 from .weakops import WeakFunction, edge_rule
 
 __all__ = [
@@ -164,16 +164,18 @@ def _misfit(u_exact, points: np.ndarray, coeffs: np.ndarray,
 
 def error_norms(mesh: Mesh2D, spaces: SpaceSet, solution: WeakFunction,
                 u_exact, quad_degree: int | None = None) -> ErrorNorms:
-    """The four discrete norms of u - u_h."""
-    if quad_degree is None:
-        quad_degree = default_quad_degree(spaces.interior)
+    """The four discrete norms of u - u_h, with rules of degree
+    ``spaces.quad_degree``; ``quad_degree``, if given, must equal it."""
+    if quad_degree not in (None, spaces.quad_degree):
+        raise ValueError(f"quad_degree {quad_degree} differs from the level's "
+                         f"{spaces.quad_degree}")
 
     acc0 = 0.0
     inf0 = 0.0
     for eids in element_blocks(np.arange(mesh.num_elements)):
         prm = spaces.element_params(eids)
         coeffs = solution.interior[eids]
-        rule = element_quadrature(mesh, eids, quad_degree)
+        rule = element_quadrature(mesh, eids, spaces.quad_degree)
         diff = _misfit(u_exact, rule.points, coeffs,
                        eval_interior(mesh, eids, spaces.interior, prm, rule.points))
         acc0 += float(np.einsum("enc,enc,en->", diff, diff, rule.weights))
@@ -182,7 +184,7 @@ def error_norms(mesh: Mesh2D, spaces: SpaceSet, solution: WeakFunction,
                        eval_interior(mesh, eids, spaces.interior, prm, centers))
         inf0 = max(inf0, float(np.abs(diff).max()))
 
-    rule = edge_rule(mesh, spaces.boundary, quad_degree)
+    rule = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
     diff = _misfit(u_exact, rule.points, solution.boundary, rule.basis)
     accb = float(np.einsum("e,enc,enc,en->", mesh.edge_length, diff, diff, rule.weights))
 

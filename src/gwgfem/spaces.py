@@ -103,6 +103,8 @@ class InteriorSpaceConfig:
                 raise ValueError(f"unknown activation {self.activation!r}")
             if self.p < 1:
                 raise ValueError("activation count p must be >= 1")
+            if self.activation == "lrelu" and not np.isfinite(self.leaky_slope):
+                raise ValueError(f"lrelu slope must be finite, got {self.leaky_slope}")
 
     @property
     def dim(self) -> int:
@@ -143,11 +145,13 @@ class ElementRandomParams:
 
 @dataclass(frozen=True)
 class SpaceSet:
-    """Interior/boundary space configs plus sampled per-element parameters."""
+    """Interior/boundary space configs, sampled per-element parameters and
+    the level's quadrature degree, which every rule on the level uses."""
 
     interior: InteriorSpaceConfig
     boundary: BoundarySpaceConfig
     params: ElementRandomParams | None  # arrays over all elements, None for p1
+    quad_degree: int
     gram_condition: np.ndarray | None = None  # per-element interior mass condition
 
     def element_params(self, eid) -> ElementRandomParams | None:
@@ -365,10 +369,13 @@ def build_spaces(
 ) -> SpaceSet:
     """Sample parameters and enforce per-element Gram conditioning.
 
-    Every element draws from its own stream.  Elements whose interior
-    mass matrix condition exceeds ``GRAM_CONDITION_LIMIT`` are resampled
-    (drawing further from the same stream) up to ``MAX_RESAMPLE_ATTEMPTS``
-    times before raising :class:`SpaceConditioningError`.
+    The level's quadrature degree is ``quad_degree``, or
+    :func:`default_quad_degree` when it is None; it is recorded on the
+    returned :class:`SpaceSet`.  Every element draws from its own stream.
+    Elements whose interior mass matrix condition exceeds
+    ``GRAM_CONDITION_LIMIT`` are resampled (drawing further from the same
+    stream) up to ``MAX_RESAMPLE_ATTEMPTS`` times before raising
+    :class:`SpaceConditioningError`.
     """
     if quad_degree is None:
         quad_degree = default_quad_degree(interior)
@@ -378,7 +385,7 @@ def build_spaces(
         for eids in element_blocks(np.arange(ne)):
             cond[eids] = interior_gram_condition(mesh, eids, interior, None, quad_degree)
         return SpaceSet(interior=interior, boundary=boundary, params=None,
-                        gram_condition=cond)
+                        quad_degree=quad_degree, gram_condition=cond)
 
     if seed_entropy is None:
         seed_entropy = interior.seed
@@ -398,6 +405,6 @@ def build_spaces(
         todo = todo[~(cond[todo] <= GRAM_CONDITION_LIMIT)]  # NaN is rejected too
         if not todo.size:
             return SpaceSet(interior=interior, boundary=boundary, params=params,
-                            gram_condition=cond)
+                            quad_degree=quad_degree, gram_condition=cond)
     raise SpaceConditioningError(int(todo[0]), float(cond[todo[0]]),
                                  MAX_RESAMPLE_ATTEMPTS)

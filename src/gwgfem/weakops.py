@@ -17,8 +17,12 @@ R_b is either the edgewise L2 projection onto V^b(e) (``qb``) or the
 identity.  Every element solves its moment problem independently of the
 others, so the element kernel works on a block of elements at once, with
 arrays carrying a leading element axis.  Edge data (quadrature, basis
-values, Gram matrices and projectors) is computed once per mesh as arrays
-over edges, and gathered per element through ``mesh.element_edges``.
+values, Gram matrices and projectors) is one :class:`EdgeRule` of arrays
+over every edge of a mesh, built by the caller at the level's degree
+(``SpaceSet.quad_degree``) and gathered per element through
+``mesh.element_edges``; the kernel's volume rule has the same degree.  The
+admissibility predicates take one edge rule, which
+:func:`check_assumption_pair` builds once for both.
 """
 
 from __future__ import annotations
@@ -182,7 +186,7 @@ class ElementKernel:
     """
 
     def __init__(self, mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator,
-                 edges: EdgeRule, eids: np.ndarray, quad_degree: int):
+                 edges: EdgeRule, eids: np.ndarray):
         icfg = spaces.interior
         prm = spaces.element_params(eids)
         self.eids = eids
@@ -195,7 +199,7 @@ class ElementKernel:
         self.diameter = mesh.elem_diameter[eids]
         self.normals = mesh.elem_edge_normals[eids]  # (E, m, 2)
 
-        self.vol = element_quadrature(mesh, eids, quad_degree)
+        self.vol = element_quadrature(mesh, eids, spaces.quad_degree)
         self.V0 = eval_interior(mesh, eids, icfg, prm, self.vol.points)
         self.G0 = grad_interior(mesh, eids, icfg, prm, self.vol.points)
 
@@ -337,18 +341,17 @@ def _worst(values: np.ndarray) -> tuple[float, int]:
     return float(values[e]), (e if values[e] != 0 else -1)
 
 
-def check_rigid_motion_invariance(mesh: Mesh2D, boundary_cfg: BoundarySpaceConfig,
-                                  rb: RbOperator, quad_degree: int = 10) -> AssumptionCheck:
+def check_rigid_motion_invariance(mesh: Mesh2D, rule: EdgeRule,
+                                  rb: RbOperator) -> AssumptionCheck:
     """Does R_b fix rigid-motion traces on every edge?
 
     Checks the generators (1,0), (0,1), (-y,x) against their R_b images at
-    the edge quadrature points.  The identity passes trivially; the
-    projection passes iff rigid-motion traces lie in V^b(e).
+    the points of the edge rule ``rule`` of V^b.  The identity passes
+    trivially; the projection passes iff rigid-motion traces lie in V^b(e).
     """
     name = "rigid-motion invariance"
     if rb.kind == "identity":
         return AssumptionCheck(name, True, 0.0, -1, "identity preserves all traces")
-    rule = edge_rule(mesh, boundary_cfg, quad_degree)
     edges = np.arange(mesh.num_edges)
     gens = eval_boundary(mesh, edges, BoundarySpaceConfig("rm"), rule.points)
     resid = np.abs(rule.apply(edges, gens) - gens).max(axis=(1, 2, 3))
@@ -361,10 +364,10 @@ def check_rigid_motion_invariance(mesh: Mesh2D, boundary_cfg: BoundarySpaceConfi
     )
 
 
-def check_rb_injectivity(mesh: Mesh2D, boundary_cfg: BoundarySpaceConfig,
-                         quad_degree: int = 10) -> AssumptionCheck:
-    """Are the edge Gram matrices of V^b(e) nonsingular (R_b one-to-one)?"""
-    gram = edge_rule(mesh, boundary_cfg, quad_degree).gram
+def check_rb_injectivity(rule: EdgeRule) -> AssumptionCheck:
+    """Are the edge Gram matrices of V^b(e) in the edge rule ``rule``
+    nonsingular (R_b one-to-one)?"""
+    gram = rule.gram
     d = np.sqrt(np.einsum("eii->ei", gram))
     worst, worst_edge = _worst(np.linalg.cond(gram / (d[:, :, None] * d[:, None, :])))
     passed = bool(np.isfinite(worst)) and worst <= EDGE_GRAM_CONDITION_LIMIT
@@ -375,9 +378,11 @@ def check_rb_injectivity(mesh: Mesh2D, boundary_cfg: BoundarySpaceConfig,
 
 
 def check_assumption_pair(mesh: Mesh2D, boundary_cfg: BoundarySpaceConfig,
-                          rb: RbOperator, quad_degree: int = 10):
-    """Both admissibility predicates for a (V^b, R_b) pair."""
+                          rb: RbOperator, quad_degree: int):
+    """Both admissibility predicates for a (V^b, R_b) pair, on one edge rule
+    of degree ``quad_degree``."""
+    rule = edge_rule(mesh, boundary_cfg, quad_degree)
     return (
-        check_rigid_motion_invariance(mesh, boundary_cfg, rb, quad_degree),
-        check_rb_injectivity(mesh, boundary_cfg, quad_degree),
+        check_rigid_motion_invariance(mesh, rule, rb),
+        check_rb_injectivity(rule),
     )

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from gwgfem.assembly import apply_dirichlet, interpolate
-from gwgfem.spaces import (
-    build_spaces,
-    default_quad_degree,
-    eval_interior,
-    parse_boundary,
-    parse_interior,
-)
+from gwgfem.spaces import build_spaces, eval_interior, parse_boundary, parse_interior
 from gwgfem.weakops import ElementKernel, WeakFunction, edge_rule
 
 
@@ -40,25 +34,21 @@ def x_comp_field():
     return vec_field(lambda x, y: x, lambda x, y: 0.0 * x)
 
 
-def kernel(mesh, spaces, rb, eids=None, quad=None):
+def kernel(mesh, spaces, rb, eids=None):
     """Batched element kernel over ``eids`` (default: every element)."""
-    if quad is None:
-        quad = default_quad_degree(spaces.interior)
     if eids is None:
         eids = np.arange(mesh.num_elements)
-    edges = edge_rule(mesh, spaces.boundary, quad)
-    return ElementKernel(mesh, spaces, rb, edges, np.asarray(eids), quad)
+    edges = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
+    return ElementKernel(mesh, spaces, rb, edges, np.asarray(eids))
 
 
-def dense_reference_solution(mesh, spaces, rb, mu, lam, rho, gamma, f, g, quad=None):
+def dense_reference_solution(mesh, spaces, rb, mu, lam, rho, gamma, f, g):
     """Uncondensed reference solve: scatter every element's full local
     matrix and load into one dense block system (the interior blocks of
     all elements, then one block per edge), eliminate the Dirichlet edge
     blocks and solve with ``np.linalg.solve``.  Returns the weak function.
     """
-    if quad is None:
-        quad = default_quad_degree(spaces.interior)
-    kern = kernel(mesh, spaces, rb, quad=quad)
+    kern = kernel(mesh, spaces, rb)
     ne, n0, nb = mesh.num_elements, kern.n0, kern.nb
     edge_dofs = ne * n0 + nb * kern.edge_ids[:, :, None] + np.arange(nb)
     ids = np.concatenate([np.arange(ne * n0).reshape(ne, n0),
@@ -74,7 +64,8 @@ def dense_reference_solution(mesh, spaces, rb, mu, lam, rho, gamma, f, g, quad=N
     free = np.ones(size, dtype=bool)
     free[fixed] = False
     u = np.zeros(size)
-    u[fixed] = apply_dirichlet(mesh, g, spaces, quad)[bnd].ravel()
+    edges = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
+    u[fixed] = apply_dirichlet(mesh, edges, g)[bnd].ravel()
     u[free] = np.linalg.solve(K[np.ix_(free, free)],
                               F[free] - K[np.ix_(free, ~free)] @ u[~free])
     wf = WeakFunction.zeros(mesh, spaces)
@@ -94,7 +85,7 @@ def weak_strain(kern, vloc):
     return 0.5 * (g + g.transpose(0, 1, 3, 2))
 
 
-def operator_identity_residuals(mesh, spaces, rb, phi, grad_phi, eids, quad=10):
+def operator_identity_residuals(mesh, spaces, rb, phi, grad_phi, eids):
     """Residuals of the projection identities for the interpolant of a
     smooth field: the weak strain / weak divergence of {Q0 phi, Qb phi}
     tested against constant matrices/scalars must match the four-term
@@ -103,9 +94,9 @@ def operator_identity_residuals(mesh, spaces, rb, phi, grad_phi, eids, quad=10):
     residual), both maxima over the constant test bases and the elements
     ``eids``.
     """
-    kern = kernel(mesh, spaces, rb, eids, quad)
-    edges = edge_rule(mesh, spaces.boundary, quad)
-    wf = interpolate(mesh, spaces, phi, quad)
+    kern = kernel(mesh, spaces, rb, eids)
+    edges = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
+    wf = interpolate(mesh, spaces, phi)
     vloc = wf.local_coefficients(mesh, kern.eids)
     E, nq = kern.vol.weights.shape
 

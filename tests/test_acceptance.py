@@ -206,7 +206,7 @@ class TestCriterion6Properties:
                                     (build_rectangular, "sigmoid", ID),
                                     (build_triangular, "p1", ID)):
             mesh = build(4)
-            spaces = make_spaces(mesh, interior, "p0", seed=9)
+            spaces = make_spaces(mesh, interior, "p0", seed=9, quad=10)
             eids = rng.choice(mesh.num_elements, size=5, replace=False)
             r_eps, r_div = operator_identity_residuals(
                 mesh, spaces, rb, case.u, case.grad_u, eids)

@@ -18,7 +18,6 @@ from gwgfem.assembly import (
     dof_map,
     extract_solution,
     interpolate,
-    project_boundary,
     project_g1,
     project_g2,
     project_interior,
@@ -113,14 +112,16 @@ class TestDirichlet:
         mesh = build_rectangular(2)
         spaces = make_spaces(mesh, "p1", "p0")
         gconst = vec_field(lambda x, y: 0.7 + 0 * x, lambda x, y: -0.4 + 0 * x)
-        fixed = apply_dirichlet(mesh, gconst, spaces)
+        rule = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
+        fixed = apply_dirichlet(mesh, rule, gconst)
         for e in np.nonzero(mesh.boundary)[0]:
             assert np.allclose(fixed[e], [0.7, -0.4], atol=1e-14)
 
     def test_linear_data_bottom_edge_mean(self):
         mesh = build_rectangular(1)
         spaces = make_spaces(mesh, "p1", "p0")
-        fixed = apply_dirichlet(mesh, X_FIELD, spaces)
+        rule = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
+        fixed = apply_dirichlet(mesh, rule, X_FIELD)
         bottom = [e for e in range(4)
                   if np.allclose(mesh.edge_midpoint[e], [0.5, 0.0])][0]
         assert np.allclose(fixed[bottom], [0.5, 0.0], atol=1e-14)
@@ -128,7 +129,8 @@ class TestDirichlet:
     def test_rigid_motion_exact_in_rm(self):
         mesh = build_triangular(2)
         spaces = make_spaces(mesh, "p1", "rm")
-        fixed = apply_dirichlet(mesh, RIGID, spaces)
+        fixed = apply_dirichlet(
+            mesh, edge_rule(mesh, spaces.boundary, spaces.quad_degree), RIGID)
         rule = edge_rule(mesh, spaces.boundary, 10)
         bnd = np.nonzero(mesh.boundary)[0]
         values = np.einsum("ej,ejnc->enc", fixed[bnd], rule.basis[bnd])
@@ -336,7 +338,7 @@ class TestProjections:
         spaces = make_spaces(mesh, "p1", "p1")
         rule = edge_rule(mesh, spaces.boundary, 10)
         edges = np.array([0, mesh.interior_edges()[0]])
-        coeffs = project_boundary(mesh, edges, spaces, X_FIELD)
+        coeffs = edge_rule(mesh, spaces.boundary, spaces.quad_degree).project(edges, X_FIELD)
         values = np.einsum("ej,ejnc->enc", coeffs, rule.basis[edges])
         resid = values - X_FIELD(rule.points[edges].reshape(-1, 2)).reshape(values.shape)
         assert np.abs(resid).max() < 1e-13
@@ -359,7 +361,7 @@ class TestOperatorIdentities:
         case = manufactured("example1", 0.5, 1.0)
         for build in (build_rectangular, build_triangular):
             mesh = build(3)
-            spaces = make_spaces(mesh, interior, "p0", seed=13)
+            spaces = make_spaces(mesh, interior, "p0", seed=13, quad=10)
             r_eps, r_div = operator_identity_residuals(
                 mesh, spaces, rb, case.u, case.grad_u, [0, mesh.num_elements // 2])
             assert r_eps < 1e-10
@@ -367,22 +369,44 @@ class TestOperatorIdentities:
 
 
 class TestQuadratureAdequacy:
+    def test_level_degree_recorded_and_enforced(self):
+        case = manufactured("example1", 0.5, 1.0)
+        mesh = build_rectangular(2)
+        assert make_spaces(mesh, "sin").quad_degree == 10
+        assert make_spaces(mesh, "p1").quad_degree == 4
+        spaces = make_spaces(mesh, "p1", quad=6)
+        assert spaces.quad_degree == 6
+        with pytest.raises(ValueError, match="quad_degree"):
+            assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g,
+                     quad_degree=4)
+        system = assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g,
+                          quad_degree=6)
+        wf = extract_solution(system, solver.solve_system(system).x)
+        with pytest.raises(ValueError, match="quad_degree"):
+            error_norms(mesh, spaces, wf, case.u, quad_degree=10)
+        assert error_norms(mesh, spaces, wf, case.u, quad_degree=6) == \
+            error_norms(mesh, spaces, wf, case.u)
+
     def test_degree_escalation_changes_little(self):
         # activation-space errors must be quadrature-converged at the
         # default degree: escalating 10 -> 16 moves the norms by far less
         # than the discretization error
+        # (the sampled parameters do not depend on the degree, so the
+        # comparison isolates quadrature)
         from gwgfem.spaces import build_spaces, parse_boundary, parse_interior
         case = manufactured("example1", 0.5, 1.0)
         mesh = build_rectangular(4)
-        vals = {}
+        vals, params = {}, {}
         for deg in (10, 16):
             spaces = build_spaces(mesh, parse_interior("sin", seed=2),
-                                  parse_boundary("p0"), 10,
+                                  parse_boundary("p0"), deg,
                                   seed_entropy=(2, 4))
-            system = assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0,
-                              case.f, case.g, quad_degree=deg)
+            system = assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g)
             wf = extract_solution(system, solver.solve_system(system).x)
-            vals[deg] = error_norms(mesh, spaces, wf, case.u, quad_degree=deg)
+            vals[deg] = error_norms(mesh, spaces, wf, case.u)
+            params[deg] = spaces.params
+        assert np.array_equal(params[10].w, params[16].w)
+        assert np.array_equal(params[10].x0, params[16].x0)
         for key in ("u0_l2", "ub_l2"):
             a, b = getattr(vals[10], key), getattr(vals[16], key)
             assert abs(a - b) / a < 1e-8

@@ -33,6 +33,8 @@ class TestConfig:
         dict(mu=float("inf")),
         dict(rho=float("nan")),
         dict(gamma=float("-inf")),
+        dict(interior="lrelu:nan"),
+        dict(interior="lrelu:inf"),
     ])
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -64,7 +66,9 @@ class TestRun:
     def test_bad_flag_exits_config(self, capsys):
         for flags in (["--levels", "abc"],
                       ["--levels", "4", "--interior", "sin", "--seed", "-1"],
-                      ["--levels", "4", "--lambda", "nan"]):
+                      ["--levels", "4", "--lambda", "nan"],
+                      ["--levels", "2,4", "--interior", "lrelu:nan"],
+                      ["--levels", "2,4", "--interior", "lrelu:inf"]):
             code = main(["run", "--mesh", "rect"] + flags)
             assert code == EXIT_CONFIG
             assert "configuration error" in capsys.readouterr().err

@@ -32,7 +32,7 @@ class TestConfigs:
     def test_parse_strings(self):
         cfg = parse_interior("lrelu:0.25")
         assert cfg.activation == "lrelu" and cfg.leaky_slope == 0.25
-        for bad in ("lrelu", "lrelu:x", "tanh", "p2"):
+        for bad in ("lrelu", "lrelu:x", "lrelu:nan", "lrelu:-inf", "tanh", "p2"):
             with pytest.raises(ValueError):
                 parse_interior(bad)
         with pytest.raises(ValueError):

@@ -221,29 +221,33 @@ class TestWeakOperators:
 class TestAssumptionPredicates:
     def test_rm_with_projection_passes(self):
         mesh = build_triangular(4)
-        chk = check_rigid_motion_invariance(mesh, parse_boundary("rm"), QB)
+        rule = edge_rule(mesh, parse_boundary("rm"), 10)
+        chk = check_rigid_motion_invariance(mesh, rule, QB)
         assert chk.passed
 
     def test_p1_with_projection_passes(self):
         mesh = build_triangular(4)
-        chk = check_rigid_motion_invariance(mesh, parse_boundary("p1"), QB)
+        rule = edge_rule(mesh, parse_boundary("p1"), 10)
+        chk = check_rigid_motion_invariance(mesh, rule, QB)
         assert chk.passed
 
     def test_identity_always_passes(self):
         mesh = build_rectangular(4)
-        chk = check_rigid_motion_invariance(mesh, parse_boundary("p0"), ID)
+        rule = edge_rule(mesh, parse_boundary("p0"), 10)
+        chk = check_rigid_motion_invariance(mesh, rule, ID)
         assert chk.passed
 
     @pytest.mark.parametrize("build", [build_rectangular, build_triangular])
     def test_p0_with_projection_fails(self, build):
         # projecting a rotation onto edge constants loses the variation
         mesh = build(4)
-        chk = check_rigid_motion_invariance(mesh, parse_boundary("p0"), QB)
+        rule = edge_rule(mesh, parse_boundary("p0"), 10)
+        chk = check_rigid_motion_invariance(mesh, rule, QB)
         assert not chk.passed
         assert chk.worst > 1e-3
 
     @pytest.mark.parametrize("kind", ["p0", "p1", "rm"])
     def test_injectivity_on_uniform_meshes(self, kind):
         mesh = build_triangular(8)
-        chk = check_rb_injectivity(mesh, parse_boundary(kind))
+        chk = check_rb_injectivity(edge_rule(mesh, parse_boundary(kind), 10))
         assert chk.passed
