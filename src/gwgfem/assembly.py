@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .mesh import Mesh2D, element_blocks, element_quadrature
+from .mesh import Mesh2D, element_blocks
 from .solver import IndefiniteMatrixError
-from .spaces import SpaceSet, eval_interior
+from .spaces import SpaceSet, interior_mass
 from .weakops import EdgeRule, ElementKernel, RbOperator, WeakFunction, edge_rule
 
 __all__ = [
@@ -257,12 +257,10 @@ def seminorm(v: WeakFunction, mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator,
 def project_interior(mesh: Mesh2D, eid, spaces: SpaceSet, field_fn) -> np.ndarray:
     """Element L2 projection of a vector field onto V0(T); coefficients,
     (E, n0) for an array of E elements."""
-    rule = element_quadrature(mesh, eid, spaces.quad_degree)
-    vals = eval_interior(mesh, eid, spaces.interior, spaces.element_params(eid),
-                         rule.points)
+    rule, vals, gram = interior_mass(mesh, eid, spaces.interior,
+                                     spaces.element_params(eid), spaces.quad_degree)
     fv = np.asarray(field_fn(rule.points.reshape(-1, 2)), dtype=float)
     fv = fv.reshape(rule.points.shape)
-    gram = np.einsum("...inc,...jnc,...n->...ij", vals, vals, rule.weights)
     mom = np.einsum("...inc,...nc,...n->...i", vals, fv, rule.weights)
     return np.linalg.solve(gram, mom[..., None])[..., 0]
 

@@ -16,9 +16,9 @@ Element interiors are always condensed out of the global system;
 ``--condense`` (the ``condense`` config key, ``RunConfig.condense``) is
 accepted for compatibility and has no effect.
 
-Reproducibility: spaces at level n are sampled from the seed sequence
-(seed, n) with one spawned stream per element, so identical configs and
-seeds give bitwise-identical output.
+Reproducibility: spaces at level n are sampled from one PCG64 stream
+seeded by the seed sequence (seed, n), so identical configs and seeds give
+bitwise-identical output.
 """
 
 from __future__ import annotations
@@ -189,8 +189,9 @@ def _read_config_file(path: str) -> dict:
     convert = dict.fromkeys(("mesh", "interior", "boundary", "rb", "out", "fmt"), str)
     convert.update(dict.fromkeys(("example", "seed", "quad_degree"), int))
     convert.update(dict.fromkeys(("gamma", "rho", "mu", "lam"), float))
-    convert.update(dict.fromkeys(("condense", "strict"),
-                                 lambda v: v.lower() in ("1", "true", "yes", "on")))
+    switches = {"1": True, "true": True, "yes": True, "on": True,
+                "0": False, "false": False, "no": False, "off": False}
+    convert.update(dict.fromkeys(("condense", "strict"), lambda v: switches[v.lower()]))
     convert["levels"] = _parse_levels
     try:
         with open(path) as fh:
@@ -206,7 +207,7 @@ def _read_config_file(path: str) -> dict:
                     raise ConfigError(f"unknown config key {key!r}")
                 try:
                     values[key] = convert[key](val.strip())
-                except ValueError as exc:
+                except (KeyError, ValueError) as exc:
                     raise ConfigError(f"invalid value {val.strip()!r} for {key!r}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

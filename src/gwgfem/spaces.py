@@ -42,7 +42,9 @@ __all__ = [
     "eval_interior",
     "grad_interior",
     "eval_boundary",
+    "interior_mass",
     "interior_gram_condition",
+    "spd_condition",
     "GRAM_CONDITION_LIMIT",
     "MAX_RESAMPLE_ATTEMPTS",
 ]
@@ -152,7 +154,7 @@ class SpaceSet:
     boundary: BoundarySpaceConfig
     params: ElementRandomParams | None  # arrays over all elements, None for p1
     quad_degree: int
-    gram_condition: np.ndarray | None = None  # per-element interior mass condition
+    gram_condition: np.ndarray  # per-element interior mass condition
 
     def element_params(self, eid) -> ElementRandomParams | None:
         """Parameters of element ``eid`` (or of an array of elements)."""
@@ -203,7 +205,6 @@ def default_quad_degree(interior: InteriorSpaceConfig) -> int:
 
 
 def sample_element_params(
-    cfg: InteriorSpaceConfig,
     kind: str,
     vertices: np.ndarray,
     u: np.ndarray,
@@ -231,16 +232,6 @@ def sample_element_params(
         beta = np.sqrt(r)
         x0 = beta * (a * v[..., 0, :] + (1.0 - a) * v[..., 1, :]) + (1.0 - beta) * v[..., 2, :]
     return ElementRandomParams(w=u[..., :2] - 0.5, x0=x0)
-
-
-def _element_streams(seed_entropy, ne: int):
-    """One independent PCG64 generator per element (splittable, reproducible).
-
-    Streams are spawned from a single SeedSequence, so results do not
-    depend on element iteration order.
-    """
-    root = np.random.SeedSequence(seed_entropy)
-    return [np.random.Generator(np.random.PCG64(s)) for s in root.spawn(ne)]
 
 
 def _activation_args(points: np.ndarray, params: ElementRandomParams) -> np.ndarray:
@@ -345,66 +336,74 @@ def eval_boundary(
     return out
 
 
-def interior_gram_condition(
-    mesh: Mesh2D,
-    eid,
-    cfg: InteriorSpaceConfig,
-    params: ElementRandomParams | None,
-    quad_degree: int,
-):
-    """2-norm condition estimate of the element interior mass matrix
-    (an array of them for an array of elements)."""
+def spd_condition(gram: np.ndarray) -> np.ndarray:
+    """2-norm condition of symmetric matrices (batched over leading axes):
+    the ratio of the extreme eigenvalues, inf when the smallest is <= 0."""
+    ev = np.linalg.eigvalsh(gram)
+    lo, hi = ev[..., 0], ev[..., -1]
+    return np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 0)
+
+
+def interior_mass(mesh: Mesh2D, eid, cfg: InteriorSpaceConfig,
+                  params: ElementRandomParams | None, quad_degree: int):
+    """Volume rule of element ``eid``, interior basis values at its points
+    and the interior mass Gram matrix (batched over an array of elements)."""
     rule = element_quadrature(mesh, eid, quad_degree)
     vals = eval_interior(mesh, eid, cfg, params, rule.points)
-    gram = np.einsum("...inc,...jnc,...n->...ij", vals, vals, rule.weights)
-    return np.linalg.cond(gram)
+    return rule, vals, np.einsum("...inc,...jnc,...n->...ij", vals, vals, rule.weights)
 
 
-def build_spaces(
-    mesh: Mesh2D,
-    interior: InteriorSpaceConfig,
-    boundary: BoundarySpaceConfig,
-    quad_degree: int | None = None,
-    seed_entropy=None,
-) -> SpaceSet:
+def interior_gram_condition(mesh: Mesh2D, eid, cfg: InteriorSpaceConfig,
+                            params: ElementRandomParams | None, quad_degree: int):
+    """2-norm condition of the element interior mass matrix (an array of
+    them for an array of elements)."""
+    return spd_condition(interior_mass(mesh, eid, cfg, params, quad_degree)[2])
+
+
+def _level_stream(seed_entropy) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed_entropy))
+
+
+def build_spaces(mesh: Mesh2D, interior: InteriorSpaceConfig,
+                 boundary: BoundarySpaceConfig, quad_degree: int | None = None,
+                 seed_entropy=None) -> SpaceSet:
     """Sample parameters and enforce per-element Gram conditioning.
 
     The level's quadrature degree is ``quad_degree``, or
     :func:`default_quad_degree` when it is None; it is recorded on the
-    returned :class:`SpaceSet`.  Every element draws from its own stream.
-    Elements whose interior mass matrix condition exceeds
-    ``GRAM_CONDITION_LIMIT`` are resampled (drawing further from the same
-    stream) up to ``MAX_RESAMPLE_ATTEMPTS`` times before raising
-    :class:`SpaceConditioningError`.
+    returned :class:`SpaceSet`.  The level draws from one PCG64 stream
+    seeded by ``seed_entropy`` (default ``interior.seed``): (ne, p, 4)
+    uniforms in element order, then (k, p, 4) for the k elements whose
+    interior mass matrix condition exceeds ``GRAM_CONDITION_LIMIT``, up to
+    ``MAX_RESAMPLE_ATTEMPTS`` times.  p1 spaces draw nothing.  An element
+    still rejected raises :class:`SpaceConditioningError`.
     """
     if quad_degree is None:
         quad_degree = default_quad_degree(interior)
-    ne = mesh.num_elements
-    cond = np.empty(ne)
-    if interior.kind != "activation":
-        for eids in element_blocks(np.arange(ne)):
-            cond[eids] = interior_gram_condition(mesh, eids, interior, None, quad_degree)
-        return SpaceSet(interior=interior, boundary=boundary, params=None,
-                        quad_degree=quad_degree, gram_condition=cond)
-
     if seed_entropy is None:
         seed_entropy = interior.seed
-    streams = _element_streams(seed_entropy, ne)
-    verts = mesh.vertices[mesh.elements]
+    ne = mesh.num_elements
+    sampled = interior.kind == "activation"
     params = ElementRandomParams(w=np.empty((ne, interior.p, 2)),
-                                 x0=np.empty((ne, interior.p, 2)))
+                                 x0=np.empty((ne, interior.p, 2))) if sampled else None
+    spaces = SpaceSet(interior=interior, boundary=boundary, params=params,
+                      quad_degree=quad_degree, gram_condition=np.empty(ne))
+    cond = spaces.gram_condition
+    rng = _level_stream(seed_entropy)
+    retries = MAX_RESAMPLE_ATTEMPTS if sampled else 0
     todo = np.arange(ne)
-    for _ in range(1 + MAX_RESAMPLE_ATTEMPTS):
-        u = np.stack([streams[eid].uniform(size=(interior.p, 4)) for eid in todo])
-        prm = sample_element_params(interior, mesh.kind, verts[todo], u)
-        params.w[todo] = prm.w
-        params.x0[todo] = prm.x0
+    for _ in range(1 + retries):
+        if sampled:
+            prm = sample_element_params(mesh.kind, mesh.vertices[mesh.elements[todo]],
+                                        rng.uniform(size=(todo.size, interior.p, 4)))
+            params.w[todo] = prm.w
+            params.x0[todo] = prm.x0
         for eids in element_blocks(todo):
-            cond[eids] = interior_gram_condition(mesh, eids, interior, params[eids],
-                                                 quad_degree)
+            cond[eids] = interior_gram_condition(mesh, eids, interior,
+                                                 spaces.element_params(eids), quad_degree)
         todo = todo[~(cond[todo] <= GRAM_CONDITION_LIMIT)]  # NaN is rejected too
         if not todo.size:
-            return SpaceSet(interior=interior, boundary=boundary, params=params,
-                            quad_degree=quad_degree, gram_condition=cond)
-    raise SpaceConditioningError(int(todo[0]), float(cond[todo[0]]),
-                                 MAX_RESAMPLE_ATTEMPTS)
+            break
+    else:
+        raise SpaceConditioningError(int(todo[0]), float(cond[todo[0]]), retries)
+    return spaces

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh2D, _check_degree, _gauss_1d, element_quadrature
-from .spaces import BoundarySpaceConfig, SpaceSet, eval_boundary, eval_interior, grad_interior
+from .spaces import (BoundarySpaceConfig, SpaceSet, eval_boundary, eval_interior,
+                     grad_interior, spd_condition)
 
 __all__ = [
     "RbOperator",
@@ -369,7 +370,7 @@ def check_rb_injectivity(rule: EdgeRule) -> AssumptionCheck:
     nonsingular (R_b one-to-one)?"""
     gram = rule.gram
     d = np.sqrt(np.einsum("eii->ei", gram))
-    worst, worst_edge = _worst(np.linalg.cond(gram / (d[:, :, None] * d[:, None, :])))
+    worst, worst_edge = _worst(spd_condition(gram / (d[:, :, None] * d[:, None, :])))
     passed = bool(np.isfinite(worst)) and worst <= EDGE_GRAM_CONDITION_LIMIT
     return AssumptionCheck(
         "edge-space injectivity", passed, worst, worst_edge,

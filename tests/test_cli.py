@@ -138,8 +138,10 @@ class TestRun:
 
     def test_config_file_unknown_key(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
-        # an unknown key, then non-numeric values of numeric keys
-        for text in ("meshes=rect\n", "seed=abc\n", "lambda=big\n"):
+        # an unknown key, non-numeric values of numeric keys, then
+        # misspelled switches
+        for text in ("meshes=rect\n", "seed=abc\n", "lambda=big\n",
+                     "strict=ture\n", "condense=maybe\n"):
             cfgfile.write_text(text)
             assert main(["run", "--config", str(cfgfile)]) == EXIT_CONFIG
 

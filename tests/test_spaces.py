@@ -43,9 +43,7 @@ class TestSampling:
     def test_rect_midpoint_draws(self):
         # every draw forced to 0.5 on the unit square
         m = build_rectangular(1)
-        cfg = parse_interior("sin")
-        prm = sample_element_params(cfg, m.kind, m.element_vertices(0),
-                                    np.full((4, 4), 0.5))
+        prm = sample_element_params(m.kind, m.element_vertices(0), np.full((4, 4), 0.5))
         assert np.allclose(prm.w, 0.0)
         assert np.allclose(prm.x0, 0.5)
 
@@ -54,20 +52,18 @@ class TestSampling:
         m = build_triangular(1)
         verts = m.element_vertices(0)
         assert np.allclose(verts, [[0, 0], [1, 0], [0, 1]])
-        cfg = parse_interior("sin")
         u = np.ones((4, 4))
         u[0] = [0.0, 0.0, 1.0, 1.0]
-        prm = sample_element_params(cfg, m.kind, verts, u)
+        prm = sample_element_params(m.kind, verts, u)
         assert np.allclose(prm.x0[0], [0.0, 0.0])
 
     def test_triangle_affine_map(self):
         # draws (alpha, r) = (0.5, 0.25): beta = 0.5,
         # x0 = 0.5*(0.5*A1 + 0.5*A2) + 0.5*A3 = (0.25, 0.5)
         m = build_triangular(1)
-        cfg = parse_interior("sin")
         u = np.full((4, 4), 0.25)
         u[0] = [0.0, 0.0, 0.5, 0.25]
-        prm = sample_element_params(cfg, m.kind, m.element_vertices(0), u)
+        prm = sample_element_params(m.kind, m.element_vertices(0), u)
         assert np.allclose(prm.x0[0], [0.25, 0.5])
 
     def test_draw_order_documented(self):
@@ -75,9 +71,7 @@ class TestSampling:
         m = build_rectangular(1)
         u = np.array([[0.6, 0.7, 0.1, 0.2],   # i=1
                       [0.8, 0.9, 0.3, 0.4]])  # i=2
-        prm = sample_element_params(
-            InteriorSpaceConfig("activation", "sin", p=2),
-            m.kind, m.element_vertices(0), u)
+        prm = sample_element_params(m.kind, m.element_vertices(0), u)
         assert np.allclose(prm.x0[0], [0.1, 0.2])
         assert np.allclose(prm.w[0], [0.6 - 0.5, 0.7 - 0.5])
         assert np.allclose(prm.w[1], [0.8 - 0.5, 0.9 - 0.5])
@@ -102,6 +96,13 @@ class TestSampling:
                              seed_entropy=(9, 2)).params for _ in range(2))
         assert np.array_equal(a.w, b.w)
         assert np.array_equal(a.x0, b.x0)
+        # no element is rejected here, so the level's first draw, in element
+        # order, gives every parameter
+        rng = np.random.default_rng(np.random.SeedSequence((9, 2)))
+        ref = sample_element_params(m.kind, m.vertices[m.elements],
+                                    rng.uniform(size=(m.num_elements, 4, 4)))
+        assert np.array_equal(a.w, ref.w)
+        assert np.array_equal(a.x0, ref.x0)
 
     def test_p1_has_no_params(self):
         m = build_rectangular(2)
@@ -265,14 +266,14 @@ class TestConditioning:
 
         retry = [0.91, 0.13, 0.37, 0.58, 0.24, 0.71, 0.66, 0.08,
                  0.45, 0.83, 0.19, 0.52, 0.77, 0.31, 0.62, 0.98]
-        draws = iter([np.full((4, 4), 0.5), np.reshape(retry, (4, 4))])
+        draws = iter([np.full((1, 4, 4), 0.5), np.reshape(retry, (1, 4, 4))])
 
         class Stream:
             def uniform(self, size):
+                assert size == (1, 4, 4)
                 return next(draws)
 
-        monkeypatch.setattr(sp, "_element_streams",
-                            lambda entropy, ne: [Stream() for _ in range(ne)])
+        monkeypatch.setattr(sp, "_level_stream", lambda entropy: Stream())
         m = build_rectangular(1)
         out = sp.build_spaces(m, parse_interior("sin"), parse_boundary("p0"))
         assert out.gram_condition[0] <= GRAM_CONDITION_LIMIT
@@ -284,11 +285,19 @@ class TestConditioning:
             def uniform(self, size):
                 return np.full(size, 0.5)  # w = 0 every time
 
-        monkeypatch.setattr(sp, "_element_streams",
-                            lambda entropy, ne: [DegenerateStream() for _ in range(ne)])
+        monkeypatch.setattr(sp, "_level_stream", lambda entropy: DegenerateStream())
         m = build_rectangular(1)
         with pytest.raises(SpaceConditioningError, match="element 0"):
             sp.build_spaces(m, parse_interior("sin"), parse_boundary("p0"))
+
+    def test_p1_rejection_raises(self, monkeypatch):
+        # p1 spaces draw nothing, so a rejected element fails at once
+        from gwgfem import spaces as sp
+
+        monkeypatch.setattr(sp, "GRAM_CONDITION_LIMIT", 1.0)
+        m = build_triangular(2)
+        with pytest.raises(SpaceConditioningError, match="after 0 resampling"):
+            sp.build_spaces(m, parse_interior("p1"), parse_boundary("p0"))
 
     def test_condition_estimate_degenerate(self):
         m = build_rectangular(1)
