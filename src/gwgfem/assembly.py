@@ -41,8 +41,6 @@ __all__ = [
     "extract_solution",
     "seminorm",
     "project_interior",
-    "project_g1",
-    "project_g2",
     "interpolate",
 ]
 
@@ -263,19 +261,6 @@ def project_interior(mesh: Mesh2D, eid, spaces: SpaceSet, field_fn) -> np.ndarra
     fv = fv.reshape(rule.points.shape)
     mom = np.einsum("...inc,...nc,...n->...i", vals, fv, rule.weights)
     return np.linalg.solve(gram, mom[..., None])[..., 0]
-
-
-def project_g1(kern: ElementKernel, field_vals: np.ndarray) -> np.ndarray:
-    """L2 projection of matrix fields (values (E, nq, 2, 2) at the kernel's
-    volume rule) onto the constant-matrix correction space; (E, 2, 2)."""
-    w = kern.vol.weights
-    return np.einsum("enab,en->eab", field_vals, w) / w.sum(axis=1)[:, None, None]
-
-
-def project_g2(kern: ElementKernel, field_vals: np.ndarray) -> np.ndarray:
-    """L2 projection of scalar fields (E, nq) onto constants; (E,)."""
-    w = kern.vol.weights
-    return np.einsum("en,en->e", field_vals, w) / w.sum(axis=1)
 
 
 def interpolate(mesh: Mesh2D, spaces: SpaceSet, field_fn) -> WeakFunction:

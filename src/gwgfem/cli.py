@@ -8,9 +8,10 @@ Two subcommands:
                invariance of R_b and edge-space injectivity) for the
                configured (boundary space, R_b) pair.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure (or an
-element space that stays ill-conditioned after resampling), 4
-assumption-check failure under --strict.
+Exit codes: 0 success, 2 configuration error (an output path that cannot
+be written included), 3 solver failure (or an element space that stays
+ill-conditioned after resampling), 4 assumption-check failure under
+--strict.
 
 Element interiors are always condensed out of the global system;
 ``--condense`` (the ``condense`` config key, ``RunConfig.condense``) is
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -95,6 +97,10 @@ class RunConfig:
                 f"quadrature degree must be in 1..{MAX_QUAD_DEGREE}")
         if self.fmt not in ("csv", "table"):
             raise ConfigError(f"unknown output format {self.fmt!r}")
+        if self.out and os.path.isdir(self.out):
+            raise ConfigError(f"cannot write {self.out}: it is a directory")
+        if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise ConfigError(f"cannot write {self.out}: no such directory")
         return self
 
 
@@ -226,11 +232,14 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit_output(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def main(argv=None) -> int:
@@ -272,15 +281,16 @@ def main(argv=None) -> int:
                     print(f"assumption failure: {chk.name}: {chk.detail}",
                           file=sys.stderr)
             return EXIT_ASSUMPTIONS
-        report = run_convergence(config)
+        _emit_output(postproc.emit(run_convergence(config), config.fmt), config.out)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except solver.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except SpaceConditioningError as exc:
         print(f"space conditioning failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-
-    _emit_output(postproc.emit(report, config.fmt), config.out)
     return EXIT_OK
 
 

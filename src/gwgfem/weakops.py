@@ -14,14 +14,16 @@ jump R_b(vb - v0):
     (delta2, phi)_T = <R_b(vb - v0), phi n>_dT   for phi constant scalar.
 
 R_b is either the edgewise L2 projection onto V^b(e) (``qb``) or the
-identity.  Every element solves its moment problem independently of the
-others, so the element kernel works on a block of elements at once, with
-arrays carrying a leading element axis.  Edge data (quadrature, basis
-values, Gram matrices and projectors) is one :class:`EdgeRule` of arrays
-over every edge of a mesh, built by the caller at the level's degree
-(``SpaceSet.quad_degree``) and gathered per element through
-``mesh.element_edges``; the kernel's volume rule has the same degree.  The
-admissibility predicates take one edge rule, which
+identity.  The test spaces are constant, so the moment problem's Gram
+matrix is q_T I, with q_T the volume rule's total weight, and each
+correction is its surface integral divided by q_T.  Elements are
+independent of one another, so the element kernel works on a block of
+elements at once, with arrays carrying a leading element axis.  Edge
+data (quadrature, basis values, Gram matrices and projectors) is one
+:class:`EdgeRule` of arrays over every edge of a mesh, built by the
+caller at the level's degree (``SpaceSet.quad_degree``) and gathered per
+element through ``mesh.element_edges``; the kernel's volume rule has the
+same degree.  The admissibility predicates take one edge rule, which
 :func:`check_assumption_pair` builds once for both.
 """
 
@@ -54,10 +56,6 @@ __all__ = [
 # largest normalized edge Gram condition of V^b(e).
 RIGID_MOTION_TOL = 1e-10
 EDGE_GRAM_CONDITION_LIMIT = 1e12
-
-# Constant-matrix basis of the gradient-correction space, row-major entry order.
-_G1_BASIS = np.eye(4).reshape(4, 2, 2)
-
 
 @dataclass(frozen=True)
 class RbOperator:
@@ -178,9 +176,10 @@ class ElementKernel:
     Precomputes interior basis values/gradients at the volume rule,
     boundary jumps of every local basis weak function at the edge rules,
     their R_b images, and the corrections delta1 (constant matrix) and
-    delta2 (constant scalar) per local degree of freedom.  Every array
-    carries a leading element axis; methods taking local coefficient
-    vectors expect them as (E, ndof).
+    delta2 (constant scalar) per local degree of freedom.  One builder of
+    weighted samples of the bilinear form serves both the local stiffness
+    matrices and the energy.  Every array carries a leading element axis;
+    methods taking local coefficient vectors expect them as (E, ndof).
 
     Local dof layout: interior basis functions first, then the edge basis
     blocks in the element's local edge order.
@@ -221,16 +220,14 @@ class ElementKernel:
         self.jump_flux = np.einsum("emkc,emd->ekcd", edge_int, self.normals)
         self.jump_divflux = np.einsum("emkc,emc->ek", edge_int, self.normals)
 
-        # corrections through the general Gram-solve path; the correction
-        # bases are constant, so their mass matrices only need the rule's
-        # total weight
+        # corrections: the correction spaces are constant, so each moment
+        # problem's Gram matrix is the volume rule's total weight q_T times
+        # the identity
         self.qarea = self.vol.weights.sum(axis=1)
-        mass1 = np.einsum("aij,bij->ab", _G1_BASIS, _G1_BASIS) * self.qarea[:, None, None]
-        sol = np.linalg.solve(mass1, self.jump_flux.reshape(E, self.ndof, 4).transpose(0, 2, 1))
-        self.delta1 = sol.transpose(0, 2, 1).reshape(E, self.ndof, 2, 2)
+        self.delta1 = self.jump_flux * (1.0 / self.qarea)[:, None, None, None]
         self.delta2 = self.jump_divflux / self.qarea[:, None]
 
-    # -- closed forms (cross-checked against the Gram path in tests) --
+    # -- closed forms (cross-checked against the corrections in tests) --
 
     def corrections_closed_form(self) -> tuple[np.ndarray, np.ndarray]:
         """delta1 = |T|^-1 * surface integral of R_b(jump) (x) n, and its
@@ -240,17 +237,13 @@ class ElementKernel:
 
     # -- local matrices --
 
-    def local_stiffness(self, mu: float, lam: float, rho: float,
-                        gamma: float) -> np.ndarray:
-        """Local energy matrices (E, ndof, ndof): 2 mu (eps_g, eps_g) +
-        lam (div_g, div_g) plus the stabilizer
-        rho h_T^gamma <R_b jump, R_b jump>_dT.
-
-        Assembled as F F^T with one factor column per quadrature sample,
-        weighted by the square root of the sample's coefficient, which keeps
-        each matrix symmetric by construction; columns with a negative
-        coefficient (a negative mu, lam or rho) are subtracted instead.
-        """
+    def _weighted_samples(self, mu: float, lam: float, rho: float,
+                          gamma: float) -> tuple[np.ndarray, np.ndarray]:
+        """The bilinear form 2 mu (eps_g, eps_g) + lam (div_g, div_g) +
+        rho h_T^gamma <R_b jump, R_b jump>_dT as weighted samples: the form
+        is sum_s sign(coef_s) F[:, i, s] F[:, j, s], where F (E, ndof, ns)
+        holds each local basis function's strain entries, divergence and R_b
+        jump at every quadrature sample, scaled by sqrt(|coef_s|) (E, ns)."""
         E, nq = self.vol.weights.shape
         eps = np.zeros((E, self.ndof, nq, 2, 2))
         eps[:, : self.n0] = 0.5 * (self.G0 + self.G0.transpose(0, 1, 2, 4, 3))
@@ -267,6 +260,17 @@ class ElementKernel:
             eps.reshape(E, self.ndof, -1), div,
             self.rb_jumps.transpose(0, 2, 1, 3, 4).reshape(E, self.ndof, -1),
         ], axis=2) * np.sqrt(np.abs(coef))[:, None]
+        return F, coef
+
+    def local_stiffness(self, mu: float, lam: float, rho: float,
+                        gamma: float) -> np.ndarray:
+        """Local energy matrices (E, ndof, ndof) of the bilinear form.
+
+        Assembled as F F^T from the weighted samples, which keeps each
+        matrix symmetric by construction; samples with a negative
+        coefficient (a negative mu, lam or rho) are subtracted instead.
+        """
+        F, coef = self._weighted_samples(mu, lam, rho, gamma)
         A = F @ F.transpose(0, 2, 1)
         neg = coef < 0
         if neg.any():
@@ -284,20 +288,12 @@ class ElementKernel:
 
     def energy(self, vloc: np.ndarray, mu: float, lam: float, rho: float,
                gamma: float) -> np.ndarray:
-        """Local energies (E,) of weak functions, evaluated through their
-        fields (not v^T A v, so exact-kernel functions come out at
-        field-roundoff scale instead of matrix-cancellation scale)."""
-        d1, d2 = self.correction_pair(vloc)
-        grad = self.classical_gradient(vloc)
-        eps = 0.5 * (grad + grad.transpose(0, 1, 3, 2)) + 0.5 * (d1 + d1.transpose(0, 2, 1))[:, None]
-        div = np.trace(grad, axis1=2, axis2=3) + d2[:, None]
-        w = self.vol.weights
-        val = 2.0 * mu * np.einsum("enab,enab,en->e", eps, eps, w)
-        val += lam * np.einsum("en,en,en->e", div, div, w)
-        rj = self.rb_jump_values(vloc)
-        val += rho * self.diameter ** gamma * np.einsum("emnc,emnc,emn->e", rj, rj,
-                                                         self.edge_weights)
-        return val
+        """Local energies (E,) of weak functions, summed over the weighted
+        samples of their fields (not v^T A v, so exact-kernel functions come
+        out at field-roundoff scale instead of matrix-cancellation scale)."""
+        F, coef = self._weighted_samples(mu, lam, rho, gamma)
+        vals = np.einsum("ek,eks->es", vloc, F)
+        return np.einsum("es,es,es->e", np.sign(coef), vals, vals)
 
     # -- weak operators for local coefficient vectors (E, ndof) --
 
@@ -318,7 +314,7 @@ class ElementKernel:
         """Residuals of the correction moment equations for weak functions:
         (delta, psi)_T - <R_b(vb - v0), psi n>_dT per basis psi; (E, 4), (E,)."""
         d1, d2 = self.correction_pair(vloc)
-        lhs1 = self.qarea[:, None] * np.einsum("eab,kab->ek", d1, _G1_BASIS)
+        lhs1 = self.qarea[:, None] * d1.reshape(-1, 4)
         rhs1 = np.einsum("ek,ekab->eab", vloc, self.jump_flux).reshape(-1, 4)
         rhs2 = np.einsum("ek,ek->e", vloc, self.jump_divflux)
         return lhs1 - rhs1, self.qarea * d2 - rhs2

@@ -18,8 +18,6 @@ from gwgfem.assembly import (
     dof_map,
     extract_solution,
     interpolate,
-    project_g1,
-    project_g2,
     project_interior,
     seminorm,
 )
@@ -77,6 +75,21 @@ class TestLocalStiffness:
             kern = kernel(mesh, spaces, rb)
             vloc = wf.local_coefficients(mesh, kern.eids)
             assert kern.energy(vloc, 0.5, 1.0, 1.0, -1.0).max() < 1e-24
+
+    @pytest.mark.parametrize("mesh_kind,interior,boundary,rb", [
+        ("rect", "sin", "p0", QB), ("tri", "p1", "rm", ID),
+        ("tri", "sigmoid", "p1", QB), ("rect", "p1", "p1", QB),
+    ])
+    def test_energy_is_stiffness_quadratic_form(self, mesh_kind, interior, boundary, rb):
+        # energy sums the samples' field values, local_stiffness multiplies
+        # them out: both must be the same form
+        mesh = (build_rectangular if mesh_kind == "rect" else build_triangular)(3)
+        kern = kernel(mesh, make_spaces(mesh, interior, boundary, seed=4), rb)
+        v = np.random.default_rng(5).standard_normal((mesh.num_elements, kern.ndof))
+        for params in ((0.5, 1.0, 1.0, -1.0), (0.5, 1e6, 1.0, 0.0), (0.5, 1.0, -1.0, -1.0)):
+            quad = np.einsum("ei,eij,ej->e", v, kern.local_stiffness(*params), v)
+            diff = np.abs(kern.energy(v, *params) - quad)
+            assert diff.max() <= 1e-12 * np.abs(quad).max()
 
     def test_local_matrix_symmetry(self):
         mesh = build_triangular(2)
@@ -342,15 +355,6 @@ class TestProjections:
         values = np.einsum("ej,ejnc->enc", coeffs, rule.basis[edges])
         resid = values - X_FIELD(rule.points[edges].reshape(-1, 2)).reshape(values.shape)
         assert np.abs(resid).max() < 1e-13
-
-    def test_constant_matrix_and_scalar_projections(self):
-        mesh = build_triangular(1)
-        spaces = make_spaces(mesh, "p1", "p0")
-        kern = kernel(mesh, spaces, QB, [0])
-        nq = kern.vol.points.shape[1]
-        const = np.tile(np.array([[1.0, 2.0], [3.0, 4.0]]), (1, nq, 1, 1))
-        assert np.allclose(project_g1(kern, const)[0], [[1, 2], [3, 4]], atol=1e-14)
-        assert project_g2(kern, np.full((1, nq), 2.5))[0] == pytest.approx(2.5, abs=1e-14)
 
 
 class TestOperatorIdentities:

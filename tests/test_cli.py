@@ -35,6 +35,8 @@ class TestConfig:
         dict(gamma=float("-inf")),
         dict(interior="lrelu:nan"),
         dict(interior="lrelu:inf"),
+        dict(out="/"),
+        dict(out="/nonexistent-dir/x.csv"),
     ])
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -63,15 +65,35 @@ class TestRun:
         first = out.strip().split("\n")[1].split(",")
         assert first[3] != ""  # seeded by the unreported coarser level
 
-    def test_bad_flag_exits_config(self, capsys):
+    def test_bad_flag_exits_config(self, monkeypatch, capsys):
+        from gwgfem import cli as climod
+
+        def no_solve(*args):
+            raise AssertionError("a level was solved before the config was rejected")
+
+        monkeypatch.setattr(climod, "_solve_level", no_solve)
         for flags in (["--levels", "abc"],
                       ["--levels", "4", "--interior", "sin", "--seed", "-1"],
                       ["--levels", "4", "--lambda", "nan"],
                       ["--levels", "2,4", "--interior", "lrelu:nan"],
-                      ["--levels", "2,4", "--interior", "lrelu:inf"]):
+                      ["--levels", "2,4", "--interior", "lrelu:inf"],
+                      ["--levels", "2,4", "--out", "/"],
+                      ["--levels", "2,4", "--out", "/nonexistent-dir/x.csv"]):
             code = main(["run", "--mesh", "rect"] + flags)
             assert code == EXIT_CONFIG
             assert "configuration error" in capsys.readouterr().err
+
+    def test_failed_write_exits_config(self, monkeypatch, tmp_path, capsys):
+        # an output path that passed validation and still cannot be written
+        from gwgfem import cli as climod
+
+        monkeypatch.setattr(climod.RunConfig, "validate", lambda self: self)
+        for cmd in ("run", "check"):
+            code = main([cmd, "--mesh", "rect", "--levels", "2", "--out", str(tmp_path)])
+            assert code == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: cannot write ")
+            assert err.count("\n") == 1
 
     def test_table_format(self, capsys):
         code = main(["run", "--mesh", "rect", "--levels", "4",
@@ -101,10 +123,16 @@ class TestRun:
          "rate_u0_inf,err_ub_inf,rate_ub_inf\n"
          "8,0.125,1.89e-02,0.88,4.57e-02,1.01,1.96e-02,0.74,1.32e-02,0.49\n"
          "16,0.0625,1.00e-02,0.91,2.31e-02,0.98,1.11e-02,0.82,8.38e-03,0.66\n"),
-    ], ids=["tri-p1p1", "tri-locking"])
+        (["--interior", "sin", "--boundary", "rm", "--levels", "8,16", "--seed", "3"],
+         "level,h,err_u0_l2,rate_u0_l2,err_ub_l2,rate_ub_l2,err_u0_inf,"
+         "rate_u0_inf,err_ub_inf,rate_ub_inf\n"
+         "8,0.125,4.89e-03,1.98,2.24e-02,1.09,5.48e-03,1.95,2.92e-03,1.42\n"
+         "16,0.0625,1.23e-03,1.99,1.09e-02,1.04,1.42e-03,1.94,9.11e-04,1.68\n"),
+    ], ids=["tri-p1p1", "tri-locking", "tri-sin"])
     def test_golden_csv(self, capsys, flags, expected):
-        # reference CSV text: the order the edge system is numbered and
-        # factored in must not move a printed digit
+        # reference CSV text: neither the element kernel's arithmetic nor
+        # the order the edge system is numbered and factored in may move a
+        # printed digit
         assert main(["run", "--mesh", "tri"] + flags) == EXIT_OK
         assert capsys.readouterr().out == expected
 
