@@ -199,14 +199,15 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
         raise IndefiniteMatrixError(
             f"interior block of element {eid} is not positive definite "
             f"(smallest eigenvalue {low[eid]:.3e})") from None
-    # Schur complement onto the edge block (fixed and free alike) as
-    # A_bb - W^T W with A_ii = L L^T and W = L^-1 A_ib, which is symmetric
-    # by construction
-    W = np.linalg.solve(L, np.concatenate([Aib, bi[:, :, None]], axis=2))
+    # Schur complement A_bb - W^T W onto the edge block (fixed and free alike),
+    # symmetric by construction: A_ii = L L^T, W = L^-1 [A_ib | b_i], recovery L^-T W
+    Linv = np.linalg.inv(L)
+    W = Linv @ np.concatenate([Aib, bi[:, :, None]], axis=2)
+    recovery = Linv.transpose(0, 2, 1) @ W
     WT = W[:, :, :-1].transpose(0, 2, 1)
     b = b[:, n0:] - (WT @ W[:, :, -1:])[:, :, 0]
     A = A[:, n0:, n0:] - WT @ W[:, :, :-1]
-    recovery = np.linalg.solve(L.transpose(0, 2, 1), W)
+    del L, Linv, W, WT, Aii, Aib, bi
     # eliminate the fixed columns; ``ufix`` is zero on free dofs
     ufix = fixed[mesh.element_edges].reshape(ne, -1)
     b = b - (A @ ufix[:, :, None])[:, :, 0]

@@ -25,7 +25,6 @@ from .weakops import WeakFunction, edge_rule
 __all__ = [
     "ManufacturedCase",
     "manufactured",
-    "divergence_of_stress_fd",
     "ErrorNorms",
     "error_norms",
     "rates",
@@ -125,23 +124,6 @@ def manufactured(case_id: str, mu: float, lam: float) -> ManufacturedCase:
         return ManufacturedCase("example2", mu, lam, u, grad_u, f)
 
     raise ValueError(f"unknown manufactured case {case_id!r}")
-
-
-def divergence_of_stress_fd(case: ManufacturedCase, points: np.ndarray,
-                            step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of the analytic stress, row-wise.
-
-    Independent oracle for the body force: f should equal minus this.
-    """
-    points = np.atleast_2d(points)
-    out = np.zeros((points.shape[0], 2))
-    for b in range(2):
-        shift = np.zeros(2)
-        shift[b] = step
-        sp = case.stress(points + shift)
-        sm = case.stress(points - shift)
-        out += (sp[:, :, b] - sm[:, :, b]) / (2.0 * step)
-    return out
 
 
 @dataclass(frozen=True)

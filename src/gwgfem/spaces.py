@@ -236,8 +236,8 @@ def sample_element_params(
 
 def _activation_args(points: np.ndarray, params: ElementRandomParams) -> np.ndarray:
     """t_i = w_i . (x - x0_i) at every point; shape (..., p, nq)."""
-    return np.einsum("...pqd,...pd->...pq",
-                     points[..., None, :, :] - params.x0[..., :, None, :], params.w)
+    x, x0, w = points[..., None, :, :], params.x0[..., :, None, :], params.w[..., :, None, :]
+    return (x[..., 0] - x0[..., 0]) * w[..., 0] + (x[..., 1] - x0[..., 1]) * w[..., 1]
 
 
 def eval_interior(
@@ -338,8 +338,10 @@ def eval_boundary(
 
 def spd_condition(gram: np.ndarray) -> np.ndarray:
     """2-norm condition of symmetric matrices (batched over leading axes):
-    the ratio of the extreme eigenvalues, inf when the smallest is <= 0."""
-    ev = np.linalg.eigvalsh(gram)
+    the ratio of the extreme eigenvalues, inf when the smallest is <= 0 or
+    the matrix has a non-finite entry."""
+    finite = np.isfinite(gram).all(axis=(-2, -1))[..., None, None]
+    ev = np.linalg.eigvalsh(np.where(finite, gram, 0.0))
     lo, hi = ev[..., 0], ev[..., -1]
     return np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 0)
 

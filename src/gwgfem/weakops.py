@@ -16,8 +16,10 @@ jump R_b(vb - v0):
 R_b is either the edgewise L2 projection onto V^b(e) (``qb``) or the
 identity.  The test spaces are constant, so the moment problem's Gram
 matrix is q_T I, with q_T the volume rule's total weight, and each
-correction is its surface integral divided by q_T.  Elements are
-independent of one another, so the element kernel works on a block of
+correction is its surface integral divided by q_T.  The kernel splits the
+form at that constant (interior fluctuations, per-dof mean plus correction)
+and applies R_b to interior traces only, as edge bases lie in V^b.  Elements
+are independent of one another, so the element kernel works on a block of
 elements at once, with arrays carrying a leading element axis.  Edge
 data (quadrature, basis values, Gram matrices and projectors) is one
 :class:`EdgeRule` of arrays over every edge of a mesh, built by the
@@ -176,10 +178,13 @@ class ElementKernel:
     Precomputes interior basis values/gradients at the volume rule,
     boundary jumps of every local basis weak function at the edge rules,
     their R_b images, and the corrections delta1 (constant matrix) and
-    delta2 (constant scalar) per local degree of freedom.  One builder of
-    weighted samples of the bilinear form serves both the local stiffness
-    matrices and the energy.  Every array carries a leading element axis;
-    methods taking local coefficient vectors expect them as (E, ndof).
+    delta2 (constant scalar) per local degree of freedom; an edge basis
+    function's jump row is its own edge's basis values, 0 on other edges.
+    One builder of weighted samples of the bilinear form, split into
+    interior fluctuations and per-dof mean-plus-correction samples, serves
+    both the local stiffness matrices and the energy.  Every array carries
+    a leading element axis; methods taking local coefficient vectors expect
+    them as (E, ndof).
 
     Local dof layout: interior basis functions first, then the edge basis
     blocks in the element's local edge order.
@@ -203,20 +208,21 @@ class ElementKernel:
         self.V0 = eval_interior(mesh, eids, icfg, prm, self.vol.points)
         self.G0 = grad_interior(mesh, eids, icfg, prm, self.vol.points)
 
-        # boundary jumps vb - v0 of each local basis function on each local
-        # edge, and their R_b images: (E, m, ndof, nqe, 2)
+        # R_b images of the boundary jumps vb - v0 of each local basis
+        # function on each local edge: (E, m, ndof, nqe, 2); R_b fixes the
+        # edge rows, their own edge's basis values (0 on the other edges)
         self.edge_points = edges.points[self.edge_ids]  # (E, m, nqe, 2)
         self.edge_weights = edges.weights[self.edge_ids]  # (E, m, nqe)
         nqe = self.edge_points.shape[2]
         tr0 = eval_interior(mesh, eids, icfg, prm,
                             self.edge_points.reshape(E, self.m * nqe, 2))
-        J = np.zeros((E, self.m, self.ndof, nqe, 2))
-        J[:, :, : self.n0] = -tr0.reshape(E, self.n0, self.m, nqe, 2).transpose(0, 2, 1, 3, 4)
+        jump0 = -tr0.reshape(E, self.n0, self.m, nqe, 2).transpose(0, 2, 1, 3, 4)
+        J = self.rb_jumps = np.zeros((E, self.m, self.ndof, nqe, 2))
+        J[:, :, : self.n0] = edges.apply(self.edge_ids, jump0) if rb.kind == "qb" else jump0
         for le in range(self.m):
             base = self.n0 + le * self.nb
             J[:, le, base: base + self.nb] = edges.basis[self.edge_ids[:, le]]
-        self.rb_jumps = edges.apply(self.edge_ids, J) if rb.kind == "qb" else J
-        edge_int = np.einsum("emknc,emn->emkc", self.rb_jumps, self.edge_weights)
+        edge_int = np.einsum("emknc,emn->emkc", J, self.edge_weights)
         self.jump_flux = np.einsum("emkc,emd->ekcd", edge_int, self.normals)
         self.jump_divflux = np.einsum("emkc,emc->ek", edge_int, self.normals)
 
@@ -237,45 +243,46 @@ class ElementKernel:
 
     # -- local matrices --
 
-    def _weighted_samples(self, mu: float, lam: float, rho: float,
-                          gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    def _weighted_samples(self, mu: float, lam: float, rho: float, gamma: float):
         """The bilinear form 2 mu (eps_g, eps_g) + lam (div_g, div_g) +
-        rho h_T^gamma <R_b jump, R_b jump>_dT as weighted samples: the form
-        is sum_s sign(coef_s) F[:, i, s] F[:, j, s], where F (E, ndof, ns)
-        holds each local basis function's strain entries, divergence and R_b
-        jump at every quadrature sample, scaled by sqrt(|coef_s|) (E, ns)."""
-        E, nq = self.vol.weights.shape
-        eps = np.zeros((E, self.ndof, nq, 2, 2))
-        eps[:, : self.n0] = 0.5 * (self.G0 + self.G0.transpose(0, 1, 2, 4, 3))
-        eps += 0.5 * (self.delta1 + self.delta1.transpose(0, 1, 3, 2))[:, :, None]
-        div = np.zeros((E, self.ndof, nq))
-        div[:, : self.n0] = np.trace(self.G0, axis1=3, axis2=4)
-        div += self.delta2[:, :, None]
-        w = self.vol.weights
-        we = np.repeat(self.edge_weights.reshape(E, -1), 2, axis=1)  # (E, m nqe 2)
-        scale = rho * self.diameter ** gamma
-        coef = np.concatenate([2.0 * mu * np.repeat(w, 4, axis=1), lam * w,
-                               scale[:, None] * we], axis=1)
-        F = np.concatenate([
-            eps.reshape(E, self.ndof, -1), div,
-            self.rb_jumps.transpose(0, 2, 1, 3, 4).reshape(E, self.ndof, -1),
-        ], axis=2) * np.sqrt(np.abs(coef))[:, None]
-        return F, coef
+        rho h_T^gamma <R_b jump, R_b jump>_dT as two sets of weighted samples.
+
+        With a dof's classical samples a = (e11, e22, sqrt(2) e12, div), 0 on
+        edge dofs, split into rule mean abar and fluctuation atil, and c its
+        constant correction, sum_q w_q (a_i + c_i)(a_j + c_j) = sum_q w_q
+        atil_i atil_j + q_T (abar_i + c_i)(abar_j + c_j).  So ``F`` (E, ndof,
+        4 + 2 m nqe) holds abar + c and the R_b jumps at the edge points, and
+        ``Fi`` (E, n0, 4 nq) the interior atil at the volume points, each
+        scaled by sqrt(|coef|).  Returns ((F, sign), (Fi, sign_i)); the form
+        is sum_s sign_s F[:, i, s] F[:, j, s] summed over both sets.
+        """
+        w, G = self.vol.weights, self.G0
+        E, nq = w.shape
+        a = _strain_samples(G, G[..., 0, 0] + G[..., 1, 1])  # (E, n0, nq, 4)
+        abar = (w[:, None, None] @ a)[:, :, 0] * (1.0 / self.qarea)[:, None, None]
+        mean = _strain_samples(self.delta1, self.delta2)  # (E, ndof, 4)
+        mean[:, : self.n0] += abar
+        coef = np.array([2.0 * mu] * 3 + [lam])
+        F = np.empty((E, self.ndof, 4 + self.rb_jumps[0, :, 0].size))
+        F[:, :, :4] = mean * np.sqrt(np.abs(coef) * self.qarea[:, None])[:, None]
+        jumps = F[:, :, 4:].reshape(E, self.ndof, self.m, -1)  # a view of F
+        root = np.sqrt(np.abs(rho * self.diameter ** gamma)[:, None, None] * self.edge_weights)
+        np.multiply(self.rb_jumps.reshape(E, self.m, self.ndof, -1).transpose(0, 2, 1, 3),
+                    np.repeat(root, 2, axis=2)[:, None], out=jumps)
+        a -= abar[:, :, None]  # the fluctuations
+        a *= np.sqrt(np.abs(coef) * w[..., None])[:, None]
+        return ((F, np.concatenate([np.sign(coef), np.full(jumps[0, 0].size, np.sign(rho))])),
+                (a.reshape(E, self.n0, -1), np.tile(np.sign(coef), nq)))
 
     def local_stiffness(self, mu: float, lam: float, rho: float,
                         gamma: float) -> np.ndarray:
-        """Local energy matrices (E, ndof, ndof) of the bilinear form.
-
-        Assembled as F F^T from the weighted samples, which keeps each
-        matrix symmetric by construction; samples with a negative
-        coefficient (a negative mu, lam or rho) are subtracted instead.
+        """Local energy matrices (E, ndof, ndof) of the bilinear form,
+        F F^T + blockdiag(Fi Fi^T, 0) from the mean-plus-correction and the
+        interior fluctuation samples, each product symmetric by construction.
         """
-        F, coef = self._weighted_samples(mu, lam, rho, gamma)
-        A = F @ F.transpose(0, 2, 1)
-        neg = coef < 0
-        if neg.any():
-            Fn = F * neg[:, None]
-            A -= 2.0 * (Fn @ Fn.transpose(0, 2, 1))
+        (F, sign), (Fi, sign_i) = self._weighted_samples(mu, lam, rho, gamma)
+        A = _signed_gram(F, sign)
+        A[:, : self.n0, : self.n0] += _signed_gram(Fi, sign_i)
         return A
 
     def local_load(self, f) -> np.ndarray:
@@ -291,9 +298,10 @@ class ElementKernel:
         """Local energies (E,) of weak functions, summed over the weighted
         samples of their fields (not v^T A v, so exact-kernel functions come
         out at field-roundoff scale instead of matrix-cancellation scale)."""
-        F, coef = self._weighted_samples(mu, lam, rho, gamma)
+        (F, sign), (Fi, sign_i) = self._weighted_samples(mu, lam, rho, gamma)
         vals = np.einsum("ek,eks->es", vloc, F)
-        return np.einsum("es,es,es->e", np.sign(coef), vals, vals)
+        vals_i = np.einsum("ek,eks->es", vloc[:, : self.n0], Fi)
+        return vals ** 2 @ sign + vals_i ** 2 @ sign_i
 
     # -- weak operators for local coefficient vectors (E, ndof) --
 
@@ -301,14 +309,6 @@ class ElementKernel:
         """The corrections delta1 (E, 2, 2) and delta2 (E,)."""
         return (np.einsum("ek,ekab->eab", vloc, self.delta1),
                 np.einsum("ek,ek->e", vloc, self.delta2))
-
-    def classical_gradient(self, vloc: np.ndarray) -> np.ndarray:
-        """Gradient of v0 at the volume rule; (E, nq, 2, 2)."""
-        return np.einsum("ek,eknab->enab", vloc[:, : self.n0], self.G0)
-
-    def rb_jump_values(self, vloc: np.ndarray) -> np.ndarray:
-        """R_b(vb - v0) on every local edge at the edge rule; (E, m, nqe, 2)."""
-        return np.einsum("ek,emknc->emnc", vloc, self.rb_jumps)
 
     def moment_residuals(self, vloc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residuals of the correction moment equations for weak functions:
@@ -318,6 +318,21 @@ class ElementKernel:
         rhs1 = np.einsum("ek,ekab->eab", vloc, self.jump_flux).reshape(-1, 4)
         rhs2 = np.einsum("ek,ek->e", vloc, self.jump_divflux)
         return lhs1 - rhs1, self.qarea * d2 - rhs2
+
+
+def _strain_samples(g: np.ndarray, div: np.ndarray) -> np.ndarray:
+    """(e11, e22, sqrt(2) e12, div) of gradients g (..., 2, 2) on a new last axis."""
+    return np.stack([g[..., 0, 0], g[..., 1, 1],
+                     np.sqrt(0.5) * (g[..., 0, 1] + g[..., 1, 0]), div], axis=-1)
+
+
+def _signed_gram(F: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """sum_s sign_s F[:, i, s] F[:, j, s]: F F^T less twice the negative samples'."""
+    A = F @ F.transpose(0, 2, 1)
+    if (sign < 0).any():
+        Fn = F[:, :, sign < 0]
+        A -= 2.0 * (Fn @ Fn.transpose(0, 2, 1))
+    return A
 
 
 # -- admissibility predicates for (V^b, R_b) --

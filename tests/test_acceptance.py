@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from conftest import (
+    divergence_of_stress_fd,
     kernel,
     make_spaces,
     operator_identity_residuals,
@@ -20,7 +21,7 @@ from gwgfem import solver
 from gwgfem.assembly import assemble, extract_solution, interpolate, seminorm
 from gwgfem.cli import RunConfig, check_assumptions, run_convergence
 from gwgfem.mesh import build_rectangular, build_triangular
-from gwgfem.postproc import divergence_of_stress_fd, error_norms, manufactured
+from gwgfem.postproc import error_norms, manufactured
 from gwgfem.weakops import parse_rb
 
 QB = parse_rb("qb")
@@ -144,7 +145,7 @@ class TestCriterion6Properties:
                                np.abs(kern.delta2 - d2c).max())
         ok = worst_mom < 1e-12 and worst_cf < 1e-12
         assert _emit("criterion 6a", ok,
-                     f"moment residual {worst_mom:.2e}, closed-form vs Gram "
+                     f"moment residual {worst_mom:.2e}, closed-form vs kernel corrections "
                      f"{worst_cf:.2e} (both < 1e-12)")
 
     def test_rigid_motion_kernel(self):

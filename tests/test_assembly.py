@@ -91,6 +91,31 @@ class TestLocalStiffness:
             diff = np.abs(kern.energy(v, *params) - quad)
             assert diff.max() <= 1e-12 * np.abs(quad).max()
 
+    @pytest.mark.parametrize("mesh_kind,interior,boundary,rb", [
+        ("rect", "sin", "p0", QB), ("tri", "p1", "rm", ID),
+        ("tri", "sigmoid", "p1", QB), ("rect", "p1", "p1", QB),
+    ])
+    def test_stiffness_matches_unsplit_samples(self, mesh_kind, interior, boundary, rb):
+        # local_stiffness splits the strain and divergence samples at the
+        # constant correction; the reference sums them point by point
+        mesh = (build_rectangular if mesh_kind == "rect" else build_triangular)(3)
+        kern = kernel(mesh, make_spaces(mesh, interior, boundary, seed=4), rb)
+        E, nq = kern.vol.weights.shape
+        grad = np.zeros((E, kern.ndof, nq, 2, 2))
+        grad[:, : kern.n0] = kern.G0
+        eps = 0.5 * (grad + grad.transpose(0, 1, 2, 4, 3)) \
+            + 0.5 * (kern.delta1 + kern.delta1.transpose(0, 1, 3, 2))[:, :, None]
+        div = np.trace(grad, axis1=3, axis2=4) + kern.delta2[:, :, None]
+        w, J = kern.vol.weights, kern.rb_jumps
+        for mu, lam, rho, gamma in ((0.5, 1.0, 1.0, -1.0), (0.5, 1e6, 1.0, 0.0),
+                                    (0.5, 1.0, -1.0, -1.0)):
+            ref = (2 * mu * np.einsum("eiqab,ejqab,eq->eij", eps, eps, w)
+                   + lam * np.einsum("eiq,ejq,eq->eij", div, div, w)
+                   + np.einsum("e,emiqc,emjqc,emq->eij", rho * kern.diameter ** gamma,
+                               J, J, kern.edge_weights))
+            A = kern.local_stiffness(mu, lam, rho, gamma)
+            assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_local_matrix_symmetry(self):
         mesh = build_triangular(2)
         spaces = make_spaces(mesh, "sigmoid", "rm", seed=8)

@@ -210,6 +210,16 @@ class TestRun:
         assert err.startswith("space conditioning failure: element 0")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_overflowing_space_exits_solver(self, command, capsys):
+        # lrelu:1e300 overflows the Gram matrices to inf: every draw is
+        # rejected, with no traceback
+        code = main([command, "--levels", "2,4", "--interior", "lrelu:1e300"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("space conditioning failure: element 0")
+        assert err.count("\n") == 1
+
 
 class TestCheck:
     def test_admissible_pair(self, capsys):

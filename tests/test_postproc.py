@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_spaces, vec_field
+from conftest import divergence_of_stress_fd, make_spaces, vec_field
 from gwgfem.assembly import interpolate
 from gwgfem.mesh import build_rectangular, build_triangular
 from gwgfem.postproc import (
     ConvergenceReport,
     NORM_KEYS,
-    divergence_of_stress_fd,
     emit,
     error_norms,
     manufactured,

@@ -9,6 +9,7 @@ from gwgfem.spaces import (
     ElementRandomParams,
     InteriorSpaceConfig,
     SpaceConditioningError,
+    _activation_args,
     build_spaces,
     eval_boundary,
     eval_interior,
@@ -17,6 +18,7 @@ from gwgfem.spaces import (
     parse_boundary,
     parse_interior,
     sample_element_params,
+    spd_condition,
 )
 
 
@@ -112,6 +114,17 @@ class TestSampling:
 
 
 class TestEvaluation:
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_activation_args_match_einsum(self, shape):
+        # two broadcast products give the difference einsum's bits
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(size=shape + (36, 2))
+        prm = ElementRandomParams(w=rng.uniform(-0.5, 0.5, shape + (4, 2)),
+                                  x0=rng.uniform(size=shape + (4, 2)))
+        ref = np.einsum("...pqd,...pd->...pq",
+                        pts[..., None, :, :] - prm.x0[..., :, None, :], prm.w)
+        assert np.array_equal(_activation_args(pts, prm), ref)
+
     def test_zero_direction_sin(self):
         m = build_rectangular(1)
         cfg = parse_interior("sin")
@@ -304,3 +317,12 @@ class TestConditioning:
         prm = ElementRandomParams(w=np.zeros((4, 2)), x0=np.full((4, 2), 0.5))
         c = interior_gram_condition(m, 0, parse_interior("sin"), prm, 10)
         assert c > GRAM_CONDITION_LIMIT
+
+    def test_nonfinite_gram_is_rejected(self):
+        # eigvalsh does not converge on these; every one must read inf
+        grams = np.stack([np.eye(3), np.diag([1.0, np.inf, 1.0]), np.full((3, 3), np.nan)])
+        assert spd_condition(grams).tolist() == [1.0, np.inf, np.inf]
+        m = build_rectangular(1)
+        prm = ElementRandomParams(w=np.full((4, 2), 0.3), x0=np.full((4, 2), 0.5))
+        huge = parse_interior("lrelu:1e300")  # slope**2 overflows the Gram matrix
+        assert interior_gram_condition(m, 0, huge, prm, 10) == np.inf

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kernel, make_spaces, vec_field, weak_gradient, weak_strain
+from conftest import (classical_gradient, kernel, make_spaces, rb_jump_values, vec_field,
+                      weak_gradient, weak_strain)
 from gwgfem.assembly import interpolate, project_interior
 from gwgfem.mesh import build_rectangular, build_triangular
 from gwgfem.spaces import eval_boundary, eval_interior, parse_boundary
@@ -40,7 +41,7 @@ def project_traces(rule, edges, field):
 
 
 def divergence(kern, vloc):
-    return np.trace(kern.classical_gradient(vloc), axis1=2, axis2=3) \
+    return np.trace(classical_gradient(kern, vloc), axis1=2, axis2=3) \
         + kern.correction_pair(vloc)[1][:, None]
 
 
@@ -72,7 +73,28 @@ class TestApplyRb:
         v0 = np.einsum("j,jmnc->mnc", vloc[0, : kern.n0],
                        eval_interior(mesh, 0, spaces.interior, None,
                                      pts.reshape(-1, 2)).reshape(kern.n0, *pts.shape))
-        assert np.allclose(kern.rb_jump_values(vloc)[0], vb - v0, atol=1e-14)
+        assert np.allclose(rb_jump_values(kern, vloc)[0], vb - v0, atol=1e-14)
+
+    @pytest.mark.parametrize("rb", [QB, ID])
+    def test_kernel_jump_rows(self, rb):
+        # edge basis functions lie in V^b: their rows are their own edge's
+        # basis values and 0 elsewhere; interior rows are R_b of -traces
+        mesh = build_triangular(2)
+        spaces = make_spaces(mesh, "sin", "p1", seed=3)
+        kern = kernel(mesh, spaces, rb)
+        rule = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
+        E, m, _, nqe, _ = kern.rb_jumps.shape
+        tr0 = eval_interior(mesh, kern.eids, spaces.interior, spaces.element_params(kern.eids),
+                            kern.edge_points.reshape(E, -1, 2))
+        jump0 = -np.swapaxes(tr0.reshape(E, kern.n0, m, nqe, 2), 1, 2)
+        expect = rule.apply(kern.edge_ids, jump0) if rb.kind == "qb" else jump0
+        assert np.abs(kern.rb_jumps[:, :, : kern.n0] - expect).max() < 1e-14
+        edge_rows = kern.rb_jumps[:, :, kern.n0:].reshape(E, m, m, kern.nb, nqe, 2)
+        for le in range(m):
+            for other in range(m):
+                want = rule.basis[kern.edge_ids[:, le]] if other == le else 0.0
+                assert np.array_equal(edge_rows[:, le, other],
+                                      np.broadcast_to(want, edge_rows[:, le, other].shape))
 
     @pytest.mark.parametrize("kind", ["p0", "p1", "rm"])
     def test_idempotent_on_traces(self, kind):
@@ -165,7 +187,7 @@ class TestWeakOperators:
         mesh, spaces, wf = unit_square_weak_x()
         kern = kernel(mesh, spaces, ID)
         vloc = wf.local_coefficients(mesh, kern.eids)
-        classical = kern.classical_gradient(vloc)
+        classical = classical_gradient(kern, vloc)
         assert np.allclose(classical[0, 0], [[1.0, 0.0], [0.0, 0.0]], atol=1e-13)
         assert np.abs(weak_gradient(kern, vloc)).max() < 1e-12
         assert np.abs(divergence(kern, vloc)).max() < 1e-12
@@ -191,7 +213,7 @@ class TestWeakOperators:
         wf = interpolate(mesh, spaces, smooth)
         kern = kernel(mesh, spaces, QB)
         vloc = wf.local_coefficients(mesh, kern.eids)
-        assert np.allclose(weak_gradient(kern, vloc), kern.classical_gradient(vloc),
+        assert np.allclose(weak_gradient(kern, vloc), classical_gradient(kern, vloc),
                            atol=1e-12)
 
     def test_trace_of_delta1_equals_delta2(self):
