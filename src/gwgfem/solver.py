@@ -9,8 +9,8 @@ D carry the inertia).  SuperLU still pivots off the diagonal after a zero
 diagonal pivot, which a positive definite matrix never produces, so row
 and column permutations that differ are reported as indefiniteness.  Every
 solution is refined (at most three steps) and re-verified against
-``RESIDUAL_TOL`` by an independent matrix-vector multiply; a miss raises
-:class:`IterationLimitError`.
+``RESIDUAL_TOL`` by an independent matrix-vector multiply; a miss, a
+non-finite residual included, raises :class:`IterationLimitError`.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ def solve(matrix, rhs: np.ndarray) -> SolveReport:
 
     The matrix is factored in the order it is given, so its numbering sets
     the fill; a CSC matrix is used without a copy.  Indefiniteness,
-    singularity and a residual above ``RESIDUAL_TOL`` after refinement are
-    reported as structured errors rather than ignored.
+    singularity and a residual above ``RESIDUAL_TOL`` (or not finite) after
+    refinement are reported as structured errors rather than ignored.
     """
     A = sparse.csc_matrix(matrix)
     b = np.asarray(rhs, dtype=float)
@@ -152,11 +152,11 @@ def solve(matrix, rhs: np.ndarray) -> SolveReport:
     x = lu.solve(b)
     steps = 0
     res = _relative_residual(A, b, x)
-    while res > RESIDUAL_TOL and steps < 3:  # iterative refinement
+    while not res <= RESIDUAL_TOL and steps < 3:  # iterative refinement; NaN is a miss
         x = x + lu.solve(b - A @ x)
         steps += 1
         res = _relative_residual(A, b, x)
-    if res > RESIDUAL_TOL:
+    if not res <= RESIDUAL_TOL:
         raise IterationLimitError(
             f"factorization residual {res:.3e} exceeds tolerance {RESIDUAL_TOL:.1e} "
             f"after {steps} refinement steps", residual=res)

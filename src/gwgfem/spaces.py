@@ -7,9 +7,10 @@ anchor x0_i are drawn independently on every element.  Activation basis
 vectors alternate components: the i-th one (1-based) lives in component 1
 for odd i and component 2 for even i.
 
-Edge spaces are constant vectors (dimension 2), linear vectors in an
-edge-local coordinate (dimension 4), or rigid motions span{(1,0), (0,1),
-(-y, x)} restricted to the edge (dimension 3).
+Edge spaces are constant vectors (dimension 2), linear vectors in the
+edge-local coordinate (dimension 4), or rigid motions restricted to the
+edge (dimension 3): the constants and the rotation about the edge
+midpoint, in that same coordinate (x - x_e)/length.
 
 Basis ordering is fixed and documented per kind; weak-function
 coefficient blocks refer to these orderings.  The evaluation functions
@@ -315,24 +316,25 @@ def eval_boundary(
     """Edge basis values at ``points`` on the edge; shape (dim, nq, 2), or
     (E, dim, nq, 2) for an array of E edges.
 
-    p0: (1,0), (0,1).  p1: additionally (s,0), (0,s) where s is the
-    midpoint-centered arclength coordinate along the canonical tangent,
-    scaled by 1/length.  rm: (1,0), (0,1), (-y, x) at the global point.
-    All values are identical from either owner element.
+    Both higher kinds use the edge-local coordinate r = (x - x_e)/length,
+    with x_e the edge midpoint.  p0: (1,0), (0,1).  p1: additionally (s,0),
+    (0,s) with s = r . t along the canonical tangent t.  rm: (1,0), (0,1),
+    (-r_y, r_x), the rotation about the midpoint.  All values are identical
+    from either owner element.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros(points.shape[:-2] + (cfg.dim,) + points.shape[-2:])
     out[..., 0, :, 0] = 1.0
     out[..., 1, :, 1] = 1.0
+    rel = points - mesh.edge_midpoint[edge_id][..., None, :]
+    length = mesh.edge_length[edge_id][..., None]
     if cfg.kind == "p1":
-        rel = points - mesh.edge_midpoint[edge_id][..., None, :]
-        s = (np.einsum("...nc,...c->...n", rel, mesh.edge_tangent[edge_id])
-             / mesh.edge_length[edge_id][..., None])
+        s = np.einsum("...nc,...c->...n", rel, mesh.edge_tangent[edge_id]) / length
         out[..., 2, :, 0] = s
         out[..., 3, :, 1] = s
     elif cfg.kind == "rm":
-        out[..., 2, :, 0] = -points[..., 1]
-        out[..., 2, :, 1] = points[..., 0]
+        out[..., 2, :, 0] = -rel[..., 1] / length
+        out[..., 2, :, 1] = rel[..., 0] / length
     return out
 
 

@@ -22,7 +22,8 @@ and applies R_b to interior traces only, as edge bases lie in V^b.  Elements
 are independent of one another, so the element kernel works on a block of
 elements at once, with arrays carrying a leading element axis.  Edge
 data (quadrature, basis values, Gram matrices and projectors) is one
-:class:`EdgeRule` of arrays over every edge of a mesh, built by the
+:class:`EdgeRule` of arrays over every edge of a mesh, all in the one
+edge basis of :func:`gwgfem.spaces.eval_boundary`, built by the
 caller at the level's degree (``SpaceSet.quad_degree``) and gathered per
 element through ``mesh.element_edges``; the kernel's volume rule has the
 same degree.  The admissibility predicates take one edge rule, which
@@ -110,30 +111,26 @@ class WeakFunction:
 class EdgeRule:
     """Gauss rule and L2-projection data of V^b(e) for every edge of a mesh.
 
-    Arrays carry a leading edge axis.  The projection is solved in a
-    midpoint-centered basis of the same span (for ``rm`` the rotation
-    vector is centered, which keeps the Gram matrix well conditioned far
-    from the origin): ``coeff_map`` maps values at the rule's points to
-    centered coefficients, and ``to_global`` maps those to coefficients in
-    the global basis of :func:`gwgfem.spaces.eval_boundary`.
+    Arrays carry a leading edge axis.  The basis is the one of
+    :func:`gwgfem.spaces.eval_boundary`; ``coeff_map`` maps values at the
+    rule's points to coefficients in it and ``projector`` maps values to
+    the values of their projection.
     """
 
     points: np.ndarray  # (ned, nq, 2)
     weights: np.ndarray  # (ned, nq), summing to the edge length
-    basis: np.ndarray  # (ned, nb, nq, 2) global-basis values at the points
-    gram: np.ndarray  # (ned, nb, nb) Gram matrix of the centered basis
-    coeff_map: np.ndarray  # (ned, nb, 2 nq) values -> centered coefficients
-    to_global: np.ndarray  # (ned, nb, nb) centered -> global coefficients
+    basis: np.ndarray  # (ned, nb, nq, 2) basis values at the points
+    gram: np.ndarray  # (ned, nb, nb) Gram matrix of the basis
+    coeff_map: np.ndarray  # (ned, nb, 2 nq) values -> coefficients
     projector: np.ndarray  # (ned, 2 nq, 2 nq) in flattened (point, component) space
 
     def project(self, edges, field_fn) -> np.ndarray:
         """L2 projection of a vector field onto V^b(e) for ``edges`` (an id
-        or an array of ids); coefficients in the global basis."""
+        or an array of ids); coefficients in the edge basis."""
         pts = self.points[edges]
         vals = np.asarray(field_fn(pts.reshape(-1, 2)), dtype=float)
         vals = vals.reshape(pts.shape[:-2] + (-1,))
-        coeffs = np.einsum("...jk,...k->...j", self.coeff_map[edges], vals)
-        return np.einsum("...ij,...j->...i", self.to_global[edges], coeffs)
+        return np.einsum("...jk,...k->...j", self.coeff_map[edges], vals)
 
     def apply(self, edges, values: np.ndarray) -> np.ndarray:
         """Project k traces per edge: ``values`` has shape
@@ -145,31 +142,22 @@ class EdgeRule:
 
 def edge_rule(mesh: Mesh2D, cfg: BoundarySpaceConfig, quad_degree: int) -> EdgeRule:
     """Gauss-Legendre rule of degree ``quad_degree`` on every edge, with the
-    edge-space basis values, Gram matrices and projectors."""
+    values of the :func:`gwgfem.spaces.eval_boundary` basis at its points,
+    and the Gram matrices and projectors of that basis (no change of
+    basis)."""
     _check_degree(quad_degree)
     x, w = _gauss_1d((quad_degree + 2) // 2)
     edges = np.arange(mesh.num_edges)
     vec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
-    offsets = (x - 0.5)[None, :, None] * vec[:, None, :]  # relative to midpoint
-    mid = mesh.edge_midpoint
-    points = mid[:, None, :] + offsets
+    points = mesh.edge_midpoint[:, None, :] + (x - 0.5)[None, :, None] * vec[:, None, :]
     weights = w[None, :] * np.hypot(vec[:, 0], vec[:, 1])[:, None]
     basis = eval_boundary(mesh, edges, cfg, points)
-
-    centered = basis.copy()
-    if cfg.kind == "rm":
-        centered[:, 2, :, 0] = -offsets[:, :, 1]
-        centered[:, 2, :, 1] = offsets[:, :, 0]
-    gram = np.einsum("einc,ejnc,en->eij", centered, centered, weights)
-    flat = centered.reshape(len(edges), cfg.dim, -1)
+    gram = np.einsum("einc,ejnc,en->eij", basis, basis, weights)
+    flat = basis.reshape(len(edges), cfg.dim, -1)
     coeff_map = np.linalg.solve(gram, flat * np.repeat(weights, 2, axis=1)[:, None, :])
     projector = np.swapaxes(flat, 1, 2) @ coeff_map
-    to_global = np.tile(np.eye(cfg.dim), (len(edges), 1, 1))
-    if cfg.kind == "rm":  # (-y, x) = centered rotation - (mid_y, -mid_x)
-        to_global[:, 0, 2] = mid[:, 1]
-        to_global[:, 1, 2] = -mid[:, 0]
     return EdgeRule(points=points, weights=weights, basis=basis, gram=gram,
-                    coeff_map=coeff_map, to_global=to_global, projector=projector)
+                    coeff_map=coeff_map, projector=projector)
 
 
 class ElementKernel:
@@ -224,7 +212,8 @@ class ElementKernel:
             J[:, le, base: base + self.nb] = edges.basis[self.edge_ids[:, le]]
         edge_int = np.einsum("emknc,emn->emkc", J, self.edge_weights)
         self.jump_flux = np.einsum("emkc,emd->ekcd", edge_int, self.normals)
-        self.jump_divflux = np.einsum("emkc,emc->ek", edge_int, self.normals)
+        # R_b jump . n is the trace of R_b jump (x) n
+        self.jump_divflux = self.jump_flux[..., 0, 0] + self.jump_flux[..., 1, 1]
 
         # corrections: the correction spaces are constant, so each moment
         # problem's Gram matrix is the volume rule's total weight q_T times
@@ -357,9 +346,11 @@ def check_rigid_motion_invariance(mesh: Mesh2D, rule: EdgeRule,
                                   rb: RbOperator) -> AssumptionCheck:
     """Does R_b fix rigid-motion traces on every edge?
 
-    Checks the generators (1,0), (0,1), (-y,x) against their R_b images at
-    the points of the edge rule ``rule`` of V^b.  The identity passes
-    trivially; the projection passes iff rigid-motion traces lie in V^b(e).
+    Checks the generators of the edge's rigid-motion traces, (1,0), (0,1)
+    and the rotation about the edge midpoint in the edge-local coordinate
+    (the ``rm`` basis), against their R_b images at the points of the edge
+    rule ``rule`` of V^b.  The identity passes trivially; the projection
+    passes iff rigid-motion traces lie in V^b(e).
     """
     name = "rigid-motion invariance"
     if rb.kind == "identity":

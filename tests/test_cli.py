@@ -220,6 +220,20 @@ class TestRun:
         assert err.startswith("space conditioning failure: element 0")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("lam", ["1e-310", "1e-300"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_nonfinite_data_exits_solver(self, lam, capsys):
+        # x / lambda overflows in the Dirichlet data of example 2 (numpy
+        # warns of it): the residual is not finite, which is a solver
+        # failure, not a result
+        code = main(["run", "--example", "2", "--lambda", lam, "--levels", "2,4"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.count("solver failure") == 1
+        assert "solver failure: factorization residual nan" in captured.err
+
 
 class TestCheck:
     def test_admissible_pair(self, capsys):

@@ -4,7 +4,7 @@ from scipy import sparse
 
 from conftest import make_spaces
 from gwgfem import assembly, solver
-from gwgfem.mesh import build_rectangular
+from gwgfem.mesh import build_rectangular, build_triangular
 from gwgfem.postproc import manufactured
 from gwgfem.solver import (
     IndefiniteMatrixError,
@@ -83,9 +83,34 @@ class TestDirectPath:
             solve_system(_table_system(4))
         assert err.value.residual > 0
 
+    def test_nan_residual_is_a_miss(self):
+        # NaN > tol is False: a non-finite residual must not pass as met
+        with pytest.raises(IterationLimitError, match="residual nan") as err:
+            solve(sparse.eye(2, format="csc"), np.array([np.nan, 1.0]))
+        assert np.isnan(err.value.residual)
+
     def test_paths_agree_on_table_scale_system(self):
         system = _table_system(16)
         rep = solve_system(system)
         dense = np.linalg.solve(system.matrix.toarray(), system.rhs)
         assert rep.iterations == 0
         assert np.linalg.norm(rep.x - dense) / np.linalg.norm(dense) < 1e-8
+
+
+def _tri_condition(n, boundary, rb="qb", lam=1.0, gamma=-1.0, example=1):
+    mesh = build_triangular(n)
+    spaces = make_spaces(mesh, "p1", boundary)
+    case = manufactured(f"example{example}", 0.5, lam)
+    system = assembly.assemble(mesh, spaces, parse_rb(rb), 0.5, lam, 1.0, gamma,
+                               case.f, case.g)
+    return solve_system(system).condition_estimate
+
+
+class TestRigidMotionConditioning:
+    """The rm edge basis is scaled like p1's, so its systems condition alike."""
+
+    def test_rm_like_p1(self):
+        assert _tri_condition(16, "rm") < 4.0 * _tri_condition(16, "p1")
+
+    def test_rm_identity_locking(self):
+        assert _tri_condition(32, "rm", rb="id", lam=1e6, gamma=0.0, example=2) < 1e11

@@ -224,10 +224,19 @@ class TestBoundaryBasis:
         assert np.allclose(vals[0, 0], [1, 0])
         assert np.allclose(vals[1, 0], [0, 1])
 
-    def test_rm_third_vector_global(self):
-        m = build_rectangular(1)
-        vals = eval_boundary(m, 0, parse_boundary("rm"), np.array([[0.5, 0.25]]))
-        assert np.allclose(vals[2, 0], [-0.25, 0.5])
+    @pytest.mark.parametrize("build", [build_rectangular, build_triangular])
+    def test_rm_third_vector_rotates_about_midpoint(self, build):
+        # (-r_y, r_x) with r = (x - x_e)/|e|: 0 at the midpoint and
+        # +-(1/2)(-t_y, t_x) at the endpoints x_e +- (1/2)|e| t
+        m = build(3)
+        cfg = parse_boundary("rm")
+        for e in range(m.num_edges):
+            mid, t = m.edge_midpoint[e], m.edge_tangent[e]
+            pts = mid + np.outer([0.0, 0.5, -0.5], m.edge_length[e] * t)
+            vals = eval_boundary(m, e, cfg, pts)[2]
+            assert np.array_equal(vals[0], [0.0, 0.0])
+            assert np.allclose(vals[1], [-0.5 * t[1], 0.5 * t[0]], atol=1e-15)
+            assert np.allclose(vals[2], [0.5 * t[1], -0.5 * t[0]], atol=1e-15)
 
     def test_p1_coordinate_vanishes_at_midpoint(self):
         m = build_rectangular(2)
