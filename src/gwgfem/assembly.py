@@ -9,11 +9,12 @@ domain boundary and
 for all weak test functions vanishing on the boundary.  Interior dofs
 couple only to their own element's edges, so they are condensed out
 element by element (static condensation) and the global unknowns are the
-free edge blocks only, numbered by nested dissection so that the solver
-factors the matrix in the order it is given.  Dirichlet data is enforced by
-elimination: fixed edge blocks are moved to the load vector, which keeps
-the reduced matrix symmetric positive definite whenever the admissibility
-predicates hold.
+free edge blocks only, numbered by nested dissection.  The dissection
+tree travels with the numbering (``DofMap.tree``), and the solver
+continues the same elimination up that tree, front by front.  Dirichlet
+data is enforced by elimination: fixed edge blocks are moved to the load
+vector, which keeps the reduced matrix symmetric positive definite
+whenever the admissibility predicates hold.
 
 Every quadrature rule has the level's degree, ``spaces.quad_degree``.  Each
 function builds the rules it needs and drops them when it returns: one edge
@@ -48,13 +49,15 @@ __all__ = [
 @dataclass(frozen=True)
 class DofMap:
     """Unknown numbering: one block per interior edge, blocks in
-    nested-dissection order.  Dirichlet (boundary) edges carry fixed
-    coefficients and element interiors are condensed, so neither is among
-    the unknowns."""
+    nested-dissection order, and the dissection tree over the edges, which
+    :func:`~gwgfem.solver.solve` factors along.  Dirichlet (boundary) edges
+    carry fixed coefficients and element interiors are condensed, so
+    neither is among the unknowns."""
 
     nb: int
     edge_offset: np.ndarray  # (ned,) start of the edge block, -1 if fixed
     num_unknowns: int
+    tree: tuple = ()  # dissection levels, see :func:`_nested_dissection`
 
 
 @dataclass
@@ -71,8 +74,9 @@ class DiscreteSystem:
     recovery: np.ndarray = field(repr=False)
 
 
-def _nested_dissection(mesh: Mesh2D, free: np.ndarray) -> np.ndarray:
-    """Number of every free edge in a nested-dissection order.
+def _nested_dissection(mesh: Mesh2D, free: np.ndarray) -> tuple:
+    """Number of every free edge in a nested-dissection order, and the
+    dissection tree.
 
     The graph has one node per free edge; two nodes are adjacent when their
     edges share an element.  Each part is bisected at the median edge
@@ -83,6 +87,11 @@ def _nested_dissection(mesh: Mesh2D, free: np.ndarray) -> np.ndarray:
     split at once: the unnumbered nodes are kept in two lists grouped by
     part in numbering order, sorted within each part by x and by y, which a
     stable partition keeps sorted, so no level sorts by coordinate.
+
+    The tree has one ``(parts, 4)`` array per level, root first: each
+    part's first number and its left, right and separator counts.  A part's
+    children are the parts of the next level inside its left and right
+    ranges; :func:`~gwgfem.solver.solve` factors along it.
     """
     nf = len(free)
     node = np.full(mesh.num_edges, nf)  # nf marks a fixed edge
@@ -91,6 +100,7 @@ def _nested_dissection(mesh: Mesh2D, free: np.ndarray) -> np.ndarray:
     xy = mesh.edge_midpoint[free].T.copy()  # (2, nf)
     pos = np.zeros(nf, dtype=np.int64)  # start of the node's part, then its number
     lists = [np.argsort(xy[k], kind="stable") for k in (0, 1)]
+    tree = []
     while lists[0].size:
         ox, oy = lists
         start = pos[ox]
@@ -116,6 +126,7 @@ def _nested_dissection(mesh: Mesh2D, free: np.ndarray) -> np.ndarray:
         k = cls[ox]
         n = np.bincount(3 * g + k, minlength=3 * head.size).reshape(-1, 3)
         off = start[head, None] + np.cumsum(n, axis=1) - n  # block starts
+        tree.append(np.column_stack([start[head], n]))
         live = k < 2
         pos[ox[live]] = off[g[live], k[live]]
         lists = [o[np.argsort(3 * g + cls[o], kind="stable")] for o in lists]
@@ -125,18 +136,20 @@ def _nested_dissection(mesh: Mesh2D, free: np.ndarray) -> np.ndarray:
             i = np.flatnonzero((cls[o] == 2) & use[g])
             pos[o[i]] = shift[g[i]] + i
         lists = [o[cls[o] < 2] for o in lists]
-    return pos
+    return pos, tuple(tree)
 
 
 def dof_map(mesh: Mesh2D, spaces: SpaceSet) -> DofMap:
     """Number the free edge blocks by nested dissection of the edge graph
-    (see :func:`_nested_dissection`); the same mesh always gives the same
-    numbering."""
+    and keep its tree (see :func:`_nested_dissection`); the same mesh
+    always gives the same numbering."""
     nb = spaces.boundary.dim
     free = np.nonzero(~mesh.boundary)[0]
     edge_offset = np.full(mesh.num_edges, -1, dtype=np.int64)
-    edge_offset[free] = nb * _nested_dissection(mesh, free)
-    return DofMap(nb=nb, edge_offset=edge_offset, num_unknowns=nb * len(free))
+    pos, tree = _nested_dissection(mesh, free)
+    edge_offset[free] = nb * pos
+    return DofMap(nb=nb, edge_offset=edge_offset, num_unknowns=nb * len(free),
+                  tree=tree)
 
 
 def apply_dirichlet(mesh: Mesh2D, edges: EdgeRule, g) -> np.ndarray:

@@ -10,8 +10,9 @@ Two subcommands:
 
 Exit codes: 0 success, 2 configuration error (an output path that cannot
 be written included), 3 solver failure (or an element space that stays
-ill-conditioned after resampling), 4 assumption-check failure under
---strict.
+ill-conditioned after resampling, or a numerical warning such as an
+overflow in the data when warnings are errors, ``python -W error``),
+4 assumption-check failure under --strict.
 
 Element interiors are always condensed out of the global system;
 ``--condense`` (the ``condense`` config key, ``RunConfig.condense``) is
@@ -290,6 +291,9 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     except SpaceConditioningError as exc:
         print(f"space conditioning failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except RuntimeWarning as exc:  # raised only when warnings are errors
+        print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 

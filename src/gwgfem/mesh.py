@@ -110,8 +110,10 @@ def _finish_mesh(kind: str, n: int, vertices: np.ndarray, elements: np.ndarray) 
     loc = np.tile(np.arange(m), ne)
     v0 = elements[ea, loc]
     v1 = elements[ea, (loc + 1) % m]
-    key = np.sort(np.column_stack([v0, v1]), axis=1)
-    edges, inverse = np.unique(key, axis=0, return_inverse=True)
+    lo, hi = np.minimum(v0, v1).astype(np.int64), np.maximum(v0, v1)
+    nv = vertices.shape[0]
+    key, inverse = np.unique(lo * nv + hi, return_inverse=True)
+    edges = np.column_stack([key // nv, key % nv])
     element_edges = inverse.reshape(ne, m)
 
     # owners in element order: the first element touching an edge takes slot 0

@@ -206,6 +206,14 @@ class TestGlobalSystem:
         assert np.array_equal(np.sort(dm.edge_offset[free]),
                               np.arange(0, dm.num_unknowns, dm.nb))
         assert np.array_equal(dof_map(mesh, spaces).edge_offset, dm.edge_offset)
+        # every node is a separator node of exactly one part of the tree
+        seps = [(p[:, 0] + p[:, 1] + p[:, 2], p[:, 3]) for p in dm.tree]
+        starts = np.concatenate([a for a, _ in seps] or [np.zeros(0, int)])
+        counts = np.concatenate([c for _, c in seps] or [np.zeros(0, int)])
+        covered = np.zeros(free.sum(), dtype=int)
+        for a, c in zip(starts, counts):
+            covered[a:a + c] += 1
+        assert np.all(covered == 1)
 
     def test_numbering_reduces_fill(self):
         # factored in the order assembly gives, the edge system fills in

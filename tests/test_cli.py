@@ -234,6 +234,18 @@ class TestRun:
         assert captured.err.count("solver failure") == 1
         assert "solver failure: factorization residual nan" in captured.err
 
+    @pytest.mark.parametrize("lam", ["1e-310", "1e-300"])
+    @pytest.mark.filterwarnings("error")
+    def test_nonfinite_data_exits_solver_under_warnings_as_errors(self, lam, capsys):
+        # as ``python -W error``: numpy's overflow warning is raised where the
+        # data is evaluated, and is still a solver failure on one line
+        code = main(["run", "--example", "2", "--lambda", lam, "--levels", "2,4"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("solver failure: overflow encountered")
+        assert captured.err.count("\n") == 1
+
 
 class TestCheck:
     def test_admissible_pair(self, capsys):

@@ -9,7 +9,6 @@ from gwgfem.postproc import manufactured
 from gwgfem.solver import (
     IndefiniteMatrixError,
     IterationLimitError,
-    SingularMatrixError,
     solve,
     solve_system,
 )
@@ -55,15 +54,16 @@ class TestDirectPath:
         assert err.value.pivot is not None
 
     def test_off_diagonal_pivot_is_not_certified(self):
-        # eigenvalues +-1: SuperLU pivots off the diagonal, and the positive
-        # U diagonal it then reports says nothing about definiteness
-        with pytest.raises(IndefiniteMatrixError):
+        # eigenvalues +-1: an LU that pivots off the diagonal reports positive
+        # pivots here, while the Cholesky stops at the zero first pivot
+        with pytest.raises(IndefiniteMatrixError) as err:
             solve(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 2.0]))
+        assert err.value.pivot == 0
 
     def test_singular_raises(self):
         A = np.zeros((3, 3))
         A[0, 0] = 1.0
-        with pytest.raises((SingularMatrixError, IndefiniteMatrixError)):
+        with pytest.raises(IndefiniteMatrixError):
             solve(A, np.ones(3))
 
     def test_condition_estimate_reasonable(self):
@@ -95,6 +95,79 @@ class TestDirectPath:
         dense = np.linalg.solve(system.matrix.toarray(), system.rhs)
         assert rep.iterations == 0
         assert np.linalg.norm(rep.x - dense) / np.linalg.norm(dense) < 1e-8
+
+
+def _assembled(build, n, interior, boundary):
+    mesh = build(n)
+    spaces = make_spaces(mesh, interior, boundary)
+    case = manufactured("example1", 0.5, 1.0)
+    return assembly.assemble(mesh, spaces, parse_rb("qb"), 0.5, 1.0, 1.0, -1.0,
+                             case.f, case.g)
+
+
+class TestMultifrontalPath:
+    """Factorization along the assembly's nested-dissection tree."""
+
+    @pytest.mark.parametrize("build,n,interior,boundary", [
+        (build_rectangular, 1, "p1", "p0"),
+        (build_rectangular, 2, "p1", "p0"),
+        (build_rectangular, 7, "p1", "p1"),
+        (build_rectangular, 8, "sin", "rm"),
+        (build_triangular, 5, "p1", "p0"),
+        (build_triangular, 8, "p1", "rm"),
+        (build_triangular, 16, "p1", "p1"),
+        (build_triangular, 8, "sin", "p0"),
+    ])
+    def test_agrees_with_dense_solve(self, build, n, interior, boundary):
+        system = _assembled(build, n, interior, boundary)
+        rep = solve_system(system)
+        if system.dofmap.num_unknowns == 0:  # rect n=1: every edge is fixed
+            assert rep.x.shape == (0,)
+            return
+        A = system.matrix.toarray()
+        dense = np.linalg.solve(A, system.rhs)
+        assert np.linalg.norm(rep.x - dense) <= 1e-10 * np.linalg.norm(dense)
+        assert rep.condition_estimate <= 1.0001 * np.linalg.cond(A, 1)
+        # the one-front path gives the same solution
+        assert np.allclose(solve(system.matrix, system.rhs).x, rep.x,
+                           rtol=0, atol=1e-12 * np.abs(dense).max())
+
+    @pytest.mark.parametrize("depth", [0, 2, -1])
+    def test_indefinite_front_reports_its_pivot(self, depth):
+        # make the last pivot of one front negative: every pivot before it
+        # is that of the SPD matrix, so the front fails exactly there
+        system = _assembled(build_triangular, 8, "p1", "p1")
+        tree, nb = system.dofmap.tree, system.dofmap.nb
+        start, nl, nr, ns = tree[depth][-1]
+        last = nb * (start + nl + nr + ns) - 1
+        A = system.matrix.tolil()
+        A[last, last] = -1.0
+        with pytest.raises(IndefiniteMatrixError) as err:
+            solve(A.tocsc(), system.rhs, tree)
+        assert err.value.pivot == last
+
+    def test_hand_built_tree_on_a_path(self):
+        # 1-D Laplacian on 7 nodes: parts [0,3) and [3,6) split by node 6,
+        # each split again by its last node
+        A = sparse.diags([-np.ones(6), 2.0 * np.ones(7), -np.ones(6)], [-1, 0, 1])
+        perm = np.array([0, 2, 1, 4, 6, 5, 3])  # path order -> dissection order
+        A = A.tocsr()[perm][:, perm].tocsc()
+        tree = (np.array([[0, 3, 3, 1]]),
+                np.array([[0, 1, 1, 1], [3, 1, 1, 1]]),
+                np.array([[0, 0, 0, 1], [1, 0, 0, 1], [3, 0, 0, 1], [4, 0, 0, 1]]))
+        b = np.arange(1.0, 8.0)
+        rep = solve(A, b, tree)
+        assert np.allclose(rep.x, np.linalg.solve(A.toarray(), b), rtol=0, atol=1e-12)
+
+    def test_coupling_across_a_separator_is_rejected(self):
+        system = _assembled(build_triangular, 8, "p1", "p0")
+        tree = system.dofmap.tree
+        leaves = tree[-1][:, 0]  # two parts the tree keeps apart
+        i, j = system.dofmap.nb * leaves[0], system.dofmap.nb * leaves[-1]
+        A = system.matrix.tolil()
+        A[i, j] = A[j, i] = 1e-3
+        with pytest.raises(ValueError, match="tree"):
+            solve(A.tocsc(), system.rhs, tree)
 
 
 def _tri_condition(n, boundary, rb="qb", lam=1.0, gamma=-1.0, example=1):
