@@ -8,13 +8,14 @@ domain boundary and
 
 for all weak test functions vanishing on the boundary.  Interior dofs
 couple only to their own element's edges, so they are condensed out
-element by element (static condensation) and the global unknowns are the
-free edge blocks only, numbered by nested dissection.  The dissection
-tree travels with the numbering (``DofMap.tree``), and the solver
-continues the same elimination up that tree, front by front.  Dirichlet
-data is enforced by elimination: fixed edge blocks are moved to the load
-vector, which keeps the reduced matrix symmetric positive definite
-whenever the admissibility predicates hold.
+element by element (static condensation, one
+:func:`~gwgfem.solver.eliminate` step over all elements) and the global
+unknowns are the free edge blocks only, numbered by nested dissection.
+The dissection tree travels with the numbering (``DofMap.tree``), and the
+solver continues the same elimination up that tree, front by front.
+Dirichlet data is enforced by elimination: fixed edge blocks are moved to
+the load vector, which keeps the reduced matrix symmetric positive
+definite whenever the admissibility predicates hold.
 
 Every quadrature rule has the level's degree, ``spaces.quad_degree``.  Each
 function builds the rules it needs and drops them when it returns: one edge
@@ -29,7 +30,7 @@ import numpy as np
 from scipy import sparse
 
 from .mesh import Mesh2D, element_blocks
-from .solver import IndefiniteMatrixError
+from .solver import IndefiniteMatrixError, eliminate
 from .spaces import SpaceSet, interior_mass
 from .weakops import EdgeRule, ElementKernel, RbOperator, WeakFunction, edge_rule
 
@@ -175,15 +176,18 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
              condense: bool = True) -> DiscreteSystem:
     """Assemble the global sparse system on the free edge unknowns.
 
-    Each element's interior block is eliminated locally: the scattered
-    matrices are the Schur complements A_bb - A_bi A_ii^-1 A_ib.  Every
-    A_ii must pass a Cholesky factorization, else
-    :class:`~gwgfem.solver.IndefiniteMatrixError` is raised; since the
-    inertia of the block matrix is that of A_ii plus that of its Schur
-    complement, an SPD certificate for the edge system then holds for the
-    whole system.  Every rule has the degree ``spaces.quad_degree``;
-    ``quad_degree``, if given, must equal it.  ``condense`` is accepted for
-    compatibility and ignored: condensation is always on.
+    Each element's interior block is eliminated locally by one
+    :func:`~gwgfem.solver.eliminate` step on the element matrices bordered
+    by their loads: the scattered matrices are the Schur complements
+    A_bb - A_bi A_ii^-1 A_ib, and the loads b_b - A_bi A_ii^-1 b_i.  An A_ii
+    that fails its Cholesky factorization raises
+    :class:`~gwgfem.solver.IndefiniteMatrixError` naming the element and
+    the pivot; since the inertia of the block matrix is that of A_ii plus
+    that of its Schur complement, an SPD certificate for the edge system
+    then holds for the whole system.  Every rule has the degree
+    ``spaces.quad_degree``; ``quad_degree``, if given, must equal it.
+    ``condense`` is accepted for compatibility and ignored: condensation is
+    always on.
     """
     if quad_degree not in (None, spaces.quad_degree):
         raise ValueError(f"quad_degree {quad_degree} differs from the level's "
@@ -196,31 +200,25 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
     n0 = spaces.interior.dim
     ndof = n0 + ids.shape[1]
 
-    A = np.empty((ne, ndof, ndof))
-    b = np.empty((ne, ndof))
+    # element matrices bordered by their loads, so that one elimination
+    # step condenses the loads with the matrices
+    F = np.zeros((ne, ndof + 1, ndof + 1))
     for eids in element_blocks(np.arange(ne)):
         kern = ElementKernel(mesh, spaces, rb, edges, eids)
-        A[eids] = kern.local_stiffness(mu, lam, rho, gamma)
-        b[eids] = kern.local_load(f)
-
-    Aii, Aib, bi = A[:, :n0, :n0], A[:, :n0, n0:], b[:, :n0]
+        F[eids, :-1, :-1] = kern.local_stiffness(mu, lam, rho, gamma)
+        F[eids, -1, :-1] = F[eids, :-1, -1] = kern.local_load(f)
     try:
-        L = np.linalg.cholesky(Aii)
-    except np.linalg.LinAlgError:
-        low = np.linalg.eigvalsh(Aii)[:, 0]
-        eid = int(np.argmin(low))
+        Li, L21 = eliminate(F, n0)
+    except IndefiniteMatrixError as err:
         raise IndefiniteMatrixError(
-            f"interior block of element {eid} is not positive definite "
-            f"(smallest eigenvalue {low[eid]:.3e})") from None
-    # Schur complement A_bb - W^T W onto the edge block (fixed and free alike),
-    # symmetric by construction: A_ii = L L^T, W = L^-1 [A_ib | b_i], recovery L^-T W
-    Linv = np.linalg.inv(L)
-    W = Linv @ np.concatenate([Aib, bi[:, :, None]], axis=2)
-    recovery = Linv.transpose(0, 2, 1) @ W
-    WT = W[:, :, :-1].transpose(0, 2, 1)
-    b = b[:, n0:] - (WT @ W[:, :, -1:])[:, :, 0]
-    A = A[:, n0:, n0:] - WT @ W[:, :, :-1]
-    del L, Linv, W, WT, Aii, Aib, bi
+            f"interior block of element {err.block} is not positive definite "
+            f"(nonpositive pivot {err.pivot} of {n0})", pivot=err.pivot,
+            block=err.block) from None
+    # L21 = [A_bi; b_i^T] L^-T with A_ii = L L^T, so the recovery
+    # A_ii^-1 [A_ib | b_i] is Li^T L21^T; the copies free F
+    recovery = Li.transpose(0, 2, 1) @ L21.transpose(0, 2, 1)
+    A, b = F[:, n0:-1, n0:-1].copy(), F[:, n0:-1, -1].copy()
+    del F, Li, L21
     # eliminate the fixed columns; ``ufix`` is zero on free dofs
     ufix = fixed[mesh.element_edges].reshape(ne, -1)
     b = b - (A @ ufix[:, :, None])[:, :, 0]

@@ -39,7 +39,7 @@ from .spaces import (
     parse_boundary,
     parse_interior,
 )
-from .weakops import check_assumption_pair, parse_rb
+from .weakops import check_rb_injectivity, check_rigid_motion_invariance, edge_rule, parse_rb
 
 __all__ = ["RunConfig", "ConfigError", "run_convergence", "check_assumptions", "main"]
 
@@ -149,15 +149,16 @@ def run_convergence(config: RunConfig) -> postproc.ConvergenceReport:
 
 def check_assumptions(config: RunConfig):
     """Evaluate both admissibility predicates on the coarsest configured
-    level, with the quadrature degree of that level's spaces."""
+    level, on one edge rule of the degree of that level's spaces."""
     config = config.validate()
     n = min(config.levels)
     mesh = _build_mesh(config.mesh, n)
     spaces = build_spaces(mesh, parse_interior(config.interior, seed=config.seed),
                           parse_boundary(config.boundary), config.quad_degree,
                           seed_entropy=(config.seed, n))
-    return check_assumption_pair(mesh, spaces.boundary, parse_rb(config.rb),
-                                 spaces.quad_degree)
+    rule = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
+    return (check_rigid_motion_invariance(mesh, rule, parse_rb(config.rb)),
+            check_rb_injectivity(rule))
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:

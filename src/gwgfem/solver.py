@@ -1,16 +1,16 @@
-"""Sparse symmetric positive definite solves.
+"""Sparse symmetric positive definite solves, by the block elimination
+step that also condenses the element interiors in assembly.
 
-One path: a multifrontal Cholesky factorization along a nested-dissection
-tree (Duff and Reid 1983; Liu 1992), in the caller's numbering.  Each part
-of the tree owns one front: its separator unknowns (the pivots) and the
-outside neighbours of its subtree (the update set).  Levels are factored
-deepest first; the fronts of a level are grouped by size, and each group
-takes one batched Cholesky of its pivot blocks, keeps the inverse factor
-``Li`` and ``L21 = F21 Li^T``, and extend-adds the Schur complement
-``F22 - L21 L21^T`` into its parents.  A Cholesky of every front is the SPD
-certificate, the same argument at every level as for the element
-interiors: the inertia of a block matrix is that of a pivot block plus
-that of its Schur complement.  A failed front raises
+:func:`eliminate` is that step: a batched Cholesky of the pivot blocks,
+which is the SPD certificate (the inertia of a block matrix is that of a
+pivot block plus that of its Schur complement), then the Schur update.
+:func:`solve` takes such steps along a nested-dissection tree: a
+multifrontal Cholesky factorization (Duff and Reid 1983; Liu 1992) in the
+caller's numbering.  Each part of the tree owns one front: its separator
+unknowns (the pivots) and the outside neighbours of its subtree (the update
+set).  Levels are factored deepest first; the fronts of a level are grouped
+by size, each group takes one step and keeps ``Li`` and ``L21``, and
+extend-adds its Schur complements into its parents.  A failed front raises
 :class:`IndefiniteMatrixError` with the global index of a failing pivot,
 singular matrices included.  A matrix given without a tree is one front.
 
@@ -32,6 +32,7 @@ __all__ = [
     "SolverError",
     "IndefiniteMatrixError",
     "IterationLimitError",
+    "eliminate",
     "solve",
     "solve_system",
     "CONDITION_WARNING_LIMIT",
@@ -47,11 +48,13 @@ class SolverError(RuntimeError):
 
 
 class IndefiniteMatrixError(SolverError):
-    """Nonpositive factorization pivot: the matrix is not positive definite."""
+    """Nonpositive factorization pivot: the matrix is not positive definite.
+    ``pivot`` indexes the failing pivot and ``block`` its block in a batch."""
 
-    def __init__(self, message: str, pivot: int | None = None):
+    def __init__(self, message: str, pivot: int | None = None, block: int | None = None):
         super().__init__(message)
         self.pivot = pivot
+        self.block = block
 
 
 class IterationLimitError(SolverError):
@@ -105,8 +108,8 @@ def _ranges(starts, counts) -> np.ndarray:
 
 
 def _failing_pivot(F: np.ndarray) -> tuple:
-    """(front, pivot) of the first nonpositive pivot of an unblocked
-    Cholesky run on a batch of fronts given by their lower triangles,
+    """(block, pivot) of the first nonpositive pivot of an unblocked
+    Cholesky run on a batch of blocks given by their lower triangles,
     smallest pivot first."""
     F = np.tril(F) + np.tril(F, -1).transpose(0, 2, 1)
     for j in range(F.shape[1]):
@@ -117,6 +120,29 @@ def _failing_pivot(F: np.ndarray) -> tuple:
         col = F[:, j + 1:, j] / np.sqrt(d)[:, None]
         F[:, j + 1:, j + 1:] -= col[:, :, None] * col[:, None, :]
     return 0, F.shape[1] - 1  # rounding put LAPACK's failure past the end
+
+
+def eliminate(F: np.ndarray, k: int) -> tuple:
+    """Eliminate the leading k unknowns of a batch of symmetric matrices
+    ``F`` (g, s, s), reading only the lower triangle of the pivot blocks
+    and the blocks below them.  Returns ``Li = L^-1`` (g, k, k) for the
+    Cholesky factors ``L L^T`` of the pivot blocks and ``L21 = F21 Li^T``
+    (g, s - k, k), and writes the Schur complements ``F22 - L21 L21^T``
+    over ``F22``.  A failed Cholesky raises :class:`IndefiniteMatrixError`
+    with the failing block and its first nonpositive pivot."""
+    try:
+        L = np.linalg.cholesky(F[:, :k, :k])
+    except np.linalg.LinAlgError:
+        i, j = _failing_pivot(F[:, :k, :k])
+        raise IndefiniteMatrixError(
+            f"nonpositive pivot {j} in block {i}; the matrix is not positive definite",
+            pivot=j, block=i) from None
+    Li = np.linalg.inv(L)
+    del L
+    L21 = F[:, k:, :k] @ Li.transpose(0, 2, 1)
+    # a contiguous right operand keeps the batched matmul on BLAS
+    F[:, k:, k:] -= L21 @ L21.transpose(0, 2, 1).copy()
+    return Li, L21
 
 
 def _factor(A: sparse.csc_matrix, tree) -> list:
@@ -211,18 +237,12 @@ def _factor(A: sparse.csc_matrix, tree) -> list:
             g, kg, ug = len(fg), int(ks[a]), int(us[a])
             F = buf[base[fg[0]]:base[fg[0]] + g * (kg + ug) ** 2].reshape(g, kg + ug, -1)
             try:
-                L = np.linalg.cholesky(F[:, :kg, :kg])
-            except np.linalg.LinAlgError:
-                i, j = _failing_pivot(F[:, :kg, :kg])
-                pivot = int(nb * ps[fg[i]] + j)
+                Li, L21 = eliminate(F, kg)
+            except IndefiniteMatrixError as err:
+                pivot = int(nb * ps[fg[err.block]] + err.pivot)
                 raise IndefiniteMatrixError(
                     f"nonpositive pivot at position {pivot} of {n}; the matrix "
                     f"is not positive definite", pivot=pivot) from None
-            Li = np.linalg.inv(L)
-            del L
-            L21 = F[:, kg:, :kg] @ Li.transpose(0, 2, 1)
-            # a contiguous right operand keeps the batched matmul on BLAS
-            F[:, kg:, kg:] -= L21 @ L21.transpose(0, 2, 1).copy()
             unodes = keys[uptr[fg, None] + np.arange(ug // nb)] % nf
             level.append((nb * ps[fg, None] + np.arange(kg), Li,
                           (nb * unodes[:, :, None] + dofs).reshape(g, ug), L21))

@@ -21,13 +21,15 @@ form at that constant (interior fluctuations, per-dof mean plus correction)
 and applies R_b to interior traces only, as edge bases lie in V^b.  Elements
 are independent of one another, so the element kernel works on a block of
 elements at once, with arrays carrying a leading element axis.  Edge
-data (quadrature, basis values, Gram matrices and projectors) is one
-:class:`EdgeRule` of arrays over every edge of a mesh, all in the one
-edge basis of :func:`gwgfem.spaces.eval_boundary`, built by the
-caller at the level's degree (``SpaceSet.quad_degree``) and gathered per
-element through ``mesh.element_edges``; the kernel's volume rule has the
-same degree.  The admissibility predicates take one edge rule, which
-:func:`check_assumption_pair` builds once for both.
+data (quadrature, basis values and their norms) is one :class:`EdgeRule`
+of arrays over every edge of a mesh, all in the one edge basis of
+:func:`gwgfem.spaces.eval_boundary`, which is orthogonal under the
+symmetric Gauss rule, so the L2 projection onto V^b(e) divides moments by
+norms and solves nothing.  The caller builds it at the level's degree
+(``SpaceSet.quad_degree``), and it is gathered per element through
+``mesh.element_edges``; the kernel's volume rule has the same degree.  The
+admissibility predicates take one edge rule, so a caller can build it once
+for both.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "AssumptionCheck",
     "check_rigid_motion_invariance",
     "check_rb_injectivity",
-    "check_assumption_pair",
     "RIGID_MOTION_TOL",
     "EDGE_GRAM_CONDITION_LIMIT",
 ]
@@ -112,17 +113,24 @@ class EdgeRule:
     """Gauss rule and L2-projection data of V^b(e) for every edge of a mesh.
 
     Arrays carry a leading edge axis.  The basis is the one of
-    :func:`gwgfem.spaces.eval_boundary`; ``coeff_map`` maps values at the
-    rule's points to coefficients in it and ``projector`` maps values to
-    the values of their projection.
+    :func:`gwgfem.spaces.eval_boundary`, orthogonal under the symmetric
+    rule (constants and midpoint-centred linears), so its Gram matrix is its
+    diagonal ``norms``: the projection coefficients of a field are its
+    weighted moments against the basis divided by ``norms``.
+    :func:`check_rb_injectivity` certifies the diagonal.
     """
 
     points: np.ndarray  # (ned, nq, 2)
     weights: np.ndarray  # (ned, nq), summing to the edge length
     basis: np.ndarray  # (ned, nb, nq, 2) basis values at the points
-    gram: np.ndarray  # (ned, nb, nb) Gram matrix of the basis
-    coeff_map: np.ndarray  # (ned, nb, 2 nq) values -> coefficients
-    projector: np.ndarray  # (ned, 2 nq, 2 nq) in flattened (point, component) space
+    norms: np.ndarray  # (ned, nb) squared L2 norms of the basis functions
+
+    def _maps(self, edges) -> tuple[np.ndarray, np.ndarray]:
+        """Basis values (..., nb, 2 nq) over flattened (point, component)
+        and the map from values to projection coefficients, same shape."""
+        flat = self.basis[edges].reshape(np.shape(edges) + self.basis.shape[1:2] + (-1,))
+        w = np.repeat(self.weights[edges], 2, axis=-1)[..., None, :]
+        return flat, flat * w * (1.0 / self.norms[edges])[..., None]
 
     def project(self, edges, field_fn) -> np.ndarray:
         """L2 projection of a vector field onto V^b(e) for ``edges`` (an id
@@ -130,21 +138,22 @@ class EdgeRule:
         pts = self.points[edges]
         vals = np.asarray(field_fn(pts.reshape(-1, 2)), dtype=float)
         vals = vals.reshape(pts.shape[:-2] + (-1,))
-        return np.einsum("...jk,...k->...j", self.coeff_map[edges], vals)
+        return np.einsum("...jk,...k->...j", self._maps(edges)[1], vals)
 
     def apply(self, edges, values: np.ndarray) -> np.ndarray:
         """Project k traces per edge: ``values`` has shape
         ``edges.shape + (k, nq, 2)``; returns the same shape."""
-        flat = values.reshape(values.shape[:-2] + (-1,))
-        P = self.projector[edges]
-        return (flat @ np.swapaxes(P, -1, -2)).reshape(values.shape)
+        flat, cmap = self._maps(edges)
+        P = np.swapaxes(flat, -1, -2) @ cmap  # values -> values of the projection
+        return (values.reshape(values.shape[:-2] + (-1,)) @ np.swapaxes(P, -1, -2)
+                ).reshape(values.shape)
 
 
 def edge_rule(mesh: Mesh2D, cfg: BoundarySpaceConfig, quad_degree: int) -> EdgeRule:
     """Gauss-Legendre rule of degree ``quad_degree`` on every edge, with the
-    values of the :func:`gwgfem.spaces.eval_boundary` basis at its points,
-    and the Gram matrices and projectors of that basis (no change of
-    basis)."""
+    values of the :func:`gwgfem.spaces.eval_boundary` basis at its points
+    and their squared norms; a basis function of zero norm under the rule
+    (a linear one at a 1-point rule) raises ``ValueError``."""
     _check_degree(quad_degree)
     x, w = _gauss_1d((quad_degree + 2) // 2)
     edges = np.arange(mesh.num_edges)
@@ -152,12 +161,11 @@ def edge_rule(mesh: Mesh2D, cfg: BoundarySpaceConfig, quad_degree: int) -> EdgeR
     points = mesh.edge_midpoint[:, None, :] + (x - 0.5)[None, :, None] * vec[:, None, :]
     weights = w[None, :] * np.hypot(vec[:, 0], vec[:, 1])[:, None]
     basis = eval_boundary(mesh, edges, cfg, points)
-    gram = np.einsum("einc,ejnc,en->eij", basis, basis, weights)
-    flat = basis.reshape(len(edges), cfg.dim, -1)
-    coeff_map = np.linalg.solve(gram, flat * np.repeat(weights, 2, axis=1)[:, None, :])
-    projector = np.swapaxes(flat, 1, 2) @ coeff_map
-    return EdgeRule(points=points, weights=weights, basis=basis, gram=gram,
-                    coeff_map=coeff_map, projector=projector)
+    norms = np.einsum("einc,einc,en->ei", basis, basis, weights)
+    if not np.all(norms > 0):
+        raise ValueError(f"the {cfg.kind} edge basis has a function of zero norm "
+                         f"under the degree-{quad_degree} rule")
+    return EdgeRule(points=points, weights=weights, basis=basis, norms=norms)
 
 
 class ElementKernel:
@@ -188,7 +196,6 @@ class ElementKernel:
         self.edge_ids = mesh.element_edges[eids]  # (E, m)
         E, self.m = self.edge_ids.shape
         self.ndof = self.n0 + self.m * self.nb
-        self.area = mesh.elem_area[eids]
         self.diameter = mesh.elem_diameter[eids]
         self.normals = mesh.elem_edge_normals[eids]  # (E, m, 2)
 
@@ -221,14 +228,6 @@ class ElementKernel:
         self.qarea = self.vol.weights.sum(axis=1)
         self.delta1 = self.jump_flux * (1.0 / self.qarea)[:, None, None, None]
         self.delta2 = self.jump_divflux / self.qarea[:, None]
-
-    # -- closed forms (cross-checked against the corrections in tests) --
-
-    def corrections_closed_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """delta1 = |T|^-1 * surface integral of R_b(jump) (x) n, and its
-        divergence counterpart."""
-        return (self.jump_flux / self.area[:, None, None, None],
-                self.jump_divflux / self.area[:, None])
 
     # -- local matrices --
 
@@ -292,22 +291,6 @@ class ElementKernel:
         vals_i = np.einsum("ek,eks->es", vloc[:, : self.n0], Fi)
         return vals ** 2 @ sign + vals_i ** 2 @ sign_i
 
-    # -- weak operators for local coefficient vectors (E, ndof) --
-
-    def correction_pair(self, vloc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The corrections delta1 (E, 2, 2) and delta2 (E,)."""
-        return (np.einsum("ek,ekab->eab", vloc, self.delta1),
-                np.einsum("ek,ek->e", vloc, self.delta2))
-
-    def moment_residuals(self, vloc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Residuals of the correction moment equations for weak functions:
-        (delta, psi)_T - <R_b(vb - v0), psi n>_dT per basis psi; (E, 4), (E,)."""
-        d1, d2 = self.correction_pair(vloc)
-        lhs1 = self.qarea[:, None] * d1.reshape(-1, 4)
-        rhs1 = np.einsum("ek,ekab->eab", vloc, self.jump_flux).reshape(-1, 4)
-        rhs2 = np.einsum("ek,ek->e", vloc, self.jump_divflux)
-        return lhs1 - rhs1, self.qarea * d2 - rhs2
-
 
 def _strain_samples(g: np.ndarray, div: np.ndarray) -> np.ndarray:
     """(e11, e22, sqrt(2) e12, div) of gradients g (..., 2, 2) on a new last axis."""
@@ -369,23 +352,14 @@ def check_rigid_motion_invariance(mesh: Mesh2D, rule: EdgeRule,
 
 def check_rb_injectivity(rule: EdgeRule) -> AssumptionCheck:
     """Are the edge Gram matrices of V^b(e) in the edge rule ``rule``
-    nonsingular (R_b one-to-one)?"""
-    gram = rule.gram
+    nonsingular (R_b one-to-one)?  The Gram matrices are formed in full, so
+    a reported normalized condition of 1 (to rounding) also shows that they
+    are diagonal, as :class:`EdgeRule` takes them to be."""
+    gram = np.einsum("einc,ejnc,en->eij", rule.basis, rule.basis, rule.weights)
     d = np.sqrt(np.einsum("eii->ei", gram))
     worst, worst_edge = _worst(spd_condition(gram / (d[:, :, None] * d[:, None, :])))
     passed = bool(np.isfinite(worst)) and worst <= EDGE_GRAM_CONDITION_LIMIT
     return AssumptionCheck(
         "edge-space injectivity", passed, worst, worst_edge,
         f"max normalized edge Gram condition {worst:.3e}",
-    )
-
-
-def check_assumption_pair(mesh: Mesh2D, boundary_cfg: BoundarySpaceConfig,
-                          rb: RbOperator, quad_degree: int):
-    """Both admissibility predicates for a (V^b, R_b) pair, on one edge rule
-    of degree ``quad_degree``."""
-    rule = edge_rule(mesh, boundary_cfg, quad_degree)
-    return (
-        check_rigid_motion_invariance(mesh, rule, rb),
-        check_rb_injectivity(rule),
     )

@@ -98,10 +98,34 @@ def rb_jump_values(kern, vloc):
     return np.einsum("ek,emknc->emnc", vloc, kern.rb_jumps)
 
 
+def correction_pair(kern, vloc):
+    """The corrections delta1 (E, 2, 2) and delta2 (E,) of weak functions."""
+    return (np.einsum("ek,ekab->eab", vloc, kern.delta1),
+            np.einsum("ek,ek->e", vloc, kern.delta2))
+
+
+def moment_residuals(kern, vloc):
+    """Residuals of the correction moment equations for weak functions:
+    (delta, psi)_T - <R_b(vb - v0), psi n>_dT per basis psi; (E, 4), (E,)."""
+    d1, d2 = correction_pair(kern, vloc)
+    lhs1 = kern.qarea[:, None] * d1.reshape(-1, 4)
+    rhs1 = np.einsum("ek,ekab->eab", vloc, kern.jump_flux).reshape(-1, 4)
+    rhs2 = np.einsum("ek,ek->e", vloc, kern.jump_divflux)
+    return lhs1 - rhs1, kern.qarea * d2 - rhs2
+
+
+def corrections_closed_form(kern, mesh):
+    """delta1 = |T|^-1 * surface integral of R_b(jump) (x) n, and its
+    divergence counterpart, with the exact element areas."""
+    area = mesh.elem_area[kern.eids]
+    return (kern.jump_flux / area[:, None, None, None],
+            kern.jump_divflux / area[:, None])
+
+
 def weak_gradient(kern, vloc):
     """Generalized weak gradient (E, nq, 2, 2): classical part plus the
     constant correction."""
-    return classical_gradient(kern, vloc) + kern.correction_pair(vloc)[0][:, None]
+    return classical_gradient(kern, vloc) + correction_pair(kern, vloc)[0][:, None]
 
 
 def weak_strain(kern, vloc):
@@ -124,7 +148,7 @@ def operator_identity_residuals(mesh, spaces, rb, phi, grad_phi, eids):
     vloc = wf.local_coefficients(mesh, kern.eids)
     E, nq = kern.vol.weights.shape
 
-    d1, d2 = kern.correction_pair(vloc)
+    d1, d2 = correction_pair(kern, vloc)
     w = kern.vol.weights
     pts = kern.vol.points
     grad_q0 = classical_gradient(kern, vloc)

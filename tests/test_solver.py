@@ -97,6 +97,31 @@ class TestDirectPath:
         assert np.linalg.norm(rep.x - dense) / np.linalg.norm(dense) < 1e-8
 
 
+def _spd_batch(g, s, seed=0):
+    X = np.random.default_rng(seed).normal(size=(g, s, s))
+    return X @ X.transpose(0, 2, 1) + s * np.eye(s)
+
+
+class TestEliminate:
+    def test_schur_complement_and_factors(self):
+        F = _spd_batch(3, 7)
+        F0 = F.copy()
+        Li, L21 = solver.eliminate(F, 4)
+        A11, A21 = F0[:, :4, :4], F0[:, 4:, :4]
+        assert np.allclose(Li @ A11 @ Li.transpose(0, 2, 1), np.eye(4), atol=1e-12)
+        assert np.allclose(L21, A21 @ Li.transpose(0, 2, 1), atol=1e-12)
+        schur = F0[:, 4:, 4:] - A21 @ np.linalg.solve(A11, A21.transpose(0, 2, 1))
+        assert np.allclose(F[:, 4:, 4:], schur, atol=1e-12)
+        assert np.array_equal(F[:, :, :4], F0[:, :, :4])  # pivot columns kept
+
+    def test_failing_block_and_pivot(self):
+        F = _spd_batch(4, 6, seed=1)
+        F[2, 2, 2] = -1.0  # pivots 0 and 1 of block 2 stay positive
+        with pytest.raises(IndefiniteMatrixError) as err:
+            solver.eliminate(F, 5)
+        assert (err.value.block, err.value.pivot) == (2, 2)
+
+
 def _assembled(build, n, interior, boundary):
     mesh = build(n)
     spaces = make_spaces(mesh, interior, boundary)

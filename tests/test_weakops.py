@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (classical_gradient, kernel, make_spaces, rb_jump_values, vec_field,
+from conftest import (classical_gradient, correction_pair, corrections_closed_form, kernel,
+                      make_spaces, moment_residuals, rb_jump_values, vec_field,
                       weak_gradient, weak_strain)
 from gwgfem.assembly import interpolate, project_interior
 from gwgfem.mesh import build_rectangular, build_triangular
@@ -42,7 +43,7 @@ def project_traces(rule, edges, field):
 
 def divergence(kern, vloc):
     return np.trace(classical_gradient(kern, vloc), axis1=2, axis2=3) \
-        + kern.correction_pair(vloc)[1][:, None]
+        + correction_pair(kern, vloc)[1][:, None]
 
 
 class TestApplyRb:
@@ -126,7 +127,7 @@ class TestCorrections:
         spaces = make_spaces(mesh, "p1", "p1")
         wf = interpolate(mesh, spaces, x_field)  # traces match exactly
         kern = kernel(mesh, spaces, ID)
-        d1, d2 = kern.correction_pair(wf.local_coefficients(mesh, kern.eids))
+        d1, d2 = correction_pair(kern, wf.local_coefficients(mesh, kern.eids))
         assert np.allclose(d1, 0.0, atol=1e-13)
         assert np.abs(d2).max() < 1e-13
 
@@ -134,7 +135,7 @@ class TestCorrections:
         # independent analytic oracle: delta = -oint (x,0) (x) n ds over the
         # unit square boundary = [[-1, 0], [0, 0]]; divergence = -1
         mesh, spaces, wf = unit_square_weak_x()
-        d1, d2 = kernel(mesh, spaces, ID).correction_pair(wf.local_coefficients(mesh, [0]))
+        d1, d2 = correction_pair(kernel(mesh, spaces, ID), wf.local_coefficients(mesh, [0]))
         assert np.allclose(d1[0], [[-1.0, 0.0], [0.0, 0.0]], atol=1e-13)
         assert d2[0] == pytest.approx(-1.0, abs=1e-13)
 
@@ -156,7 +157,7 @@ class TestCorrections:
         spaces = make_spaces(mesh, "p1", "p0")
         wf = WeakFunction.zeros(mesh, spaces)
         wf.boundary[:, 0] = 1.0
-        _, d2 = kernel(mesh, spaces, ID).correction_pair(wf.local_coefficients(mesh, [0]))
+        _, d2 = correction_pair(kernel(mesh, spaces, ID), wf.local_coefficients(mesh, [0]))
         assert d2[0] == pytest.approx(0.0, abs=1e-13)
 
     def test_closed_form_matches_gram_solve(self):
@@ -165,7 +166,7 @@ class TestCorrections:
             spaces = make_spaces(mesh, interior, "p1", seed=4)
             for rb in (QB, ID):
                 kern = kernel(mesh, spaces, rb)
-                d1c, d2c = kern.corrections_closed_form()
+                d1c, d2c = corrections_closed_form(kern, mesh)
                 assert np.abs(kern.delta1 - d1c).max() < 1e-12
                 assert np.abs(kern.delta2 - d2c).max() < 1e-12
 
@@ -223,7 +224,7 @@ class TestWeakOperators:
         for rb in (QB, ID):
             kern = kernel(mesh, spaces, rb)
             vloc = rng.normal(size=(mesh.num_elements, kern.ndof))
-            d1, d2 = kern.correction_pair(vloc)
+            d1, d2 = correction_pair(kern, vloc)
             assert np.abs(np.trace(d1, axis1=1, axis2=2) - d2).max() < 1e-12
 
     @given(st.integers(0, 7), st.booleans())
@@ -234,7 +235,7 @@ class TestWeakOperators:
         kern = kernel(mesh, spaces, QB if use_qb else ID, [eid])
         rng = np.random.default_rng(eid)
         vloc = rng.normal(size=(1, kern.ndof))
-        r1, r2 = kern.moment_residuals(vloc)
+        r1, r2 = moment_residuals(kern, vloc)
         scale = max(1.0, np.abs(vloc).max())
         assert np.abs(r1).max() < 1e-12 * scale
         assert np.abs(r2).max() < 1e-12 * scale
@@ -267,6 +268,13 @@ class TestAssumptionPredicates:
         chk = check_rigid_motion_invariance(mesh, rule, QB)
         assert not chk.passed
         assert chk.worst > 1e-3
+
+    @pytest.mark.parametrize("kind", ["p1", "rm"])
+    def test_zero_norm_basis_raises(self, kind):
+        # a 1-point rule sits at the edge midpoint, where the centred
+        # linear functions vanish
+        with pytest.raises(ValueError, match="zero norm"):
+            edge_rule(build_triangular(2), parse_boundary(kind), 1)
 
     @pytest.mark.parametrize("kind", ["p0", "p1", "rm"])
     def test_injectivity_on_uniform_meshes(self, kind):
