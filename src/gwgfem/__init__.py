@@ -23,7 +23,6 @@ from .mesh import (
     QuadratureRule,
     build_rectangular,
     build_triangular,
-    dump_mesh,
     element_quadrature,
 )
 from .postproc import (
@@ -35,7 +34,7 @@ from .postproc import (
     manufactured,
     rates,
 )
-from .solver import CSCMatrix, SolveReport, solve, solve_system
+from .solver import BlockMatrix, SolveReport, solve, solve_system
 from .spaces import (
     BoundarySpaceConfig,
     ElementRandomParams,

@@ -16,7 +16,8 @@ solver continues the same elimination up that tree, front by front.
 Dirichlet data is enforced by elimination: fixed edge blocks are moved to
 the load vector, which keeps the reduced matrix symmetric positive
 definite whenever the admissibility predicates hold.  The edge matrix is
-built with numpy as :class:`~gwgfem.solver.CSCMatrix` arrays.
+a :class:`~gwgfem.solver.BlockMatrix` of the ``nb x nb`` blocks of free
+edge pairs: its block columns are the tree's nodes.
 
 Every quadrature rule has the level's degree, ``spaces.quad_degree``.  Each
 function builds the rules it needs and drops them when it returns: one edge
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import Mesh2D, element_blocks
-from .solver import CSCMatrix, IndefiniteMatrixError, eliminate
+from .solver import BlockMatrix, IndefiniteMatrixError, eliminate
 from .spaces import SpaceSet, interior_mass
 from .weakops import EdgeRule, ElementKernel, RbOperator, WeakFunction, edge_rule
 
@@ -65,7 +66,7 @@ class DofMap:
 class DiscreteSystem:
     """Sparse symmetric edge system plus everything needed to interpret it."""
 
-    matrix: CSCMatrix
+    matrix: BlockMatrix
     rhs: np.ndarray
     dofmap: DofMap
     fixed_coeffs: np.ndarray  # (ned, nb); valid rows only for boundary edges
@@ -170,19 +171,17 @@ def _local_dof_ids(mesh: Mesh2D, dm: DofMap) -> np.ndarray:
     return np.where(off >= 0, off + np.arange(dm.nb), -1).reshape(mesh.num_elements, -1)
 
 
-def _edge_matrix(A: np.ndarray, ids: np.ndarray, nb: int, n: int) -> CSCMatrix:
+def _edge_matrix(A: np.ndarray, ids: np.ndarray, nb: int, n: int) -> BlockMatrix:
     """Sum of the element blocks ``A`` (ne, m*nb, m*nb) at the dofs ``ids``
-    (see :func:`_local_dof_ids`) as a :class:`CSCMatrix` of order ``n``.
+    (see :func:`_local_dof_ids`) as a :class:`BlockMatrix` of order ``n``.
 
-    It works on nodes, the free edges, of nb dofs each.  The node pairs
-    that share an element are sorted by column node, then row node, and
-    the nb x nb block of a pair is its first element contribution plus its
-    second, if any (an edge lies in at most two elements).  The blocks of a
-    column node, padded to the largest pair count, are laid out as its nb
-    columns with sorted rows by one transpose.  Zero entries are kept, and
-    the indices are int32 while the entry count fits.
+    Its nodes are the free edges, of nb dofs each.  The node pairs that
+    share an element are sorted by column node, then row node, and the
+    nb x nb block of a pair is its first element contribution plus its
+    second, if any (an edge lies in at most two elements).  Zero entries
+    are kept.
     """
-    ne, nf = len(ids), n // nb
+    nf = n // nb
     node = ids[:, ::nb] // nb  # (ne, m); -1 marks a fixed edge
     m = node.shape[1]
     e, a, c = np.nonzero((node[:, :, None] >= 0) & (node[:, None, :] >= 0))
@@ -190,23 +189,13 @@ def _edge_matrix(A: np.ndarray, ids: np.ndarray, nb: int, n: int) -> CSCMatrix:
     order = np.argsort(key, kind="stable")
     e, a, c, key = e[order], a[order], c[order], key[order]
     first = np.diff(key, prepend=-1) != 0
-    col, row = np.divmod(key[first], nf)
-    deg = np.bincount(col, minlength=nf)  # pairs of each column node
-    rank = np.arange(len(col)) - (np.cumsum(deg) - deg)[col]
-    blocks = A.reshape(ne, m, nb, m, nb)
-    pad = np.zeros((nf, deg.max(initial=0), nb, nb))  # node, rank, row dof, col dof
-    pad[col, rank] = blocks[e[first], a[first], :, c[first], :]
+    blocks = A.reshape(len(A), m, nb, m, nb)
+    data = blocks[e[first], a[first], :, c[first], :]  # pair, row dof, col dof
     again = np.cumsum(first)[~first] - 1  # the pair of each second contribution
-    pad[col[again], rank[again]] += blocks[e[~first], a[~first], :, c[~first], :]
-
-    idx = np.int32 if nb * nb * len(col) < 2**31 else np.int64
-    rows = np.zeros(pad.shape[:2], dtype=idx)
-    rows[col, rank] = row
-    shape = (nf, nb, pad.shape[1], nb)  # node, col dof, rank, row dof
-    live = np.broadcast_to((np.arange(pad.shape[1]) < deg[:, None])[:, None, :, None], shape)
-    indices = np.broadcast_to(nb * rows[:, None, :, None] + np.arange(nb, dtype=idx), shape)
-    indptr = np.r_[0, np.cumsum(np.repeat(nb * deg, nb))].astype(idx)
-    return CSCMatrix(indptr, indices[live], pad.transpose(0, 3, 1, 2)[live], (n, n))
+    data[again] += blocks[e[~first], a[~first], :, c[~first], :]
+    col, row = np.divmod(key[first], nf)
+    indptr = np.r_[0, np.cumsum(np.bincount(col, minlength=nf))]
+    return BlockMatrix(indptr, row, data, (n, n))
 
 
 def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,

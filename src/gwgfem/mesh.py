@@ -29,7 +29,6 @@ __all__ = [
     "build_triangular",
     "element_blocks",
     "element_quadrature",
-    "dump_mesh",
     "ELEMENT_BLOCK",
     "MAX_QUAD_DEGREE",
 ]
@@ -82,17 +81,6 @@ class Mesh2D:
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
-
-    @property
-    def mesh_size(self) -> float:
-        """h = max element diameter."""
-        return float(self.elem_diameter.max())
-
-    def interior_edges(self) -> np.ndarray:
-        return np.nonzero(~self.boundary)[0]
-
-    def element_vertices(self, eid: int) -> np.ndarray:
-        return self.vertices[self.elements[eid]]
 
 
 def _lattice(n: int) -> np.ndarray:
@@ -286,22 +274,3 @@ def element_quadrature(mesh: Mesh2D, eid, degree: int) -> QuadratureRule:
         points = a + ref_pts[:, 0:1] * (b - a) + ref_pts[:, 1:2] * (c - a)
         weights = ref_w * 2.0 * mesh.elem_area[eid][..., None]
     return QuadratureRule(points=points, weights=weights, degree=degree)
-
-
-def dump_mesh(mesh: Mesh2D) -> str:
-    """Plain-text mesh dump.
-
-    One header line ``kind n nv ne nedges``, then vertex lines ``x y``,
-    element lines of vertex indices, and edge lines ``v0 v1 boundary_flag``.
-    """
-    lines = [
-        f"{mesh.kind} {mesh.n} {mesh.vertices.shape[0]} "
-        f"{mesh.num_elements} {mesh.num_edges}"
-    ]
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.17g} {y:.17g}")
-    for elem in mesh.elements:
-        lines.append(" ".join(str(v) for v in elem))
-    for (v0, v1), flag in zip(mesh.edges, mesh.boundary):
-        lines.append(f"{v0} {v1} {int(flag)}")
-    return "\n".join(lines) + "\n"

@@ -18,8 +18,9 @@ Every solution is refined (at most three steps) and re-verified against
 ``RESIDUAL_TOL`` by an independent matrix-vector multiply; a miss, a
 non-finite residual included, raises :class:`IterationLimitError`.
 
-The module is numpy only: sparse matrices are :class:`CSCMatrix` arrays,
-whose product sums every row in column order, as compiled CSC kernels do.
+The module is numpy only.  A sparse matrix is a :class:`BlockMatrix` of
+``nb x nb`` node blocks, the nodes of the tree, so no step splits a block
+into scalars.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CSCMatrix",
+    "BlockMatrix",
     "SolveReport",
     "SolverError",
     "IndefiniteMatrixError",
@@ -69,10 +70,12 @@ class IterationLimitError(SolverError):
 
 
 @dataclass(frozen=True, eq=False)
-class CSCMatrix:
-    """A sparse matrix in compressed sparse column form: the rows
-    ``indices[indptr[j]:indptr[j + 1]]`` of column ``j`` hold ``data`` in
-    the same positions, with no row twice in a column."""
+class BlockMatrix:
+    """A sparse matrix of ``nb x nb`` blocks ``data`` (blocks, nb, nb), each
+    ``[row dof, column dof]``, in block-compressed columns: block column
+    ``j`` holds ``data[indptr[j]:indptr[j + 1]]`` at the block rows
+    ``indices[indptr[j]:indptr[j + 1]]``, none twice (assembly sorts them).
+    ``nnz`` counts every entry of a stored block."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -81,11 +84,14 @@ class CSCMatrix:
 
     @property
     def nnz(self) -> int:
-        return int(self.indptr[-1])
+        return self.data.size
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        col = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
-        y = np.bincount(self.indices, self.data * x[col], minlength=self.shape[0])
+        nb = self.data.shape[1]
+        col = np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+        y = np.einsum("kij,kj->ki", self.data, x.reshape(-1, nb)[col])
+        rows = nb * self.indices[:, None] + np.arange(nb)
+        y = np.bincount(rows.ravel(), y.ravel(), minlength=self.shape[0])
         return y.astype(float, copy=False)  # bincount of nothing is int
 
 
@@ -169,18 +175,16 @@ def eliminate(F: np.ndarray, k: int) -> tuple:
     return Li, L21
 
 
-def _factor(A: CSCMatrix, tree) -> list:
+def _factor(A: BlockMatrix, tree) -> list:
     """Multifrontal Cholesky of ``A`` along ``tree`` (see :func:`solve`).
 
     Returns, per level deepest first and per group of equal-size fronts,
     the pivot indices ``(g, k)``, ``Li`` ``(g, k, k)``, the update indices
     ``(g, u)`` and ``L21`` ``(g, u, k)``.
     """
-    n = A.shape[0]
-    nf = int(tree[0][0, 1:].sum())  # the root covers every node
-    nb = n // nf
-    if nb * nf != n:
-        raise ValueError(f"a tree of {nf} nodes does not divide {n} unknowns")
+    n, nb, nf = A.shape[0], A.data.shape[1], len(A.indptr) - 1
+    if tree[0][0, 1:].sum() != nf:  # the root covers every node
+        raise ValueError(f"the tree's root does not cover the {nf} block columns")
     indptr, indices, data = A.indptr, A.indices, A.data
     dofs = np.arange(nb)
     factor = []
@@ -196,20 +200,23 @@ def _factor(A: CSCMatrix, tree) -> list:
             parent = np.searchsorted(up[:, 0], start, side="right") - 1
             is_right = start >= up[parent, 0] + up[parent, 1]
 
+        # the blocks of every pivot column, with their rows and fronts
+        col = _ranges(ps, ns)
+        cnt = indptr[col + 1] - indptr[col]
+        blk = _ranges(indptr[col], cnt)
+        row, col = indices[blk], np.repeat(col, cnt)
+        fr = np.repeat(np.repeat(np.arange(P), ns), cnt)
+
         # symbolic: the update set of a front is the outside neighbours of its
         # pivots and of its children's update sets, kept as front * nf + node
-        piv = _ranges(ps, ns)
-        cnt = indptr[nb * piv + 1] - indptr[nb * piv]
-        fr = np.repeat(np.repeat(np.arange(P), ns), cnt)
-        node = indices[_ranges(indptr[nb * piv], cnt)] // nb
-        keys = [(fr * nf + node)[node >= pe[fr]]]
+        keys = [(fr * nf + row)[row >= pe[fr]]]
         if below is not None:
             groups, ckeys, cparent = below
-            fr = cparent[ckeys // nf]
+            up = cparent[ckeys // nf]
             node = ckeys % nf
-            if np.any(node < ps[fr]):
+            if np.any(node < ps[up]):
                 raise ValueError("the tree is not a nested dissection of the matrix")
-            keys.append((fr * nf + node)[node >= pe[fr]])
+            keys.append((up * nf + node)[node >= pe[up]])
         keys = np.sort(np.concatenate(keys))  # np.unique's hash path is slower
         keys = keys[np.diff(keys, prepend=-1) != 0]
         uptr = np.searchsorted(keys, np.arange(P + 1) * nf)
@@ -229,17 +236,11 @@ def _factor(A: CSCMatrix, tree) -> list:
                 raise ValueError("the matrix couples unknowns that the tree separates")
             return nb * np.where(out, at - uptr[fr] + ns[fr], node - ps[fr])
 
-        # the lower triangle of every pivot column
-        cols = _ranges(nb * ps, k)
-        cnt = indptr[cols + 1] - indptr[cols]
-        ent = _ranges(indptr[cols], cnt)
-        row, col = indices[ent], np.repeat(cols, cnt)
+        # every pivot-column block on or below the diagonal, as one tile
         low = row >= col
-        ent, row, col = ent[low], row[low], col[low]
-        fr = np.repeat(np.repeat(np.arange(P), k), cnt)[low]
-        col -= nb * ps[fr]
-        buf[base[fr] + (local(fr, row // nb) + row % nb) * s[fr] + col] = data[ent]
-        del cols, cnt, ent, row, col, low, fr
+        blk, row, col, fr = blk[low], row[low], col[low], fr[low]
+        at = (base[fr] + local(fr, row) * s[fr] + nb * (col - ps[fr]))[:, None, None]
+        buf[at + s[fr, None, None] * dofs[:, None] + dofs] = data[blk]
 
         if below is not None:  # extend-add the children
             for cf, kc, F, nleft, unodes in groups:
@@ -295,41 +296,52 @@ def _substitute(factor: list, b: np.ndarray) -> np.ndarray:
 
 def solve(matrix, rhs: np.ndarray, tree=None) -> SolveReport:
     """Solve a symmetric positive definite system, given as a
-    :class:`CSCMatrix` or a dense ``np.ndarray``; any other type raises
-    ``TypeError``.  The matrix is only read.
+    :class:`BlockMatrix` or a dense ``np.ndarray``; any other type raises
+    ``TypeError``, and a non-square matrix or a right-hand side not of its
+    order raises ``ValueError``.  The matrix is only read.
 
-    ``tree`` is a nested dissection of the matrix's unknowns in the order
-    given, as :func:`gwgfem.assembly.dof_map` returns it: one ``(parts, 4)``
-    array per level, root first, of each part's first node and its left,
-    right and separator node counts, where a node is a block of
-    ``n / (number of nodes)`` consecutive unknowns.  Without a tree the
-    matrix is one dense front, which suits small systems only.
+    ``tree`` is a nested dissection of the matrix's nodes (block columns)
+    in the order given, as :func:`gwgfem.assembly.dof_map` returns it: one
+    ``(parts, 4)`` array per level, root first, of each part's first node
+    and its left, right and separator node counts.  A dense matrix keeps
+    its nonzero blocks of ``n / (number of nodes)`` unknowns a side, or 1
+    without a tree; without a tree the matrix is one dense front, which
+    suits small systems only.
     Indefiniteness (singularity included) and a residual above
     ``RESIDUAL_TOL`` (or not finite) after refinement are reported as
     structured errors rather than ignored.
     """
-    if isinstance(matrix, CSCMatrix):
-        A = matrix
-    elif isinstance(matrix, np.ndarray):  # by columns, without the zeros
-        c, r = np.nonzero(matrix.T)
-        counts = np.bincount(c, minlength=matrix.shape[1])
-        A = CSCMatrix(np.r_[0, np.cumsum(counts)], r, matrix.T[c, r].astype(float),
-                      matrix.shape)
-    else:
-        raise TypeError(f"solve takes a CSCMatrix or a dense numpy.ndarray, "
+    if not isinstance(matrix, (BlockMatrix, np.ndarray)):
+        raise TypeError(f"solve takes a BlockMatrix or a dense numpy.ndarray, "
                         f"not {type(matrix).__name__}")
     b = np.asarray(rhs, dtype=float)
-    n = A.shape[0]
+    shape = matrix.shape
+    if len(shape) != 2 or shape[0] != shape[1] or b.shape != shape[:1]:
+        raise ValueError(f"solve takes a square matrix and a right-hand side of "
+                         f"its order, not shapes {shape} and {b.shape}")
+    n = shape[0]
     if n == 0:  # every edge fixed: no unknowns
         return SolveReport(x=np.zeros(0), relative_residual=0.0,
                            method="factorization", iterations=0,
                            spd_certified=True, condition_estimate=None)
+    A = matrix
+    if isinstance(matrix, np.ndarray):  # as [column node, row node, row dof, column dof]
+        nf = int(tree[0][0, 1:].sum()) if tree else n
+        if not nf or n % nf:
+            raise ValueError(f"a tree of {nf} nodes does not divide {n} unknowns")
+        blocks = matrix.reshape(nf, n // nf, nf, -1).transpose(2, 0, 1, 3)
+        c, r = np.nonzero(blocks.any(axis=(2, 3)))
+        A = BlockMatrix(np.r_[0, np.cumsum(np.bincount(c, minlength=nf))], r,
+                        blocks[c, r].astype(float, copy=False), shape)
 
-    # 1-norm as the largest column sum, before the factors take memory
-    nonempty = np.flatnonzero(np.diff(A.indptr))
-    norm1 = float(np.add.reduceat(np.abs(A.data), A.indptr[nonempty]).max(initial=0.0))
+    # 1-norm as the largest column sum, before the factors take memory; a
+    # row of the reshaped |data| is one column dof of every block in order
+    nb, nonempty = A.data.shape[1], np.flatnonzero(np.diff(A.indptr))
+    sums = np.add.reduceat(np.abs(A.data).transpose(2, 0, 1).reshape(nb, -1),
+                           nb * A.indptr[nonempty], axis=1)
+    norm1 = float(sums.max(initial=0.0))
 
-    factor = _factor(A, tree or (np.array([[0, 0, 0, n]]),))
+    factor = _factor(A, tree or (np.array([[0, 0, 0, len(A.indptr) - 1]]),))
 
     def lsolve(v):
         return _substitute(factor, v)

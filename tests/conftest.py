@@ -24,9 +24,12 @@ def zero_field(pts):
 
 
 def as_scipy(A):
-    """A :class:`~gwgfem.solver.CSCMatrix` as a scipy CSC matrix on the
-    same arrays, for sparse algebra in tests (``.toarray()`` for dense)."""
-    return sparse.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+    """A :class:`~gwgfem.solver.BlockMatrix` as a scipy CSC matrix, for
+    sparse algebra in tests (``.toarray()`` for dense): its block columns
+    are the block rows of the transpose in scipy's BSR form."""
+    At = sparse.bsr_matrix((A.data.transpose(0, 2, 1), A.indices, A.indptr),
+                           shape=A.shape[::-1])
+    return At.T.tocsc()
 
 
 def make_spaces(mesh, interior="p1", boundary="p0", seed=0, quad=None):

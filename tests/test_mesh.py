@@ -7,7 +7,6 @@ from gwgfem.mesh import (
     MAX_QUAD_DEGREE,
     build_rectangular,
     build_triangular,
-    dump_mesh,
     element_quadrature,
 )
 from gwgfem.spaces import parse_boundary
@@ -32,7 +31,7 @@ class TestConstruction:
     def test_rect_interior_edges_n2(self):
         # 2x2 grid: one interior vertical pair and one horizontal pair
         m = build_rectangular(2)
-        assert len(m.interior_edges()) == 4
+        assert np.count_nonzero(~m.boundary) == 4
 
     def test_tri_counts(self):
         m1 = build_triangular(1)
@@ -69,7 +68,7 @@ class TestConstruction:
     @pytest.mark.parametrize("build", [build_rectangular, build_triangular])
     def test_interior_normals_are_opposite(self, build):
         m = build(3)
-        for e in m.interior_edges():
+        for e in np.nonzero(~m.boundary)[0]:
             ns = []
             for owner in m.edge_elements[e]:
                 le = list(m.element_edges[owner]).index(e)
@@ -87,7 +86,7 @@ class TestConstruction:
     def test_diameter_is_max_vertex_distance(self, build):
         m = build(2)
         for eid in range(m.num_elements):
-            verts = m.element_vertices(eid)
+            verts = m.vertices[m.elements[eid]]
             dmax = max(np.linalg.norm(a - b) for a in verts for b in verts)
             assert m.elem_diameter[eid] == pytest.approx(dmax, abs=1e-15)
 
@@ -95,7 +94,8 @@ class TestConstruction:
     @settings(max_examples=8, deadline=None)
     def test_mesh_size_halving(self, n):
         for build in (build_rectangular, build_triangular):
-            assert build(2 * n).mesh_size == pytest.approx(build(n).mesh_size / 2)
+            h = [build(k).elem_diameter.max() for k in (n, 2 * n)]
+            assert h[1] == pytest.approx(h[0] / 2)
 
     def test_canonical_edge_orientation(self):
         m = build_triangular(3)
@@ -168,18 +168,3 @@ class TestQuadrature:
         with pytest.raises(ValueError, match=f"1..{MAX_QUAD_DEGREE}"):
             edge_rule(m, P0, MAX_QUAD_DEGREE + 1)
 
-
-class TestDump:
-    def test_dump_layout(self):
-        m = build_triangular(2)
-        text = dump_mesh(m)
-        lines = text.strip().split("\n")
-        kind, n, nv, ne, nedges = lines[0].split()
-        assert kind == "triangular"
-        assert (int(n), int(nv), int(ne), int(nedges)) == (2, 9, 8, 16)
-        assert len(lines) == 1 + 9 + 8 + 16
-        # edge lines end with a 0/1 boundary flag
-        flags = {line.split()[-1] for line in lines[1 + 9 + 8:]}
-        assert flags <= {"0", "1"}
-        x, y = map(float, lines[1].split())
-        assert (x, y) == (0.0, 0.0)

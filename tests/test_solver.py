@@ -7,7 +7,7 @@ from gwgfem import assembly, solver
 from gwgfem.mesh import build_rectangular, build_triangular
 from gwgfem.postproc import manufactured
 from gwgfem.solver import (
-    CSCMatrix,
+    BlockMatrix,
     IndefiniteMatrixError,
     IterationLimitError,
     solve,
@@ -25,20 +25,32 @@ def _table_system(n=8, interior="p1", boundary="p0"):
 
 
 def _identity(n):
-    return CSCMatrix(np.arange(n + 1), np.arange(n), np.ones(n), (n, n))
+    return BlockMatrix(np.arange(n + 1), np.arange(n), np.ones((n, 1, 1)), (n, n))
 
 
 class TestInputContract:
     def test_other_types_are_rejected(self):
         for matrix in (sparse.eye(2, format="csc"), [[1.0, 0.0], [0.0, 1.0]]):
-            with pytest.raises(TypeError, match="CSCMatrix or a dense numpy.ndarray"):
+            with pytest.raises(TypeError, match="BlockMatrix or a dense numpy.ndarray"):
                 solve(matrix, np.ones(2))
 
+    def test_shapes_are_checked(self):
+        # a non-square matrix is not reported as indefinite, and a
+        # right-hand side of the wrong order fails before any substitution
+        cases = [(np.ones((2, 3)), np.ones(2), r"\(2, 3\) and \(2,\)"),
+                 (np.eye(2), np.ones(1), r"\(2, 2\) and \(1,\)"),
+                 (np.eye(2), np.ones(3), r"\(2, 2\) and \(3,\)"),
+                 (np.eye(2), np.ones((2, 1)), r"\(2, 2\) and \(2, 1\)"),
+                 (_identity(2), np.ones(3), r"\(2, 2\) and \(3,\)")]
+        for matrix, rhs, shapes in cases:
+            with pytest.raises(ValueError, match=shapes):
+                solve(matrix, rhs)
+
     def test_argument_is_not_written(self):
-        # column rows out of order, [1, 0] twice: the solver reads them as
+        # block rows out of order, [1, 0] twice: the solver reads them as
         # they stand and leaves the caller's arrays as they were
-        A = CSCMatrix(np.array([0, 2, 4]), np.array([1, 0, 1, 0]),
-                      np.array([1.0, 2.0, 2.0, 1.0]), (2, 2))
+        A = BlockMatrix(np.array([0, 2, 4]), np.array([1, 0, 1, 0]),
+                        np.array([1.0, 2.0, 2.0, 1.0]).reshape(4, 1, 1), (2, 2))
         before = [a.copy() for a in (A.indptr, A.indices, A.data)]
         rep = solve(A, np.array([3.0, 3.0]))
         assert np.allclose(rep.x, [1.0, 1.0], atol=1e-14)
@@ -54,11 +66,17 @@ class TestInputContract:
         (build_rectangular, 1, "p1", "p0"),
     ])
     def test_matvec_is_scipy_matvec(self, build, n, interior, boundary):
-        # every row summed in column order, as scipy's CSC kernel does
+        # the block product sums each row in another order than scipy's CSC
+        # kernel, so the two agree within the rounding bound of a sum of
+        # (entries per row) terms: |y - y_ref| <= 2 k eps |A| |x|
         A = _assembled(build, n, interior, boundary).matrix
         x = np.random.default_rng(n).normal(size=A.shape[1])
         y = A @ x
-        assert y.dtype == np.float64 and np.array_equal(y, as_scipy(A) @ x)
+        S = as_scipy(A)
+        k = np.diff(S.tocsr().indptr).max(initial=0)
+        bound = 2 * k * np.finfo(float).eps * (abs(S) @ np.abs(x))
+        assert y.dtype == np.float64 and y.shape == (A.shape[0],)
+        assert np.all(np.abs(y - S @ x) <= bound)
 
 
 class TestDirectPath:
@@ -221,6 +239,15 @@ class TestMultifrontalPath:
         b = np.arange(1.0, 8.0)
         rep = solve(A.toarray(), b, tree)
         assert np.allclose(rep.x, np.linalg.solve(A.toarray(), b), rtol=0, atol=1e-12)
+
+    def test_tree_must_fit_the_matrix(self):
+        # a BlockMatrix's block columns are the tree's nodes; a dense matrix
+        # is cut into as many equal nodes as the tree has
+        system = _assembled(build_triangular, 4, "p1", "p0")
+        with pytest.raises(ValueError, match="does not cover"):
+            solve(system.matrix, system.rhs, system.dofmap.tree[1:])
+        with pytest.raises(ValueError, match="does not divide"):
+            solve(np.eye(7), np.ones(7), (np.array([[0, 1, 1, 1]]),))
 
     def test_coupling_across_a_separator_is_rejected(self):
         system = _assembled(build_triangular, 8, "p1", "p0")

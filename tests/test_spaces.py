@@ -45,14 +45,14 @@ class TestSampling:
     def test_rect_midpoint_draws(self):
         # every draw forced to 0.5 on the unit square
         m = build_rectangular(1)
-        prm = sample_element_params(m.kind, m.element_vertices(0), np.full((4, 4), 0.5))
+        prm = sample_element_params(m.kind, m.vertices[m.elements[0]], np.full((4, 4), 0.5))
         assert np.allclose(prm.w, 0.0)
         assert np.allclose(prm.x0, 0.5)
 
     def test_triangle_vertex_limit(self):
         # alpha = 1, beta = sqrt(1) = 1 puts the anchor on the first vertex
         m = build_triangular(1)
-        verts = m.element_vertices(0)
+        verts = m.vertices[m.elements[0]]
         assert np.allclose(verts, [[0, 0], [1, 0], [0, 1]])
         u = np.ones((4, 4))
         u[0] = [0.0, 0.0, 1.0, 1.0]
@@ -65,7 +65,7 @@ class TestSampling:
         m = build_triangular(1)
         u = np.full((4, 4), 0.25)
         u[0] = [0.0, 0.0, 0.5, 0.25]
-        prm = sample_element_params(m.kind, m.element_vertices(0), u)
+        prm = sample_element_params(m.kind, m.vertices[m.elements[0]], u)
         assert np.allclose(prm.x0[0], [0.25, 0.5])
 
     def test_draw_order_documented(self):
@@ -73,7 +73,7 @@ class TestSampling:
         m = build_rectangular(1)
         u = np.array([[0.6, 0.7, 0.1, 0.2],   # i=1
                       [0.8, 0.9, 0.3, 0.4]])  # i=2
-        prm = sample_element_params(m.kind, m.element_vertices(0), u)
+        prm = sample_element_params(m.kind, m.vertices[m.elements[0]], u)
         assert np.allclose(prm.x0[0], [0.1, 0.2])
         assert np.allclose(prm.w[0], [0.6 - 0.5, 0.7 - 0.5])
         assert np.allclose(prm.w[1], [0.8 - 0.5, 0.9 - 0.5])
@@ -251,7 +251,7 @@ class TestBoundaryBasis:
         # element used to reach it
         m = build_triangular(2)
         cfg = parse_boundary(kind)
-        for e in m.interior_edges():
+        for e in np.nonzero(~m.boundary)[0]:
             pts = m.edge_midpoint[e][None, :] + 0.001 * m.edge_tangent[e]
             first = eval_boundary(m, e, cfg, pts)
             second = eval_boundary(m, e, cfg, pts)
@@ -262,7 +262,7 @@ class TestBoundaryBasis:
         # below 1e-12 at sample points
         m = build_triangular(3)
         rng = np.random.default_rng(3)
-        pts = m.element_vertices(4).mean(axis=0) + rng.uniform(-0.05, 0.05, (12, 2))
+        pts = m.vertices[m.elements[4]].mean(axis=0) + rng.uniform(-0.05, 0.05, (12, 2))
         basis = eval_interior(m, 4, parse_interior("p1"), None, pts)
         target = np.column_stack([0.3 - 0.8 * pts[:, 1], -0.1 + 0.8 * pts[:, 0]])
         A = basis.reshape(6, -1).T
