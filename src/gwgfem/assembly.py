@@ -9,7 +9,7 @@ domain boundary and
 for all weak test functions vanishing on the boundary.  Interior dofs
 couple only to their own element's edges, so they are condensed out
 element by element (static condensation, one
-:func:`~gwgfem.solver.eliminate` step over all elements) and the global
+:func:`~gwgfem.solver.eliminate` step per element block) and the global
 unknowns are the free edge blocks only, numbered by nested dissection.
 The dissection tree travels with the numbering (``DofMap.tree``), and the
 solver continues the same elimination up that tree, front by front.
@@ -205,10 +205,10 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
     """Assemble the global sparse system on the free edge unknowns.
 
     Each element's interior block is eliminated locally by one
-    :func:`~gwgfem.solver.eliminate` step on the element matrices bordered
-    by their loads: the scattered matrices are the Schur complements
-    A_bb - A_bi A_ii^-1 A_ib, and the loads b_b - A_bi A_ii^-1 b_i.  An A_ii
-    that fails its Cholesky factorization raises
+    :func:`~gwgfem.solver.eliminate` step per element block on the element
+    matrices bordered by their loads: the scattered matrices are the Schur
+    complements A_bb - A_bi A_ii^-1 A_ib, and the loads b_b - A_bi A_ii^-1 b_i.
+    An A_ii that fails its Cholesky factorization raises
     :class:`~gwgfem.solver.IndefiniteMatrixError` naming the element and
     the pivot; since the inertia of the block matrix is that of A_ii plus
     that of its Schur complement, an SPD certificate for the edge system
@@ -228,25 +228,27 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
     n0 = spaces.interior.dim
     ndof = n0 + ids.shape[1]
 
-    # element matrices bordered by their loads, so that one elimination
-    # step condenses the loads with the matrices
-    F = np.zeros((ne, ndof + 1, ndof + 1))
+    A, b = np.empty((ne, ndof - n0, ndof - n0)), np.empty((ne, ndof - n0))
+    recovery = np.empty((ne, n0, ndof - n0 + 1))
     for eids in element_blocks(np.arange(ne)):
+        # the block's element matrices bordered by their loads, so that one
+        # elimination step condenses the loads with the matrices
         kern = ElementKernel(mesh, spaces, rb, edges, eids)
-        F[eids, :-1, :-1] = kern.local_stiffness(mu, lam, rho, gamma)
-        F[eids, -1, :-1] = F[eids, :-1, -1] = kern.local_load(f)
-    try:
-        Li, L21 = eliminate(F, n0)
-    except IndefiniteMatrixError as err:
-        raise IndefiniteMatrixError(
-            f"interior block of element {err.block} is not positive definite "
-            f"(nonpositive pivot {err.pivot} of {n0})", pivot=err.pivot,
-            block=err.block) from None
-    # L21 = [A_bi; b_i^T] L^-T with A_ii = L L^T, so the recovery
-    # A_ii^-1 [A_ib | b_i] is Li^T L21^T; the copies free F
-    recovery = Li.transpose(0, 2, 1) @ L21.transpose(0, 2, 1)
-    A, b = F[:, n0:-1, n0:-1].copy(), F[:, n0:-1, -1].copy()
-    del F, Li, L21
+        F = np.zeros((len(eids), ndof + 1, ndof + 1))
+        F[:, :-1, :-1] = kern.local_stiffness(mu, lam, rho, gamma)
+        F[:, -1, :-1] = F[:, :-1, -1] = kern.local_load(f)
+        try:
+            Li, L21 = eliminate(F, n0)
+        except IndefiniteMatrixError as err:
+            e = int(eids[err.block])
+            raise IndefiniteMatrixError(
+                f"interior block of element {e} is not positive definite "
+                f"(nonpositive pivot {err.pivot} of {n0})", pivot=err.pivot,
+                block=e) from None
+        # L21 = [A_bi; b_i^T] L^-T with A_ii = L L^T, so the recovery
+        # A_ii^-1 [A_ib | b_i] is Li^T L21^T
+        recovery[eids] = Li.transpose(0, 2, 1) @ L21.transpose(0, 2, 1)
+        A[eids], b[eids] = F[:, n0:-1, n0:-1], F[:, n0:-1, -1]
     # eliminate the fixed columns; ``ufix`` is zero on free dofs
     ufix = fixed[mesh.element_edges].reshape(ne, -1)
     b = b - (A @ ufix[:, :, None])[:, :, 0]

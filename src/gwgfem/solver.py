@@ -13,6 +13,9 @@ by size, each group takes one step and keeps ``Li`` and ``L21``, and
 extend-adds its Schur complements into its parents.  A failed front raises
 :class:`IndefiniteMatrixError` with the global index of a failing pivot,
 singular matrices included.  A matrix given without a tree is one front.
+A level holds the factor so far and two level buffers, its own and its
+children's; each Schur product and extend-add runs in chunks of at most
+``CHUNK_ENTRIES`` entries.
 
 Every solution is refined (at most three steps) and re-verified against
 ``RESIDUAL_TOL`` by an independent matrix-vector multiply; a miss, a
@@ -41,10 +44,15 @@ __all__ = [
     "solve_system",
     "CONDITION_WARNING_LIMIT",
     "RESIDUAL_TOL",
+    "CHUNK_ENTRIES",
 ]
 
 CONDITION_WARNING_LIMIT = 1e14
 RESIDUAL_TOL = 1e-12  # relative residual every accepted solution meets
+# Entries in one chunk of a Schur update or an extend-add: 8 MB of float64,
+# under the 32 MB ceiling of glibc's mmap threshold, so the heap can reuse
+# these temporaries instead of mapping fresh pages.
+CHUNK_ENTRIES = 1 << 20
 
 
 class SolverError(RuntimeError):
@@ -137,6 +145,13 @@ def _ranges(starts, counts) -> np.ndarray:
     return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
 
 
+def _chunks(g: int, entries: int):
+    """Slices of a batch of ``g`` items of ``entries`` entries each, at
+    most ``CHUNK_ENTRIES`` entries a slice unless one item is larger."""
+    step = max(1, CHUNK_ENTRIES // max(1, entries))
+    return (slice(a, a + step) for a in range(0, g, step))
+
+
 def _failing_pivot(F: np.ndarray) -> tuple:
     """(block, pivot) of the first nonpositive pivot of an unblocked
     Cholesky run on a batch of blocks given by their lower triangles,
@@ -171,7 +186,8 @@ def eliminate(F: np.ndarray, k: int) -> tuple:
     del L
     L21 = F[:, k:, :k] @ Li.transpose(0, 2, 1)
     # a contiguous right operand keeps the batched matmul on BLAS
-    F[:, k:, k:] -= L21 @ L21.transpose(0, 2, 1).copy()
+    for c in _chunks(len(F), (F.shape[1] - k) ** 2):
+        F[c, k:, k:] -= L21[c] @ L21[c].transpose(0, 2, 1).copy()
     return Li, L21
 
 
@@ -242,16 +258,18 @@ def _factor(A: BlockMatrix, tree) -> list:
         at = (base[fr] + local(fr, row) * s[fr] + nb * (col - ps[fr]))[:, None, None]
         buf[at + s[fr, None, None] * dofs[:, None] + dofs] = data[blk]
 
-        if below is not None:  # extend-add the children
+        if below is not None:  # extend-add the children, a chunk of fronts at a time
             for cf, kc, F, nleft, unodes in groups:
-                p = cparent[cf]
-                loc = (local(p[:, None], unodes)[:, :, None] + dofs).reshape(len(cf), -1)
-                tgt = (base[p, None, None] + loc[:, :, None] * s[p, None, None]
-                       + loc[:, None, :])
-                upd = F[:, kc:, kc:]
-                buf[tgt[:nleft]] += upd[:nleft]  # one child per parent a pass
-                buf[tgt[nleft:]] += upd[nleft:]
-        below = groups = None
+                for c in _chunks(len(cf), (F.shape[1] - kc) ** 2):
+                    p = cparent[cf[c]]
+                    loc = (local(p[:, None], unodes[c])[:, :, None]
+                           + dofs).reshape(len(p), -1)
+                    tgt = (base[p, None, None] + loc[:, :, None] * s[p, None, None]
+                           + loc[:, None, :])
+                    upd, m = F[c, kc:, kc:], max(nleft - c.start, 0)
+                    buf[tgt[:m]] += upd[:m]  # one child per parent a pass, left first
+                    buf[tgt[m:]] += upd[m:]
+        below = groups = F = upd = tgt = loc = None  # frees the level below
 
         level, groups = [], []
         ks, us = k[order], u[order]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -24,7 +26,7 @@ from gwgfem.assembly import (
 )
 from gwgfem.mesh import build_rectangular, build_triangular
 from gwgfem.postproc import error_norms, manufactured
-from gwgfem.weakops import WeakFunction, edge_rule, parse_rb
+from gwgfem.weakops import ElementKernel, WeakFunction, edge_rule, parse_rb
 
 QB = parse_rb("qb")
 ID = parse_rb("id")
@@ -386,6 +388,47 @@ class TestGlobalSystem:
                            match="interior block of element 0 .*pivot 0 of 6") as err:
             assemble(mesh, spaces, QB, 0.5, 1.0, -1.0, -1.0, case.f, case.g)
         assert (err.value.block, err.value.pivot) == (0, 0)
+
+    def test_interior_failure_in_a_later_block_names_its_element(self, monkeypatch):
+        # element 270 of 288 is in the second element block, at index 14
+        mesh = build_triangular(12)
+        bad = 270
+        assert bad >= meshmod.ELEMENT_BLOCK
+        stiffness = ElementKernel.local_stiffness
+
+        def broken(kern, *args):
+            K = stiffness(kern, *args)
+            K[kern.eids == bad, 2, 2] = -1.0  # interior pivots 0 and 1 stay positive
+            return K
+
+        monkeypatch.setattr(ElementKernel, "local_stiffness", broken)
+        case = manufactured("example1", 0.5, 1.0)
+        with pytest.raises(solver.IndefiniteMatrixError,
+                           match=f"interior block of element {bad} .*pivot 2 of 6") as err:
+            assemble(mesh, make_spaces(mesh, "p1", "p1"), QB, 0.5, 1.0, 1.0, -1.0,
+                     case.f, case.g)
+        assert (err.value.block, err.value.pivot) == (bad, 2)
+
+    def test_assemble_peak_is_its_output_and_one_element_block(self):
+        # the bordered (E, ndof + 1, ndof + 1) array exists one element block
+        # at a time; the rest of the peak is the scatter into the edge
+        # matrix, which holds the (ne, m nb, m nb) element Schur complements,
+        # the gathered pair blocks and their index arrays: 2.5 times the
+        # Schur complements' size, measured with numpy 2.4
+        mesh = build_triangular(64)
+        spaces = make_spaces(mesh, "p1", "p1")
+        case = manufactured("example1", 0.5, 1.0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            system = assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g)
+            held, peak = (v - start for v in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        ne, n0 = mesh.num_elements, spaces.interior.dim
+        mnb = 3 * system.dofmap.nb
+        bordered = 8 * meshmod.ELEMENT_BLOCK * (n0 + mnb + 1) ** 2
+        assert peak - held <= bordered + 3 * 8 * ne * mnb ** 2
 
 
 class TestSeminorm:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -277,3 +279,72 @@ class TestRigidMotionConditioning:
 
     def test_rm_identity_locking(self):
         assert _tri_condition(32, "rm", rb="id", lam=1e6, gamma=0.0, example=2) < 1e11
+
+
+def _locking(n):
+    mesh = build_triangular(n)
+    spaces = make_spaces(mesh, "p1", "p0")
+    case = manufactured("example2", 0.5, 1e6)
+    return assembly.assemble(mesh, spaces, parse_rb("id"), 0.5, 1e6, 1.0, 0.0,
+                             case.f, case.g)
+
+
+class TestBoundedMemory:
+    """Temporaries come in chunks of ``solver.CHUNK_ENTRIES`` entries."""
+
+    @pytest.mark.parametrize("system", [
+        lambda: _assembled(build_triangular, 16, "p1", "p1"),  # nb = 4
+        lambda: _locking(16),  # nb = 2
+    ])
+    @pytest.mark.parametrize("chunk", [1, 4096])
+    def test_chunking_keeps_the_factor(self, monkeypatch, system, chunk):
+        runs = []
+        for entries in (solver.CHUNK_ENTRIES, chunk):
+            monkeypatch.setattr(solver, "CHUNK_ENTRIES", entries)
+            s = system()
+            runs.append((s, solver._factor(s.matrix, s.dofmap.tree), solve_system(s).x))
+        (s, factor, x), (t, chunked, y) = runs
+        for name in ("recovery", "rhs"):
+            assert np.array_equal(getattr(s, name), getattr(t, name))
+        assert np.array_equal(s.matrix.data, t.matrix.data)
+        assert len(factor) == len(chunked)
+        for level, other in zip(factor, chunked):
+            assert len(level) == len(other)
+            for group, same in zip(level, other):
+                assert all(np.array_equal(a, b) for a, b in zip(group, same))
+        assert np.array_equal(x, y)
+        # some parent extend-adds two children of one group, which a single
+        # entry splits into two chunks: the left child must still go first
+        nb, tree = s.dofmap.nb, s.dofmap.tree
+        size = {}  # first pivot node of each front -> its (k, u)
+        for level in factor:
+            for pidx, Li, uidx, L21 in level:
+                size.update((i, (Li.shape[1], L21.shape[1])) for i in pidx[:, 0] // nb)
+        shared = 0
+        for d in range(1, len(tree)):
+            first = {st: st + nl + nr for st, nl, nr, ns in tree[d]}  # start -> pivots
+            for st, nl, nr, ns in tree[d - 1]:
+                if nl and nr and st in first and st + nl in first:
+                    shared += size[first[st]] == size[first[st + nl]]
+        assert shared > 0
+
+    def test_solve_peak_is_the_factor_and_two_levels(self, monkeypatch):
+        # a small chunk bound makes the slack small; at its default the
+        # bound allows a few chunks of 8 MB
+        monkeypatch.setattr(solver, "CHUNK_ENTRIES", 1 << 16)
+        system = _assembled(build_triangular, 64, "p1", "p1")
+        factor = solver._factor(system.matrix, system.dofmap.tree)
+        kept = sum(a.nbytes for level in factor for group in level for a in group)
+        # a level's buffer holds every front (k + u) x (k + u)
+        buffers = [sum(8 * len(Li) * (Li.shape[1] + L21.shape[1]) ** 2
+                       for pidx, Li, uidx, L21 in level) for level in factor]
+        two = max(a + b for a, b in zip(buffers, buffers[1:]))
+        del factor
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            solve_system(system)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= kept + two + 4 * 8 * solver.CHUNK_ENTRIES
