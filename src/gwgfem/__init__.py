@@ -34,7 +34,7 @@ from .postproc import (
     manufactured,
     rates,
 )
-from .solver import BlockMatrix, SolveReport, solve, solve_system
+from .solver import ElementMatrix, SolveReport, solve, solve_system
 from .spaces import (
     BoundarySpaceConfig,
     ElementRandomParams,

@@ -15,9 +15,10 @@ The dissection tree travels with the numbering (``DofMap.tree``), and the
 solver continues the same elimination up that tree, front by front.
 Dirichlet data is enforced by elimination: fixed edge blocks are moved to
 the load vector, which keeps the reduced matrix symmetric positive
-definite whenever the admissibility predicates hold.  The edge matrix is
-a :class:`~gwgfem.solver.BlockMatrix` of the ``nb x nb`` blocks of free
-edge pairs: its block columns are the tree's nodes.
+definite whenever the admissibility predicates hold.  The edge matrix
+stays in element form, a :class:`~gwgfem.solver.ElementMatrix` of the
+condensed element blocks at their free edge dofs, which the solver fills
+its fronts from directly: the tree's nodes are the free edges.
 
 Every quadrature rule has the level's degree, ``spaces.quad_degree``.  Each
 function builds the rules it needs and drops them when it returns: one edge
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import Mesh2D, element_blocks
-from .solver import BlockMatrix, IndefiniteMatrixError, eliminate
+from .solver import ElementMatrix, IndefiniteMatrixError, eliminate
 from .spaces import SpaceSet, interior_mass
 from .weakops import EdgeRule, ElementKernel, RbOperator, WeakFunction, edge_rule
 
@@ -66,7 +67,7 @@ class DofMap:
 class DiscreteSystem:
     """Sparse symmetric edge system plus everything needed to interpret it."""
 
-    matrix: BlockMatrix
+    matrix: ElementMatrix
     rhs: np.ndarray
     dofmap: DofMap
     fixed_coeffs: np.ndarray  # (ned, nb); valid rows only for boundary edges
@@ -171,43 +172,17 @@ def _local_dof_ids(mesh: Mesh2D, dm: DofMap) -> np.ndarray:
     return np.where(off >= 0, off + np.arange(dm.nb), -1).reshape(mesh.num_elements, -1)
 
 
-def _edge_matrix(A: np.ndarray, ids: np.ndarray, nb: int, n: int) -> BlockMatrix:
-    """Sum of the element blocks ``A`` (ne, m*nb, m*nb) at the dofs ``ids``
-    (see :func:`_local_dof_ids`) as a :class:`BlockMatrix` of order ``n``.
-
-    Its nodes are the free edges, of nb dofs each.  The node pairs that
-    share an element are sorted by column node, then row node, and the
-    nb x nb block of a pair is its first element contribution plus its
-    second, if any (an edge lies in at most two elements).  Zero entries
-    are kept.
-    """
-    nf = n // nb
-    node = ids[:, ::nb] // nb  # (ne, m); -1 marks a fixed edge
-    m = node.shape[1]
-    e, a, c = np.nonzero((node[:, :, None] >= 0) & (node[:, None, :] >= 0))
-    key = node[e, c] * nf + node[e, a]  # column node, row node
-    order = np.argsort(key, kind="stable")
-    e, a, c, key = e[order], a[order], c[order], key[order]
-    first = np.diff(key, prepend=-1) != 0
-    blocks = A.reshape(len(A), m, nb, m, nb)
-    data = blocks[e[first], a[first], :, c[first], :]  # pair, row dof, col dof
-    again = np.cumsum(first)[~first] - 1  # the pair of each second contribution
-    data[again] += blocks[e[~first], a[~first], :, c[~first], :]
-    col, row = np.divmod(key[first], nf)
-    indptr = np.r_[0, np.cumsum(np.bincount(col, minlength=nf))]
-    return BlockMatrix(indptr, row, data, (n, n))
-
-
 def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
              lam: float, rho: float, gamma: float, f, g,
              quad_degree: int | None = None,
              condense: bool = True) -> DiscreteSystem:
-    """Assemble the global sparse system on the free edge unknowns.
+    """Assemble the global system on the free edge unknowns, in element form.
 
     Each element's interior block is eliminated locally by one
     :func:`~gwgfem.solver.eliminate` step per element block on the element
-    matrices bordered by their loads: the scattered matrices are the Schur
-    complements A_bb - A_bi A_ii^-1 A_ib, and the loads b_b - A_bi A_ii^-1 b_i.
+    matrices bordered by their loads: the matrix is the sum of the Schur
+    complements A_bb - A_bi A_ii^-1 A_ib, held per element at the dofs of
+    :func:`_local_dof_ids`, and the loads b_b - A_bi A_ii^-1 b_i are summed.
     An A_ii that fails its Cholesky factorization raises
     :class:`~gwgfem.solver.IndefiniteMatrixError` naming the element and
     the pivot; since the inertia of the block matrix is that of A_ii plus
@@ -253,12 +228,10 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
     ufix = fixed[mesh.element_edges].reshape(ne, -1)
     b = b - (A @ ufix[:, :, None])[:, :, 0]
 
-    n = dm.num_unknowns
-    matrix = _edge_matrix(A, ids, dm.nb, n)
-    free = ids >= 0
+    n, free = dm.num_unknowns, ids >= 0
     rhs = np.bincount(ids[free], weights=b[free], minlength=n)
-    return DiscreteSystem(matrix=matrix, rhs=rhs, dofmap=dm, fixed_coeffs=fixed,
-                          mesh=mesh, spaces=spaces, recovery=recovery)
+    return DiscreteSystem(matrix=ElementMatrix(ids, A, (n, n)), rhs=rhs, dofmap=dm,
+                          fixed_coeffs=fixed, mesh=mesh, spaces=spaces, recovery=recovery)
 
 
 def extract_solution(system: DiscreteSystem, x: np.ndarray) -> WeakFunction:

@@ -21,9 +21,10 @@ Every solution is refined (at most three steps) and re-verified against
 ``RESIDUAL_TOL`` by an independent matrix-vector multiply; a miss, a
 non-finite residual included, raises :class:`IterationLimitError`.
 
-The module is numpy only.  A sparse matrix is a :class:`BlockMatrix` of
-``nb x nb`` node blocks, the nodes of the tree, so no step splits a block
-into scalars.
+The module is numpy only.  A sparse matrix is an :class:`ElementMatrix`,
+the condensed element blocks as assembly leaves them: the factorization
+fills its fronts straight from them, one ``nb x nb`` node block at a time,
+and the residual check multiplies them element by element.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BlockMatrix",
+    "ElementMatrix",
     "SolveReport",
     "SolverError",
     "IndefiniteMatrixError",
@@ -78,14 +79,14 @@ class IterationLimitError(SolverError):
 
 
 @dataclass(frozen=True, eq=False)
-class BlockMatrix:
-    """A sparse matrix of ``nb x nb`` blocks ``data`` (blocks, nb, nb), each
-    ``[row dof, column dof]``, in block-compressed columns: block column
-    ``j`` holds ``data[indptr[j]:indptr[j + 1]]`` at the block rows
-    ``indices[indptr[j]:indptr[j + 1]]``, none twice (assembly sorts them).
-    ``nnz`` counts every entry of a stored block."""
+class ElementMatrix:
+    """A symmetric matrix as a sum of element blocks, the multifrontal
+    method's elemental input: element ``e`` adds ``data[e]`` (ne, s, s) at
+    the unknowns ``indices[e]`` (ne, s), -1 marking a dof that is not one.
+    Along a tree of ``nf`` nodes, each run of ``n / nf`` ids is one node's
+    unknowns, and two elements share at most one node.  ``nnz`` counts
+    every stored entry."""
 
-    indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     shape: tuple
@@ -94,12 +95,17 @@ class BlockMatrix:
     def nnz(self) -> int:
         return self.data.size
 
+    @property
+    def indptr(self) -> np.ndarray:
+        """The element pointer ``s * arange(ne + 1)``, which the traced pass
+        of ``perfbench/run.py`` reads to size the matrix."""
+        ne, s = self.indices.shape
+        return s * np.arange(ne + 1)
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        nb = self.data.shape[1]
-        col = np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
-        y = np.einsum("kij,kj->ki", self.data, x.reshape(-1, nb)[col])
-        rows = nb * self.indices[:, None] + np.arange(nb)
-        y = np.bincount(rows.ravel(), y.ravel(), minlength=self.shape[0])
+        free = self.indices >= 0
+        y = np.einsum("eij,ej->ei", self.data, np.append(x, 0.0)[self.indices])  # -1 reads 0
+        y = np.bincount(self.indices[free], y[free], minlength=self.shape[0])
         return y.astype(float, copy=False)  # bincount of nothing is int
 
 
@@ -137,12 +143,6 @@ def _hager_inverse_norm(solve_fn, n: int, max_sweeps: int = 5) -> float:
         x = np.zeros(n)
         x[j] = 1.0
     return est
-
-
-def _ranges(starts, counts) -> np.ndarray:
-    """Concatenation of ``arange(s, s + c)`` over the pairs."""
-    ends = np.cumsum(counts)
-    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
 
 
 def _chunks(g: int, entries: int):
@@ -191,18 +191,43 @@ def eliminate(F: np.ndarray, k: int) -> tuple:
     return Li, L21
 
 
-def _factor(A: BlockMatrix, tree) -> list:
-    """Multifrontal Cholesky of ``A`` along ``tree`` (see :func:`solve`).
+def _factor(A: ElementMatrix, tree) -> tuple:
+    """Multifrontal Cholesky of ``A`` along ``tree`` (see :func:`solve`):
+    per level deepest first and per group of equal-size fronts, the pivot
+    indices ``(g, k)``, ``Li`` ``(g, k, k)``, the update indices ``(g, u)``
+    and ``L21`` ``(g, u, k)``; and the 1-norm of ``A``."""
+    n, (ne, s), nf = A.shape[0], A.indices.shape, int(tree[0][0, 1:].sum())
+    if not nf or n % nf or s % (n // nf):
+        raise ValueError(f"a tree of {nf} nodes does not divide {n} unknowns, {s} an element")
+    nb, dofs = n // nf, np.arange(n // nf)
+    enode = A.indices[:, ::nb] // nb  # the node of each run of nb dofs, -1 if fixed
+    m, live, free = enode.shape[1], enode >= 0, A.indices >= 0
+    runs = np.where(live[:, :, None], nb * enode[:, :, None] + dofs, -1)
+    if not np.array_equal(runs.reshape(ne, s), A.indices):
+        raise ValueError(f"the element dofs are not runs of {nb} unknowns, the tree's nodes")
+    blocks = A.data.reshape(ne, m, nb, m, nb)
 
-    Returns, per level deepest first and per group of equal-size fronts,
-    the pivot indices ``(g, k)``, ``Li`` ``(g, k, k)``, the update indices
-    ``(g, u)`` and ``L21`` ``(g, u, k)``.
-    """
-    n, nb, nf = A.shape[0], A.data.shape[1], len(A.indptr) - 1
-    if tree[0][0, 1:].sum() != nf:  # the root covers every node
-        raise ValueError(f"the tree's root does not cover the {nf} block columns")
-    indptr, indices, data = A.indptr, A.indices, A.data
-    dofs = np.arange(nb)
+    # the 1-norm, the largest column sum, before the factor takes memory;
+    # node-diagonal blocks, which elements share, are summed before abs
+    # (|a| + |b| can exceed |a + b|), every other block is summed after
+    off = np.abs(A.data)
+    np.einsum("eaiaj->eaij", off.reshape(blocks.shape))[...] = 0.0
+    off = (free[:, None, :].astype(float) @ off)[:, 0]
+    sums = np.bincount(A.indices[free], off[free], minlength=n)
+    at = (nb * nb * enode[live])[:, None] + np.arange(nb * nb)
+    diag = np.einsum("eaiaj->eaij", blocks)[live]
+    diag = np.bincount(at.ravel(), diag.ravel(), minlength=n * nb).reshape(nf, nb, nb)
+    norm1 = float((sums + np.abs(diag).sum(axis=1).ravel()).max())
+    at = diag = off = runs = sums = None
+
+    # every element node pair (element, row, column) on or below the
+    # diagonal, by column node: a front's pivot columns are one run, and
+    # the elements that share a block come in element order
+    low = (enode[:, :, None] >= enode[:, None, :]) & live[:, None, :]
+    e, a, c = np.nonzero(low)
+    order = np.argsort(enode[e, c], kind="stable")
+    cptr = np.searchsorted(enode[e, c][order], np.arange(nf + 1))
+    pair = np.ravel_multi_index((e, a, c), low.shape)[order]
     factor = []
     below = None  # the level below: its groups, update keys and parents
     for d in reversed(range(len(tree))):
@@ -216,12 +241,11 @@ def _factor(A: BlockMatrix, tree) -> list:
             parent = np.searchsorted(up[:, 0], start, side="right") - 1
             is_right = start >= up[parent, 0] + up[parent, 1]
 
-        # the blocks of every pivot column, with their rows and fronts
-        col = _ranges(ps, ns)
-        cnt = indptr[col + 1] - indptr[col]
-        blk = _ranges(indptr[col], cnt)
-        row, col = indices[blk], np.repeat(col, cnt)
-        fr = np.repeat(np.repeat(np.arange(P), ns), cnt)
+        # the element node pairs of every pivot column, with their fronts
+        cnt = cptr[pe] - cptr[ps]
+        p = np.repeat(cptr[ps] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+        e, a, c = np.unravel_index(pair[p], low.shape)
+        row, col, fr = enode[e, a], enode[e, c], np.repeat(np.arange(P), cnt)
 
         # symbolic: the update set of a front is the outside neighbours of its
         # pivots and of its children's update sets, kept as front * nf + node
@@ -252,11 +276,11 @@ def _factor(A: BlockMatrix, tree) -> list:
                 raise ValueError("the matrix couples unknowns that the tree separates")
             return nb * np.where(out, at - uptr[fr] + ns[fr], node - ps[fr])
 
-        # every pivot-column block on or below the diagonal, as one tile
-        low = row >= col
-        blk, row, col, fr = blk[low], row[low], col[low], fr[low]
+        # every element's pivot-column blocks, summed where elements share one
         at = (base[fr] + local(fr, row) * s[fr] + nb * (col - ps[fr]))[:, None, None]
-        buf[at + s[fr, None, None] * dofs[:, None] + dofs] = data[blk]
+        at = at + s[fr, None, None] * dofs[:, None] + dofs
+        np.add.at(buf, at.ravel(), blocks[e, a, :, c, :].ravel())  # flat: the fast path
+        e = a = c = at = None
 
         if below is not None:  # extend-add the children, a chunk of fronts at a time
             for cf, kc, F, nleft, unodes in groups:
@@ -291,7 +315,7 @@ def _factor(A: BlockMatrix, tree) -> list:
             groups.append((fg, kg, F, int(np.count_nonzero(~is_right[fg])), unodes))
         factor.append(level)
         below = (groups, keys, parent)
-    return factor
+    return factor, norm1
 
 
 def _substitute(factor: list, b: np.ndarray) -> np.ndarray:
@@ -313,53 +337,40 @@ def _substitute(factor: list, b: np.ndarray) -> np.ndarray:
 
 
 def solve(matrix, rhs: np.ndarray, tree=None) -> SolveReport:
-    """Solve a symmetric positive definite system, given as a
-    :class:`BlockMatrix` or a dense ``np.ndarray``; any other type raises
+    """Solve a symmetric positive definite system, given as an
+    :class:`ElementMatrix` or a dense ``np.ndarray``; any other type raises
     ``TypeError``, and a non-square matrix or a right-hand side not of its
     order raises ``ValueError``.  The matrix is only read.
 
-    ``tree`` is a nested dissection of the matrix's nodes (block columns)
-    in the order given, as :func:`gwgfem.assembly.dof_map` returns it: one
-    ``(parts, 4)`` array per level, root first, of each part's first node
-    and its left, right and separator node counts.  A dense matrix keeps
-    its nonzero blocks of ``n / (number of nodes)`` unknowns a side, or 1
-    without a tree; without a tree the matrix is one dense front, which
-    suits small systems only.
+    ``tree`` is a nested dissection of the matrix's nodes in the order
+    given, as :func:`gwgfem.assembly.dof_map` returns it: one ``(parts, 4)``
+    array per level, root first, of each part's first node and its left,
+    right and separator node counts; each run of ``n / nf`` element dofs is
+    one of its ``nf`` nodes.  Without a tree the matrix is one dense front,
+    which suits small systems only.  A dense matrix is one element over
+    every unknown, so it takes no tree.
     Indefiniteness (singularity included) and a residual above
     ``RESIDUAL_TOL`` (or not finite) after refinement are reported as
     structured errors rather than ignored.
     """
-    if not isinstance(matrix, (BlockMatrix, np.ndarray)):
-        raise TypeError(f"solve takes a BlockMatrix or a dense numpy.ndarray, "
+    if not isinstance(matrix, (ElementMatrix, np.ndarray)):
+        raise TypeError(f"solve takes an ElementMatrix or a dense numpy.ndarray, "
                         f"not {type(matrix).__name__}")
     b = np.asarray(rhs, dtype=float)
     shape = matrix.shape
     if len(shape) != 2 or shape[0] != shape[1] or b.shape != shape[:1]:
         raise ValueError(f"solve takes a square matrix and a right-hand side of "
                          f"its order, not shapes {shape} and {b.shape}")
-    n = shape[0]
+    A, n = matrix, shape[0]
+    if isinstance(matrix, np.ndarray):
+        if tree:
+            raise ValueError("a dense matrix is one element over every node: it takes no tree")
+        A = ElementMatrix(np.arange(n)[None], matrix[None].astype(float, copy=False), shape)
     if n == 0:  # every edge fixed: no unknowns
         return SolveReport(x=np.zeros(0), relative_residual=0.0,
                            method="factorization", iterations=0,
                            spd_certified=True, condition_estimate=None)
-    A = matrix
-    if isinstance(matrix, np.ndarray):  # as [column node, row node, row dof, column dof]
-        nf = int(tree[0][0, 1:].sum()) if tree else n
-        if not nf or n % nf:
-            raise ValueError(f"a tree of {nf} nodes does not divide {n} unknowns")
-        blocks = matrix.reshape(nf, n // nf, nf, -1).transpose(2, 0, 1, 3)
-        c, r = np.nonzero(blocks.any(axis=(2, 3)))
-        A = BlockMatrix(np.r_[0, np.cumsum(np.bincount(c, minlength=nf))], r,
-                        blocks[c, r].astype(float, copy=False), shape)
-
-    # 1-norm as the largest column sum, before the factors take memory; a
-    # row of the reshaped |data| is one column dof of every block in order
-    nb, nonempty = A.data.shape[1], np.flatnonzero(np.diff(A.indptr))
-    sums = np.add.reduceat(np.abs(A.data).transpose(2, 0, 1).reshape(nb, -1),
-                           nb * A.indptr[nonempty], axis=1)
-    norm1 = float(sums.max(initial=0.0))
-
-    factor = _factor(A, tree or (np.array([[0, 0, 0, len(A.indptr) - 1]]),))
+    factor, norm1 = _factor(A, tree or (np.array([[0, 0, 0, n]]),))
 
     def lsolve(v):
         return _substitute(factor, v)

@@ -24,12 +24,14 @@ def zero_field(pts):
 
 
 def as_scipy(A):
-    """A :class:`~gwgfem.solver.BlockMatrix` as a scipy CSC matrix, for
-    sparse algebra in tests (``.toarray()`` for dense): its block columns
-    are the block rows of the transpose in scipy's BSR form."""
-    At = sparse.bsr_matrix((A.data.transpose(0, 2, 1), A.indices, A.indptr),
-                           shape=A.shape[::-1])
-    return At.T.tocsc()
+    """A :class:`~gwgfem.solver.ElementMatrix` as a scipy CSC matrix, for
+    sparse algebra in tests (``.toarray()`` for dense): the COO sum of
+    every element entry whose row and column are both unknowns."""
+    free = A.indices >= 0
+    pairs = free[:, :, None] & free[:, None, :]
+    rows = np.broadcast_to(A.indices[:, :, None], A.data.shape)[pairs]
+    cols = np.broadcast_to(A.indices[:, None, :], A.data.shape)[pairs]
+    return sparse.coo_matrix((A.data[pairs], (rows, cols)), shape=A.shape).tocsc()
 
 
 def make_spaces(mesh, interior="p1", boundary="p0", seed=0, quad=None):
@@ -66,12 +68,10 @@ def kernel(mesh, spaces, rb, eids=None):
     return ElementKernel(mesh, spaces, rb, edges, np.asarray(eids))
 
 
-def dense_reference_solution(mesh, spaces, rb, mu, lam, rho, gamma, f, g):
-    """Uncondensed reference solve: scatter every element's full local
-    matrix and load into one dense block system (the interior blocks of
-    all elements, then one block per edge), eliminate the Dirichlet edge
-    blocks and solve with ``np.linalg.solve``.  Returns the weak function.
-    """
+def dense_full_system(mesh, spaces, rb, mu, lam, rho, gamma, f):
+    """Uncondensed dense system ``(K, F)``: every element's full local
+    matrix and load scattered into one block system, the interior blocks
+    of all elements (``n0`` dofs each) first, then one block per edge."""
     kern = kernel(mesh, spaces, rb)
     ne, n0, nb = mesh.num_elements, kern.n0, kern.nb
     edge_dofs = ne * n0 + nb * kern.edge_ids[:, :, None] + np.arange(nb)
@@ -82,7 +82,17 @@ def dense_reference_solution(mesh, spaces, rb, mu, lam, rho, gamma, f, g):
     F = np.zeros(size)
     np.add.at(K, (ids[:, :, None], ids[:, None, :]), kern.local_stiffness(mu, lam, rho, gamma))
     np.add.at(F, ids, kern.local_load(f))
+    return K, F
 
+
+def dense_reference_solution(mesh, spaces, rb, mu, lam, rho, gamma, f, g):
+    """Uncondensed reference solve: the :func:`dense_full_system` with the
+    Dirichlet edge blocks eliminated, solved with ``np.linalg.solve``.
+    Returns the weak function.
+    """
+    K, F = dense_full_system(mesh, spaces, rb, mu, lam, rho, gamma, f)
+    ne, n0, nb = mesh.num_elements, spaces.interior.dim, spaces.boundary.dim
+    size = len(F)
     bnd = np.nonzero(mesh.boundary)[0]
     fixed = (ne * n0 + nb * bnd[:, None] + np.arange(nb)).ravel()
     free = np.ones(size, dtype=bool)

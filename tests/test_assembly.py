@@ -2,10 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from conftest import (
     as_scipy,
+    dense_full_system,
     dense_reference_solution,
     kernel,
     make_spaces,
@@ -227,7 +227,7 @@ class TestGlobalSystem:
             spaces = make_spaces(mesh, "p1", "p1")
             case = manufactured("example1", 0.5, 1.0)
             system = assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g)
-            factor = solver._factor(system.matrix, system.dofmap.tree)
+            factor, _ = solver._factor(system.matrix, system.dofmap.tree)
             return sum(Li.size // Li.shape[1] * (Li.shape[1] + 1) // 2 + L21.size
                        for level in factor for _, Li, _, L21 in level)
 
@@ -305,39 +305,32 @@ class TestGlobalSystem:
         (build_triangular, 5),
     ])
     @pytest.mark.parametrize("boundary", ["p0", "p1", "rm"])
-    def test_matrix_is_scipy_coo_to_csc(self, monkeypatch, build, n, boundary):
-        # sorted, unique block rows in every block column, every entry of a
-        # stored block counted, and bit for bit the entries that scipy's COO
-        # -> CSC conversion sums from the same element blocks (rect n=1: no
+    def test_matrix_is_scipy_coo_to_csc(self, build, n, boundary):
+        # the element form, read as scipy's COO -> CSC sum of its entries at
+        # free edge dofs, is the Schur complement of the uncondensed system
+        # onto the free edge dofs, in the dof map's numbering (rect n=1: no
         # unknowns)
-        seen = []
-        edge_matrix = assembly._edge_matrix
-
-        def spy(A, ids, nb, n):
-            seen.append((A.copy(), ids))
-            return edge_matrix(A, ids, nb, n)
-
-        monkeypatch.setattr(assembly, "_edge_matrix", spy)
         mesh = build(n)
         spaces = make_spaces(mesh, "p1", boundary)
         case = manufactured("example1", 0.5, 1.0)
         system = assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g)
-        (A, ids), = seen
-        got, nb = system.matrix, system.dofmap.nb
-        for j in range(len(got.indptr) - 1):
-            rows = got.indices[got.indptr[j]:got.indptr[j + 1]]
-            assert np.all(np.diff(rows) > 0)
-        assert got.data.shape == (len(got.indices), nb, nb)
-        assert got.nnz == len(got.indices) * nb**2
-        free = ids >= 0
-        pairs = free[:, :, None] & free[:, None, :]
-        rows = np.broadcast_to(ids[:, :, None], A.shape)[pairs]
-        cols = np.broadcast_to(ids[:, None, :], A.shape)[pairs]
-        N = system.dofmap.num_unknowns
-        ref = sparse.coo_matrix((A[pairs], (rows, cols)), shape=(N, N)).tocsc()
-        assert got.shape == ref.shape and got.nnz == ref.nnz
-        got, ref = as_scipy(got).toarray(), ref.toarray()
-        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        A, dm = system.matrix, system.dofmap
+        ne, s = A.indices.shape
+        assert np.array_equal(A.indices, assembly._local_dof_ids(mesh, dm))
+        assert A.data.shape == (ne, s, s) and A.nnz == ne * s * s
+        assert np.array_equal(A.indptr, s * np.arange(ne + 1))
+        K, _ = dense_full_system(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f)
+        inner = np.arange(ne * spaces.interior.dim)
+        free = np.flatnonzero(dm.edge_offset >= 0)
+        edge = (len(inner) + dm.nb * free[:, None] + np.arange(dm.nb)).ravel()
+        number = (dm.edge_offset[free][:, None] + np.arange(dm.nb)).ravel()
+        K_ei = K[np.ix_(edge, inner)]
+        ref = np.empty((len(edge), len(edge)))
+        ref[np.ix_(number, number)] = (K[np.ix_(edge, edge)] - K_ei @ np.linalg.solve(
+            K[np.ix_(inner, inner)], K_ei.T))
+        got = as_scipy(A).toarray()
+        assert got.shape == ref.shape == A.shape
+        assert np.abs(got - ref).max(initial=0) <= 1e-12 * np.abs(ref).max(initial=0)
 
     def test_linear_field_reproduced(self):
         # u in the discrete space exactly: solver must return it
@@ -410,25 +403,31 @@ class TestGlobalSystem:
         assert (err.value.block, err.value.pivot) == (bad, 2)
 
     def test_assemble_peak_is_its_output_and_one_element_block(self):
-        # the bordered (E, ndof + 1, ndof + 1) array exists one element block
-        # at a time; the rest of the peak is the scatter into the edge
-        # matrix, which holds the (ne, m nb, m nb) element Schur complements,
-        # the gathered pair blocks and their index arrays: 2.5 times the
-        # Schur complements' size, measured with numpy 2.4
+        # beyond what the system holds, assemble holds the edge rule, one
+        # element block at a time (its kernel and its bordered
+        # (E, ndof + 1, ndof + 1) array) and a few (ne, m nb) vectors of
+        # the size of the dof ids: no copy of the element Schur blocks
         mesh = build_triangular(64)
         spaces = make_spaces(mesh, "p1", "p1")
         case = manufactured("example1", 0.5, 1.0)
+        edges = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
+        rule = sum(a.nbytes for a in vars(edges).values())
         tracemalloc.start()
         try:
+            start = tracemalloc.get_traced_memory()[0]
+            kern = ElementKernel(mesh, spaces, QB, edges, np.arange(meshmod.ELEMENT_BLOCK))
+            kern.local_stiffness(0.5, 1.0, 1.0, -1.0), kern.local_load(case.f)
+            block = tracemalloc.get_traced_memory()[1] - start
+            del kern, edges
+            tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             system = assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g)
             held, peak = (v - start for v in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        ne, n0 = mesh.num_elements, spaces.interior.dim
-        mnb = 3 * system.dofmap.nb
+        ne, n0, mnb = mesh.num_elements, spaces.interior.dim, 3 * system.dofmap.nb
         bordered = 8 * meshmod.ELEMENT_BLOCK * (n0 + mnb + 1) ** 2
-        assert peak - held <= bordered + 3 * 8 * ne * mnb ** 2
+        assert peak - held <= rule + block + bordered + 4 * 8 * ne * mnb
 
 
 class TestSeminorm:

@@ -9,7 +9,7 @@ from gwgfem import assembly, solver
 from gwgfem.mesh import build_rectangular, build_triangular
 from gwgfem.postproc import manufactured
 from gwgfem.solver import (
-    BlockMatrix,
+    ElementMatrix,
     IndefiniteMatrixError,
     IterationLimitError,
     solve,
@@ -27,13 +27,13 @@ def _table_system(n=8, interior="p1", boundary="p0"):
 
 
 def _identity(n):
-    return BlockMatrix(np.arange(n + 1), np.arange(n), np.ones((n, 1, 1)), (n, n))
+    return ElementMatrix(np.arange(n)[:, None], np.ones((n, 1, 1)), (n, n))
 
 
 class TestInputContract:
     def test_other_types_are_rejected(self):
         for matrix in (sparse.eye(2, format="csc"), [[1.0, 0.0], [0.0, 1.0]]):
-            with pytest.raises(TypeError, match="BlockMatrix or a dense numpy.ndarray"):
+            with pytest.raises(TypeError, match="ElementMatrix or a dense numpy.ndarray"):
                 solve(matrix, np.ones(2))
 
     def test_shapes_are_checked(self):
@@ -49,14 +49,14 @@ class TestInputContract:
                 solve(matrix, rhs)
 
     def test_argument_is_not_written(self):
-        # block rows out of order, [1, 0] twice: the solver reads them as
-        # they stand and leaves the caller's arrays as they were
-        A = BlockMatrix(np.array([0, 2, 4]), np.array([1, 0, 1, 0]),
-                        np.array([1.0, 2.0, 2.0, 1.0]).reshape(4, 1, 1), (2, 2))
-        before = [a.copy() for a in (A.indptr, A.indices, A.data)]
-        rep = solve(A, np.array([3.0, 3.0]))
+        # a path of three elements with fixed ends, [[2, -1], [-1, 2]] in
+        # all: the solver leaves the caller's arrays as they were
+        A = ElementMatrix(np.array([[-1, 1], [1, 0], [0, -1]]),
+                          np.array([[1.0, -1.0], [-1.0, 1.0]]) * np.ones((3, 1, 1)), (2, 2))
+        before = [a.copy() for a in (A.indices, A.data)]
+        rep = solve(A, np.array([1.0, 1.0]))
         assert np.allclose(rep.x, [1.0, 1.0], atol=1e-14)
-        for a, b in zip((A.indptr, A.indices, A.data), before):
+        for a, b in zip((A.indices, A.data), before):
             assert np.array_equal(a, b)
         dense = np.array([[2.0, 1.0], [1.0, 2.0]])
         solve(dense, np.array([3.0, 3.0]))
@@ -68,8 +68,8 @@ class TestInputContract:
         (build_rectangular, 1, "p1", "p0"),
     ])
     def test_matvec_is_scipy_matvec(self, build, n, interior, boundary):
-        # the block product sums each row in another order than scipy's CSC
-        # kernel, so the two agree within the rounding bound of a sum of
+        # the element product sums each row in another order than scipy's
+        # CSC kernel, so the two agree within the rounding bound of a sum of
         # (entries per row) terms: |y - y_ref| <= 2 k eps |A| |x|
         A = _assembled(build, n, interior, boundary).matrix
         x = np.random.default_rng(n).normal(size=A.shape[1])
@@ -215,49 +215,78 @@ class TestMultifrontalPath:
         assert np.allclose(solve(system.matrix, system.rhs).x, rep.x,
                            rtol=0, atol=1e-12 * np.abs(dense).max())
 
+    @pytest.mark.parametrize("build,n,interior,boundary", [
+        (build_triangular, 8, "p1", "p1"),
+        (build_rectangular, 6, "sin", "rm"),
+    ])
+    def test_norm_is_the_assembled_matrix_norm(self, build, n, interior, boundary):
+        # the two elements of an edge share its diagonal block, whose
+        # entries are summed before taking abs: |a| + |b| reads larger
+        system = _assembled(build, n, interior, boundary)
+        norm = abs(as_scipy(system.matrix)).sum(axis=0).max()
+        got = solver._factor(system.matrix, system.dofmap.tree)[1]
+        assert got == pytest.approx(norm, rel=1e-13, abs=0)
+
     @pytest.mark.parametrize("depth", [0, 2, -1])
     def test_indefinite_front_reports_its_pivot(self, depth):
         # make the last pivot of one front negative: every pivot before it
         # is that of the SPD matrix, so the front fails exactly there
         system = _assembled(build_triangular, 8, "p1", "p1")
-        tree, nb = system.dofmap.tree, system.dofmap.nb
+        tree, nb, A = system.dofmap.tree, system.dofmap.nb, system.matrix
         start, nl, nr, ns = tree[depth][-1]
         last = nb * (start + nl + nr + ns) - 1
-        A = as_scipy(system.matrix).toarray()
-        A[last, last] = -1.0
+        data = A.data.copy()
+        e, i = np.nonzero(A.indices == last)  # its two elements' entries
+        data[e, i, i] = 0.0
+        data[e[0], i[0], i[0]] = -1.0
         with pytest.raises(IndefiniteMatrixError) as err:
-            solve(A, system.rhs, tree)
+            solve(ElementMatrix(A.indices, data, A.shape), system.rhs, tree)
         assert err.value.pivot == last
 
     def test_hand_built_tree_on_a_path(self):
-        # 1-D Laplacian on 7 nodes: parts [0,3) and [3,6) split by node 6,
-        # each split again by its last node
-        A = sparse.diags([-np.ones(6), 2.0 * np.ones(7), -np.ones(6)], [-1, 0, 1])
-        perm = np.array([0, 2, 1, 4, 6, 5, 3])  # path order -> dissection order
-        A = A.tocsr()[perm][:, perm].tocsc()
+        # 1-D Laplacian on 7 nodes with fixed ends, as 8 two-node elements:
+        # parts [0,3) and [3,6) split by node 6, each split again by its
+        # last node
+        perm = np.array([0, 2, 1, 4, 6, 5, 3])  # dissection order -> path order
+        number = np.r_[-1, np.argsort(perm), -1]  # the path, ends fixed
+        A = ElementMatrix(np.column_stack([number[:-1], number[1:]]),
+                          np.array([[1.0, -1.0], [-1.0, 1.0]]) * np.ones((8, 1, 1)), (7, 7))
+        dense = sparse.diags([-np.ones(6), 2.0 * np.ones(7), -np.ones(6)], [-1, 0, 1])
+        dense = dense.toarray()[perm][:, perm]
+        assert np.array_equal(as_scipy(A).toarray(), dense)
         tree = (np.array([[0, 3, 3, 1]]),
                 np.array([[0, 1, 1, 1], [3, 1, 1, 1]]),
                 np.array([[0, 0, 0, 1], [1, 0, 0, 1], [3, 0, 0, 1], [4, 0, 0, 1]]))
         b = np.arange(1.0, 8.0)
-        rep = solve(A.toarray(), b, tree)
-        assert np.allclose(rep.x, np.linalg.solve(A.toarray(), b), rtol=0, atol=1e-12)
+        rep = solve(A, b, tree)
+        assert np.allclose(rep.x, np.linalg.solve(dense, b), rtol=0, atol=1e-12)
 
     def test_tree_must_fit_the_matrix(self):
-        # a BlockMatrix's block columns are the tree's nodes; a dense matrix
-        # is cut into as many equal nodes as the tree has
+        # a tree of nf nodes makes each run of n / nf element dofs one node,
+        # so it must divide the unknowns and every element's dofs into
+        # whole nodes; a dense matrix is one element and takes no tree
         system = _assembled(build_triangular, 4, "p1", "p0")
-        with pytest.raises(ValueError, match="does not cover"):
+        with pytest.raises(ValueError, match="tree"):
             solve(system.matrix, system.rhs, system.dofmap.tree[1:])
         with pytest.raises(ValueError, match="does not divide"):
-            solve(np.eye(7), np.ones(7), (np.array([[0, 1, 1, 1]]),))
+            solve(_identity(7), np.ones(7), (np.array([[0, 1, 1, 1]]),))
+        with pytest.raises(ValueError, match="not runs"):
+            solve(ElementMatrix(np.array([[1, 0]]), np.eye(2)[None], (2, 2)),
+                  np.ones(2), (np.array([[0, 0, 0, 1]]),))
+        with pytest.raises(ValueError, match="no tree"):
+            solve(np.eye(2), np.ones(2), (np.array([[0, 0, 0, 1]]),))
 
     def test_coupling_across_a_separator_is_rejected(self):
+        # one extra element couples two parts that the tree keeps apart
         system = _assembled(build_triangular, 8, "p1", "p0")
-        tree = system.dofmap.tree
-        leaves = tree[-1][:, 0]  # two parts the tree keeps apart
-        i, j = system.dofmap.nb * leaves[0], system.dofmap.nb * leaves[-1]
-        A = as_scipy(system.matrix).toarray()
-        A[i, j] = A[j, i] = 1e-3
+        tree, nb, A = system.dofmap.tree, system.dofmap.nb, system.matrix
+        leaves = tree[-1][:, 0]
+        extra = np.full(A.indices.shape[1], -1)
+        extra[:2 * nb] = np.r_[nb * leaves[0] + np.arange(nb), nb * leaves[-1] + np.arange(nb)]
+        block = np.zeros(A.data.shape[1:])
+        block[0, nb] = block[nb, 0] = 1e-3
+        A = ElementMatrix(np.vstack([A.indices, extra]), np.concatenate([A.data, block[None]]),
+                          A.shape)
         with pytest.raises(ValueError, match="tree"):
             solve(A, system.rhs, tree)
 
@@ -302,7 +331,7 @@ class TestBoundedMemory:
         for entries in (solver.CHUNK_ENTRIES, chunk):
             monkeypatch.setattr(solver, "CHUNK_ENTRIES", entries)
             s = system()
-            runs.append((s, solver._factor(s.matrix, s.dofmap.tree), solve_system(s).x))
+            runs.append((s, solver._factor(s.matrix, s.dofmap.tree)[0], solve_system(s).x))
         (s, factor, x), (t, chunked, y) = runs
         for name in ("recovery", "rhs"):
             assert np.array_equal(getattr(s, name), getattr(t, name))
@@ -333,7 +362,7 @@ class TestBoundedMemory:
         # bound allows a few chunks of 8 MB
         monkeypatch.setattr(solver, "CHUNK_ENTRIES", 1 << 16)
         system = _assembled(build_triangular, 64, "p1", "p1")
-        factor = solver._factor(system.matrix, system.dofmap.tree)
+        factor, _ = solver._factor(system.matrix, system.dofmap.tree)
         kept = sum(a.nbytes for level in factor for group in level for a in group)
         # a level's buffer holds every front (k + u) x (k + u)
         buffers = [sum(8 * len(Li) * (Li.shape[1] + L21.shape[1]) ** 2
