@@ -29,6 +29,9 @@ and the residual check multiplies them element by element.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -124,6 +127,40 @@ def _relative_residual(A, b, x) -> float:
     if denom == 0.0:
         denom = 1.0
     return float(np.linalg.norm(b - A @ x) / denom)
+
+
+_blas_lock, _blas = threading.Lock(), {"depth": 0}  # OpenBLAS has one count a process
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold the OpenBLAS that numpy loaded at one thread, found once among
+    the mapped libraries (numpy's wheel prefixes ``scipy_`` and suffixes
+    ``64_``); the last nested or concurrent holder restores the caller's
+    count.  With another BLAS, or no ``/proc/self/maps``, it does nothing."""
+    with _blas_lock:
+        if "threads" not in _blas:
+            _blas["threads"] = None
+            with contextlib.suppress(OSError), open("/proc/self/maps") as f:
+                libs = [*map(ctypes.CDLL, dict.fromkeys(
+                    r[-1] for r in map(str.split, f) if "openblas" in r[-1]))]
+                get, put = ctypes.CFUNCTYPE(ctypes.c_int), ctypes.CFUNCTYPE(None, ctypes.c_int)
+                _blas["threads"] = next(((get((n % "get", lib)), put((n % "set", lib)))
+                                         for n in ("scipy_openblas_%s_num_threads64_",
+                                                   "openblas_%s_num_threads")
+                                         for lib in libs if hasattr(lib, n % "set")), None)
+        threads = _blas["threads"]
+        if threads and not _blas["depth"]:
+            _blas["caller"] = threads[0]()
+            threads[1](1)
+        _blas["depth"] += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas["depth"] -= 1
+            if threads and not _blas["depth"]:
+                threads[1](_blas["caller"])
 
 
 def _hager_inverse_norm(solve_fn, n: int, max_sweeps: int = 5) -> float:
@@ -351,7 +388,8 @@ def solve(matrix, rhs: np.ndarray, tree=None) -> SolveReport:
     every unknown, so it takes no tree.
     Indefiniteness (singularity included) and a residual above
     ``RESIDUAL_TOL`` (or not finite) after refinement are reported as
-    structured errors rather than ignored.
+    structured errors rather than ignored.  The BLAS runs on the calling
+    thread: numpy's OpenBLAS is held at one thread, then set back.
     """
     if not isinstance(matrix, (ElementMatrix, np.ndarray)):
         raise TypeError(f"solve takes an ElementMatrix or a dense numpy.ndarray, "
@@ -370,31 +408,23 @@ def solve(matrix, rhs: np.ndarray, tree=None) -> SolveReport:
         return SolveReport(x=np.zeros(0), relative_residual=0.0,
                            method="factorization", iterations=0,
                            spd_certified=True, condition_estimate=None)
-    factor, norm1 = _factor(A, tree or (np.array([[0, 0, 0, n]]),))
-
-    def lsolve(v):
-        return _substitute(factor, v)
-
-    cond = norm1 * _hager_inverse_norm(lsolve, n)
-    if cond > CONDITION_WARNING_LIMIT:
-        warnings.warn(
-            f"system condition estimate {cond:.3e} exceeds "
-            f"{CONDITION_WARNING_LIMIT:.0e}; results may be inaccurate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    x = lsolve(b)
-    steps = 0
-    res = _relative_residual(A, b, x)
-    while not res <= RESIDUAL_TOL and steps < 3:  # iterative refinement; NaN is a miss
-        x = x + lsolve(b - A @ x)
-        steps += 1
+    with _one_blas_thread():  # many small gemms: threads only spin
+        factor, norm1 = _factor(A, tree or (np.array([[0, 0, 0, n]]),))
+        cond = norm1 * _hager_inverse_norm(lambda v: _substitute(factor, v), n)
+        if cond > CONDITION_WARNING_LIMIT:
+            warnings.warn(f"system condition estimate {cond:.3e} exceeds "
+                          f"{CONDITION_WARNING_LIMIT:.0e}; results may be inaccurate",
+                          RuntimeWarning, stacklevel=2)
+        x, steps = _substitute(factor, b), 0
         res = _relative_residual(A, b, x)
-    if not res <= RESIDUAL_TOL:
-        raise IterationLimitError(
-            f"factorization residual {res:.3e} exceeds tolerance {RESIDUAL_TOL:.1e} "
-            f"after {steps} refinement steps", residual=res)
+        while not res <= RESIDUAL_TOL and steps < 3:  # iterative refinement; NaN is a miss
+            x = x + _substitute(factor, b - A @ x)
+            steps += 1
+            res = _relative_residual(A, b, x)
+        if not res <= RESIDUAL_TOL:
+            raise IterationLimitError(
+                f"factorization residual {res:.3e} exceeds tolerance {RESIDUAL_TOL:.1e} "
+                f"after {steps} refinement steps", residual=res)
     return SolveReport(x=x, relative_residual=res, method="factorization",
                        iterations=steps, spd_certified=True, condition_estimate=cond)
 

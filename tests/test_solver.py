@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 from conftest import as_scipy, make_spaces
+import gwgfem
 from gwgfem import assembly, solver
 from gwgfem.mesh import build_rectangular, build_triangular
 from gwgfem.postproc import manufactured
@@ -377,3 +383,140 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert peak <= kept + two + 4 * 8 * solver.CHUNK_ENTRIES
+
+
+def _openblas():
+    """The (get, set) thread-count functions that ``solve`` holds, found by
+    running it once; skips where numpy loaded no OpenBLAS."""
+    solve(np.eye(1), np.ones(1))
+    if not solver._blas["threads"]:
+        pytest.skip("numpy loaded no OpenBLAS (another BLAS, or no /proc/self/maps)")
+    return solver._blas["threads"]
+
+
+# hashes every array of the factor, its 1-norm and the solution of one
+# assembled system, in a fresh process of the given BLAS thread count
+_HASH_SOLVE = """
+import hashlib, sys
+import numpy as np
+from gwgfem import assembly, solver
+from gwgfem.mesh import build_triangular
+from gwgfem.postproc import manufactured
+from gwgfem.spaces import build_spaces, parse_boundary, parse_interior
+from gwgfem.weakops import parse_rb
+n, boundary, rb, lam, gamma, example = sys.argv[1:]
+n, lam, gamma = int(n), float(lam), float(gamma)
+mesh = build_triangular(n)
+spaces = build_spaces(mesh, parse_interior("p1", seed=0), parse_boundary(boundary), None,
+                      seed_entropy=(0, n))
+case = manufactured(example, 0.5, lam)
+system = assembly.assemble(mesh, spaces, parse_rb(rb), 0.5, lam, 1.0, gamma, case.f, case.g)
+h, factor = hashlib.sha256(), solver._factor
+def hashed(A, tree):
+    levels, norm1 = factor(A, tree)
+    for group in (g for level in levels for g in level):
+        for a in group:
+            h.update(a.tobytes())
+    h.update(np.float64(norm1).tobytes())
+    return levels, norm1
+solver._factor = hashed
+h.update(solver.solve_system(system).x.tobytes())
+print(h.hexdigest())
+"""
+
+
+class TestOneBlasThread:
+    """``solve`` runs its BLAS on the calling thread and gives the caller's
+    thread count back."""
+
+    def _record(self, monkeypatch, get, before_factor=lambda: None):
+        seen = []
+
+        def wrap(fn):
+            def inner(*args):
+                if fn.__name__ == "_factor":
+                    before_factor()
+                seen.append(get())
+                return fn(*args)
+            return inner
+
+        for name in ("_factor", "_substitute"):
+            monkeypatch.setattr(solver, name, wrap(getattr(solver, name)))
+        return seen
+
+    @pytest.fixture
+    def two_threads(self):
+        get, set_ = _openblas()
+        caller = get()
+        set_(2)  # held at one below, whatever the host's default
+        yield get, get()
+        set_(caller)
+
+    def test_factor_and_substitutions_see_one_thread(self, monkeypatch, two_threads):
+        get, caller = two_threads
+        seen = self._record(monkeypatch, get)
+        solve_system(_assembled(build_triangular, 8, "p1", "p1"))
+        assert len(seen) > 2 and set(seen) == {1}
+        assert get() == caller and solver._blas["depth"] == 0
+
+    def test_restored_after_an_error(self, monkeypatch, two_threads):
+        get, caller = two_threads
+        seen = self._record(monkeypatch, get)
+        with pytest.raises(IndefiniteMatrixError):
+            solve(np.diag([1.0, -1.0, 2.0]), np.ones(3))
+        assert seen == [1]
+        assert get() == caller and solver._blas["depth"] == 0
+
+    def test_nested_solve_keeps_the_hold(self, two_threads):
+        get, caller = two_threads
+        with solver._one_blas_thread():
+            solve(np.eye(2), np.ones(2))
+            assert get() == 1
+        assert get() == caller and solver._blas["depth"] == 0
+
+    def test_concurrent_solves_restore_once(self, monkeypatch, two_threads):
+        # the late solve factors only after the early one has returned, so
+        # the early one's exit must leave the hold in place
+        get, caller = two_threads
+        inside, early_done = threading.Event(), threading.Event()
+
+        def before_factor():
+            if threading.current_thread().name == "late":
+                inside.set()
+                assert early_done.wait(timeout=60)
+
+        seen = self._record(monkeypatch, get, before_factor)
+        system = _assembled(build_triangular, 8, "p1", "p1")
+        xs = []
+
+        def early():
+            assert inside.wait(timeout=60)
+            xs.append(solve_system(system).x)
+            early_done.set()
+
+        runs = [threading.Thread(target=lambda: xs.append(solve_system(system).x), name="late"),
+                threading.Thread(target=early)]
+        for t in runs:
+            t.start()
+        for t in runs:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert len(xs) == 2 and np.array_equal(*xs)
+        assert len(seen) > 4 and set(seen) == {1}
+        assert get() == caller and solver._blas["depth"] == 0
+
+    @pytest.mark.parametrize("args", [
+        ("32", "p1", "qb", "1", "-1", "example1"),
+        ("16", "p0", "id", "1e6", "0", "example2"),  # locking
+    ])
+    def test_bits_do_not_depend_on_the_thread_count(self, args):
+        path = [str(Path(gwgfem.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        digests = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", _HASH_SOLVE, *args],
+                                  env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
