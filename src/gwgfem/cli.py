@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import assembly, postproc, solver
-from .mesh import MAX_QUAD_DEGREE, Mesh2D, build_rectangular, build_triangular
+from .mesh import MAX_QUAD_DEGREE, build_rectangular, build_triangular
 from .spaces import (
     SpaceConditioningError,
     build_spaces,
@@ -105,18 +105,18 @@ class RunConfig:
         return self
 
 
-def _build_mesh(kind: str, n: int) -> Mesh2D:
-    return build_rectangular(n) if kind == "rect" else build_triangular(n)
+def _level(config: RunConfig, n: int) -> tuple:
+    """The mesh of level ``n`` and its spaces, drawn from the stream seeded
+    by ``(config.seed, n)``."""
+    mesh = (build_rectangular if config.mesh == "rect" else build_triangular)(n)
+    return mesh, build_spaces(mesh, parse_interior(config.interior, seed=config.seed),
+                              parse_boundary(config.boundary), config.quad_degree,
+                              seed_entropy=(config.seed, n))
 
 
 def _solve_level(config: RunConfig, case, n: int):
-    mesh = _build_mesh(config.mesh, n)
-    interior = parse_interior(config.interior, seed=config.seed)
-    boundary = parse_boundary(config.boundary)
-    rb = parse_rb(config.rb)
-    spaces = build_spaces(mesh, interior, boundary, config.quad_degree,
-                          seed_entropy=(config.seed, n))
-    system = assembly.assemble(mesh, spaces, rb, config.mu, config.lam,
+    mesh, spaces = _level(config, n)
+    system = assembly.assemble(mesh, spaces, parse_rb(config.rb), config.mu, config.lam,
                                config.rho, config.gamma, case.f, case.g)
     report = solver.solve_system(system)
     wf = assembly.extract_solution(system, report.x)
@@ -151,11 +151,7 @@ def check_assumptions(config: RunConfig):
     """Evaluate both admissibility predicates on the coarsest configured
     level, on one edge rule of the degree of that level's spaces."""
     config = config.validate()
-    n = min(config.levels)
-    mesh = _build_mesh(config.mesh, n)
-    spaces = build_spaces(mesh, parse_interior(config.interior, seed=config.seed),
-                          parse_boundary(config.boundary), config.quad_degree,
-                          seed_entropy=(config.seed, n))
+    mesh, spaces = _level(config, min(config.levels))
     rule = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
     return (check_rigid_motion_invariance(mesh, rule, parse_rb(config.rb)),
             check_rb_injectivity(rule))

@@ -44,14 +44,12 @@ ELEMENT_BLOCK = 256
 class QuadratureRule:
     """Quadrature points (physical coordinates) and weights.
 
-    Weights are positive and sum to the element area.  The rule
-    integrates polynomials of total degree <= ``degree`` exactly.  For a
-    block of elements both arrays carry a leading element axis.
+    Weights are positive and sum to the element area.  For a block of
+    elements both arrays carry a leading element axis.
     """
 
     points: np.ndarray  # (nq, 2) or (E, nq, 2)
     weights: np.ndarray  # (nq,) or (E, nq)
-    degree: int
 
 
 @dataclass(frozen=True)
@@ -83,11 +81,18 @@ class Mesh2D:
         return self.edges.shape[0]
 
 
-def _lattice(n: int) -> np.ndarray:
-    """(n+1)^2 vertices of the uniform lattice, index = j*(n+1)+i at (i/n, j/n)."""
+def _lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n+1)^2 vertices of the uniform lattice, index = j*(n+1)+i at (i/n, j/n),
+    and the lower-left, lower-right, upper-right and upper-left corners
+    (n^2, 4) of its squares, row by row."""
+    if n < 1:
+        raise ValueError(f"subdivision count must be >= 1, got {n}")
     side = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(side, side)  # row j = constant y
-    return np.column_stack([xx.ravel(), yy.ravel()])
+    idx = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
+    corners = (idx[:-1, :-1], idx[:-1, 1:], idx[1:, 1:], idx[1:, :-1])
+    return (np.column_stack([xx.ravel(), yy.ravel()]),
+            np.column_stack([c.ravel() for c in corners]))
 
 
 def _finish_mesh(kind: str, n: int, vertices: np.ndarray, elements: np.ndarray) -> Mesh2D:
@@ -168,16 +173,7 @@ def build_rectangular(n: int) -> Mesh2D:
     Element vertices are ordered counterclockwise starting from the
     lower-left corner.
     """
-    if n < 1:
-        raise ValueError(f"subdivision count must be >= 1, got {n}")
-    vertices = _lattice(n)
-    idx = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
-    a = idx[:-1, :-1].ravel()  # lower-left
-    b = idx[:-1, 1:].ravel()  # lower-right
-    c = idx[1:, 1:].ravel()  # upper-right
-    d = idx[1:, :-1].ravel()  # upper-left
-    elements = np.column_stack([a, b, c, d])
-    return _finish_mesh("rectangular", n, vertices, elements)
+    return _finish_mesh("rectangular", n, *_lattice(n))
 
 
 def build_triangular(n: int) -> Mesh2D:
@@ -188,19 +184,10 @@ def build_triangular(n: int) -> Mesh2D:
     along its lower-right to upper-left diagonal, giving 2*n^2 congruent
     right triangles.
     """
-    if n < 1:
-        raise ValueError(f"subdivision count must be >= 1, got {n}")
-    vertices = _lattice(n)
-    idx = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
-    a = idx[:-1, :-1].ravel()
-    b = idx[:-1, 1:].ravel()
-    c = idx[1:, 1:].ravel()
-    d = idx[1:, :-1].ravel()
-    lower = np.column_stack([a, b, d])
-    upper = np.column_stack([b, c, d])
+    vertices, squares = _lattice(n)
     elements = np.empty((2 * n * n, 3), dtype=np.int64)
-    elements[0::2] = lower
-    elements[1::2] = upper
+    elements[0::2] = squares[:, [0, 1, 3]]  # lower
+    elements[1::2] = squares[:, [1, 2, 3]]  # upper
     return _finish_mesh("triangular", n, vertices, elements)
 
 
@@ -273,4 +260,4 @@ def element_quadrature(mesh: Mesh2D, eid, degree: int) -> QuadratureRule:
         a, b, c = (verts[..., k:k + 1, :] for k in range(3))
         points = a + ref_pts[:, 0:1] * (b - a) + ref_pts[:, 1:2] * (c - a)
         weights = ref_w * 2.0 * mesh.elem_area[eid][..., None]
-    return QuadratureRule(points=points, weights=weights, degree=degree)
+    return QuadratureRule(points=points, weights=weights)

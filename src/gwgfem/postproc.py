@@ -240,26 +240,18 @@ def emit(report: ConvergenceReport, fmt: str = "csv") -> str:
     Errors use scientific notation with 3 significant digits; rates use 2
     decimals; undefined rates are blank.
     """
+    cells = [[c for key in NORM_KEYS for c in (_fmt_err(report.errors[key][i]),
+                                               _fmt_rate(report.rate_columns[key][i]))]
+             for i in range(len(report.levels))]
     if fmt == "csv":
-        lines = [_CSV_HEADER]
-        for i, n in enumerate(report.levels):
-            cells = [str(n), f"{1.0 / n:.6g}"]
-            for key in NORM_KEYS:
-                cells.append(_fmt_err(report.errors[key][i]))
-                cells.append(_fmt_rate(report.rate_columns[key][i]))
-            lines.append(",".join(cells))
+        lines = [_CSV_HEADER] + [",".join([str(n), f"{1.0 / n:.6g}", *row])
+                                 for n, row in zip(report.levels, cells)]
         return "\n".join(lines) + "\n"
 
     if fmt == "table":
         header = ["h", "err_u0_L2", "rate", "err_ub_L2", "rate",
                   "err_u0_inf", "rate", "err_ub_inf", "rate"]
-        body = []
-        for i, n in enumerate(report.levels):
-            row = [f"1/{n}"]
-            for key in NORM_KEYS:
-                row.append(_fmt_err(report.errors[key][i]))
-                row.append(_fmt_rate(report.rate_columns[key][i]))
-            body.append(row)
+        body = [[f"1/{n}", *row] for n, row in zip(report.levels, cells)]
         widths = [max(len(header[c]), *(len(r[c]) for r in body)) if body
                   else len(header[c]) for c in range(len(header))]
         lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]

@@ -12,19 +12,20 @@ set).  Levels are factored deepest first; the fronts of a level are grouped
 by size, each group takes one step and keeps ``Li`` and ``L21``, and
 extend-adds its Schur complements into its parents.  A failed front raises
 :class:`IndefiniteMatrixError` with the global index of a failing pivot,
-singular matrices included.  A matrix given without a tree is one front.
-A level holds the factor so far and two level buffers, its own and its
-children's; each Schur product and extend-add runs in chunks of at most
-``CHUNK_ENTRIES`` entries.
+singular matrices included.  A level holds the factor so far and two level
+buffers, its own and its children's; each Schur product and extend-add runs
+in chunks of at most ``CHUNK_ENTRIES`` entries.
 
 Every solution is refined (at most three steps) and re-verified against
 ``RESIDUAL_TOL`` by an independent matrix-vector multiply; a miss, a
-non-finite residual included, raises :class:`IterationLimitError`.
+non-finite residual included, raises :class:`IterationLimitError`.  The
+condition estimate is Hager's 1-norm estimate, taken once with that
+multiply and once with the factor's substitutions.
 
-The module is numpy only.  A sparse matrix is an :class:`ElementMatrix`,
-the condensed element blocks as assembly leaves them: the factorization
-fills its fronts straight from them, one ``nb x nb`` node block at a time,
-and the residual check multiplies them element by element.
+The module is numpy only.  The matrix is an :class:`ElementMatrix`, the
+condensed element blocks as assembly leaves them: the factorization fills
+its fronts straight from them, one ``nb x nb`` node block at a time, and
+the residual check multiplies them element by element.
 """
 
 from __future__ import annotations
@@ -163,17 +164,19 @@ def _one_blas_thread():
                 threads[1](_blas["caller"])
 
 
-def _hager_inverse_norm(solve_fn, n: int, max_sweeps: int = 5) -> float:
-    """1-norm estimate of the inverse via Hager's method (symmetric matrix,
-    so forward solves stand in for transpose solves)."""
+def _hager_norm(apply, n: int) -> float:
+    """Hager's estimate of the 1-norm of a symmetric matrix of order ``n``,
+    given as its product ``apply`` with a vector, in at most five sweeps
+    (a symmetric matrix is its own transpose).  The estimate is the 1-norm
+    of a product with a unit vector, so it never exceeds the norm."""
     x = np.full(n, 1.0 / n)
     est = 0.0
-    for _ in range(max_sweeps):
-        y = solve_fn(x)
+    for _ in range(5):
+        y = apply(x)
         est = max(est, float(np.abs(y).sum()))
         xi = np.sign(y)
         xi[xi == 0] = 1.0
-        z = solve_fn(xi)
+        z = apply(xi)
         j = int(np.argmax(np.abs(z)))
         if np.abs(z[j]) <= z @ x:
             break
@@ -228,34 +231,21 @@ def eliminate(F: np.ndarray, k: int) -> tuple:
     return Li, L21
 
 
-def _factor(A: ElementMatrix, tree) -> tuple:
+def _factor(A: ElementMatrix, tree) -> list:
     """Multifrontal Cholesky of ``A`` along ``tree`` (see :func:`solve`):
     per level deepest first and per group of equal-size fronts, the pivot
     indices ``(g, k)``, ``Li`` ``(g, k, k)``, the update indices ``(g, u)``
-    and ``L21`` ``(g, u, k)``; and the 1-norm of ``A``."""
+    and ``L21`` ``(g, u, k)``."""
     n, (ne, s), nf = A.shape[0], A.indices.shape, int(tree[0][0, 1:].sum())
     if not nf or n % nf or s % (n // nf):
         raise ValueError(f"a tree of {nf} nodes does not divide {n} unknowns, {s} an element")
     nb, dofs = n // nf, np.arange(n // nf)
     enode = A.indices[:, ::nb] // nb  # the node of each run of nb dofs, -1 if fixed
-    m, live, free = enode.shape[1], enode >= 0, A.indices >= 0
-    runs = np.where(live[:, :, None], nb * enode[:, :, None] + dofs, -1)
-    if not np.array_equal(runs.reshape(ne, s), A.indices):
+    m, live = enode.shape[1], enode >= 0
+    runs = np.where(live[:, :, None], nb * enode[:, :, None] + dofs, -1).reshape(ne, s)
+    if not np.array_equal(runs, A.indices):
         raise ValueError(f"the element dofs are not runs of {nb} unknowns, the tree's nodes")
-    blocks = A.data.reshape(ne, m, nb, m, nb)
-
-    # the 1-norm, the largest column sum, before the factor takes memory;
-    # node-diagonal blocks, which elements share, are summed before abs
-    # (|a| + |b| can exceed |a + b|), every other block is summed after
-    off = np.abs(A.data)
-    np.einsum("eaiaj->eaij", off.reshape(blocks.shape))[...] = 0.0
-    off = (free[:, None, :].astype(float) @ off)[:, 0]
-    sums = np.bincount(A.indices[free], off[free], minlength=n)
-    at = (nb * nb * enode[live])[:, None] + np.arange(nb * nb)
-    diag = np.einsum("eaiaj->eaij", blocks)[live]
-    diag = np.bincount(at.ravel(), diag.ravel(), minlength=n * nb).reshape(nf, nb, nb)
-    norm1 = float((sums + np.abs(diag).sum(axis=1).ravel()).max())
-    at = diag = off = runs = sums = None
+    blocks, runs = A.data.reshape(ne, m, nb, m, nb), None
 
     # every element node pair (element, row, column) on or below the
     # diagonal, by column node: a front's pivot columns are one run, and
@@ -352,7 +342,7 @@ def _factor(A: ElementMatrix, tree) -> tuple:
             groups.append((fg, kg, F, int(np.count_nonzero(~is_right[fg])), unodes))
         factor.append(level)
         below = (groups, keys, parent)
-    return factor, norm1
+    return factor
 
 
 def _substitute(factor: list, b: np.ndarray) -> np.ndarray:
@@ -373,44 +363,39 @@ def _substitute(factor: list, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve(matrix, rhs: np.ndarray, tree=None) -> SolveReport:
-    """Solve a symmetric positive definite system, given as an
-    :class:`ElementMatrix` or a dense ``np.ndarray``; any other type raises
-    ``TypeError``, and a non-square matrix or a right-hand side not of its
-    order raises ``ValueError``.  The matrix is only read.
+def solve(matrix: ElementMatrix, rhs: np.ndarray, tree) -> SolveReport:
+    """Solve a symmetric positive definite system given as an
+    :class:`ElementMatrix`, along its dissection tree; any other type
+    raises ``TypeError``, and a non-square matrix or a right-hand side not
+    of its order raises ``ValueError``.  The matrix is only read.
 
     ``tree`` is a nested dissection of the matrix's nodes in the order
     given, as :func:`gwgfem.assembly.dof_map` returns it: one ``(parts, 4)``
     array per level, root first, of each part's first node and its left,
     right and separator node counts; each run of ``n / nf`` element dofs is
-    one of its ``nf`` nodes.  Without a tree the matrix is one dense front,
-    which suits small systems only.  A dense matrix is one element over
-    every unknown, so it takes no tree.
+    one of its ``nf`` nodes.  The condition estimate is the product of
+    Hager's estimates of the 1-norms of the matrix and of its inverse.
     Indefiniteness (singularity included) and a residual above
     ``RESIDUAL_TOL`` (or not finite) after refinement are reported as
     structured errors rather than ignored.  The BLAS runs on the calling
     thread: numpy's OpenBLAS is held at one thread, then set back.
     """
-    if not isinstance(matrix, (ElementMatrix, np.ndarray)):
-        raise TypeError(f"solve takes an ElementMatrix or a dense numpy.ndarray, "
-                        f"not {type(matrix).__name__}")
+    if not isinstance(matrix, ElementMatrix):
+        raise TypeError(f"solve takes an ElementMatrix, not {type(matrix).__name__}")
     b = np.asarray(rhs, dtype=float)
     shape = matrix.shape
     if len(shape) != 2 or shape[0] != shape[1] or b.shape != shape[:1]:
         raise ValueError(f"solve takes a square matrix and a right-hand side of "
                          f"its order, not shapes {shape} and {b.shape}")
     A, n = matrix, shape[0]
-    if isinstance(matrix, np.ndarray):
-        if tree:
-            raise ValueError("a dense matrix is one element over every node: it takes no tree")
-        A = ElementMatrix(np.arange(n)[None], matrix[None].astype(float, copy=False), shape)
     if n == 0:  # every edge fixed: no unknowns
         return SolveReport(x=np.zeros(0), relative_residual=0.0,
                            method="factorization", iterations=0,
                            spd_certified=True, condition_estimate=None)
     with _one_blas_thread():  # many small gemms: threads only spin
-        factor, norm1 = _factor(A, tree or (np.array([[0, 0, 0, n]]),))
-        cond = norm1 * _hager_inverse_norm(lambda v: _substitute(factor, v), n)
+        norm1 = _hager_norm(lambda v: A @ v, n)  # before the factor takes memory
+        factor = _factor(A, tree)
+        cond = norm1 * _hager_norm(lambda v: _substitute(factor, v), n)
         if cond > CONDITION_WARNING_LIMIT:
             warnings.warn(f"system condition estimate {cond:.3e} exceeds "
                           f"{CONDITION_WARNING_LIMIT:.0e}; results may be inaccurate",

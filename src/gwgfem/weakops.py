@@ -233,7 +233,8 @@ class ElementKernel:
 
     def _weighted_samples(self, mu: float, lam: float, rho: float, gamma: float):
         """The bilinear form 2 mu (eps_g, eps_g) + lam (div_g, div_g) +
-        rho h_T^gamma <R_b jump, R_b jump>_dT as two sets of weighted samples.
+        rho h_T^gamma <R_b jump, R_b jump>_dT as two sets of weighted samples;
+        the coefficients must be nonnegative (``ValueError`` otherwise).
 
         With a dof's classical samples a = (e11, e22, sqrt(2) e12, div), 0 on
         edge dofs, split into rule mean abar and fluctuation atil, and c its
@@ -241,26 +242,27 @@ class ElementKernel:
         atil_i atil_j + q_T (abar_i + c_i)(abar_j + c_j).  So ``F`` (E, ndof,
         4 + 2 m nqe) holds abar + c and the R_b jumps at the edge points, and
         ``Fi`` (E, n0, 4 nq) the interior atil at the volume points, each
-        scaled by sqrt(|coef|).  Returns ((F, sign), (Fi, sign_i)); the form
-        is sum_s sign_s F[:, i, s] F[:, j, s] summed over both sets.
+        scaled by the square root of its weight times its coefficient.
+        Returns (F, Fi); the form is F F^T plus Fi Fi^T on the interior block.
         """
+        if min(mu, lam, rho) < 0:
+            raise ValueError(f"mu, lam and rho must be nonnegative, not {mu}, {lam}, {rho}")
         w, G = self.vol.weights, self.G0
-        E, nq = w.shape
+        E = w.shape[0]
         a = _strain_samples(G, G[..., 0, 0] + G[..., 1, 1])  # (E, n0, nq, 4)
         abar = (w[:, None, None] @ a)[:, :, 0] * (1.0 / self.qarea)[:, None, None]
         mean = _strain_samples(self.delta1, self.delta2)  # (E, ndof, 4)
         mean[:, : self.n0] += abar
         coef = np.array([2.0 * mu] * 3 + [lam])
         F = np.empty((E, self.ndof, 4 + self.rb_jumps[0, :, 0].size))
-        F[:, :, :4] = mean * np.sqrt(np.abs(coef) * self.qarea[:, None])[:, None]
+        F[:, :, :4] = mean * np.sqrt(coef * self.qarea[:, None])[:, None]
         jumps = F[:, :, 4:].reshape(E, self.ndof, self.m, -1)  # a view of F
-        root = np.sqrt(np.abs(rho * self.diameter ** gamma)[:, None, None] * self.edge_weights)
+        root = np.sqrt((rho * self.diameter ** gamma)[:, None, None] * self.edge_weights)
         np.multiply(self.rb_jumps.reshape(E, self.m, self.ndof, -1).transpose(0, 2, 1, 3),
                     np.repeat(root, 2, axis=2)[:, None], out=jumps)
         a -= abar[:, :, None]  # the fluctuations
-        a *= np.sqrt(np.abs(coef) * w[..., None])[:, None]
-        return ((F, np.concatenate([np.sign(coef), np.full(jumps[0, 0].size, np.sign(rho))])),
-                (a.reshape(E, self.n0, -1), np.tile(np.sign(coef), nq)))
+        a *= np.sqrt(coef * w[..., None])[:, None]
+        return F, a.reshape(E, self.n0, -1)
 
     def local_stiffness(self, mu: float, lam: float, rho: float,
                         gamma: float) -> np.ndarray:
@@ -268,9 +270,9 @@ class ElementKernel:
         F F^T + blockdiag(Fi Fi^T, 0) from the mean-plus-correction and the
         interior fluctuation samples, each product symmetric by construction.
         """
-        (F, sign), (Fi, sign_i) = self._weighted_samples(mu, lam, rho, gamma)
-        A = _signed_gram(F, sign)
-        A[:, : self.n0, : self.n0] += _signed_gram(Fi, sign_i)
+        F, Fi = self._weighted_samples(mu, lam, rho, gamma)
+        A = F @ F.transpose(0, 2, 1)
+        A[:, : self.n0, : self.n0] += Fi @ Fi.transpose(0, 2, 1)
         return A
 
     def local_load(self, f) -> np.ndarray:
@@ -283,28 +285,20 @@ class ElementKernel:
 
     def energy(self, vloc: np.ndarray, mu: float, lam: float, rho: float,
                gamma: float) -> np.ndarray:
-        """Local energies (E,) of weak functions, summed over the weighted
-        samples of their fields (not v^T A v, so exact-kernel functions come
-        out at field-roundoff scale instead of matrix-cancellation scale)."""
-        (F, sign), (Fi, sign_i) = self._weighted_samples(mu, lam, rho, gamma)
+        """Local energies (E,) of weak functions, the sums of squares of
+        their fields' weighted samples (not v^T A v, so exact-kernel
+        functions come out at field-roundoff scale instead of
+        matrix-cancellation scale); the coefficients must be nonnegative."""
+        F, Fi = self._weighted_samples(mu, lam, rho, gamma)
         vals = np.einsum("ek,eks->es", vloc, F)
         vals_i = np.einsum("ek,eks->es", vloc[:, : self.n0], Fi)
-        return vals ** 2 @ sign + vals_i ** 2 @ sign_i
+        return (vals ** 2).sum(axis=1) + (vals_i ** 2).sum(axis=1)
 
 
 def _strain_samples(g: np.ndarray, div: np.ndarray) -> np.ndarray:
     """(e11, e22, sqrt(2) e12, div) of gradients g (..., 2, 2) on a new last axis."""
     return np.stack([g[..., 0, 0], g[..., 1, 1],
                      np.sqrt(0.5) * (g[..., 0, 1] + g[..., 1, 0]), div], axis=-1)
-
-
-def _signed_gram(F: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """sum_s sign_s F[:, i, s] F[:, j, s]: F F^T less twice the negative samples'."""
-    A = F @ F.transpose(0, 2, 1)
-    if (sign < 0).any():
-        Fn = F[:, :, sign < 0]
-        A -= 2.0 * (Fn @ Fn.transpose(0, 2, 1))
-    return A
 
 
 # -- admissibility predicates for (V^b, R_b) --

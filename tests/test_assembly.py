@@ -89,7 +89,7 @@ class TestLocalStiffness:
         mesh = (build_rectangular if mesh_kind == "rect" else build_triangular)(3)
         kern = kernel(mesh, make_spaces(mesh, interior, boundary, seed=4), rb)
         v = np.random.default_rng(5).standard_normal((mesh.num_elements, kern.ndof))
-        for params in ((0.5, 1.0, 1.0, -1.0), (0.5, 1e6, 1.0, 0.0), (0.5, 1.0, -1.0, -1.0)):
+        for params in ((0.5, 1.0, 1.0, -1.0), (0.5, 1e6, 1.0, 0.0)):
             quad = np.einsum("ei,eij,ej->e", v, kern.local_stiffness(*params), v)
             diff = np.abs(kern.energy(v, *params) - quad)
             assert diff.max() <= 1e-12 * np.abs(quad).max()
@@ -110,8 +110,7 @@ class TestLocalStiffness:
             + 0.5 * (kern.delta1 + kern.delta1.transpose(0, 1, 3, 2))[:, :, None]
         div = np.trace(grad, axis1=3, axis2=4) + kern.delta2[:, :, None]
         w, J = kern.vol.weights, kern.rb_jumps
-        for mu, lam, rho, gamma in ((0.5, 1.0, 1.0, -1.0), (0.5, 1e6, 1.0, 0.0),
-                                    (0.5, 1.0, -1.0, -1.0)):
+        for mu, lam, rho, gamma in ((0.5, 1.0, 1.0, -1.0), (0.5, 1e6, 1.0, 0.0)):
             ref = (2 * mu * np.einsum("eiqab,ejqab,eq->eij", eps, eps, w)
                    + lam * np.einsum("eiq,ejq,eq->eij", div, div, w)
                    + np.einsum("e,emiqc,emjqc,emq->eij", rho * kern.diameter ** gamma,
@@ -227,7 +226,7 @@ class TestGlobalSystem:
             spaces = make_spaces(mesh, "p1", "p1")
             case = manufactured("example1", 0.5, 1.0)
             system = assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g)
-            factor, _ = solver._factor(system.matrix, system.dofmap.tree)
+            factor = solver._factor(system.matrix, system.dofmap.tree)
             return sum(Li.size // Li.shape[1] * (Li.shape[1] + 1) // 2 + L21.size
                        for level in factor for _, Li, _, L21 in level)
 
@@ -370,17 +369,34 @@ class TestGlobalSystem:
                                            case.f, case.g)
         assert np.abs(wf_full.interior - wf_cond.interior).max() < 1e-10
 
-    def test_indefinite_interior_block_raises(self):
-        # a constant interior vector has zero weak strain and divergence
-        # (its jump integrates to zero against the normals), so its local
-        # energy is rho h^gamma * oint |c|^2 < 0 for rho = -1
+    def test_indefinite_interior_block_raises(self, monkeypatch):
+        # nonnegative coefficients give positive semidefinite element
+        # matrices, so a broken kernel stands in for an indefinite one
+        stiffness = ElementKernel.local_stiffness
+
+        def broken(kern, *args):
+            K = stiffness(kern, *args)
+            K[kern.eids == 0, 0, 0] = -1.0
+            return K
+
+        monkeypatch.setattr(ElementKernel, "local_stiffness", broken)
         case = manufactured("example1", 0.5, 1.0)
         mesh = build_rectangular(2)
         spaces = make_spaces(mesh, "p1", "p0")
         with pytest.raises(solver.IndefiniteMatrixError,
                            match="interior block of element 0 .*pivot 0 of 6") as err:
-            assemble(mesh, spaces, QB, 0.5, 1.0, -1.0, -1.0, case.f, case.g)
+            assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g)
         assert (err.value.block, err.value.pivot) == (0, 0)
+
+    @pytest.mark.parametrize("mu,lam,rho", [(-0.5, 1.0, 1.0), (0.5, -1.0, 1.0),
+                                            (0.5, 1.0, -1.0)])
+    def test_negative_coefficient_is_rejected(self, mu, lam, rho):
+        # the form is a sum of squares only for nonnegative coefficients
+        case = manufactured("example1", 0.5, 1.0)
+        mesh = build_rectangular(2)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            assemble(mesh, make_spaces(mesh, "p1", "p0"), QB, mu, lam, rho, -1.0,
+                     case.f, case.g)
 
     def test_interior_failure_in_a_later_block_names_its_element(self, monkeypatch):
         # element 270 of 288 is in the second element block, at index 14
