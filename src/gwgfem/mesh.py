@@ -1,11 +1,17 @@
-"""Uniform rectangular and triangular partitions of the unit square.
+"""Partitions of the unit square into triangles or parallelograms.
+
+An element is its vertex list, counterclockwise: three vertices make a
+triangle, four a parallelogram.  Either is the image of a reference
+element under one affine map ``a + s(b - a) + t(c - a)`` with ``a``, ``b``
+the first two vertices and ``c`` the last, so quadrature and anchors come
+from the vertices alone.  The uniform rectangular and triangular lattices
+below are two such partitions.
 
 A mesh is immutable after construction and carries, besides vertices and
-element connectivity, a deduplicated edge table with owner elements and
-boundary flags, plus precomputed geometry: element diameters, areas,
-barycenters, and per-(element, edge) outward unit normals.  Edges are
-stored with a canonical orientation (the vertex with the smaller index
-comes first; vertex indices increase lexicographically in (y, x)), so
+element connectivity, a deduplicated edge table with boundary flags, plus
+precomputed geometry: element diameters, areas, barycenters, and
+per-(element, edge) outward unit normals.  Edges are stored with a
+canonical orientation (the vertex with the smaller index comes first), so
 that quantities attached to an edge are single-valued from both owner
 elements.
 
@@ -54,14 +60,13 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class Mesh2D:
-    """A conforming partition of (0,1)^2 into squares or triangles."""
+    """A conforming partition of (0,1)^2 into triangles or parallelograms,
+    each given by its counterclockwise vertices."""
 
-    kind: str  # "rectangular" | "triangular"
     n: int
     vertices: np.ndarray  # (nv, 2)
     elements: np.ndarray  # (ne, m) vertex indices, counterclockwise
     edges: np.ndarray  # (ned, 2) vertex indices, canonical orientation
-    edge_elements: np.ndarray  # (ned, 2) owner elements, -1 if absent
     element_edges: np.ndarray  # (ne, m) edge index of local edge k -> k+1
     boundary: np.ndarray  # (ned,) bool
     elem_diameter: np.ndarray  # (ne,)
@@ -95,8 +100,10 @@ def _lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
             np.column_stack([c.ravel() for c in corners]))
 
 
-def _finish_mesh(kind: str, n: int, vertices: np.ndarray, elements: np.ndarray) -> Mesh2D:
+def _finish_mesh(n: int, vertices: np.ndarray, elements: np.ndarray) -> Mesh2D:
     ne, m = elements.shape
+    if m not in (3, 4):
+        raise ValueError(f"elements must be triangles or parallelograms, got {m} vertices")
 
     # deduplicated edge table, canonical orientation = sorted vertex pair
     ea = np.repeat(np.arange(ne), m)
@@ -108,20 +115,18 @@ def _finish_mesh(kind: str, n: int, vertices: np.ndarray, elements: np.ndarray) 
     key, inverse = np.unique(lo * nv + hi, return_inverse=True)
     edges = np.column_stack([key // nv, key % nv])
     element_edges = inverse.reshape(ne, m)
-
-    # owners in element order: the first element touching an edge takes slot 0
-    ned = edges.shape[0]
-    edge_elements = np.full((ned, 2), -1, dtype=np.int64)
-    order = np.argsort(inverse, kind="stable")
-    sorted_edges = inverse[order]
-    first = np.ones(ne * m, dtype=bool)
-    first[1:] = sorted_edges[1:] != sorted_edges[:-1]
-    edge_elements[sorted_edges[first], 0] = ea[order[first]]
-    edge_elements[sorted_edges[~first], 1] = ea[order[~first]]
-    boundary = edge_elements[:, 1] < 0
+    boundary = np.bincount(inverse, minlength=edges.shape[0]) == 1
 
     # element geometry
     coords = vertices[elements]  # (ne, m, 2)
+    if m == 4:
+        # the affine map sends the square's corner (1, 1) to v1 + v3 - v0, which
+        # is v2 only on a parallelogram; allow the rounding of these sums
+        gap = np.abs(coords[:, 0] + coords[:, 2] - coords[:, 1] - coords[:, 3]).max(axis=1)
+        bad = gap > 16 * np.finfo(float).eps * np.abs(coords).max(axis=(1, 2))
+        if bad.any():
+            raise ValueError(f"element {int(np.argmax(bad))} is a quadrilateral "
+                             "but not a parallelogram")
     nxt = np.roll(coords, -1, axis=1)
     cross = coords[:, :, 0] * nxt[:, :, 1] - nxt[:, :, 0] * coords[:, :, 1]
     area = 0.5 * cross.sum(axis=1)
@@ -149,12 +154,10 @@ def _finish_mesh(kind: str, n: int, vertices: np.ndarray, elements: np.ndarray) 
     edge_tangent = (p1 - p0) / edge_length[:, None]
 
     return Mesh2D(
-        kind=kind,
         n=n,
         vertices=vertices,
         elements=elements,
         edges=edges,
-        edge_elements=edge_elements,
         element_edges=element_edges,
         boundary=boundary,
         elem_diameter=diameter,
@@ -173,7 +176,7 @@ def build_rectangular(n: int) -> Mesh2D:
     Element vertices are ordered counterclockwise starting from the
     lower-left corner.
     """
-    return _finish_mesh("rectangular", n, *_lattice(n))
+    return _finish_mesh(n, *_lattice(n))
 
 
 def build_triangular(n: int) -> Mesh2D:
@@ -188,7 +191,7 @@ def build_triangular(n: int) -> Mesh2D:
     elements = np.empty((2 * n * n, 3), dtype=np.int64)
     elements[0::2] = squares[:, [0, 1, 3]]  # lower
     elements[1::2] = squares[:, [1, 2, 3]]  # upper
-    return _finish_mesh("triangular", n, vertices, elements)
+    return _finish_mesh(n, vertices, elements)
 
 
 def element_blocks(eids: np.ndarray):
@@ -244,20 +247,18 @@ def _reference_triangle(degree: int) -> tuple[np.ndarray, np.ndarray]:
 def element_quadrature(mesh: Mesh2D, eid, degree: int) -> QuadratureRule:
     """Quadrature on element ``eid`` exact for polynomials of total degree <= degree.
 
-    ``eid`` may be an array of element ids; the rule then carries a
-    leading element axis.
+    The reference square (weights summing to 1) or triangle (to 1/2) is
+    mapped by ``a + s(b - a) + t(c - a)``, with ``a``, ``b`` vertices 0 and 1
+    and ``c`` the last vertex; the weights scale by the map's Jacobian
+    cross(b - a, c - a), so they sum to the element area.  ``eid`` may be an
+    array of element ids; the rule then carries a leading element axis.
     """
     _check_degree(degree)
     verts = mesh.vertices[mesh.elements[eid]]  # (..., m, 2)
-    if mesh.kind == "rectangular":
-        ref_pts, ref_w = _reference_square(degree)
-        lo = verts[..., 0:1, :]
-        span = verts[..., 2:3, :] - lo
-        points = lo + ref_pts * span
-        weights = ref_w * span[..., 0] * span[..., 1]
-    else:
-        ref_pts, ref_w = _reference_triangle(degree)
-        a, b, c = (verts[..., k:k + 1, :] for k in range(3))
-        points = a + ref_pts[:, 0:1] * (b - a) + ref_pts[:, 1:2] * (c - a)
-        weights = ref_w * 2.0 * mesh.elem_area[eid][..., None]
+    reference = _reference_square if verts.shape[-2] == 4 else _reference_triangle
+    ref_pts, ref_w = reference(degree)
+    a, b, c = verts[..., 0:1, :], verts[..., 1:2, :], verts[..., -1:, :]
+    e1, e2 = b - a, c - a
+    points = a + ref_pts[:, 0:1] * e1 + ref_pts[:, 1:2] * e2
+    weights = ref_w * (e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
     return QuadratureRule(points=points, weights=weights)

@@ -205,30 +205,22 @@ def default_quad_degree(interior: InteriorSpaceConfig) -> int:
     return 10 if interior.kind == "activation" else 4
 
 
-def sample_element_params(
-    kind: str,
-    vertices: np.ndarray,
-    u: np.ndarray,
-) -> ElementRandomParams:
+def sample_element_params(vertices: np.ndarray, u: np.ndarray) -> ElementRandomParams:
     """Map uniform(0,1) draws to activation parameters.
 
     ``u`` holds one element's draws as (p, 4), or E elements' as (E, p, 4)
-    with ``vertices`` (E, nv, 2).  Draw order, for i = 1..p: direction
-    components (w_x, w_y), each shifted by -0.5, then the two anchor draws:
+    with ``vertices`` (E, m, 2).  Draw order, for i = 1..p: direction
+    components (w_x, w_y), each shifted by -0.5, then the two anchor draws
+    a, r, which place x0 uniformly in the element:
 
-    * rectangular element (vertices counterclockwise from lower-left):
-      draws rx, ry give x0 = (x1 + rx*(x2-x1), y2 + ry*(y3-y2));
-    * triangular element with vertices A1, A2, A3: draws a, r give
-      alpha = a, beta = sqrt(r), x0 = beta*(alpha*A1 + (1-alpha)*A2)
-      + (1-beta)*A3.
+    * parallelogram A1, A2, A3, A4: x0 = A1 + a*(A2-A1) + r*(A4-A1);
+    * triangle A1, A2, A3: alpha = a, beta = sqrt(r),
+      x0 = beta*(alpha*A1 + (1-alpha)*A2) + (1-beta)*A3.
     """
     v = vertices[..., None, :, :]  # broadcast over the p activations
-    a, r = u[..., 2:3], u[..., 3:4]  # the anchor draws (rx, ry on rectangles)
-    if kind == "rectangular":
-        x0 = np.concatenate([
-            v[..., 0, 0:1] + a * (v[..., 1, 0:1] - v[..., 0, 0:1]),
-            v[..., 1, 1:2] + r * (v[..., 2, 1:2] - v[..., 1, 1:2]),
-        ], axis=-1)
+    a, r = u[..., 2:3], u[..., 3:4]
+    if vertices.shape[-2] == 4:
+        x0 = v[..., 0, :] + a * (v[..., 1, :] - v[..., 0, :]) + r * (v[..., 3, :] - v[..., 0, :])
     else:
         beta = np.sqrt(r)
         x0 = beta * (a * v[..., 0, :] + (1.0 - a) * v[..., 1, :]) + (1.0 - beta) * v[..., 2, :]
@@ -398,7 +390,7 @@ def build_spaces(mesh: Mesh2D, interior: InteriorSpaceConfig,
     todo = np.arange(ne)
     for _ in range(1 + retries):
         if sampled:
-            prm = sample_element_params(mesh.kind, mesh.vertices[mesh.elements[todo]],
+            prm = sample_element_params(mesh.vertices[mesh.elements[todo]],
                                         rng.uniform(size=(todo.size, interior.p, 4)))
             params.w[todo] = prm.w
             params.x0[todo] = prm.x0

@@ -3,16 +3,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_spaces
+from gwgfem import assembly, postproc, solver
 from gwgfem.mesh import (
     MAX_QUAD_DEGREE,
+    _finish_mesh,
+    _lattice,
     build_rectangular,
     build_triangular,
     element_quadrature,
 )
 from gwgfem.spaces import parse_boundary
-from gwgfem.weakops import edge_rule
+from gwgfem.weakops import edge_rule, parse_rb
 
 P0 = parse_boundary("p0")
+
+
+def owners(m):
+    """The elements that own each edge, in element order."""
+    return [np.nonzero((m.element_edges == e).any(axis=1))[0] for e in range(m.num_edges)]
+
+
+def sheared(n):
+    """n x n squares of the unit lattice sheared by x' = x + 0.3y: parallelograms."""
+    vertices, squares = _lattice(n)
+    vertices[:, 0] += 0.3 * vertices[:, 1]
+    return _finish_mesh(n, vertices, squares)
+
+
+def jittered(n):
+    """The tri lattice with each interior vertex moved by up to h/4 per
+    coordinate, from a fixed seed."""
+    vertices, squares = _lattice(n)
+    inner = ((vertices > 0) & (vertices < 1)).all(axis=1)
+    shift = np.random.default_rng(5).uniform(-0.25, 0.25, size=vertices.shape) / n
+    vertices[inner] += shift[inner]
+    return _finish_mesh(n, vertices, np.concatenate([squares[:, [0, 1, 3]],
+                                                     squares[:, [1, 2, 3]]]))
 
 
 class TestConstruction:
@@ -61,16 +88,17 @@ class TestConstruction:
     @pytest.mark.parametrize("build", [build_rectangular, build_triangular])
     def test_edge_ownership(self, build):
         m = build(3)
-        owners = (m.edge_elements >= 0).sum(axis=1)
-        assert (owners[m.boundary] == 1).all()
-        assert (owners[~m.boundary] == 2).all()
+        count = np.array([len(o) for o in owners(m)])
+        assert (count[m.boundary] == 1).all()
+        assert (count[~m.boundary] == 2).all()
 
     @pytest.mark.parametrize("build", [build_rectangular, build_triangular])
     def test_interior_normals_are_opposite(self, build):
         m = build(3)
+        edge_owners = owners(m)
         for e in np.nonzero(~m.boundary)[0]:
             ns = []
-            for owner in m.edge_elements[e]:
+            for owner in edge_owners[e]:
                 le = list(m.element_edges[owner]).index(e)
                 ns.append(m.elem_edge_normals[owner, le])
             assert np.allclose(ns[0] + ns[1], 0.0, atol=1e-14)
@@ -168,3 +196,50 @@ class TestQuadrature:
         with pytest.raises(ValueError, match=f"1..{MAX_QUAD_DEGREE}"):
             edge_rule(m, P0, MAX_QUAD_DEGREE + 1)
 
+
+class TestGeneralGeometry:
+    """Parallelograms and perturbed triangles through the same affine map."""
+
+    @pytest.mark.parametrize("build,x2y", [(sheared, 1 / 6 + 0.1 + 0.0225),
+                                           (jittered, 1 / 6)])
+    def test_quadrature_area_and_exactness(self, build, x2y):
+        # the sheared square has unit area and int (x + 0.3y)^2 y over [0,1]^2
+        # = 1/6 + 0.1 + 0.0225; jittering keeps the unit square
+        m = build(8)
+        rule = element_quadrature(m, np.arange(m.num_elements), 3)
+        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-13)
+        assert np.allclose(rule.weights.sum(axis=1), m.elem_area, rtol=1e-13, atol=0)
+        x, y = rule.points[..., 0], rule.points[..., 1]
+        assert (x ** 2 * y * rule.weights).sum() == pytest.approx(x2y, abs=1e-13)
+
+    @pytest.mark.parametrize("build", [sheared, jittered])
+    def test_anchors_inside_elements(self, build):
+        m = build(8)
+        x0 = make_spaces(m, "sigmoid", seed=2).params.x0  # (ne, p, 2)
+        verts = m.vertices[m.elements][:, None]  # (ne, 1, nv, 2)
+        side = np.roll(verts, -1, axis=2) - verts
+        rel = x0[:, :, None, :] - verts
+        cross = side[..., 0] * rel[..., 1] - side[..., 1] * rel[..., 0]
+        assert (cross >= -1e-15).all()  # left of every ccw edge
+
+    @pytest.mark.parametrize("build", [sheared, jittered])
+    def test_p1_rate(self, build):
+        case = postproc.manufactured("example1", 0.5, 1.0)
+        errors = []
+        for n in (8, 16, 32):
+            m = build(n)
+            spaces = make_spaces(m, "p1", "p1")
+            system = assembly.assemble(m, spaces, parse_rb("qb"), 0.5, 1.0, 1.0, -1.0,
+                                       case.f, case.g)
+            wf = assembly.extract_solution(system, solver.solve_system(system).x)
+            errors.append(postproc.error_norms(m, spaces, wf, case.u).u0_l2)
+        assert postproc.rates(errors, (8, 16, 32))[-1] >= 1.9
+
+    def test_rejects_other_elements(self):
+        angle = 2 * np.pi * np.arange(5) / 5
+        pentagon = np.column_stack([np.cos(angle), np.sin(angle)])
+        with pytest.raises(ValueError, match="5 vertices"):
+            _finish_mesh(1, pentagon, np.arange(5)[None])
+        trapezoid = np.array([[0.0, 0.0], [1.0, 0.0], [0.7, 1.0], [0.3, 1.0]])
+        with pytest.raises(ValueError, match="not a parallelogram"):
+            _finish_mesh(1, trapezoid, np.arange(4)[None])

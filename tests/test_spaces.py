@@ -45,7 +45,7 @@ class TestSampling:
     def test_rect_midpoint_draws(self):
         # every draw forced to 0.5 on the unit square
         m = build_rectangular(1)
-        prm = sample_element_params(m.kind, m.vertices[m.elements[0]], np.full((4, 4), 0.5))
+        prm = sample_element_params(m.vertices[m.elements[0]], np.full((4, 4), 0.5))
         assert np.allclose(prm.w, 0.0)
         assert np.allclose(prm.x0, 0.5)
 
@@ -56,7 +56,7 @@ class TestSampling:
         assert np.allclose(verts, [[0, 0], [1, 0], [0, 1]])
         u = np.ones((4, 4))
         u[0] = [0.0, 0.0, 1.0, 1.0]
-        prm = sample_element_params(m.kind, verts, u)
+        prm = sample_element_params(verts, u)
         assert np.allclose(prm.x0[0], [0.0, 0.0])
 
     def test_triangle_affine_map(self):
@@ -65,7 +65,7 @@ class TestSampling:
         m = build_triangular(1)
         u = np.full((4, 4), 0.25)
         u[0] = [0.0, 0.0, 0.5, 0.25]
-        prm = sample_element_params(m.kind, m.vertices[m.elements[0]], u)
+        prm = sample_element_params(m.vertices[m.elements[0]], u)
         assert np.allclose(prm.x0[0], [0.25, 0.5])
 
     def test_draw_order_documented(self):
@@ -73,7 +73,7 @@ class TestSampling:
         m = build_rectangular(1)
         u = np.array([[0.6, 0.7, 0.1, 0.2],   # i=1
                       [0.8, 0.9, 0.3, 0.4]])  # i=2
-        prm = sample_element_params(m.kind, m.vertices[m.elements[0]], u)
+        prm = sample_element_params(m.vertices[m.elements[0]], u)
         assert np.allclose(prm.x0[0], [0.1, 0.2])
         assert np.allclose(prm.w[0], [0.6 - 0.5, 0.7 - 0.5])
         assert np.allclose(prm.w[1], [0.8 - 0.5, 0.9 - 0.5])
@@ -101,7 +101,7 @@ class TestSampling:
         # no element is rejected here, so the level's first draw, in element
         # order, gives every parameter
         rng = np.random.default_rng(np.random.SeedSequence((9, 2)))
-        ref = sample_element_params(m.kind, m.vertices[m.elements],
+        ref = sample_element_params(m.vertices[m.elements],
                                     rng.uniform(size=(m.num_elements, 4, 4)))
         assert np.array_equal(a.w, ref.w)
         assert np.array_equal(a.x0, ref.x0)
