@@ -10,7 +10,6 @@ for admissible (edge space, R_b) pairs.
 
 from .assembly import (
     DiscreteSystem,
-    DofMap,
     apply_dirichlet,
     assemble,
     extract_solution,

@@ -11,14 +11,13 @@ couple only to their own element's edges, so they are condensed out
 element by element (static condensation, one
 :func:`~gwgfem.solver.eliminate` step per element block) and the global
 unknowns are the free edge blocks only, numbered by nested dissection.
-The dissection tree travels with the numbering (``DofMap.tree``), and the
-solver continues the same elimination up that tree, front by front.
 Dirichlet data is enforced by elimination: fixed edge blocks are moved to
 the load vector, which keeps the reduced matrix symmetric positive
 definite whenever the admissibility predicates hold.  The edge matrix
 stays in element form, a :class:`~gwgfem.solver.ElementMatrix` of the
-condensed element blocks at their free edge dofs, which the solver fills
-its fronts from directly: the tree's nodes are the free edges.
+condensed element blocks at the tree nodes of their edges, which carries
+the dissection tree: the tree's nodes are the free edges, and the solver
+continues the same elimination up that tree, front by front.
 
 Every quadrature rule has the level's degree, ``spaces.quad_degree``.  Each
 function builds the rules it needs and drops them when it returns: one edge
@@ -37,9 +36,7 @@ from .spaces import SpaceSet, interior_mass
 from .weakops import EdgeRule, ElementKernel, RbOperator, WeakFunction, edge_rule
 
 __all__ = [
-    "DofMap",
     "DiscreteSystem",
-    "dof_map",
     "apply_dirichlet",
     "assemble",
     "extract_solution",
@@ -49,27 +46,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DofMap:
-    """Unknown numbering: one block per interior edge, blocks in
-    nested-dissection order, and the dissection tree over the edges, which
-    :func:`~gwgfem.solver.solve` factors along.  Dirichlet (boundary) edges
-    carry fixed coefficients and element interiors are condensed, so
-    neither is among the unknowns."""
-
-    nb: int
-    edge_offset: np.ndarray  # (ned,) start of the edge block, -1 if fixed
-    num_unknowns: int
-    tree: tuple = ()  # dissection levels, see :func:`_nested_dissection`
-
-
 @dataclass
 class DiscreteSystem:
     """Sparse symmetric edge system plus everything needed to interpret it."""
 
     matrix: ElementMatrix
     rhs: np.ndarray
-    dofmap: DofMap
     fixed_coeffs: np.ndarray  # (ned, nb); valid rows only for boundary edges
     mesh: Mesh2D
     spaces: SpaceSet
@@ -77,9 +59,9 @@ class DiscreteSystem:
     recovery: np.ndarray = field(repr=False)
 
 
-def _nested_dissection(mesh: Mesh2D, free: np.ndarray) -> tuple:
-    """Number of every free edge in a nested-dissection order, and the
-    dissection tree.
+def _nested_dissection(mesh: Mesh2D) -> tuple:
+    """Node of every edge in a nested-dissection order of the free edges,
+    -1 on a fixed (Dirichlet) edge, and the dissection tree.
 
     The graph has one node per free edge; two nodes are adjacent when their
     edges share an element.  Each part is bisected at the median edge
@@ -94,8 +76,10 @@ def _nested_dissection(mesh: Mesh2D, free: np.ndarray) -> tuple:
     The tree has one ``(parts, 4)`` array per level, root first: each
     part's first number and its left, right and separator counts.  A part's
     children are the parts of the next level inside its left and right
-    ranges; :func:`~gwgfem.solver.solve` factors along it.
+    ranges; :func:`~gwgfem.solver.solve` factors along it.  The same mesh
+    always gives the same numbering.
     """
+    free = np.flatnonzero(~mesh.boundary)
     nf = len(free)
     node = np.full(mesh.num_edges, nf)  # nf marks a fixed edge
     node[free] = np.arange(nf)
@@ -139,20 +123,9 @@ def _nested_dissection(mesh: Mesh2D, free: np.ndarray) -> tuple:
             i = np.flatnonzero((cls[o] == 2) & use[g])
             pos[o[i]] = shift[g[i]] + i
         lists = [o[cls[o] < 2] for o in lists]
-    return pos, tuple(tree)
-
-
-def dof_map(mesh: Mesh2D, spaces: SpaceSet) -> DofMap:
-    """Number the free edge blocks by nested dissection of the edge graph
-    and keep its tree (see :func:`_nested_dissection`); the same mesh
-    always gives the same numbering."""
-    nb = spaces.boundary.dim
-    free = np.nonzero(~mesh.boundary)[0]
-    edge_offset = np.full(mesh.num_edges, -1, dtype=np.int64)
-    pos, tree = _nested_dissection(mesh, free)
-    edge_offset[free] = nb * pos
-    return DofMap(nb=nb, edge_offset=edge_offset, num_unknowns=nb * len(free),
-                  tree=tree)
+    node[:] = -1
+    node[free] = pos
+    return node, tuple(tree)
 
 
 def apply_dirichlet(mesh: Mesh2D, edges: EdgeRule, g) -> np.ndarray:
@@ -165,13 +138,6 @@ def apply_dirichlet(mesh: Mesh2D, edges: EdgeRule, g) -> np.ndarray:
     return fixed
 
 
-def _local_dof_ids(mesh: Mesh2D, dm: DofMap) -> np.ndarray:
-    """(ne, m*nb) global ids of every element's edge dofs; -1 marks the
-    fixed (Dirichlet) edge blocks."""
-    off = dm.edge_offset[mesh.element_edges][:, :, None]  # (ne, m, 1)
-    return np.where(off >= 0, off + np.arange(dm.nb), -1).reshape(mesh.num_elements, -1)
-
-
 def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
              lam: float, rho: float, gamma: float, f, g,
              quad_degree: int | None = None,
@@ -181,8 +147,9 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
     Each element's interior block is eliminated locally by one
     :func:`~gwgfem.solver.eliminate` step per element block on the element
     matrices bordered by their loads: the matrix is the sum of the Schur
-    complements A_bb - A_bi A_ii^-1 A_ib, held per element at the dofs of
-    :func:`_local_dof_ids`, and the loads b_b - A_bi A_ii^-1 b_i are summed.
+    complements A_bb - A_bi A_ii^-1 A_ib, held per element at the
+    dissection nodes of its edges (:func:`_nested_dissection`), and the
+    loads b_b - A_bi A_ii^-1 b_i are summed.
     An A_ii that fails its Cholesky factorization raises
     :class:`~gwgfem.solver.IndefiniteMatrixError` naming the element and
     the pivot; since the inertia of the block matrix is that of A_ii plus
@@ -195,13 +162,12 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
     if quad_degree not in (None, spaces.quad_degree):
         raise ValueError(f"quad_degree {quad_degree} differs from the level's "
                          f"{spaces.quad_degree}")
-    dm = dof_map(mesh, spaces)
+    node, tree = _nested_dissection(mesh)
     edges = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
     fixed = apply_dirichlet(mesh, edges, g)
-    ids = _local_dof_ids(mesh, dm)
     ne = mesh.num_elements
     n0 = spaces.interior.dim
-    ndof = n0 + ids.shape[1]
+    ndof = n0 + mesh.element_edges.shape[1] * spaces.boundary.dim
 
     A, b = np.empty((ne, ndof - n0, ndof - n0)), np.empty((ne, ndof - n0))
     recovery = np.empty((ne, n0, ndof - n0 + 1))
@@ -228,21 +194,23 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
     ufix = fixed[mesh.element_edges].reshape(ne, -1)
     b = b - (A @ ufix[:, :, None])[:, :, 0]
 
-    n, free = dm.num_unknowns, ids >= 0
-    rhs = np.bincount(ids[free], weights=b[free], minlength=n)
-    return DiscreteSystem(matrix=ElementMatrix(ids, A, (n, n)), rhs=rhs, dofmap=dm,
-                          fixed_coeffs=fixed, mesh=mesh, spaces=spaces, recovery=recovery)
+    matrix = ElementMatrix(node[mesh.element_edges], A, tree)
+    ids = matrix.unknowns()
+    free = ids >= 0
+    rhs = np.bincount(ids[free], weights=b[free], minlength=matrix.shape[0])
+    return DiscreteSystem(matrix=matrix, rhs=rhs, fixed_coeffs=fixed, mesh=mesh,
+                          spaces=spaces, recovery=recovery)
 
 
 def extract_solution(system: DiscreteSystem, x: np.ndarray) -> WeakFunction:
     """Expand an edge solution vector into a weak function: Dirichlet edge
     blocks get their fixed coefficients, and every element's interior
     block is recovered from its edges."""
-    mesh, dm = system.mesh, system.dofmap
+    mesh, A = system.mesh, system.matrix
     wf = WeakFunction.zeros(mesh, system.spaces)
-    free = dm.edge_offset >= 0
-    wf.boundary[~free] = system.fixed_coeffs[~free]
-    wf.boundary[free] = x[dm.edge_offset[free][:, None] + np.arange(dm.nb)]
+    wf.boundary[:] = system.fixed_coeffs  # zero on the free edges
+    free = A.indices >= 0
+    wf.boundary[mesh.element_edges[free]] = x.reshape(-1, A.nb)[A.indices[free]]
     ub = wf.boundary[mesh.element_edges].reshape(mesh.num_elements, -1, 1)
     wf.interior[:] = system.recovery[:, :, -1] - (system.recovery[:, :, :-1] @ ub)[:, :, 0]
     return wf

@@ -70,7 +70,6 @@ class Mesh2D:
     element_edges: np.ndarray  # (ne, m) edge index of local edge k -> k+1
     boundary: np.ndarray  # (ned,) bool
     elem_diameter: np.ndarray  # (ne,)
-    elem_area: np.ndarray  # (ne,)
     elem_barycenter: np.ndarray  # (ne, 2)
     elem_edge_normals: np.ndarray  # (ne, m, 2) outward unit normals
     edge_length: np.ndarray  # (ned,)
@@ -161,7 +160,6 @@ def _finish_mesh(n: int, vertices: np.ndarray, elements: np.ndarray) -> Mesh2D:
         element_edges=element_edges,
         boundary=boundary,
         elem_diameter=diameter,
-        elem_area=area,
         elem_barycenter=barycenter,
         elem_edge_normals=normals,
         edge_length=edge_length,

@@ -4,9 +4,9 @@ step that also condenses the element interiors in assembly.
 :func:`eliminate` is that step: a batched Cholesky of the pivot blocks,
 which is the SPD certificate (the inertia of a block matrix is that of a
 pivot block plus that of its Schur complement), then the Schur update.
-:func:`solve` takes such steps along a nested-dissection tree: a
-multifrontal Cholesky factorization (Duff and Reid 1983; Liu 1992) in the
-caller's numbering.  Each part of the tree owns one front: its separator
+:func:`solve` takes such steps along the matrix's nested-dissection tree:
+a multifrontal Cholesky factorization (Duff and Reid 1983; Liu 1992) in
+the tree's numbering.  Each part of the tree owns one front: its separator
 unknowns (the pivots) and the outside neighbours of its subtree (the update
 set).  Levels are factored deepest first; the fronts of a level are grouped
 by size, each group takes one step and keeps ``Li`` and ``L21``, and
@@ -23,9 +23,10 @@ condition estimate is Hager's 1-norm estimate, taken once with that
 multiply and once with the factor's substitutions.
 
 The module is numpy only.  The matrix is an :class:`ElementMatrix`, the
-condensed element blocks as assembly leaves them: the factorization fills
-its fronts straight from them, one ``nb x nb`` node block at a time, and
-the residual check multiplies them element by element.
+condensed element blocks at the tree nodes of their edges, as assembly
+leaves them: the factorization fills its fronts straight from them, one
+``nb x nb`` node block at a time, and the residual check multiplies them
+element by element.
 """
 
 from __future__ import annotations
@@ -84,16 +85,41 @@ class IterationLimitError(SolverError):
 
 @dataclass(frozen=True, eq=False)
 class ElementMatrix:
-    """A symmetric matrix as a sum of element blocks, the multifrontal
-    method's elemental input: element ``e`` adds ``data[e]`` (ne, s, s) at
-    the unknowns ``indices[e]`` (ne, s), -1 marking a dof that is not one.
-    Along a tree of ``nf`` nodes, each run of ``n / nf`` ids is one node's
-    unknowns, and two elements share at most one node.  ``nnz`` counts
-    every stored entry."""
+    """A symmetric matrix as a sum of element blocks over the nodes of its
+    nested-dissection tree, the multifrontal method's elemental input:
+    element ``e`` adds ``data[e]`` (ne, s, s) at the unknowns of its nodes
+    ``indices[e]`` (ne, m), -1 marking a fixed node.  Node ``k`` owns the
+    ``nb = s / m`` unknowns ``nb * k + i``; two elements share at most one
+    node.  ``tree`` has one ``(parts, 4)`` array per level, root first, of
+    each part's first node and left, right and separator node counts; the
+    root is one part of all ``nf`` nodes, and the empty tree has none.
+    Other shapes and nodes outside ``[-1, nf)`` raise ``ValueError``."""
 
     indices: np.ndarray
     data: np.ndarray
-    shape: tuple
+    tree: tuple
+
+    def __post_init__(self):
+        (ne, m), s = self.indices.shape, self.data.shape[-1]
+        if self.data.shape != (ne, s, s) or not 0 < m <= s or s % m:
+            raise ValueError(f"element blocks of shape {self.data.shape} are not "
+                             f"(ne, s, s) for {ne} elements of {m} nodes, m dividing s")
+        if self.tree and (len(self.tree[0]) != 1 or self.tree[0][0, 0]):
+            raise ValueError("the tree's root level is not one part starting at node 0")
+        if self.indices.size and not -1 <= self.indices.min() <= self.indices.max() < self.nodes:
+            raise ValueError(f"element nodes lie outside [-1, {self.nodes}), the tree's nodes")
+
+    @property
+    def nb(self) -> int:
+        return self.data.shape[-1] // self.indices.shape[1]
+
+    @property
+    def nodes(self) -> int:
+        return int(self.tree[0][0, 1:].sum()) if self.tree else 0
+
+    @property
+    def shape(self) -> tuple:
+        return self.nb * self.nodes, self.nb * self.nodes
 
     @property
     def nnz(self) -> int:
@@ -101,15 +127,20 @@ class ElementMatrix:
 
     @property
     def indptr(self) -> np.ndarray:
-        """The element pointer ``s * arange(ne + 1)``, which the traced pass
-        of ``perfbench/run.py`` reads to size the matrix."""
-        ne, s = self.indices.shape
-        return s * np.arange(ne + 1)
+        """The element pointer ``m * arange(ne + 1)``, read by perfbench's traced pass."""
+        ne, m = self.indices.shape
+        return m * np.arange(ne + 1)
+
+    def unknowns(self) -> np.ndarray:
+        """(ne, s) unknown ids of the element rows, -1 at a fixed node."""
+        ids = self.nb * self.indices[:, :, None] + np.arange(self.nb)  # node -1: -nb..-1
+        return np.maximum(ids, -1, out=ids).reshape(self.data.shape[:2])
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        free = self.indices >= 0
-        y = np.einsum("eij,ej->ei", self.data, np.append(x, 0.0)[self.indices])  # -1 reads 0
-        y = np.bincount(self.indices[free], y[free], minlength=self.shape[0])
+        ids = self.unknowns()
+        free = ids >= 0
+        y = np.einsum("eij,ej->ei", self.data, np.append(x, 0.0)[ids])  # -1 reads 0
+        y = np.bincount(ids[free], y[free], minlength=self.shape[0])
         return y.astype(float, copy=False)  # bincount of nothing is int
 
 
@@ -119,7 +150,6 @@ class SolveReport:
     relative_residual: float
     method: str  # always "factorization"
     iterations: int  # refinement solves after the first
-    spd_certified: bool  # always True: an uncertified matrix raises
     condition_estimate: float | None = None
 
 
@@ -231,21 +261,14 @@ def eliminate(F: np.ndarray, k: int) -> tuple:
     return Li, L21
 
 
-def _factor(A: ElementMatrix, tree) -> list:
-    """Multifrontal Cholesky of ``A`` along ``tree`` (see :func:`solve`):
+def _factor(A: ElementMatrix) -> list:
+    """Multifrontal Cholesky of ``A`` along its tree (see :func:`solve`):
     per level deepest first and per group of equal-size fronts, the pivot
     indices ``(g, k)``, ``Li`` ``(g, k, k)``, the update indices ``(g, u)``
     and ``L21`` ``(g, u, k)``."""
-    n, (ne, s), nf = A.shape[0], A.indices.shape, int(tree[0][0, 1:].sum())
-    if not nf or n % nf or s % (n // nf):
-        raise ValueError(f"a tree of {nf} nodes does not divide {n} unknowns, {s} an element")
-    nb, dofs = n // nf, np.arange(n // nf)
-    enode = A.indices[:, ::nb] // nb  # the node of each run of nb dofs, -1 if fixed
-    m, live = enode.shape[1], enode >= 0
-    runs = np.where(live[:, :, None], nb * enode[:, :, None] + dofs, -1).reshape(ne, s)
-    if not np.array_equal(runs, A.indices):
-        raise ValueError(f"the element dofs are not runs of {nb} unknowns, the tree's nodes")
-    blocks, runs = A.data.reshape(ne, m, nb, m, nb), None
+    tree, enode, nb, nf = A.tree, A.indices, A.nb, A.nodes
+    n, (ne, m), dofs = nb * nf, enode.shape, np.arange(nb)
+    live, blocks = enode >= 0, A.data.reshape(ne, m, nb, m, nb)
 
     # every element node pair (element, row, column) on or below the
     # diagonal, by column node: a front's pivot columns are one run, and
@@ -363,38 +386,31 @@ def _substitute(factor: list, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve(matrix: ElementMatrix, rhs: np.ndarray, tree) -> SolveReport:
+def solve(matrix: ElementMatrix, rhs: np.ndarray) -> SolveReport:
     """Solve a symmetric positive definite system given as an
     :class:`ElementMatrix`, along its dissection tree; any other type
-    raises ``TypeError``, and a non-square matrix or a right-hand side not
-    of its order raises ``ValueError``.  The matrix is only read.
+    raises ``TypeError``, and a right-hand side not of its order raises
+    ``ValueError``.  The matrix is only read.
 
-    ``tree`` is a nested dissection of the matrix's nodes in the order
-    given, as :func:`gwgfem.assembly.dof_map` returns it: one ``(parts, 4)``
-    array per level, root first, of each part's first node and its left,
-    right and separator node counts; each run of ``n / nf`` element dofs is
-    one of its ``nf`` nodes.  The condition estimate is the product of
-    Hager's estimates of the 1-norms of the matrix and of its inverse.
-    Indefiniteness (singularity included) and a residual above
-    ``RESIDUAL_TOL`` (or not finite) after refinement are reported as
-    structured errors rather than ignored.  The BLAS runs on the calling
-    thread: numpy's OpenBLAS is held at one thread, then set back.
+    The condition estimate is the product of Hager's estimates of the
+    1-norms of the matrix and of its inverse.  Indefiniteness (singularity
+    included) and a residual above ``RESIDUAL_TOL`` (or not finite) after
+    refinement are reported as structured errors rather than ignored.  The
+    BLAS runs on the calling thread: numpy's OpenBLAS is held at one
+    thread, then set back.
     """
     if not isinstance(matrix, ElementMatrix):
         raise TypeError(f"solve takes an ElementMatrix, not {type(matrix).__name__}")
     b = np.asarray(rhs, dtype=float)
-    shape = matrix.shape
-    if len(shape) != 2 or shape[0] != shape[1] or b.shape != shape[:1]:
-        raise ValueError(f"solve takes a square matrix and a right-hand side of "
-                         f"its order, not shapes {shape} and {b.shape}")
-    A, n = matrix, shape[0]
+    A, n = matrix, matrix.shape[0]
+    if b.shape != (n,):
+        raise ValueError(f"solve takes a right-hand side of its matrix's order, not "
+                         f"shapes {matrix.shape} and {b.shape}")
     if n == 0:  # every edge fixed: no unknowns
-        return SolveReport(x=np.zeros(0), relative_residual=0.0,
-                           method="factorization", iterations=0,
-                           spd_certified=True, condition_estimate=None)
+        return SolveReport(np.zeros(0), 0.0, method="factorization", iterations=0)
     with _one_blas_thread():  # many small gemms: threads only spin
         norm1 = _hager_norm(lambda v: A @ v, n)  # before the factor takes memory
-        factor = _factor(A, tree)
+        factor = _factor(A)
         cond = norm1 * _hager_norm(lambda v: _substitute(factor, v), n)
         if cond > CONDITION_WARNING_LIMIT:
             warnings.warn(f"system condition estimate {cond:.3e} exceeds "
@@ -411,10 +427,9 @@ def solve(matrix: ElementMatrix, rhs: np.ndarray, tree) -> SolveReport:
                 f"factorization residual {res:.3e} exceeds tolerance {RESIDUAL_TOL:.1e} "
                 f"after {steps} refinement steps", residual=res)
     return SolveReport(x=x, relative_residual=res, method="factorization",
-                       iterations=steps, spd_certified=True, condition_estimate=cond)
+                       iterations=steps, condition_estimate=cond)
 
 
 def solve_system(system) -> SolveReport:
-    """Solve an assembled :class:`~gwgfem.assembly.DiscreteSystem` along
-    its dissection tree."""
-    return solve(system.matrix, system.rhs, system.dofmap.tree)
+    """Solve an assembled :class:`~gwgfem.assembly.DiscreteSystem`."""
+    return solve(system.matrix, system.rhs)

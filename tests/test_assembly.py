@@ -13,12 +13,11 @@ from conftest import (
     vec_field,
     zero_field,
 )
-from gwgfem import assembly, solver
+from gwgfem import solver
 from gwgfem import mesh as meshmod
 from gwgfem.assembly import (
     apply_dirichlet,
     assemble,
-    dof_map,
     extract_solution,
     interpolate,
     project_interior,
@@ -32,6 +31,21 @@ QB = parse_rb("qb")
 ID = parse_rb("id")
 X_FIELD = vec_field(lambda x, y: x, lambda x, y: 0.0 * x)
 RIGID = vec_field(lambda x, y: 0.3 - 0.8 * y, lambda x, y: -0.1 + 0.8 * x)
+
+
+def _matrix(mesh, spaces):
+    """The assembled edge matrix of example 1 on ``mesh``."""
+    case = manufactured("example1", 0.5, 1.0)
+    return assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g).matrix
+
+
+def _edge_nodes(mesh, A):
+    """(ned,) tree node of every edge as the element matrix numbers it,
+    -1 on a fixed edge; every element that has an edge gives it that node."""
+    node = np.full(mesh.num_edges, -2)
+    node[mesh.element_edges] = A.indices
+    assert np.array_equal(node[mesh.element_edges], A.indices)
+    return node
 
 
 class TestLocalStiffness:
@@ -181,15 +195,14 @@ class TestDirichlet:
 class TestGlobalSystem:
     def test_unknown_count_single_element(self):
         mesh = build_rectangular(1)
-        spaces = make_spaces(mesh, "p1", "p0")
-        dm = dof_map(mesh, spaces)
-        assert dm.num_unknowns == 0  # all edges Dirichlet, interior condensed
+        A = _matrix(mesh, make_spaces(mesh, "p1", "p0"))
+        assert A.shape == (0, 0) and A.tree == ()  # all edges Dirichlet, interior condensed
+        assert np.all(A.indices == -1)
 
     def test_unknown_count_n2(self):
         mesh = build_rectangular(2)
-        spaces = make_spaces(mesh, "p1", "p0")
-        dm = dof_map(mesh, spaces)
-        assert dm.num_unknowns == 4 * 2  # four interior p0 edges
+        A = _matrix(mesh, make_spaces(mesh, "p1", "p0"))
+        assert A.shape == (4 * 2, 4 * 2)  # four interior p0 edges
 
     @pytest.mark.parametrize("build,boundary", [
         (build_rectangular, "p0"),
@@ -197,19 +210,18 @@ class TestGlobalSystem:
     ])
     @pytest.mark.parametrize("n", [1, 2, 7, 16])
     def test_numbering_is_a_permutation(self, build, boundary, n):
-        # nested dissection numbers every free edge block once, and the
-        # same way on every call
+        # nested dissection gives every free edge one node of the tree, and
+        # the same one on every call
         mesh = build(n)
         spaces = make_spaces(mesh, "p1", boundary)
-        dm = dof_map(mesh, spaces)
-        free = ~mesh.boundary
-        assert np.all(dm.edge_offset[~free] == -1)
-        assert dm.num_unknowns == dm.nb * free.sum()
-        assert np.array_equal(np.sort(dm.edge_offset[free]),
-                              np.arange(0, dm.num_unknowns, dm.nb))
-        assert np.array_equal(dof_map(mesh, spaces).edge_offset, dm.edge_offset)
+        A = _matrix(mesh, spaces)
+        node, free = _edge_nodes(mesh, A), ~mesh.boundary
+        assert np.all(node[~free] == -1)
+        assert np.array_equal(np.sort(node[free]), np.arange(free.sum()))
+        assert A.nodes == free.sum() and A.shape == (A.nb * free.sum(),) * 2
+        assert np.array_equal(_matrix(mesh, spaces).indices, A.indices)
         # every node is a separator node of exactly one part of the tree
-        seps = [(p[:, 0] + p[:, 1] + p[:, 2], p[:, 3]) for p in dm.tree]
+        seps = [(p[:, 0] + p[:, 1] + p[:, 2], p[:, 3]) for p in A.tree]
         starts = np.concatenate([a for a, _ in seps] or [np.zeros(0, int)])
         counts = np.concatenate([c for _, c in seps] or [np.zeros(0, int)])
         covered = np.zeros(free.sum(), dtype=int)
@@ -226,7 +238,7 @@ class TestGlobalSystem:
             spaces = make_spaces(mesh, "p1", "p1")
             case = manufactured("example1", 0.5, 1.0)
             system = assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g)
-            factor = solver._factor(system.matrix, system.dofmap.tree)
+            factor = solver._factor(system.matrix)
             return sum(Li.size // Li.shape[1] * (Li.shape[1] + 1) // 2 + L21.size
                        for level in factor for _, Li, _, L21 in level)
 
@@ -273,8 +285,7 @@ class TestGlobalSystem:
         spaces = make_spaces(mesh, interior, boundary, seed=3)
         case = manufactured("example1", 0.5, 1.0)
         system = assemble(mesh, spaces, rb, 0.5, 1.0, 1.0, gamma, case.f, case.g)
-        rep = solver.solve_system(system)
-        assert rep.spd_certified
+        rep = solver.solve_system(system)  # raises IndefiniteMatrixError unless SPD
         assert rep.relative_residual <= 1e-12
 
     @pytest.mark.parametrize("build,interior,boundary,n", [
@@ -307,22 +318,22 @@ class TestGlobalSystem:
     def test_matrix_is_scipy_coo_to_csc(self, build, n, boundary):
         # the element form, read as scipy's COO -> CSC sum of its entries at
         # free edge dofs, is the Schur complement of the uncondensed system
-        # onto the free edge dofs, in the dof map's numbering (rect n=1: no
-        # unknowns)
+        # onto the free edge dofs, numbered nb * node + i along the tree
+        # (rect n=1: no unknowns)
         mesh = build(n)
         spaces = make_spaces(mesh, "p1", boundary)
         case = manufactured("example1", 0.5, 1.0)
-        system = assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g)
-        A, dm = system.matrix, system.dofmap
-        ne, s = A.indices.shape
-        assert np.array_equal(A.indices, assembly._local_dof_ids(mesh, dm))
+        A = _matrix(mesh, spaces)
+        (ne, m), nb, s = A.indices.shape, spaces.boundary.dim, A.data.shape[1]
+        assert m == mesh.element_edges.shape[1] and s == m * nb == m * A.nb
         assert A.data.shape == (ne, s, s) and A.nnz == ne * s * s
-        assert np.array_equal(A.indptr, s * np.arange(ne + 1))
+        assert np.array_equal(A.indptr, m * np.arange(ne + 1))
         K, _ = dense_full_system(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f)
         inner = np.arange(ne * spaces.interior.dim)
-        free = np.flatnonzero(dm.edge_offset >= 0)
-        edge = (len(inner) + dm.nb * free[:, None] + np.arange(dm.nb)).ravel()
-        number = (dm.edge_offset[free][:, None] + np.arange(dm.nb)).ravel()
+        node = _edge_nodes(mesh, A)
+        free = np.flatnonzero(node >= 0)
+        edge = (len(inner) + nb * free[:, None] + np.arange(nb)).ravel()
+        number = (nb * node[free][:, None] + np.arange(nb)).ravel()
         K_ei = K[np.ix_(edge, inner)]
         ref = np.empty((len(edge), len(edge)))
         ref[np.ix_(number, number)] = (K[np.ix_(edge, edge)] - K_ei @ np.linalg.solve(
@@ -441,7 +452,7 @@ class TestGlobalSystem:
             held, peak = (v - start for v in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        ne, n0, mnb = mesh.num_elements, spaces.interior.dim, 3 * system.dofmap.nb
+        ne, n0, mnb = mesh.num_elements, spaces.interior.dim, 3 * system.matrix.nb
         bordered = 8 * meshmod.ELEMENT_BLOCK * (n0 + mnb + 1) ** 2
         assert peak - held <= rule + block + bordered + 4 * 8 * ne * mnb
 

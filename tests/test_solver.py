@@ -32,47 +32,60 @@ def _table_system(n=8, interior="p1", boundary="p0"):
                              case.f, case.g)
 
 
-def _identity(n):
-    return ElementMatrix(np.arange(n)[:, None], np.ones((n, 1, 1)), (n, n))
-
-
 def _dense(A):
-    """A small dense matrix as one element over every unknown, and its one-node tree."""
-    return ElementMatrix(np.arange(len(A))[None], A[None], A.shape), (np.array([[0, 0, 0, 1]]),)
+    """A small dense matrix as one element on the one node of its tree."""
+    return ElementMatrix(np.zeros((1, 1), dtype=int), A[None], (np.array([[0, 0, 0, 1]]),))
 
 
 class TestInputContract:
     def test_other_types_are_rejected(self):
         # a dense array too: the element form is the one input
-        tree = _dense(np.eye(2))[1]
         for matrix in (sparse.eye(2, format="csc"), [[1.0, 0.0], [0.0, 1.0]], np.eye(2)):
             with pytest.raises(TypeError, match="takes an ElementMatrix, not"):
-                solve(matrix, np.ones(2), tree)
+                solve(matrix, np.ones(2))
 
     def test_shapes_are_checked(self):
-        # a non-square matrix is not reported as indefinite, and a
-        # right-hand side of the wrong order fails before any substitution
-        cases = [(_dense(np.ones((2, 3))), np.ones(2), r"\(2, 3\) and \(2,\)"),
-                 (_dense(np.eye(2)), np.ones(1), r"\(2, 2\) and \(1,\)"),
-                 (_dense(np.eye(2)), np.ones(3), r"\(2, 2\) and \(3,\)"),
-                 (_dense(np.eye(2)), np.ones((2, 1)), r"\(2, 2\) and \(2, 1\)")]
-        for (matrix, tree), rhs, shapes in cases:
+        # non-square blocks are not a matrix, so they are not reported as
+        # indefinite, and a right-hand side of the wrong order fails before
+        # any substitution
+        with pytest.raises(ValueError, match=r"shape \(1, 2, 3\) are not \(ne, s, s\)"):
+            _dense(np.ones((2, 3)))
+        cases = [(np.ones(1), r"\(2, 2\) and \(1,\)"),
+                 (np.ones(3), r"\(2, 2\) and \(3,\)"),
+                 (np.ones((2, 1)), r"\(2, 2\) and \(2, 1\)")]
+        for rhs, shapes in cases:
             with pytest.raises(ValueError, match=shapes):
-                solve(matrix, rhs, tree)
+                solve(_dense(np.eye(2)), rhs)
+
+    def test_element_matrix_validates_its_input(self):
+        # element blocks that are not whole node blocks, nodes that are not
+        # the tree's and a root level that is not one part all raise; the
+        # empty tree, with no unknowns, is a matrix
+        blocks, tree = np.ones((1, 2, 2)), (np.array([[0, 1, 1, 1]]),)
+        with pytest.raises(ValueError, match="m dividing s"):
+            ElementMatrix(np.zeros((1, 3), dtype=int), np.ones((1, 4, 4)), tree)
+        for bad in (3, -2):
+            with pytest.raises(ValueError, match=r"outside \[-1, 3\)"):
+                ElementMatrix(np.array([[0, bad]]), blocks, tree)
+        with pytest.raises(ValueError, match="root level is not one part"):
+            ElementMatrix(np.array([[0, 1]]), blocks,
+                          (np.array([[0, 0, 0, 1], [1, 0, 0, 1]]),))
+        empty = ElementMatrix(np.full((1, 2), -1), blocks, ())
+        assert empty.shape == (0, 0) and solve(empty, np.zeros(0)).x.shape == (0,)
 
     def test_argument_is_not_written(self):
         # a path of three elements with fixed ends, [[2, -1], [-1, 2]] in
         # all: the solver leaves the caller's arrays as they were
         A = ElementMatrix(np.array([[-1, 1], [1, 0], [0, -1]]),
-                          np.array([[1.0, -1.0], [-1.0, 1.0]]) * np.ones((3, 1, 1)), (2, 2))
-        before = [a.copy() for a in (A.indices, A.data)]
-        rep = solve(A, np.array([1.0, 1.0]), (np.array([[0, 0, 0, 2]]),))
+                          np.array([[1.0, -1.0], [-1.0, 1.0]]) * np.ones((3, 1, 1)),
+                          (np.array([[0, 0, 0, 2]]),))
+        before = [a.copy() for a in (A.indices, A.data, A.tree[0])]
+        rep = solve(A, np.array([1.0, 1.0]))
         assert np.allclose(rep.x, [1.0, 1.0], atol=1e-14)
-        for a, b in zip((A.indices, A.data), before):
+        for a, b in zip((A.indices, A.data, A.tree[0]), before):
             assert np.array_equal(a, b)
         dense = np.array([[2.0, 1.0], [1.0, 2.0]])
-        A, tree = _dense(dense)
-        solve(A, np.array([3.0, 3.0]), tree)
+        solve(_dense(dense), np.array([3.0, 3.0]))
         assert np.array_equal(dense, [[2.0, 1.0], [1.0, 2.0]])
 
     @pytest.mark.parametrize("build,n,interior,boundary", [
@@ -96,21 +109,18 @@ class TestInputContract:
 
 class TestDirectPath:
     def test_identity_matrix(self):
-        A, tree = _dense(np.eye(5))
-        rep = solve(A, np.eye(5)[0], tree)
+        # returned without IndefiniteMatrixError: the SPD certificate
+        rep = solve(_dense(np.eye(5)), np.eye(5)[0])
         assert np.allclose(rep.x, np.eye(5)[0])
         assert rep.relative_residual == 0.0
         assert rep.method == "factorization"
-        assert rep.spd_certified
 
     def test_hand_solved_2x2(self):
-        A, tree = _dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        rep = solve(A, np.array([3.0, 3.0]), tree)
+        rep = solve(_dense(np.array([[2.0, 1.0], [1.0, 2.0]])), np.array([3.0, 3.0]))
         assert np.allclose(rep.x, [1.0, 1.0], atol=1e-14)
 
     def test_zero_rhs(self):
-        A, tree = _dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        rep = solve(A, np.zeros(2), tree)
+        rep = solve(_dense(np.array([[2.0, 1.0], [1.0, 2.0]])), np.zeros(2))
         assert np.allclose(rep.x, 0.0)
 
     def test_residual_contract_reverified(self):
@@ -122,33 +132,28 @@ class TestDirectPath:
         assert rep.relative_residual <= 1e-12
 
     def test_indefinite_reports_pivot(self):
-        A, tree = _dense(np.diag([1.0, -1.0, 2.0]))
         with pytest.raises(IndefiniteMatrixError) as err:
-            solve(A, np.ones(3), tree)
+            solve(_dense(np.diag([1.0, -1.0, 2.0])), np.ones(3))
         assert err.value.pivot is not None
 
     def test_off_diagonal_pivot_is_not_certified(self):
         # eigenvalues +-1: an LU that pivots off the diagonal reports positive
         # pivots here, while the Cholesky stops at the zero first pivot
-        A, tree = _dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(IndefiniteMatrixError) as err:
-            solve(A, np.array([1.0, 2.0]), tree)
+            solve(_dense(np.array([[0.0, 1.0], [1.0, 0.0]])), np.array([1.0, 2.0]))
         assert err.value.pivot == 0
 
     def test_singular_raises(self):
-        A, tree = _dense(np.diag([1.0, 0.0, 0.0]))
         with pytest.raises(IndefiniteMatrixError):
-            solve(A, np.ones(3), tree)
+            solve(_dense(np.diag([1.0, 0.0, 0.0])), np.ones(3))
 
     def test_condition_estimate_reasonable(self):
-        A, tree = _dense(np.diag([1.0, 1e4]))
-        rep = solve(A, np.ones(2), tree)
+        rep = solve(_dense(np.diag([1.0, 1e4])), np.ones(2))
         assert rep.condition_estimate == pytest.approx(1e4, rel=0.5)
 
     def test_condition_warning_over_limit(self):
-        A, tree = _dense(np.diag([1.0, 1e15]))
         with pytest.warns(RuntimeWarning, match="condition estimate"):
-            solve(A, np.ones(2), tree)
+            solve(_dense(np.diag([1.0, 1e15])), np.ones(2))
 
     def test_residual_miss_raises(self, monkeypatch):
         # no refinement reaches a zero tolerance, and there is no other path
@@ -159,9 +164,8 @@ class TestDirectPath:
 
     def test_nan_residual_is_a_miss(self):
         # NaN > tol is False: a non-finite residual must not pass as met
-        A, tree = _dense(np.eye(2))
         with pytest.raises(IterationLimitError, match="residual nan") as err:
-            solve(A, np.array([np.nan, 1.0]), tree)
+            solve(_dense(np.eye(2)), np.array([np.nan, 1.0]))
         assert np.isnan(err.value.residual)
 
     def test_paths_agree_on_table_scale_system(self):
@@ -221,7 +225,7 @@ class TestMultifrontalPath:
     def test_agrees_with_dense_solve(self, build, n, interior, boundary):
         system = _assembled(build, n, interior, boundary)
         rep = solve_system(system)
-        if system.dofmap.num_unknowns == 0:  # rect n=1: every edge is fixed
+        if system.matrix.shape == (0, 0):  # rect n=1: every edge is fixed
             assert rep.x.shape == (0,)
             return
         A = as_scipy(system.matrix).toarray()
@@ -229,8 +233,9 @@ class TestMultifrontalPath:
         assert np.linalg.norm(rep.x - dense) <= 1e-10 * np.linalg.norm(dense)
         assert rep.condition_estimate <= 1.0001 * np.linalg.cond(A, 1)
         # one front over every node gives the same solution
-        one = (np.array([[0, 0, 0, system.dofmap.num_unknowns]]),)
-        assert np.allclose(solve(system.matrix, system.rhs, one).x, rep.x,
+        A = system.matrix
+        one = ElementMatrix(A.indices, A.data, (np.array([[0, 0, 0, A.nodes]]),))
+        assert np.allclose(solve(one, system.rhs).x, rep.x,
                            rtol=0, atol=1e-12 * np.abs(dense).max())
 
     @pytest.mark.parametrize("build,n,interior,boundary", [
@@ -252,15 +257,15 @@ class TestMultifrontalPath:
         # make the last pivot of one front negative: every pivot before it
         # is that of the SPD matrix, so the front fails exactly there
         system = _assembled(build_triangular, 8, "p1", "p1")
-        tree, nb, A = system.dofmap.tree, system.dofmap.nb, system.matrix
-        start, nl, nr, ns = tree[depth][-1]
-        last = nb * (start + nl + nr + ns) - 1
+        A = system.matrix
+        start, nl, nr, ns = A.tree[depth][-1]
+        last = A.nb * (start + nl + nr + ns) - 1
         data = A.data.copy()
-        e, i = np.nonzero(A.indices == last)  # its two elements' entries
+        e, i = np.nonzero(A.unknowns() == last)  # its two elements' entries
         data[e, i, i] = 0.0
         data[e[0], i[0], i[0]] = -1.0
         with pytest.raises(IndefiniteMatrixError) as err:
-            solve(ElementMatrix(A.indices, data, A.shape), system.rhs, tree)
+            solve(ElementMatrix(A.indices, data, A.tree), system.rhs)
         assert err.value.pivot == last
 
     def test_hand_built_tree_on_a_path(self):
@@ -269,44 +274,41 @@ class TestMultifrontalPath:
         # last node
         perm = np.array([0, 2, 1, 4, 6, 5, 3])  # dissection order -> path order
         number = np.r_[-1, np.argsort(perm), -1]  # the path, ends fixed
-        A = ElementMatrix(np.column_stack([number[:-1], number[1:]]),
-                          np.array([[1.0, -1.0], [-1.0, 1.0]]) * np.ones((8, 1, 1)), (7, 7))
-        dense = sparse.diags([-np.ones(6), 2.0 * np.ones(7), -np.ones(6)], [-1, 0, 1])
-        dense = dense.toarray()[perm][:, perm]
-        assert np.array_equal(as_scipy(A).toarray(), dense)
         tree = (np.array([[0, 3, 3, 1]]),
                 np.array([[0, 1, 1, 1], [3, 1, 1, 1]]),
                 np.array([[0, 0, 0, 1], [1, 0, 0, 1], [3, 0, 0, 1], [4, 0, 0, 1]]))
+        A = ElementMatrix(np.column_stack([number[:-1], number[1:]]),
+                          np.array([[1.0, -1.0], [-1.0, 1.0]]) * np.ones((8, 1, 1)), tree)
+        dense = sparse.diags([-np.ones(6), 2.0 * np.ones(7), -np.ones(6)], [-1, 0, 1])
+        dense = dense.toarray()[perm][:, perm]
+        assert np.array_equal(as_scipy(A).toarray(), dense)
         b = np.arange(1.0, 8.0)
-        rep = solve(A, b, tree)
+        rep = solve(A, b)
         assert np.allclose(rep.x, np.linalg.solve(dense, b), rtol=0, atol=1e-12)
 
     def test_tree_must_fit_the_matrix(self):
-        # a tree of nf nodes makes each run of n / nf element dofs one node,
-        # so it must divide the unknowns and every element's dofs into
-        # whole nodes
-        system = _assembled(build_triangular, 4, "p1", "p0")
-        with pytest.raises(ValueError, match="tree"):
-            solve(system.matrix, system.rhs, system.dofmap.tree[1:])
-        with pytest.raises(ValueError, match="does not divide"):
-            solve(_identity(7), np.ones(7), (np.array([[0, 1, 1, 1]]),))
-        with pytest.raises(ValueError, match="not runs"):
-            solve(ElementMatrix(np.array([[1, 0]]), np.eye(2)[None], (2, 2)),
-                  np.ones(2), (np.array([[0, 0, 0, 1]]),))
+        # the tree's root is one part over all nf nodes, and every element
+        # node must be one of them
+        A = _assembled(build_triangular, 4, "p1", "p0").matrix
+        with pytest.raises(ValueError, match="tree's root level"):
+            ElementMatrix(A.indices, A.data, A.tree[1:])
+        with pytest.raises(ValueError, match="the tree's nodes"):
+            ElementMatrix(np.arange(7)[:, None], np.ones((7, 1, 1)),
+                          (np.array([[0, 1, 1, 1]]),))
 
     def test_coupling_across_a_separator_is_rejected(self):
         # one extra element couples two parts that the tree keeps apart
         system = _assembled(build_triangular, 8, "p1", "p0")
-        tree, nb, A = system.dofmap.tree, system.dofmap.nb, system.matrix
-        leaves = tree[-1][:, 0]
+        A = system.matrix
+        leaves = A.tree[-1][:, 0]
         extra = np.full(A.indices.shape[1], -1)
-        extra[:2 * nb] = np.r_[nb * leaves[0] + np.arange(nb), nb * leaves[-1] + np.arange(nb)]
+        extra[:2] = leaves[0], leaves[-1]
         block = np.zeros(A.data.shape[1:])
-        block[0, nb] = block[nb, 0] = 1e-3
+        block[0, A.nb] = block[A.nb, 0] = 1e-3
         A = ElementMatrix(np.vstack([A.indices, extra]), np.concatenate([A.data, block[None]]),
-                          A.shape)
+                          A.tree)
         with pytest.raises(ValueError, match="tree"):
-            solve(A, system.rhs, tree)
+            solve(A, system.rhs)
 
 
 def _tri_condition(n, boundary, rb="qb", lam=1.0, gamma=-1.0, example=1):
@@ -349,7 +351,7 @@ class TestBoundedMemory:
         for entries in (solver.CHUNK_ENTRIES, chunk):
             monkeypatch.setattr(solver, "CHUNK_ENTRIES", entries)
             s = system()
-            runs.append((s, solver._factor(s.matrix, s.dofmap.tree), solve_system(s).x))
+            runs.append((s, solver._factor(s.matrix), solve_system(s).x))
         (s, factor, x), (t, chunked, y) = runs
         for name in ("recovery", "rhs"):
             assert np.array_equal(getattr(s, name), getattr(t, name))
@@ -362,7 +364,7 @@ class TestBoundedMemory:
         assert np.array_equal(x, y)
         # some parent extend-adds two children of one group, which a single
         # entry splits into two chunks: the left child must still go first
-        nb, tree = s.dofmap.nb, s.dofmap.tree
+        nb, tree = s.matrix.nb, s.matrix.tree
         size = {}  # first pivot node of each front -> its (k, u)
         for level in factor:
             for pidx, Li, uidx, L21 in level:
@@ -380,7 +382,7 @@ class TestBoundedMemory:
         # bound allows a few chunks of 8 MB
         monkeypatch.setattr(solver, "CHUNK_ENTRIES", 1 << 16)
         system = _assembled(build_triangular, 64, "p1", "p1")
-        factor = solver._factor(system.matrix, system.dofmap.tree)
+        factor = solver._factor(system.matrix)
         kept = sum(a.nbytes for level in factor for group in level for a in group)
         # a level's buffer holds every front (k + u) x (k + u)
         buffers = [sum(8 * len(Li) * (Li.shape[1] + L21.shape[1]) ** 2
@@ -400,8 +402,7 @@ class TestBoundedMemory:
 def _openblas():
     """The (get, set) thread-count functions that ``solve`` holds, found by
     running it once; skips where numpy loaded no OpenBLAS."""
-    A, tree = _dense(np.eye(1))
-    solve(A, np.ones(1), tree)
+    solve(_dense(np.eye(1)), np.ones(1))
     if not solver._blas["threads"]:
         pytest.skip("numpy loaded no OpenBLAS (another BLAS, or no /proc/self/maps)")
     return solver._blas["threads"]
@@ -425,8 +426,8 @@ spaces = build_spaces(mesh, parse_interior("p1", seed=0), parse_boundary(boundar
 case = manufactured(example, 0.5, lam)
 system = assembly.assemble(mesh, spaces, parse_rb(rb), 0.5, lam, 1.0, gamma, case.f, case.g)
 h, factor = hashlib.sha256(), solver._factor
-def hashed(A, tree):
-    levels = factor(A, tree)
+def hashed(A):
+    levels = factor(A)
     for group in (g for level in levels for g in level):
         for a in group:
             h.update(a.tobytes())
@@ -476,17 +477,15 @@ class TestOneBlasThread:
     def test_restored_after_an_error(self, monkeypatch, two_threads):
         get, caller = two_threads
         seen = self._record(monkeypatch, get)
-        A, tree = _dense(np.diag([1.0, -1.0, 2.0]))
         with pytest.raises(IndefiniteMatrixError):
-            solve(A, np.ones(3), tree)
+            solve(_dense(np.diag([1.0, -1.0, 2.0])), np.ones(3))
         assert seen == [1]
         assert get() == caller and solver._blas["depth"] == 0
 
     def test_nested_solve_keeps_the_hold(self, two_threads):
         get, caller = two_threads
-        A, tree = _dense(np.eye(2))
         with solver._one_blas_thread():
-            solve(A, np.ones(2), tree)
+            solve(_dense(np.eye(2)), np.ones(2))
             assert get() == 1
         assert get() == caller and solver._blas["depth"] == 0
 
