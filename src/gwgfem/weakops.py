@@ -18,12 +18,13 @@ identity.  The test spaces are constant, so the moment problem's Gram
 matrix is q_T I, with q_T the volume rule's total weight, and each
 correction is its surface integral divided by q_T.  The kernel splits the
 form at that constant (interior fluctuations, per-dof mean plus correction)
-and applies R_b to interior traces only, as edge bases lie in V^b.  Elements
-are independent of one another, so the element kernel works on a block of
-elements at once, with arrays carrying a leading element axis.  Edge
-data (quadrature, basis values and their norms) is one :class:`EdgeRule`
-of arrays over every edge of a mesh, all in the one edge basis of
-:func:`gwgfem.spaces.eval_boundary`, which is orthogonal under the
+and applies R_b to interior traces only, as edge bases lie in V^b; an edge
+basis function's jump is 0 off its own edge and is kept on that edge only.
+Elements are independent of one another, so the element kernel works on a
+block of elements at once, with arrays carrying a leading element axis.
+Edge data (quadrature, basis values and their norms) is one
+:class:`EdgeRule` of arrays over every edge of a mesh, all in the one edge
+basis of :func:`gwgfem.spaces.eval_boundary`, which is orthogonal under the
 symmetric Gauss rule, so the L2 projection onto V^b(e) divides moments by
 norms and solves nothing.  The caller builds it at the level's degree
 (``SpaceSet.quad_degree``), and it is gathered per element through
@@ -141,12 +142,11 @@ class EdgeRule:
         return np.einsum("...jk,...k->...j", self._maps(edges)[1], vals)
 
     def apply(self, edges, values: np.ndarray) -> np.ndarray:
-        """Project k traces per edge: ``values`` has shape
-        ``edges.shape + (k, nq, 2)``; returns the same shape."""
+        """Project k traces per edge through their projection coefficients:
+        ``values`` has shape ``edges.shape + (k, nq, 2)``; returns the same shape."""
         flat, cmap = self._maps(edges)
-        P = np.swapaxes(flat, -1, -2) @ cmap  # values -> values of the projection
-        return (values.reshape(values.shape[:-2] + (-1,)) @ np.swapaxes(P, -1, -2)
-                ).reshape(values.shape)
+        coeffs = values.reshape(values.shape[:-2] + (-1,)) @ np.swapaxes(cmap, -1, -2)
+        return (coeffs @ flat).reshape(values.shape)
 
 
 def edge_rule(mesh: Mesh2D, cfg: BoundarySpaceConfig, quad_degree: int) -> EdgeRule:
@@ -171,16 +171,16 @@ def edge_rule(mesh: Mesh2D, cfg: BoundarySpaceConfig, quad_degree: int) -> EdgeR
 class ElementKernel:
     """All element-local computations for a block of E elements.
 
-    Precomputes interior basis values/gradients at the volume rule,
-    boundary jumps of every local basis weak function at the edge rules,
-    their R_b images, and the corrections delta1 (constant matrix) and
-    delta2 (constant scalar) per local degree of freedom; an edge basis
-    function's jump row is its own edge's basis values, 0 on other edges.
-    One builder of weighted samples of the bilinear form, split into
-    interior fluctuations and per-dof mean-plus-correction samples, serves
-    both the local stiffness matrices and the energy.  Every array carries
-    a leading element axis; methods taking local coefficient vectors expect
-    them as (E, ndof).
+    Precomputes interior basis values/gradients at the volume rule, the
+    R_b images of the boundary jumps of every local basis weak function at
+    the edge rules, and the corrections delta1 (constant matrix) and delta2
+    (constant scalar) per local degree of freedom; an edge basis function
+    lies in V^b, so its jump is its own edge's basis values, kept on that
+    edge only (0 on the others).  One builder of weighted samples of the
+    bilinear form, split into interior fluctuations and per-dof
+    mean-plus-correction samples, serves both the local stiffness matrices
+    and the energy.  Every array carries a leading element axis; methods
+    taking local coefficient vectors expect them as (E, ndof).
 
     Local dof layout: interior basis functions first, then the edge basis
     blocks in the element's local edge order.
@@ -203,22 +203,22 @@ class ElementKernel:
         self.V0 = eval_interior(mesh, eids, icfg, prm, self.vol.points)
         self.G0 = grad_interior(mesh, eids, icfg, prm, self.vol.points)
 
-        # R_b images of the boundary jumps vb - v0 of each local basis
-        # function on each local edge: (E, m, ndof, nqe, 2); R_b fixes the
-        # edge rows, their own edge's basis values (0 on the other edges)
+        # R_b images of the jumps vb - v0 on each local edge: the interior
+        # rows R_b(-tr0) (E, m, n0, nqe, 2), and the edge rows (E, m, nb,
+        # nqe, 2) on their own edge, which R_b fixes
         self.edge_points = edges.points[self.edge_ids]  # (E, m, nqe, 2)
         self.edge_weights = edges.weights[self.edge_ids]  # (E, m, nqe)
         nqe = self.edge_points.shape[2]
         tr0 = eval_interior(mesh, eids, icfg, prm,
                             self.edge_points.reshape(E, self.m * nqe, 2))
         jump0 = -tr0.reshape(E, self.n0, self.m, nqe, 2).transpose(0, 2, 1, 3, 4)
-        J = self.rb_jumps = np.zeros((E, self.m, self.ndof, nqe, 2))
-        J[:, :, : self.n0] = edges.apply(self.edge_ids, jump0) if rb.kind == "qb" else jump0
-        for le in range(self.m):
-            base = self.n0 + le * self.nb
-            J[:, le, base: base + self.nb] = edges.basis[self.edge_ids[:, le]]
-        edge_int = np.einsum("emknc,emn->emkc", J, self.edge_weights)
-        self.jump_flux = np.einsum("emkc,emd->ekcd", edge_int, self.normals)
+        self.rb_jump0 = edges.apply(self.edge_ids, jump0) if rb.kind == "qb" else jump0
+        self.rb_jumpb = edges.basis[self.edge_ids]
+        # surface integrals of R_b jump (x) n: matmuls over the points
+        wn = (self.edge_weights[..., None] * self.normals[:, :, None])[:, :, None]
+        flux0 = (np.swapaxes(self.rb_jump0, -1, -2) @ wn).sum(axis=1)
+        fluxb = np.swapaxes(self.rb_jumpb, -1, -2) @ wn
+        self.jump_flux = np.concatenate([flux0, fluxb.reshape(E, -1, 2, 2)], axis=1)
         # R_b jump . n is the trace of R_b jump (x) n
         self.jump_divflux = self.jump_flux[..., 0, 0] + self.jump_flux[..., 1, 1]
 
@@ -233,46 +233,54 @@ class ElementKernel:
 
     def _weighted_samples(self, mu: float, lam: float, rho: float, gamma: float):
         """The bilinear form 2 mu (eps_g, eps_g) + lam (div_g, div_g) +
-        rho h_T^gamma <R_b jump, R_b jump>_dT as two sets of weighted samples;
-        the coefficients must be nonnegative (``ValueError`` otherwise).
+        rho h_T^gamma <R_b jump, R_b jump>_dT as weighted samples; the
+        coefficients must be nonnegative (``ValueError`` otherwise).
 
         With a dof's classical samples a = (e11, e22, sqrt(2) e12, div), 0 on
         edge dofs, split into rule mean abar and fluctuation atil, and c its
         constant correction, sum_q w_q (a_i + c_i)(a_j + c_j) = sum_q w_q
-        atil_i atil_j + q_T (abar_i + c_i)(abar_j + c_j).  So ``F`` (E, ndof,
-        4 + 2 m nqe) holds abar + c and the R_b jumps at the edge points, and
-        ``Fi`` (E, n0, 4 nq) the interior atil at the volume points, each
-        scaled by the square root of its weight times its coefficient.
-        Returns (F, Fi); the form is F F^T plus Fi Fi^T on the interior block.
+        atil_i atil_j + q_T (abar_i + c_i)(abar_j + c_j).  So ``M`` (E, ndof,
+        4) holds abar + c, ``Fi`` (E, n0, 4 nq) the interior atil at the
+        volume points, and ``J0`` (E, m, n0, 2 nqe) and ``Jb`` (E, m, nb,
+        2 nqe) the rows of the R_b jumps at each edge's points, each scaled
+        by the square root of its weight times its coefficient.  Returns
+        (M, Fi, J0, Jb); an edge dof's jump samples off its own edge are 0.
         """
         if min(mu, lam, rho) < 0:
             raise ValueError(f"mu, lam and rho must be nonnegative, not {mu}, {lam}, {rho}")
         w, G = self.vol.weights, self.G0
         E = w.shape[0]
-        a = _strain_samples(G, G[..., 0, 0] + G[..., 1, 1])  # (E, n0, nq, 4)
+        a = _strain_samples(G)  # (E, n0, nq, 4)
         abar = (w[:, None, None] @ a)[:, :, 0] * (1.0 / self.qarea)[:, None, None]
-        mean = _strain_samples(self.delta1, self.delta2)  # (E, ndof, 4)
+        mean = _strain_samples(self.delta1)  # (E, ndof, 4)
+        mean[..., 3] = self.delta2
         mean[:, : self.n0] += abar
         coef = np.array([2.0 * mu] * 3 + [lam])
-        F = np.empty((E, self.ndof, 4 + self.rb_jumps[0, :, 0].size))
-        F[:, :, :4] = mean * np.sqrt(coef * self.qarea[:, None])[:, None]
-        jumps = F[:, :, 4:].reshape(E, self.ndof, self.m, -1)  # a view of F
-        root = np.sqrt((rho * self.diameter ** gamma)[:, None, None] * self.edge_weights)
-        np.multiply(self.rb_jumps.reshape(E, self.m, self.ndof, -1).transpose(0, 2, 1, 3),
-                    np.repeat(root, 2, axis=2)[:, None], out=jumps)
+        mean *= np.sqrt(coef * self.qarea[:, None])[:, None]
         a -= abar[:, :, None]  # the fluctuations
         a *= np.sqrt(coef * w[..., None])[:, None]
-        return F, a.reshape(E, self.n0, -1)
+        root = np.sqrt((rho * self.diameter ** gamma)[:, None, None] * self.edge_weights)
+        root = np.repeat(root, 2, axis=2)[:, :, None]  # (E, m, 1, 2 nqe)
+        J0 = self.rb_jump0.reshape(E, self.m, self.n0, -1) * root
+        Jb = self.rb_jumpb.reshape(E, self.m, self.nb, -1) * root
+        return mean, a.reshape(E, self.n0, -1), J0, Jb
 
     def local_stiffness(self, mu: float, lam: float, rho: float,
                         gamma: float) -> np.ndarray:
-        """Local energy matrices (E, ndof, ndof) of the bilinear form,
-        F F^T + blockdiag(Fi Fi^T, 0) from the mean-plus-correction and the
-        interior fluctuation samples, each product symmetric by construction.
-        """
-        F, Fi = self._weighted_samples(mu, lam, rho, gamma)
-        A = F @ F.transpose(0, 2, 1)
-        A[:, : self.n0, : self.n0] += Fi @ Fi.transpose(0, 2, 1)
+        """Local energy matrices (E, ndof, ndof) of the bilinear form: M M^T,
+        plus the fluctuations and jumps on the interior block, each edge's
+        interior-by-own-edge jump products on both interior-edge blocks and
+        one own-edge jump block per edge; every product is symmetric or mirrored."""
+        M, Fi, J0, Jb = self._weighted_samples(mu, lam, rho, gamma)
+        (E, m, nb, _), n0 = Jb.shape, self.n0
+        A = M @ M.transpose(0, 2, 1)
+        A[:, :n0, :n0] += Fi @ Fi.transpose(0, 2, 1) + (J0 @ J0.transpose(0, 1, 3, 2)).sum(1)
+        cross = (J0 @ Jb.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3).reshape(E, n0, -1)
+        A[:, :n0, n0:] += cross
+        A[:, n0:, :n0] += cross.transpose(0, 2, 1)
+        own = np.arange(m)  # the edge blocks on the diagonal, through a view of A
+        A[:, n0:, n0:].reshape(E, m, nb, m, nb)[:, own, :, own] += \
+            (Jb @ Jb.transpose(0, 1, 3, 2)).transpose(1, 0, 2, 3)
         return A
 
     def local_load(self, f) -> np.ndarray:
@@ -289,16 +297,19 @@ class ElementKernel:
         their fields' weighted samples (not v^T A v, so exact-kernel
         functions come out at field-roundoff scale instead of
         matrix-cancellation scale); the coefficients must be nonnegative."""
-        F, Fi = self._weighted_samples(mu, lam, rho, gamma)
-        vals = np.einsum("ek,eks->es", vloc, F)
-        vals_i = np.einsum("ek,eks->es", vloc[:, : self.n0], Fi)
-        return (vals ** 2).sum(axis=1) + (vals_i ** 2).sum(axis=1)
+        M, Fi, J0, Jb = self._weighted_samples(mu, lam, rho, gamma)
+        v0, vb = vloc[:, : self.n0], vloc[:, self.n0:].reshape(Jb.shape[:3])
+        jumps = np.einsum("ek,emks->ems", v0, J0) + np.einsum("emk,emks->ems", vb, Jb)
+        return ((np.einsum("ek,eks->es", vloc, M) ** 2).sum(axis=1)
+                + (np.einsum("ek,eks->es", v0, Fi) ** 2).sum(axis=1)
+                + (jumps ** 2).sum(axis=(1, 2)))
 
 
-def _strain_samples(g: np.ndarray, div: np.ndarray) -> np.ndarray:
+def _strain_samples(g: np.ndarray) -> np.ndarray:
     """(e11, e22, sqrt(2) e12, div) of gradients g (..., 2, 2) on a new last axis."""
-    return np.stack([g[..., 0, 0], g[..., 1, 1],
-                     np.sqrt(0.5) * (g[..., 0, 1] + g[..., 1, 0]), div], axis=-1)
+    r = np.sqrt(0.5)  # the map from the entries (g11, g12, g21, g22), one product
+    smap = np.array([[1, 0, 0, 1], [0, 0, r, 0], [0, 0, r, 0], [0, 1, 0, 1]])
+    return (g.reshape(-1, 4) @ smap).reshape(g.shape[:-2] + (4,))
 
 
 # -- admissibility predicates for (V^b, R_b) --

@@ -123,7 +123,9 @@ def classical_gradient(kern, vloc):
 
 def rb_jump_values(kern, vloc):
     """R_b(vb - v0) on every local edge at the edge rule; (E, m, nqe, 2)."""
-    return np.einsum("ek,emknc->emnc", vloc, kern.rb_jumps)
+    vb = vloc[:, kern.n0:].reshape(len(vloc), kern.m, kern.nb)
+    return (np.einsum("ek,emknc->emnc", vloc[:, : kern.n0], kern.rb_jump0)
+            + np.einsum("emk,emknc->emnc", vb, kern.rb_jumpb))
 
 
 def correction_pair(kern, vloc):

@@ -201,6 +201,26 @@ class TestEliminate:
         assert (err.value.block, err.value.pivot) == (2, 2)
 
 
+def _hager_five_full_sweeps(apply, n):
+    """Hager's estimate as a loop of five whole sweeps, each ending in the
+    product that tests for the next one: the reference for
+    ``solver._hager_norm``, which skips that product on the fifth sweep."""
+    x = np.full(n, 1.0 / n)
+    est = 0.0
+    for _ in range(5):
+        y = apply(x)
+        est = max(est, float(np.abs(y).sum()))
+        xi = np.sign(y)
+        xi[xi == 0] = 1.0
+        z = apply(xi)
+        j = int(np.argmax(np.abs(z)))
+        if np.abs(z[j]) <= z @ x:
+            break
+        x = np.zeros(n)
+        x[j] = 1.0
+    return est
+
+
 def _assembled(build, n, interior, boundary):
     mesh = build(n)
     spaces = make_spaces(mesh, interior, boundary)
@@ -251,6 +271,21 @@ class TestMultifrontalPath:
         norm = abs(as_scipy(A)).sum(axis=0).max()
         got = solver._hager_norm(lambda v: A @ v, A.shape[0])
         assert 0.99 * norm <= got <= (1 + 1e-13) * norm
+
+    def test_norm_skips_the_last_sweeps_product(self):
+        # every sweep moves to a new unit vector on this integer matrix (exact
+        # in floating point at x = 1/4), so all five run; the product that
+        # would test for a sixth goes, and the estimate is the five-sweep one
+        A = np.array([[2, 0, 0, -2], [0, -2, 0, -1], [0, 0, -2, 0], [-2, -1, 0, 3]], float)
+        calls = []
+        got = solver._hager_norm(lambda v: calls.append(v) or A @ v, 4)
+        assert len(calls) == 9
+        assert got == _hager_five_full_sweeps(lambda v: A @ v, 4) == np.abs(A).sum(axis=0).max()
+        B = _assembled(build_triangular, 8, "p1", "p1").matrix
+        calls.clear()
+        got = solver._hager_norm(lambda v: calls.append(v) or B @ v, B.shape[0])
+        assert len(calls) <= 9
+        assert got == _hager_five_full_sweeps(lambda v: B @ v, B.shape[0])
 
     @pytest.mark.parametrize("depth", [0, 2, -1])
     def test_indefinite_front_reports_its_pivot(self, depth):

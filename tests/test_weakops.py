@@ -78,19 +78,26 @@ class TestApplyRb:
 
     @pytest.mark.parametrize("rb", [QB, ID])
     def test_kernel_jump_rows(self, rb):
-        # edge basis functions lie in V^b: their rows are their own edge's
-        # basis values and 0 elsewhere; interior rows are R_b of -traces
+        # edge basis functions lie in V^b: their jumps are their own edge's
+        # basis values and 0 elsewhere, so only that edge's rows are kept;
+        # interior rows are R_b of -traces
         mesh = build_triangular(2)
         spaces = make_spaces(mesh, "sin", "p1", seed=3)
         kern = kernel(mesh, spaces, rb)
         rule = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
-        E, m, _, nqe, _ = kern.rb_jumps.shape
+        E, m, nqe = kern.edge_weights.shape
+        assert kern.rb_jump0.shape == (E, m, kern.n0, nqe, 2)
+        assert kern.rb_jumpb.shape == (E, m, kern.nb, nqe, 2)
         tr0 = eval_interior(mesh, kern.eids, spaces.interior, spaces.element_params(kern.eids),
                             kern.edge_points.reshape(E, -1, 2))
         jump0 = -np.swapaxes(tr0.reshape(E, kern.n0, m, nqe, 2), 1, 2)
         expect = rule.apply(kern.edge_ids, jump0) if rb.kind == "qb" else jump0
-        assert np.abs(kern.rb_jumps[:, :, : kern.n0] - expect).max() < 1e-14
-        edge_rows = kern.rb_jumps[:, :, kern.n0:].reshape(E, m, m, kern.nb, nqe, 2)
+        # the jumps of each local basis function on every local edge
+        unit = np.eye(kern.ndof)
+        J = np.stack([rb_jump_values(kern, np.broadcast_to(unit[k], (E, kern.ndof)))
+                      for k in range(kern.ndof)], axis=2)  # (E, m, ndof, nqe, 2)
+        assert np.abs(J[:, :, : kern.n0] - expect).max() < 1e-14
+        edge_rows = J[:, :, kern.n0:].reshape(E, m, m, kern.nb, nqe, 2)
         for le in range(m):
             for other in range(m):
                 want = rule.basis[kern.edge_ids[:, le]] if other == le else 0.0
@@ -107,6 +114,23 @@ class TestApplyRb:
         once = project_traces(rule, edges, w)
         twice = rule.apply(edges, once[:, None])[:, 0]
         assert np.allclose(once, twice, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["p0", "p1", "rm"])
+    def test_apply_is_the_explicit_projector(self, kind):
+        # apply goes through projection coefficients; the reference forms
+        # each edge's projector flat^T cmap on (point, component) values
+        mesh = build_triangular(8)
+        rule = edge_rule(mesh, parse_boundary(kind), 10)
+        edges = np.array([0, mesh.num_edges // 2, mesh.num_edges - 1])
+        vals = np.random.default_rng(2).standard_normal((3, 4) + rule.points.shape[1:])
+        flat = rule.basis[edges].reshape(3, rule.basis.shape[1], -1)
+        cmap = flat * np.repeat(rule.weights[edges], 2, axis=1)[:, None] \
+            / rule.norms[edges][:, :, None]
+        P = np.swapaxes(flat, 1, 2) @ cmap
+        want = (vals.reshape(3, 4, -1) @ np.swapaxes(P, 1, 2)).reshape(vals.shape)
+        once = rule.apply(edges, vals)
+        assert np.abs(once - want).max() < 1e-14
+        assert np.abs(rule.apply(edges, once) - once).max() < 1e-14
 
     def test_linearity_on_jumps(self):
         # R_b applied to the jump equals the difference of the images
