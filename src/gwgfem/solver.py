@@ -8,12 +8,14 @@ pivot block plus that of its Schur complement), then the Schur update.
 a multifrontal Cholesky factorization (Duff and Reid 1983; Liu 1992) in
 the tree's numbering.  Each part of the tree owns one front: its separator
 unknowns (the pivots) and the outside neighbours of its subtree (the update
-set).  Levels are factored deepest first; the fronts of a level are grouped
-by size, each group takes one step and keeps ``Li`` and ``L21``, and
-extend-adds its Schur complements into its parents.  A failed front raises
+set).  Each element goes whole into the front of its first-eliminated node;
+the Schur complements of a front's children are generated elements, which
+one scatter adds the same way.  Levels are factored deepest first; the
+fronts of a level are grouped by size, and each group takes one step and
+keeps ``Li`` and ``L21``.  A failed front raises
 :class:`IndefiniteMatrixError` with the global index of a failing pivot,
 singular matrices included.  A level holds the factor so far and two level
-buffers, its own and its children's; each Schur product and extend-add runs
+buffers, its own and its children's; each Schur product and scatter runs
 in chunks of at most ``CHUNK_ENTRIES`` entries.
 
 Every solution is refined (at most three steps) and re-verified against
@@ -24,15 +26,15 @@ multiply and once with the factor's substitutions.
 
 The module is numpy only.  The matrix is an :class:`ElementMatrix`, the
 condensed element blocks at the tree nodes of their edges, as assembly
-leaves them: the factorization fills its fronts straight from them, one
-``nb x nb`` node block at a time, and the residual check multiplies them
-element by element.
+leaves them: the factorization adds each whole into one front, and the
+residual check multiplies them element by element.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import itertools
 import threading
 import warnings
 from dataclasses import dataclass
@@ -55,7 +57,7 @@ __all__ = [
 
 CONDITION_WARNING_LIMIT = 1e14
 RESIDUAL_TOL = 1e-12  # relative residual every accepted solution meets
-# Entries in one chunk of a Schur update or an extend-add: 8 MB of float64,
+# Entries in one chunk of a Schur update or a scatter: 8 MB of float64,
 # under the 32 MB ceiling of glibc's mmap threshold, so the heap can reuse
 # these temporaries instead of mapping fresh pages.
 CHUNK_ENTRIES = 1 << 20
@@ -89,11 +91,11 @@ class ElementMatrix:
     nested-dissection tree, the multifrontal method's elemental input:
     element ``e`` adds ``data[e]`` (ne, s, s) at the unknowns of its nodes
     ``indices[e]`` (ne, m), -1 marking a fixed node.  Node ``k`` owns the
-    ``nb = s / m`` unknowns ``nb * k + i``; two elements share at most one
-    node.  ``tree`` has one ``(parts, 4)`` array per level, root first, of
-    each part's first node and left, right and separator node counts; the
-    root is one part of all ``nf`` nodes, and the empty tree has none.
-    Other shapes and nodes outside ``[-1, nf)`` raise ``ValueError``."""
+    ``nb = s / m`` unknowns ``nb * k + i``.  ``tree`` has one ``(parts, 4)``
+    array per level, root first, of each part's first node and left, right
+    and separator node counts; the root is one part of all ``nf`` nodes, and
+    the empty tree has none.  Other shapes and nodes outside ``[-1, nf)``
+    raise ``ValueError``."""
 
     indices: np.ndarray
     data: np.ndarray
@@ -269,83 +271,60 @@ def _factor(A: ElementMatrix) -> list:
     indices ``(g, k)``, ``Li`` ``(g, k, k)``, the update indices ``(g, u)``
     and ``L21`` ``(g, u, k)``."""
     tree, enode, nb, nf = A.tree, A.indices, A.nb, A.nodes
-    n, (ne, m), dofs = nb * nf, enode.shape, np.arange(nb)
-    live, blocks = enode >= 0, A.data.reshape(ne, m, nb, m, nb)
+    n, dofs = nb * nf, np.arange(nb)
 
-    # every element node pair (element, row, column) on or below the
-    # diagonal, by column node: a front's pivot columns are one run, and
-    # the elements that share a block come in element order
-    low = (enode[:, :, None] >= enode[:, None, :]) & live[:, None, :]
-    e, a, c = np.nonzero(low)
-    order = np.argsort(enode[e, c], kind="stable")
-    cptr = np.searchsorted(enode[e, c][order], np.arange(nf + 1))
-    pair = np.ravel_multi_index((e, a, c), low.shape)[order]
+    # each element goes whole into the front of its first-eliminated node,
+    # its smallest live one (nf: none), in element order within a front
+    first = np.where(enode >= 0, enode, nf).min(axis=1)
+    eorder = np.argsort(first, kind="stable")
+    eptr = np.searchsorted(first[eorder], np.arange(nf + 1))
     factor = []
-    below = None  # the level below: its groups, update keys and parents
+    # the level below: its groups, update keys and parents
+    groups, ckeys, cparent = [], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     for d in reversed(range(len(tree))):
         start, nl, nr, ns = tree[d].T
         P = len(start)
         ps = start + nl + nr  # pivot (separator) nodes [ps, pe)
         pe = ps + ns
-        parent, is_right = np.zeros(P, dtype=np.int64), np.zeros(P, dtype=bool)
-        if d:
-            up = tree[d - 1]
-            parent = np.searchsorted(up[:, 0], start, side="right") - 1
-            is_right = start >= up[parent, 0] + up[parent, 1]
+        parent = np.searchsorted(tree[d - 1][:, 0], start, side="right") - 1 if d else None
 
-        # the element node pairs of every pivot column, with their fronts
-        cnt = cptr[pe] - cptr[ps]
-        p = np.repeat(cptr[ps] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
-        e, a, c = np.unravel_index(pair[p], low.shape)
-        row, col, fr = enode[e, a], enode[e, c], np.repeat(np.arange(P), cnt)
+        # the elements of every front
+        cnt = eptr[pe] - eptr[ps]
+        el = eorder[np.repeat(eptr[ps] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())]
+        efr, elnodes = np.repeat(np.arange(P), cnt), enode[el]
 
-        # symbolic: the update set of a front is the outside neighbours of its
-        # pivots and of its children's update sets, kept as front * nf + node
-        keys = [(fr * nf + row)[row >= pe[fr]]]
-        if below is not None:
-            groups, ckeys, cparent = below
-            up = cparent[ckeys // nf]
-            node = ckeys % nf
-            if np.any(node < ps[up]):
-                raise ValueError("the tree is not a nested dissection of the matrix")
-            keys.append((up * nf + node)[node >= pe[up]])
-        keys = np.sort(np.concatenate(keys))  # np.unique's hash path is slower
+        # symbolic: the update set of a front is the outside nodes of its
+        # elements and of its children's update sets, kept as front * nf + node
+        up, cnode = cparent[ckeys // nf], ckeys % nf
+        if np.any(cnode < ps[up]):
+            raise ValueError("the tree is not a nested dissection of the matrix")
+        keys = np.concatenate([(efr[:, None] * nf + elnodes)[elnodes >= pe[efr, None]],
+                               (up * nf + cnode)[cnode >= pe[up]]])
+        keys = np.sort(keys)  # np.unique's hash path is slower
         keys = keys[np.diff(keys, prepend=-1) != 0]
         uptr = np.searchsorted(keys, np.arange(P + 1) * nf)
         k, u = nb * ns, nb * np.diff(uptr)
         s = k + u
-        order = np.lexsort((is_right, u, k))  # groups, left children first
+        order = np.lexsort((u, k))  # groups of equal-size fronts
         size = s[order] ** 2
         base = np.empty(P, dtype=np.int64)
         base[order] = np.cumsum(size) - size
-        buf = np.zeros(int(size.sum()))
+        buf = np.zeros(int(size.sum()) + 1)  # the last entry takes fixed rows
 
-        def local(fr, node):  # first dof of each node within its front
-            want = fr * nf + node
-            at = np.searchsorted(keys, want)
-            out = node >= pe[fr]
-            if not np.all((np.r_[keys, -1][at] == want) | ~out):
-                raise ValueError("the matrix couples unknowns that the tree separates")
-            return nb * np.where(out, at - uptr[fr] + ns[fr], node - ps[fr])
-
-        # every element's pivot-column blocks, summed where elements share one
-        at = (base[fr] + local(fr, row) * s[fr] + nb * (col - ps[fr]))[:, None, None]
-        at = at + s[fr, None, None] * dofs[:, None] + dofs
-        np.add.at(buf, at.ravel(), blocks[e, a, :, c, :].ravel())  # flat: the fast path
-        e = a = c = at = None
-
-        if below is not None:  # extend-add the children, a chunk of fronts at a time
-            for cf, kc, F, nleft, unodes in groups:
-                for c in _chunks(len(cf), (F.shape[1] - kc) ** 2):
-                    p = cparent[cf[c]]
-                    loc = (local(p[:, None], unodes[c])[:, :, None]
-                           + dofs).reshape(len(p), -1)
-                    tgt = (base[p, None, None] + loc[:, :, None] * s[p, None, None]
-                           + loc[:, None, :])
-                    upd, m = F[c, kc:, kc:], max(nleft - c.start, 0)
-                    buf[tgt[:m]] += upd[:m]  # one child per parent a pass, left first
-                    buf[tgt[m:]] += upd[m:]
-        below = groups = F = upd = tgt = loc = None  # frees the level below
+        # one scatter adds the element blocks, then the children's update
+        # blocks, into their fronts, a chunk at a time
+        for fr, nodes, block in itertools.chain(
+                ((efr[c], elnodes[c], A.data[el[c]]) for c in _chunks(len(el), A.data[0].size)),
+                ((cparent[cf[c]], unodes[c], F[c, kc:, kc:]) for cf, kc, F, unodes in groups
+                 for c in _chunks(len(cf), (F.shape[1] - kc) ** 2))):
+            at = np.searchsorted(keys, fr[:, None] * nf + nodes) - uptr[fr, None] + ns[fr, None]
+            at = np.where(nodes < pe[fr, None], nodes - ps[fr, None], at)  # pivot or update
+            loc = (nb * at[:, :, None] + dofs).reshape(len(fr), -1)
+            tgt = base[fr, None, None] + loc[:, :, None] * s[fr, None, None] + loc[:, None, :]
+            fixed = np.repeat(nodes < 0, nb, axis=1)
+            tgt[fixed[:, :, None] | fixed[:, None, :]] = -1
+            np.add.at(buf, tgt.ravel(), block.ravel())  # flat: the fast path
+        groups = F = block = tgt = loc = at = None  # frees the level below
 
         level, groups = [], []
         ks, us = k[order], u[order]
@@ -364,9 +343,9 @@ def _factor(A: ElementMatrix) -> list:
             unodes = keys[uptr[fg, None] + np.arange(ug // nb)] % nf
             level.append((nb * ps[fg, None] + np.arange(kg), Li,
                           (nb * unodes[:, :, None] + dofs).reshape(g, ug), L21))
-            groups.append((fg, kg, F, int(np.count_nonzero(~is_right[fg])), unodes))
+            groups.append((fg, kg, F, unodes))
         factor.append(level)
-        below = (groups, keys, parent)
+        ckeys, cparent = keys, parent
     return factor
 
 

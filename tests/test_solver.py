@@ -345,6 +345,45 @@ class TestMultifrontalPath:
         with pytest.raises(ValueError, match="tree"):
             solve(A, system.rhs)
 
+    def test_coupling_within_a_front_subtree_is_accepted(self):
+        # an extra element on two nodes is accepted iff the front subtree of
+        # one node (its part: the subtree's nodes [start, pe)) holds the other
+        system = _assembled(build_triangular, 8, "p1", "p0")
+        A = system.matrix
+        lo, hi = np.empty(A.nodes, dtype=int), np.empty(A.nodes, dtype=int)
+        for start, nl, nr, ns in np.concatenate(A.tree):
+            pe = start + nl + nr + ns
+            lo[pe - ns:pe], hi[pe - ns:pe] = start, pe
+        block = np.zeros(A.data.shape[1:])
+        block[0, A.nb] = block[A.nb, 0] = 1e-3
+        rng = np.random.default_rng(7)
+        verdicts = []
+        for _ in range(60):
+            x, y = rng.choice(A.nodes, size=2, replace=False)
+            extra = np.full(A.indices.shape[1], -1)
+            extra[:2] = x, y
+            B = ElementMatrix(np.vstack([A.indices, extra]),
+                              np.concatenate([A.data, block[None]]), A.tree)
+            ok = lo[y] <= x < hi[y] or lo[x] <= y < hi[x]
+            verdicts.append(ok)
+            if ok:
+                assert solve(B, system.rhs).relative_residual <= 1e-12
+            else:
+                with pytest.raises(ValueError, match="tree"):
+                    solve(B, system.rhs)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_element_without_free_nodes_is_dropped(self):
+        # an element on fixed nodes only goes into no front, whatever its
+        # block, and the solution keeps its bits
+        system = _assembled(build_triangular, 8, "p1", "p1")
+        A = system.matrix
+        extra = np.full((1, A.indices.shape[1]), -1)
+        block = np.arange(1.0, 1.0 + A.data[0].size).reshape(A.data[0].shape)
+        B = ElementMatrix(np.vstack([A.indices, extra]),
+                          np.concatenate([A.data, block[None]]), A.tree)
+        assert np.array_equal(solve(B, system.rhs).x, solve(A, system.rhs).x)
+
 
 def _tri_condition(n, boundary, rb="qb", lam=1.0, gamma=-1.0, example=1):
     mesh = build_triangular(n)
@@ -397,8 +436,8 @@ class TestBoundedMemory:
             for group, same in zip(level, other):
                 assert all(np.array_equal(a, b) for a, b in zip(group, same))
         assert np.array_equal(x, y)
-        # some parent extend-adds two children of one group, which a single
-        # entry splits into two chunks: the left child must still go first
+        # some parent takes two children of one group, which a single entry
+        # splits into two chunks; the scatter still adds them in order
         nb, tree = s.matrix.nb, s.matrix.tree
         size = {}  # first pivot node of each front -> its (k, u)
         for level in factor:
