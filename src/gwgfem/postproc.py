@@ -152,8 +152,7 @@ def error_norms(mesh: Mesh2D, spaces: SpaceSet, solution: WeakFunction,
         raise ValueError(f"quad_degree {quad_degree} differs from the level's "
                          f"{spaces.quad_degree}")
 
-    acc0 = 0.0
-    inf0 = 0.0
+    acc0 = inf0 = 0.0
     for eids in element_blocks(np.arange(mesh.num_elements)):
         prm = spaces.element_params(eids)
         coeffs = solution.interior[eids]
@@ -188,10 +187,7 @@ def rates(errors, levels) -> list:
     """
     out = []
     for i, err in enumerate(errors):
-        if i == 0:
-            out.append(None)
-            continue
-        ok = levels[i] == 2 * levels[i - 1] and errors[i - 1] > 0 and err > 0
+        ok = i > 0 and levels[i] == 2 * levels[i - 1] and errors[i - 1] > 0 and err > 0
         out.append(math.log2(errors[i - 1] / err) if ok else None)
     return out
 
@@ -210,14 +206,10 @@ class ConvergenceReport:
         level at levels[0]/2) make the first reported rate well defined."""
         rate_columns = {}
         for key in NORM_KEYS:
-            errs = list(errors[key])
-            lvls = list(levels)
+            errs, lvls = list(errors[key]), list(levels)
             if seed_errors is not None and levels:
-                errs = [seed_errors[key]] + errs
-                lvls = [levels[0] // 2] + lvls
-                rate_columns[key] = rates(errs, lvls)[1:]
-            else:
-                rate_columns[key] = rates(errs, lvls)
+                errs, lvls = [seed_errors[key]] + errs, [levels[0] // 2] + lvls
+            rate_columns[key] = rates(errs, lvls)[len(lvls) - len(levels):]
         return cls(levels=list(levels), errors={k: list(errors[k]) for k in NORM_KEYS},
                    rate_columns=rate_columns)
 

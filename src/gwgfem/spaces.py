@@ -201,8 +201,13 @@ def parse_boundary(spec: str) -> BoundarySpaceConfig:
 
 
 def default_quad_degree(interior: InteriorSpaceConfig) -> int:
-    """Degree 10 when activation bases are active, 4 for pure polynomials."""
-    return 10 if interior.kind == "activation" else 4
+    """Degree 4 for p1; 6 for the smooth activations (sin, cos, sigmoid),
+    whose element matrices it resolves to 1e-12 of degree 20's on the
+    coarsest levels; 10 for relu and lrelu, whose kink no Gauss rule
+    resolves."""
+    if interior.kind == "p1":
+        return 4
+    return 10 if interior.activation in ("relu", "lrelu") else 6
 
 
 def sample_element_params(vertices: np.ndarray, u: np.ndarray) -> ElementRandomParams:
@@ -233,22 +238,10 @@ def _activation_args(points: np.ndarray, params: ElementRandomParams) -> np.ndar
     return (x[..., 0] - x0[..., 0]) * w[..., 0] + (x[..., 1] - x0[..., 1]) * w[..., 1]
 
 
-def eval_interior(
-    mesh: Mesh2D,
-    eid,
-    cfg: InteriorSpaceConfig,
-    params: ElementRandomParams | None,
-    points: np.ndarray,
-) -> np.ndarray:
-    """Interior basis values at ``points``; shape (dim, nq, 2), or
-    (E, dim, nq, 2) for an array of E elements.
-
-    Basis order: constants (1,0), (0,1) first.  For p1 these are followed
-    by (xi,0), (0,xi), (eta,0), (0,eta) with xi, eta the barycenter-centered
-    coordinates scaled by 1/diameter (a conditioning-friendly basis of the
-    same span).  For activation spans they are followed by the activation
-    vectors for i = 1..p.
-    """
+def _values_at(mesh: Mesh2D, eid, cfg: InteriorSpaceConfig, params: ElementRandomParams | None,
+               points, t: np.ndarray | None = None) -> np.ndarray:
+    """:func:`eval_interior`, from the activation arguments ``t`` at
+    ``points`` when the caller has them."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros(points.shape[:-2] + (cfg.dim,) + points.shape[-2:])
     out[..., 0, :, 0] = 1.0
@@ -264,24 +257,16 @@ def eval_interior(
         out[..., 5, :, 1] = eta
     else:
         f, _ = _activation_pair(cfg.activation, cfg.leaky_slope)
-        vals = f(_activation_args(points, params))
+        vals = f(_activation_args(points, params) if t is None else t)
         for k in range(cfg.p):
             out[..., 2 + k, :, k % 2] = vals[..., k, :]
     return out
 
 
-def grad_interior(
-    mesh: Mesh2D,
-    eid,
-    cfg: InteriorSpaceConfig,
-    params: ElementRandomParams | None,
-    points: np.ndarray,
-) -> np.ndarray:
-    """Exact analytic basis gradients at ``points``; shape (dim, nq, 2, 2),
-    or (E, dim, nq, 2, 2) for an array of E elements.
-
-    Entry (i, q, a, b) is d(phi_i)_a / d x_b.
-    """
+def _grads_at(mesh: Mesh2D, eid, cfg: InteriorSpaceConfig, params: ElementRandomParams | None,
+              points, t: np.ndarray | None = None) -> np.ndarray:
+    """:func:`grad_interior`, from the activation arguments ``t`` at
+    ``points`` when the caller has them."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros(points.shape[:-2] + (cfg.dim, points.shape[-2], 2, 2))
     if cfg.kind == "p1":
@@ -292,19 +277,39 @@ def grad_interior(
         out[..., 5, :, 1, 1] = inv
     else:
         _, df = _activation_pair(cfg.activation, cfg.leaky_slope)
-        slopes = df(_activation_args(points, params))  # (..., p, nq)
+        slopes = df(_activation_args(points, params) if t is None else t)  # (..., p, nq)
         for k in range(cfg.p):
             out[..., 2 + k, :, k % 2, :] = (slopes[..., k, :, None]
                                             * params.w[..., k, None, :])
     return out
 
 
-def eval_boundary(
-    mesh: Mesh2D,
-    edge_id,
-    cfg: BoundarySpaceConfig,
-    points: np.ndarray,
-) -> np.ndarray:
+def eval_interior(mesh: Mesh2D, eid, cfg: InteriorSpaceConfig,
+                  params: ElementRandomParams | None, points: np.ndarray) -> np.ndarray:
+    """Interior basis values at ``points``; shape (dim, nq, 2), or
+    (E, dim, nq, 2) for an array of E elements.
+
+    Basis order: constants (1,0), (0,1) first.  For p1 these are followed
+    by (xi,0), (0,xi), (eta,0), (0,eta) with xi, eta the barycenter-centered
+    coordinates scaled by 1/diameter (a conditioning-friendly basis of the
+    same span).  For activation spans they are followed by the activation
+    vectors for i = 1..p.
+    """
+    return _values_at(mesh, eid, cfg, params, points)
+
+
+def grad_interior(mesh: Mesh2D, eid, cfg: InteriorSpaceConfig,
+                  params: ElementRandomParams | None, points: np.ndarray) -> np.ndarray:
+    """Exact analytic basis gradients at ``points``; shape (dim, nq, 2, 2),
+    or (E, dim, nq, 2, 2) for an array of E elements.
+
+    Entry (i, q, a, b) is d(phi_i)_a / d x_b.
+    """
+    return _grads_at(mesh, eid, cfg, params, points)
+
+
+def eval_boundary(mesh: Mesh2D, edge_id, cfg: BoundarySpaceConfig,
+                  points: np.ndarray) -> np.ndarray:
     """Edge basis values at ``points`` on the edge; shape (dim, nq, 2), or
     (E, dim, nq, 2) for an array of E edges.
 

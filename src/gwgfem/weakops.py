@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh2D, _check_degree, _gauss_1d, element_quadrature
-from .spaces import (BoundarySpaceConfig, SpaceSet, eval_boundary, eval_interior,
-                     grad_interior, spd_condition)
+from .spaces import (BoundarySpaceConfig, SpaceSet, _activation_args, _grads_at, _values_at,
+                     eval_boundary, eval_interior, spd_condition)
 
 __all__ = [
     "RbOperator",
@@ -199,9 +199,11 @@ class ElementKernel:
         self.diameter = mesh.elem_diameter[eids]
         self.normals = mesh.elem_edge_normals[eids]  # (E, m, 2)
 
+        # values and slopes share one activation argument array (E, p, nq)
         self.vol = element_quadrature(mesh, eids, spaces.quad_degree)
-        self.V0 = eval_interior(mesh, eids, icfg, prm, self.vol.points)
-        self.G0 = grad_interior(mesh, eids, icfg, prm, self.vol.points)
+        t = None if icfg.kind == "p1" else _activation_args(self.vol.points, prm)
+        self.V0 = _values_at(mesh, eids, icfg, prm, self.vol.points, t)
+        self.G0 = _grads_at(mesh, eids, icfg, prm, self.vol.points, t)
 
         # R_b images of the jumps vb - v0 on each local edge: the interior
         # rows R_b(-tr0) (E, m, n0, nqe, 2), and the edge rows (E, m, nb,
@@ -265,8 +267,7 @@ class ElementKernel:
         Jb = self.rb_jumpb.reshape(E, self.m, self.nb, -1) * root
         return mean, a.reshape(E, self.n0, -1), J0, Jb
 
-    def local_stiffness(self, mu: float, lam: float, rho: float,
-                        gamma: float) -> np.ndarray:
+    def local_stiffness(self, mu: float, lam: float, rho: float, gamma: float) -> np.ndarray:
         """Local energy matrices (E, ndof, ndof) of the bilinear form: M M^T,
         plus the fluctuations and jumps on the interior block, each edge's
         interior-by-own-edge jump products on both interior-edge blocks and

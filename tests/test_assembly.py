@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -545,7 +546,10 @@ class TestQuadratureAdequacy:
     def test_level_degree_recorded_and_enforced(self):
         case = manufactured("example1", 0.5, 1.0)
         mesh = build_rectangular(2)
-        assert make_spaces(mesh, "sin").quad_degree == 10
+        for interior in ("sin", "cos", "sigmoid"):
+            assert make_spaces(mesh, interior).quad_degree == 6
+        for interior in ("relu", "lrelu:0.1"):
+            assert make_spaces(mesh, interior).quad_degree == 10
         assert make_spaces(mesh, "p1").quad_degree == 4
         spaces = make_spaces(mesh, "p1", quad=6)
         assert spaces.quad_degree == 6
@@ -562,15 +566,17 @@ class TestQuadratureAdequacy:
 
     def test_degree_escalation_changes_little(self):
         # activation-space errors must be quadrature-converged at the
-        # default degree: escalating 10 -> 16 moves the norms by far less
-        # than the discretization error
+        # default degree (6 for sin): escalating it to 16 moves the norms by
+        # about 1e-10 relative at rect n=4, far less than the discretization
+        # error
         # (the sampled parameters do not depend on the degree, so the
         # comparison isolates quadrature)
-        from gwgfem.spaces import build_spaces, parse_boundary, parse_interior
+        from gwgfem.spaces import build_spaces, default_quad_degree, parse_boundary, parse_interior
         case = manufactured("example1", 0.5, 1.0)
         mesh = build_rectangular(4)
+        default = default_quad_degree(parse_interior("sin"))
         vals, params = {}, {}
-        for deg in (10, 16):
+        for deg in (default, 16):
             spaces = build_spaces(mesh, parse_interior("sin", seed=2),
                                   parse_boundary("p0"), deg,
                                   seed_entropy=(2, 4))
@@ -578,8 +584,30 @@ class TestQuadratureAdequacy:
             wf = extract_solution(system, solver.solve_system(system).x)
             vals[deg] = error_norms(mesh, spaces, wf, case.u)
             params[deg] = spaces.params
-        assert np.array_equal(params[10].w, params[16].w)
-        assert np.array_equal(params[10].x0, params[16].x0)
+        assert np.array_equal(params[default].w, params[16].w)
+        assert np.array_equal(params[default].x0, params[16].x0)
         for key in ("u0_l2", "ub_l2"):
-            a, b = getattr(vals[10], key), getattr(vals[16], key)
+            a, b = getattr(vals[default], key), getattr(vals[16], key)
             assert abs(a - b) / a < 1e-8
+
+    @pytest.mark.parametrize("build", [build_rectangular, build_triangular])
+    def test_default_degree_matches_degree_20(self, build):
+        # smooth activations run at degree 6: on the coarsest levels, whose
+        # elements are largest, the element matrices agree with degree 20's
+        # to 1.4e-12 (degree 4 reads up to 3.1e-9), with the same parameters
+        for n in (2, 4):
+            mesh = build(n)
+            for interior in ("sin", "cos", "sigmoid"):
+                for boundary, rb in (("p0", QB), ("rm", QB), ("p1", ID)):
+                    spaces = make_spaces(mesh, interior, boundary)
+                    A, ref = (kernel(mesh, sp, rb).local_stiffness(0.5, 1.0, 1.0, -1.0)
+                              for sp in (spaces, dataclasses.replace(spaces, quad_degree=20)))
+                    assert np.abs(A - ref).max() <= 1e-11 * np.abs(ref).max()
+        # the Gram checks at the default degree reject the same draws as
+        # at degree 10, so the sampled parameters do not move
+        mesh = build(16)
+        for interior in ("sin", "sigmoid"):
+            for seed in (0, 1):
+                a, b = (make_spaces(mesh, interior, seed=seed, quad=q).params
+                        for q in (None, 10))
+                assert np.array_equal(a.w, b.w) and np.array_equal(a.x0, b.x0)

@@ -8,7 +8,7 @@ from conftest import (classical_gradient, correction_pair, corrections_closed_fo
                       weak_gradient, weak_strain)
 from gwgfem.assembly import interpolate, project_interior
 from gwgfem.mesh import build_rectangular, build_triangular
-from gwgfem.spaces import eval_boundary, eval_interior, parse_boundary
+from gwgfem.spaces import eval_boundary, eval_interior, grad_interior, parse_boundary
 from gwgfem.weakops import (
     WeakFunction,
     check_rb_injectivity,
@@ -44,6 +44,21 @@ def project_traces(rule, edges, field):
 def divergence(kern, vloc):
     return np.trace(classical_gradient(kern, vloc), axis1=2, axis2=3) \
         + correction_pair(kern, vloc)[1][:, None]
+
+
+class TestKernelInteriorSamples:
+    @pytest.mark.parametrize("interior", ["sin", "cos", "sigmoid", "relu", "lrelu:0.1", "p1"])
+    def test_shared_activation_args(self, interior):
+        # the kernel evaluates the activation arguments at its volume points
+        # once for values and slopes; the bits are those of separate calls
+        mesh = build_triangular(3)
+        spaces = make_spaces(mesh, interior, "rm", seed=5)
+        kern = kernel(mesh, spaces, QB)
+        prm = spaces.element_params(kern.eids)
+        V0 = eval_interior(mesh, kern.eids, spaces.interior, prm, kern.vol.points)
+        G0 = grad_interior(mesh, kern.eids, spaces.interior, prm, kern.vol.points)
+        assert np.array_equal(kern.V0, V0)
+        assert np.array_equal(kern.G0, G0)
 
 
 class TestApplyRb:
