@@ -236,7 +236,7 @@ def project_interior(mesh: Mesh2D, eid, spaces: SpaceSet, field_fn) -> np.ndarra
     """Element L2 projection of a vector field onto V0(T); coefficients,
     (E, n0) for an array of E elements."""
     rule, vals, gram = interior_mass(mesh, eid, spaces.interior,
-                                     spaces.element_params(eid), spaces.quad_degree)
+                                     spaces.params[eid], spaces.quad_degree)
     fv = np.asarray(field_fn(rule.points.reshape(-1, 2)), dtype=float)
     fv = fv.reshape(rule.points.shape)
     mom = np.einsum("...inc,...nc,...n->...i", vals, fv, rule.weights)

@@ -9,7 +9,7 @@ below are two such partitions.
 
 A mesh is immutable after construction and carries, besides vertices and
 element connectivity, a deduplicated edge table with boundary flags, plus
-precomputed geometry: element diameters, areas, barycenters, and
+precomputed geometry: element diameters, barycenters, and
 per-(element, edge) outward unit normals.  Edges are stored with a
 canonical orientation (the vertex with the smaller index comes first), so
 that quantities attached to an edge are single-valued from both owner

@@ -154,15 +154,15 @@ def error_norms(mesh: Mesh2D, spaces: SpaceSet, solution: WeakFunction,
 
     acc0 = inf0 = 0.0
     for eids in element_blocks(np.arange(mesh.num_elements)):
-        prm = spaces.element_params(eids)
+        prm = spaces.params[eids]
         coeffs = solution.interior[eids]
         rule = element_quadrature(mesh, eids, spaces.quad_degree)
         diff = _misfit(u_exact, rule.points, coeffs,
-                       eval_interior(mesh, eids, spaces.interior, prm, rule.points))
+                       eval_interior(spaces.interior, prm, rule.points))
         acc0 += float(np.einsum("enc,enc,en->", diff, diff, rule.weights))
         centers = mesh.elem_barycenter[eids][:, None, :]
         diff = _misfit(u_exact, centers, coeffs,
-                       eval_interior(mesh, eids, spaces.interior, prm, centers))
+                       eval_interior(spaces.interior, prm, centers))
         inf0 = max(inf0, float(np.abs(diff).max()))
 
     rule = edge_rule(mesh, spaces.boundary, spaces.quad_degree)

@@ -1,11 +1,12 @@
 """Local approximation spaces on elements and edges.
 
-Interior spaces are either the vector-valued linears (dimension 6) or an
-activation span: the two constant vectors plus ``p`` activation functions
-sigma(t_i) with t_i = w_i . (x - x0_i), where the direction w_i and the
-anchor x0_i are drawn independently on every element.  Activation basis
-vectors alternate components: the i-th one (1-based) lives in component 1
-for odd i and component 2 for even i.
+Every interior space is an activation span: the two constant vectors plus
+``p`` activation functions sigma(t_i) with t_i = w_i . (x - x0_i), the i-th
+(1-based) in component 1 for odd i and component 2 for even i.  Activation
+kinds draw the direction w_i and the anchor x0_i on every element.  The
+vector linears (kind "p1", dimension 6) span sigma(t) = t with p = 4, every
+anchor at the barycenter and directions (1/h, 0), (1/h, 0), (0, 1/h),
+(0, 1/h), h the element diameter.
 
 Edge spaces are constant vectors (dimension 2), linear vectors in the
 edge-local coordinate (dimension 4), or rigid motions restricted to the
@@ -56,11 +57,16 @@ MAX_RESAMPLE_ATTEMPTS = 8
 ACTIVATIONS = ("sin", "cos", "sigmoid", "relu", "lrelu")
 
 
-def _activation_pair(name: str, eps: float) -> tuple[Callable, Callable]:
-    """Return (sigma, sigma') for an activation name.
+def _activation_pair(cfg: InteriorSpaceConfig) -> tuple[Callable, Callable]:
+    """Return (sigma, sigma') for an interior space.
 
     The relu subgradient at t = 0 is taken as 0 (eps for leaky relu).
+    p1 has no ``activation``: it spans the linear one, sigma(t) = t, which
+    is not offered as an activation of its own.
     """
+    name, eps = cfg.activation or "linear", cfg.leaky_slope
+    if name == "linear":
+        return (lambda t: t), np.ones_like
     if name == "sin":
         return np.sin, np.cos
     if name == "cos":
@@ -87,9 +93,10 @@ def _activation_pair(name: str, eps: float) -> tuple[Callable, Callable]:
 class InteriorSpaceConfig:
     """Descriptor of V0(T).
 
-    kind "p1" is the 6-dimensional vector-linear space; kind "activation"
-    spans the two constants plus ``p`` activation basis vectors.
-    ``leaky_slope`` is used only by the lrelu activation.
+    kind "activation" spans the two constants plus ``p`` activation basis
+    vectors; kind "p1", the 6-dimensional vector-linear space, spans them
+    for the linear activation with p = 4, and takes no other ``activation``
+    or ``p``.  ``leaky_slope`` is used only by the lrelu activation.
     """
 
     kind: str  # "p1" | "activation"
@@ -101,6 +108,9 @@ class InteriorSpaceConfig:
     def __post_init__(self):
         if self.kind not in ("p1", "activation"):
             raise ValueError(f"unknown interior space kind {self.kind!r}")
+        if self.kind == "p1" and (self.activation is not None or self.p != 4):
+            raise ValueError(f"p1 takes no activation and p = 4, not {self.activation!r} "
+                             f"and p = {self.p}")
         if self.kind == "activation":
             if self.activation not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {self.activation!r}")
@@ -111,7 +121,7 @@ class InteriorSpaceConfig:
 
     @property
     def dim(self) -> int:
-        return 6 if self.kind == "p1" else 2 + self.p
+        return 2 + self.p
 
 
 @dataclass(frozen=True)
@@ -135,8 +145,9 @@ class ElementRandomParams:
 
     For a set of elements both arrays carry a leading element axis,
     (ne, p, 2); indexing selects elements.  Anchors lie inside the closed
-    element; parameters are never shared across elements.  Treated as
-    immutable after sampling.
+    element.  Drawn parameters are never shared across elements; p1's are
+    geometric, and its ``x0`` is a read-only broadcast of the barycenters.
+    Treated as immutable after sampling.
     """
 
     w: np.ndarray
@@ -153,13 +164,9 @@ class SpaceSet:
 
     interior: InteriorSpaceConfig
     boundary: BoundarySpaceConfig
-    params: ElementRandomParams | None  # arrays over all elements, None for p1
+    params: ElementRandomParams  # arrays over all elements
     quad_degree: int
     gram_condition: np.ndarray  # per-element interior mass condition
-
-    def element_params(self, eid) -> ElementRandomParams | None:
-        """Parameters of element ``eid`` (or of an array of elements)."""
-        return None if self.params is None else self.params[eid]
 
 
 class SpaceConditioningError(RuntimeError):
@@ -238,74 +245,49 @@ def _activation_args(points: np.ndarray, params: ElementRandomParams) -> np.ndar
     return (x[..., 0] - x0[..., 0]) * w[..., 0] + (x[..., 1] - x0[..., 1]) * w[..., 1]
 
 
-def _values_at(mesh: Mesh2D, eid, cfg: InteriorSpaceConfig, params: ElementRandomParams | None,
-               points, t: np.ndarray | None = None) -> np.ndarray:
-    """:func:`eval_interior`, from the activation arguments ``t`` at
-    ``points`` when the caller has them."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros(points.shape[:-2] + (cfg.dim,) + points.shape[-2:])
+def _values_at(cfg: InteriorSpaceConfig, t: np.ndarray) -> np.ndarray:
+    """:func:`eval_interior` from the activation arguments ``t`` (..., p, nq)."""
+    out = np.zeros(t.shape[:-2] + (cfg.dim, t.shape[-1], 2))
     out[..., 0, :, 0] = 1.0
     out[..., 1, :, 1] = 1.0
-    if cfg.kind == "p1":
-        center = mesh.elem_barycenter[eid][..., None, :]
-        scale = mesh.elem_diameter[eid][..., None]
-        xi = (points[..., 0] - center[..., 0]) / scale
-        eta = (points[..., 1] - center[..., 1]) / scale
-        out[..., 2, :, 0] = xi
-        out[..., 3, :, 1] = xi
-        out[..., 4, :, 0] = eta
-        out[..., 5, :, 1] = eta
-    else:
-        f, _ = _activation_pair(cfg.activation, cfg.leaky_slope)
-        vals = f(_activation_args(points, params) if t is None else t)
-        for k in range(cfg.p):
-            out[..., 2 + k, :, k % 2] = vals[..., k, :]
+    vals = _activation_pair(cfg)[0](t)
+    for c in range(2):  # the activations living in component c
+        out[..., 2 + c::2, :, c] = vals[..., c::2, :]
     return out
 
 
-def _grads_at(mesh: Mesh2D, eid, cfg: InteriorSpaceConfig, params: ElementRandomParams | None,
-              points, t: np.ndarray | None = None) -> np.ndarray:
-    """:func:`grad_interior`, from the activation arguments ``t`` at
-    ``points`` when the caller has them."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros(points.shape[:-2] + (cfg.dim, points.shape[-2], 2, 2))
-    if cfg.kind == "p1":
-        inv = 1.0 / mesh.elem_diameter[eid][..., None]
-        out[..., 2, :, 0, 0] = inv
-        out[..., 3, :, 1, 0] = inv
-        out[..., 4, :, 0, 1] = inv
-        out[..., 5, :, 1, 1] = inv
-    else:
-        _, df = _activation_pair(cfg.activation, cfg.leaky_slope)
-        slopes = df(_activation_args(points, params) if t is None else t)  # (..., p, nq)
-        for k in range(cfg.p):
-            out[..., 2 + k, :, k % 2, :] = (slopes[..., k, :, None]
-                                            * params.w[..., k, None, :])
+def _grads_at(cfg: InteriorSpaceConfig, params: ElementRandomParams, t: np.ndarray) -> np.ndarray:
+    """:func:`grad_interior` from the activation arguments ``t`` (..., p, nq)."""
+    out = np.zeros(t.shape[:-2] + (cfg.dim, t.shape[-1], 2, 2))
+    slopes = _activation_pair(cfg)[1](t)
+    for c, d in np.ndindex(2, 2):  # component c of the activations living there, along x_d
+        np.multiply(slopes[..., c::2, :], params.w[..., c::2, d, None],
+                    out=out[..., 2 + c::2, :, c, d])
     return out
 
 
-def eval_interior(mesh: Mesh2D, eid, cfg: InteriorSpaceConfig,
-                  params: ElementRandomParams | None, points: np.ndarray) -> np.ndarray:
-    """Interior basis values at ``points``; shape (dim, nq, 2), or
-    (E, dim, nq, 2) for an array of E elements.
+def eval_interior(cfg: InteriorSpaceConfig, params: ElementRandomParams,
+                  points: np.ndarray) -> np.ndarray:
+    """Interior basis values at ``points`` (nq, 2) with one element's
+    ``params``; shape (dim, nq, 2), or (E, dim, nq, 2) for E elements'
+    parameters and points (E, nq, 2).
 
-    Basis order: constants (1,0), (0,1) first.  For p1 these are followed
-    by (xi,0), (0,xi), (eta,0), (0,eta) with xi, eta the barycenter-centered
-    coordinates scaled by 1/diameter (a conditioning-friendly basis of the
-    same span).  For activation spans they are followed by the activation
-    vectors for i = 1..p.
+    Basis order: constants (1,0), (0,1) first, then the activation vectors
+    for i = 1..p.  For p1 these are (xi,0), (0,xi), (eta,0), (0,eta) with
+    xi, eta the barycenter-centered coordinates scaled by 1/diameter (a
+    conditioning-friendly basis of the linears).
     """
-    return _values_at(mesh, eid, cfg, params, points)
+    return _values_at(cfg, _activation_args(np.atleast_2d(points), params))
 
 
-def grad_interior(mesh: Mesh2D, eid, cfg: InteriorSpaceConfig,
-                  params: ElementRandomParams | None, points: np.ndarray) -> np.ndarray:
+def grad_interior(cfg: InteriorSpaceConfig, params: ElementRandomParams,
+                  points: np.ndarray) -> np.ndarray:
     """Exact analytic basis gradients at ``points``; shape (dim, nq, 2, 2),
-    or (E, dim, nq, 2, 2) for an array of E elements.
+    or (E, dim, nq, 2, 2) for E elements, as in :func:`eval_interior`.
 
     Entry (i, q, a, b) is d(phi_i)_a / d x_b.
     """
-    return _grads_at(mesh, eid, cfg, params, points)
+    return _grads_at(cfg, params, _activation_args(np.atleast_2d(points), params))
 
 
 def eval_boundary(mesh: Mesh2D, edge_id, cfg: BoundarySpaceConfig,
@@ -346,16 +328,16 @@ def spd_condition(gram: np.ndarray) -> np.ndarray:
 
 
 def interior_mass(mesh: Mesh2D, eid, cfg: InteriorSpaceConfig,
-                  params: ElementRandomParams | None, quad_degree: int):
+                  params: ElementRandomParams, quad_degree: int):
     """Volume rule of element ``eid``, interior basis values at its points
     and the interior mass Gram matrix (batched over an array of elements)."""
     rule = element_quadrature(mesh, eid, quad_degree)
-    vals = eval_interior(mesh, eid, cfg, params, rule.points)
+    vals = eval_interior(cfg, params, rule.points)
     return rule, vals, np.einsum("...inc,...jnc,...n->...ij", vals, vals, rule.weights)
 
 
 def interior_gram_condition(mesh: Mesh2D, eid, cfg: InteriorSpaceConfig,
-                            params: ElementRandomParams | None, quad_degree: int):
+                            params: ElementRandomParams, quad_degree: int):
     """2-norm condition of the element interior mass matrix (an array of
     them for an array of elements)."""
     return spd_condition(interior_mass(mesh, eid, cfg, params, quad_degree)[2])
@@ -376,8 +358,9 @@ def build_spaces(mesh: Mesh2D, interior: InteriorSpaceConfig,
     seeded by ``seed_entropy`` (default ``interior.seed``): (ne, p, 4)
     uniforms in element order, then (k, p, 4) for the k elements whose
     interior mass matrix condition exceeds ``GRAM_CONDITION_LIMIT``, up to
-    ``MAX_RESAMPLE_ATTEMPTS`` times.  p1 spaces draw nothing.  An element
-    still rejected raises :class:`SpaceConditioningError`.
+    ``MAX_RESAMPLE_ATTEMPTS`` times.  p1 spaces draw nothing: their ``x0`` is
+    a read-only view of the barycenters.  An element still rejected raises
+    :class:`SpaceConditioningError`.
     """
     if quad_degree is None:
         quad_degree = default_quad_degree(interior)
@@ -385,8 +368,13 @@ def build_spaces(mesh: Mesh2D, interior: InteriorSpaceConfig,
         seed_entropy = interior.seed
     ne = mesh.num_elements
     sampled = interior.kind == "activation"
-    params = ElementRandomParams(w=np.empty((ne, interior.p, 2)),
-                                 x0=np.empty((ne, interior.p, 2))) if sampled else None
+    shape = (ne, interior.p, 2)
+    if sampled:
+        params = ElementRandomParams(w=np.empty(shape), x0=np.empty(shape))
+    else:
+        params = ElementRandomParams(w=np.zeros(shape),
+                                     x0=np.broadcast_to(mesh.elem_barycenter[:, None], shape))
+        params.w[:, :2, 0] = params.w[:, 2:, 1] = 1.0 / mesh.elem_diameter[:, None]
     spaces = SpaceSet(interior=interior, boundary=boundary, params=params,
                       quad_degree=quad_degree, gram_condition=np.empty(ne))
     cond = spaces.gram_condition
@@ -401,7 +389,7 @@ def build_spaces(mesh: Mesh2D, interior: InteriorSpaceConfig,
             params.x0[todo] = prm.x0
         for eids in element_blocks(todo):
             cond[eids] = interior_gram_condition(mesh, eids, interior,
-                                                 spaces.element_params(eids), quad_degree)
+                                                 spaces.params[eids], quad_degree)
         todo = todo[~(cond[todo] <= GRAM_CONDITION_LIMIT)]  # NaN is rejected too
         if not todo.size:
             break

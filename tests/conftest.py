@@ -196,8 +196,7 @@ def operator_identity_residuals(mesh, spaces, rb, phi, grad_phi, eids):
     phi_vals = phi(ep.reshape(-1, 2)).reshape(ep.shape)
     qb_vals = np.einsum("emj,emjnc->emnc", wf.boundary[kern.edge_ids],
                         edges.basis[kern.edge_ids])
-    tr0 = eval_interior(mesh, kern.eids, spaces.interior,
-                        spaces.element_params(kern.eids), ep.reshape(E, -1, 2))
+    tr0 = eval_interior(spaces.interior, spaces.params[kern.eids], ep.reshape(E, -1, 2))
     q0_vals = np.einsum("ej,ejmnc->emnc", vloc[:, : kern.n0],
                         tr0.reshape(E, kern.n0, m, nqe, 2))
     j1 = qb_vals - phi_vals

@@ -117,29 +117,36 @@ class TestRun:
         assert f1.read_bytes() == f2.read_bytes()
 
     @pytest.mark.parametrize("flags,expected", [
-        (["--interior", "p1", "--boundary", "p1", "--levels", "8,16,32"],
+        (["--mesh", "tri", "--interior", "p1", "--boundary", "p1", "--levels", "8,16,32"],
          "level,h,err_u0_l2,rate_u0_l2,err_ub_l2,rate_ub_l2,err_u0_inf,"
          "rate_u0_inf,err_ub_inf,rate_ub_inf\n"
          "8,0.125,4.86e-03,1.98,3.44e-03,1.91,5.47e-03,1.94,2.85e-03,1.40\n"
          "16,0.0625,1.22e-03,1.99,8.94e-04,1.94,1.40e-03,1.97,9.07e-04,1.65\n"
          "32,0.03125,3.06e-04,2.00,2.27e-04,1.98,3.61e-04,1.95,2.63e-04,1.78\n"),
-        (["--interior", "p1", "--boundary", "p0", "--rb", "id", "--gamma", "0",
+        (["--mesh", "tri", "--interior", "p1", "--boundary", "p0", "--rb", "id", "--gamma", "0",
           "--lambda", "1e6", "--example", "2", "--levels", "8,16", "--strict"],
          "level,h,err_u0_l2,rate_u0_l2,err_ub_l2,rate_ub_l2,err_u0_inf,"
          "rate_u0_inf,err_ub_inf,rate_ub_inf\n"
          "8,0.125,1.89e-02,0.88,4.57e-02,1.01,1.96e-02,0.74,1.32e-02,0.49\n"
          "16,0.0625,1.00e-02,0.91,2.31e-02,0.98,1.11e-02,0.82,8.38e-03,0.66\n"),
-        (["--interior", "sin", "--boundary", "rm", "--levels", "8,16", "--seed", "3"],
+        (["--mesh", "tri", "--interior", "sin", "--boundary", "rm", "--levels", "8,16",
+          "--seed", "3"],
          "level,h,err_u0_l2,rate_u0_l2,err_ub_l2,rate_ub_l2,err_u0_inf,"
          "rate_u0_inf,err_ub_inf,rate_ub_inf\n"
          "8,0.125,4.89e-03,1.98,2.24e-02,1.09,5.48e-03,1.95,2.92e-03,1.42\n"
          "16,0.0625,1.23e-03,1.99,1.09e-02,1.04,1.42e-03,1.94,9.11e-04,1.68\n"),
-    ], ids=["tri-p1p1", "tri-locking", "tri-sin"])
+        (["--mesh", "rect", "--interior", "p1", "--boundary", "rm", "--levels", "8,16,32"],
+         "level,h,err_u0_l2,rate_u0_l2,err_ub_l2,rate_ub_l2,err_u0_inf,"
+         "rate_u0_inf,err_ub_inf,rate_ub_inf\n"
+         "8,0.125,8.36e-03,1.94,1.80e-02,1.16,1.00e-02,1.86,7.46e-03,1.43\n"
+         "16,0.0625,2.12e-03,1.98,8.46e-03,1.09,2.82e-03,1.83,2.22e-03,1.75\n"
+         "32,0.03125,5.33e-04,1.99,4.11e-03,1.04,7.60e-04,1.89,6.10e-04,1.86\n"),
+    ], ids=["tri-p1p1", "tri-locking", "tri-sin", "rect-p1rm"])
     def test_golden_csv(self, capsys, flags, expected):
         # reference CSV text: neither the element kernel's arithmetic nor
         # the order the edge system is numbered and factored in may move a
         # printed digit
-        assert main(["run", "--mesh", "tri"] + flags) == EXIT_OK
+        assert main(["run"] + flags) == EXIT_OK
         assert capsys.readouterr().out == expected
 
     def test_different_seeds_change_random_runs(self, tmp_path):

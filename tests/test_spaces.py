@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwgfem.mesh import build_rectangular, build_triangular
+from gwgfem.mesh import build_rectangular, build_triangular, element_quadrature
 from gwgfem.spaces import (
+    ACTIVATIONS,
     GRAM_CONDITION_LIMIT,
     ElementRandomParams,
     InteriorSpaceConfig,
@@ -30,6 +31,21 @@ class TestConfigs:
         assert parse_boundary("p0").dim == 2
         assert parse_boundary("p1").dim == 4
         assert parse_boundary("rm").dim == 3
+
+    def test_p1_takes_no_activation_or_p(self):
+        # p1 is the linear activation span with p = 4, so any other
+        # activation or p would build a different space
+        with pytest.raises(ValueError):
+            InteriorSpaceConfig(kind="p1", p=6)
+        with pytest.raises(ValueError):
+            InteriorSpaceConfig(kind="p1", activation="sin")
+        assert InteriorSpaceConfig(kind="p1") == parse_interior("p1")
+        # the linear activation stays internal to p1
+        assert ACTIVATIONS == ("sin", "cos", "sigmoid", "relu", "lrelu")
+        with pytest.raises(ValueError):
+            parse_interior("linear")
+        with pytest.raises(ValueError):
+            InteriorSpaceConfig(kind="activation", activation="linear")
 
     def test_parse_strings(self):
         cfg = parse_interior("lrelu:0.25")
@@ -106,11 +122,21 @@ class TestSampling:
         assert np.array_equal(a.w, ref.w)
         assert np.array_equal(a.x0, ref.x0)
 
-    def test_p1_has_no_params(self):
-        m = build_rectangular(2)
-        spaces = build_spaces(m, parse_interior("p1"), parse_boundary("p0"))
-        assert spaces.params is None
-        assert spaces.element_params(0) is None
+    def test_p1_params_are_geometric(self):
+        # p1 spans the linear activation with anchors at the barycenter and
+        # directions (1/h, 0) twice, then (0, 1/h) twice; nothing is drawn,
+        # so every seed gives the same parameters
+        m = build_triangular(3)
+        a, b = (build_spaces(m, parse_interior("p1", seed=s), parse_boundary("p0"),
+                             seed_entropy=(s, 3)).params for s in (0, 1))
+        inv = 1.0 / m.elem_diameter
+        zero = np.zeros_like(inv)
+        want = np.stack([np.column_stack([inv, zero])] * 2
+                        + [np.column_stack([zero, inv])] * 2, axis=1)
+        assert np.array_equal(a.w, want)
+        assert np.array_equal(a.x0, np.repeat(m.elem_barycenter[:, None], 4, axis=1))
+        assert not a.x0.flags.writeable  # a view of the barycenters, not a copy
+        assert np.array_equal(a.w, b.w) and np.array_equal(a.x0, b.x0)
 
 
 class TestEvaluation:
@@ -126,94 +152,110 @@ class TestEvaluation:
         assert np.array_equal(_activation_args(pts, prm), ref)
 
     def test_zero_direction_sin(self):
-        m = build_rectangular(1)
         cfg = parse_interior("sin")
         prm = ElementRandomParams(w=np.zeros((4, 2)), x0=np.full((4, 2), 0.5))
-        vals = eval_interior(m, 0, cfg, prm, np.array([[0.3, 0.8]]))
+        vals = eval_interior(cfg, prm, np.array([[0.3, 0.8]]))
         assert np.allclose(vals[0, 0], [1.0, 0.0])
         assert np.allclose(vals[1, 0], [0.0, 1.0])
         assert np.allclose(vals[2:], 0.0)
 
     def test_sigmoid_at_anchor(self):
-        m = build_rectangular(1)
         cfg = parse_interior("sigmoid")
         prm = ElementRandomParams(w=np.full((4, 2), 0.3), x0=np.full((4, 2), 0.5))
-        vals = eval_interior(m, 0, cfg, prm, np.array([[0.5, 0.5]]))
+        vals = eval_interior(cfg, prm, np.array([[0.5, 0.5]]))
         assert np.allclose(vals[2:, 0].max(axis=1), 0.5)
 
     def test_relu_direct_value(self):
-        m = build_rectangular(1)
         cfg = parse_interior("relu")
         w = np.zeros((4, 2))
         w[0] = [1.0, 0.0]
         prm = ElementRandomParams(w=w, x0=np.full((4, 2), 0.5))
-        vals = eval_interior(m, 0, cfg, prm, np.array([[0.75, 0.5]]))
+        vals = eval_interior(cfg, prm, np.array([[0.75, 0.5]]))
         assert vals[2, 0, 0] == pytest.approx(0.25)
         assert vals[2, 0, 1] == 0.0
 
     def test_component_alternation(self):
-        m = build_rectangular(1)
         cfg = parse_interior("sin")
         rng = np.random.default_rng(0)
         prm = ElementRandomParams(w=rng.uniform(-0.5, 0.5, (4, 2)),
                                   x0=rng.uniform(0.2, 0.8, (4, 2)))
-        vals = eval_interior(m, 0, cfg, prm, np.array([[0.4, 0.6]]))
+        vals = eval_interior(cfg, prm, np.array([[0.4, 0.6]]))
         for k in range(4):
             active = k % 2
             assert vals[2 + k, 0, 1 - active] == 0.0
 
+    @pytest.mark.parametrize("build", [build_triangular, build_rectangular])
+    def test_p1_matches_closed_form(self, build):
+        # the linear activation at p1's parameters gives the scaled
+        # coordinates xi, eta to 1 ulp (a product by 1/h, not a quotient by
+        # h) and their gradients 1/h bit for bit
+        m = build(4)
+        spaces = build_spaces(m, parse_interior("p1"), parse_boundary("p0"))
+        eids = np.arange(m.num_elements)
+        pts = element_quadrature(m, eids, 6).points  # (E, nq, 2)
+        prm = spaces.params[eids]
+        h = m.elem_diameter[:, None]
+        xi, eta = np.moveaxis((pts - m.elem_barycenter[:, None]) / h[..., None], -1, 0)
+        vals = eval_interior(spaces.interior, prm, pts)
+        for k, (coord, comp) in enumerate([(xi, 0), (xi, 1), (eta, 0), (eta, 1)]):
+            got = vals[:, 2 + k, :, comp]
+            assert np.all(np.abs(got - coord) <= np.spacing(np.abs(coord)))
+            assert not vals[:, 2 + k, :, 1 - comp].any()
+        grads = grad_interior(spaces.interior, prm, pts)
+        want = np.zeros_like(grads)
+        for k, (comp, d) in enumerate([(0, 0), (1, 0), (0, 1), (1, 1)]):
+            want[:, 2 + k, :, comp, d] = 1.0 / h
+        assert np.array_equal(grads, want)
+
     def test_constant_basis_gradient_zero(self):
         m = build_rectangular(1)
-        g = grad_interior(m, 0, parse_interior("p1"), None, np.array([[0.2, 0.3]]))
+        spaces = build_spaces(m, parse_interior("p1"), parse_boundary("p0"))
+        g = grad_interior(spaces.interior, spaces.params[0], np.array([[0.2, 0.3]]))
         assert np.allclose(g[:2], 0.0)
 
     def test_sin_gradient_at_zero(self):
-        m = build_rectangular(1)
         cfg = parse_interior("sin")
         w = np.zeros((4, 2))
         w[0] = [0.3, -0.2]
         prm = ElementRandomParams(w=w, x0=np.full((4, 2), 0.5))
-        g = grad_interior(m, 0, cfg, prm, np.array([[0.5, 0.5]]))
+        g = grad_interior(cfg, prm, np.array([[0.5, 0.5]]))
         assert np.allclose(g[2, 0, 0], [0.3, -0.2])
         assert np.allclose(g[2, 0, 1], 0.0)
 
     def test_sigmoid_gradient_at_zero(self):
-        m = build_rectangular(1)
         cfg = parse_interior("sigmoid")
         w = np.zeros((4, 2))
         w[0] = [1.0, 0.0]
         prm = ElementRandomParams(w=w, x0=np.full((4, 2), 0.5))
-        g = grad_interior(m, 0, cfg, prm, np.array([[0.5, 0.5]]))
+        g = grad_interior(cfg, prm, np.array([[0.5, 0.5]]))
         assert np.allclose(g[2, 0, 0], [0.25, 0.0])
 
     def test_relu_subgradient_and_leaky_slope_at_kink(self):
-        m = build_rectangular(1)
         w = np.zeros((4, 2))
         w[0] = [1.0, 0.0]
         prm = ElementRandomParams(w=w, x0=np.full((4, 2), 0.5))
         at_kink = np.array([[0.5, 0.5]])
-        g_relu = grad_interior(m, 0, parse_interior("relu"), prm, at_kink)
+        g_relu = grad_interior(parse_interior("relu"), prm, at_kink)
         assert np.allclose(g_relu[2], 0.0)
-        g_lrelu = grad_interior(m, 0, parse_interior("lrelu:0.125"), prm, at_kink)
+        g_lrelu = grad_interior(parse_interior("lrelu:0.125"), prm, at_kink)
         assert g_lrelu[2, 0, 0, 0] == pytest.approx(0.125)
 
     @given(st.floats(min_value=-0.45, max_value=0.45),
            st.floats(min_value=-0.45, max_value=0.45))
     @settings(max_examples=25, deadline=None)
     def test_gradients_match_finite_differences(self, wx, wy):
-        m = build_rectangular(1)
         prm = ElementRandomParams(w=np.array([[wx, wy]] * 4),
                                   x0=np.full((4, 2), 0.4))
         pt = np.array([[0.6, 0.7]])
         h = 1e-6
         for name in ("sin", "cos", "sigmoid"):
             cfg = parse_interior(name)
-            g = grad_interior(m, 0, cfg, prm, pt)[2, 0, 0]
+            g = grad_interior(cfg, prm, pt)[2, 0, 0]
             for d in range(2):
                 dp = pt.copy(); dp[0, d] += h
                 dm = pt.copy(); dm[0, d] -= h
-                fd = (eval_interior(m, 0, cfg, prm, dp)[2, 0, 0]
-                      - eval_interior(m, 0, cfg, prm, dm)[2, 0, 0]) / (2 * h)
+                fd = (eval_interior(cfg, prm, dp)[2, 0, 0]
+                      - eval_interior(cfg, prm, dm)[2, 0, 0]) / (2 * h)
                 assert g[d] == pytest.approx(fd, abs=5e-9)
 
 
@@ -263,7 +305,8 @@ class TestBoundaryBasis:
         m = build_triangular(3)
         rng = np.random.default_rng(3)
         pts = m.vertices[m.elements[4]].mean(axis=0) + rng.uniform(-0.05, 0.05, (12, 2))
-        basis = eval_interior(m, 4, parse_interior("p1"), None, pts)
+        spaces = build_spaces(m, parse_interior("p1"), parse_boundary("p0"))
+        basis = eval_interior(spaces.interior, spaces.params[4], pts)
         target = np.column_stack([0.3 - 0.8 * pts[:, 1], -0.1 + 0.8 * pts[:, 0]])
         A = basis.reshape(6, -1).T
         coef, *_ = np.linalg.lstsq(A, target.ravel(), rcond=None)

@@ -54,9 +54,9 @@ class TestKernelInteriorSamples:
         mesh = build_triangular(3)
         spaces = make_spaces(mesh, interior, "rm", seed=5)
         kern = kernel(mesh, spaces, QB)
-        prm = spaces.element_params(kern.eids)
-        V0 = eval_interior(mesh, kern.eids, spaces.interior, prm, kern.vol.points)
-        G0 = grad_interior(mesh, kern.eids, spaces.interior, prm, kern.vol.points)
+        prm = spaces.params[kern.eids]
+        V0 = eval_interior(spaces.interior, prm, kern.vol.points)
+        G0 = grad_interior(spaces.interior, prm, kern.vol.points)
         assert np.array_equal(kern.V0, V0)
         assert np.array_equal(kern.G0, G0)
 
@@ -87,7 +87,7 @@ class TestApplyRb:
         vb = np.einsum("mj,mjnc->mnc", vloc[0, kern.n0:].reshape(kern.m, -1),
                        eval_boundary(mesh, edges, spaces.boundary, pts))
         v0 = np.einsum("j,jmnc->mnc", vloc[0, : kern.n0],
-                       eval_interior(mesh, 0, spaces.interior, None,
+                       eval_interior(spaces.interior, spaces.params[0],
                                      pts.reshape(-1, 2)).reshape(kern.n0, *pts.shape))
         assert np.allclose(rb_jump_values(kern, vloc)[0], vb - v0, atol=1e-14)
 
@@ -103,7 +103,7 @@ class TestApplyRb:
         E, m, nqe = kern.edge_weights.shape
         assert kern.rb_jump0.shape == (E, m, kern.n0, nqe, 2)
         assert kern.rb_jumpb.shape == (E, m, kern.nb, nqe, 2)
-        tr0 = eval_interior(mesh, kern.eids, spaces.interior, spaces.element_params(kern.eids),
+        tr0 = eval_interior(spaces.interior, spaces.params[kern.eids],
                             kern.edge_points.reshape(E, -1, 2))
         jump0 = -np.swapaxes(tr0.reshape(E, kern.n0, m, nqe, 2), 1, 2)
         expect = rule.apply(kern.edge_ids, jump0) if rb.kind == "qb" else jump0
