@@ -3,7 +3,8 @@ step that also condenses the element interiors in assembly.
 
 :func:`eliminate` is that step: a batched Cholesky of the pivot blocks,
 which is the SPD certificate (the inertia of a block matrix is that of a
-pivot block plus that of its Schur complement), then the Schur update.
+pivot block plus that of its Schur complement) and its only LAPACK call,
+then the triangles' inverses, by halves, and the Schur update.
 :func:`solve` takes such steps along the matrix's nested-dissection tree:
 a multifrontal Cholesky factorization (Duff and Reid 1983; Liu 1992) in
 the tree's numbering.  Each part of the tree owns one front: its separator
@@ -12,7 +13,8 @@ set).  Each element goes whole into the front of its first-eliminated node;
 the Schur complements of a front's children are generated elements, which
 one scatter adds the same way.  Levels are factored deepest first; the
 fronts of a level are grouped by size, and each group takes one step and
-keeps ``Li`` and ``L21``.  A failed front raises
+keeps ``Li`` and ``L21``; a front has no pivots (k = 0) when its part's
+separator is empty, as on jittered meshes.  A failed front raises
 :class:`IndefiniteMatrixError` with the global index of a failing pivot,
 singular matrices included.  A level holds the factor so far and two level
 buffers, its own and its children's; each Schur product and scatter runs
@@ -241,25 +243,39 @@ def _failing_pivot(F: np.ndarray) -> tuple:
     return 0, F.shape[1] - 1  # rounding put LAPACK's failure past the end
 
 
+def _tril_inv(L: np.ndarray) -> np.ndarray:
+    """Invert lower triangles ``L`` (g, k, k) in place by halves, bottom up: with
+    the diagonal blocks A and C of widths 1, 2, 4, ... inverted, ``[[A, 0], [B, C]]^-1
+    = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]``, the first width in closed form."""
+    k = L.shape[1]
+    i, j = np.arange(k), np.arange(0, k - 1, 2)
+    L[:, i, i] = 1.0 / L[:, i, i]
+    L[:, j + 1, j] = -L[:, j + 1, j] * L[:, j, j] * L[:, j + 1, j + 1]
+    for w in (1 << e for e in range(1, (k - 1).bit_length())):  # widths 2, 4, ... below k
+        for a in range(0, k - w, 2 * w):
+            A, C = slice(a, a + w), slice(a + w, a + 2 * w)
+            L[:, C, A] = -(L[:, C, C] @ L[:, C, A]) @ L[:, A, A]
+    return L
+
+
 def eliminate(F: np.ndarray, k: int) -> tuple:
     """Eliminate the leading k unknowns of a batch of symmetric matrices
     ``F`` (g, s, s), reading only the lower triangle of the pivot blocks
     and the blocks below them.  Returns ``Li = L^-1`` (g, k, k) for the
     Cholesky factors ``L L^T`` of the pivot blocks and ``L21 = F21 Li^T``
     (g, s - k, k), and writes the Schur complements ``F22 - L21 L21^T``
-    over ``F22``.  A failed Cholesky raises :class:`IndefiniteMatrixError`
-    with the failing block and its first nonpositive pivot."""
+    over ``F22``; k = 0 leaves ``F`` as it was.  ``Li`` is inverted by halves;
+    LAPACK's Cholesky is the certificate, and a failure raises
+    :class:`IndefiniteMatrixError` with the failing block and pivot."""
     try:
-        L = np.linalg.cholesky(F[:, :k, :k])
+        Li = _tril_inv(np.linalg.cholesky(F[:, :k, :k]))
     except np.linalg.LinAlgError:
         i, j = _failing_pivot(F[:, :k, :k])
         raise IndefiniteMatrixError(
             f"nonpositive pivot {j} in block {i}; the matrix is not positive definite",
             pivot=j, block=i) from None
-    Li = np.linalg.inv(L)
-    del L
-    L21 = F[:, k:, :k] @ Li.transpose(0, 2, 1)
-    # a contiguous right operand keeps the batched matmul on BLAS
+    # a contiguous right operand keeps the batched matmuls on BLAS
+    L21 = F[:, k:, :k] @ Li.transpose(0, 2, 1).copy()
     for c in _chunks(len(F), (F.shape[1] - k) ** 2):
         F[c, k:, k:] -= L21[c] @ L21[c].transpose(0, 2, 1).copy()
     return Li, L21
@@ -307,19 +323,20 @@ def _factor(A: ElementMatrix) -> list:
         s = k + u
         order = np.lexsort((u, k))  # groups of equal-size fronts
         size = s[order] ** 2
-        base = np.empty(P, dtype=np.int64)
-        base[order] = np.cumsum(size) - size
         buf = np.zeros(int(size.sum()) + 1)  # the last entry takes fixed rows
+        it = np.int32 if buf.size < 2 ** 31 else np.int64
+        base, s = np.empty(P, dtype=it), s.astype(it)
+        base[order] = np.cumsum(size) - size
 
-        # one scatter adds the element blocks, then the children's update
-        # blocks, into their fronts, a chunk at a time
+        # one scatter adds the element blocks, then the children's update blocks,
+        # into their fronts a chunk at a time, by int32 targets below 2^31 entries
         for fr, nodes, block in itertools.chain(
                 ((efr[c], elnodes[c], A.data[el[c]]) for c in _chunks(len(el), A.data[0].size)),
                 ((cparent[cf[c]], unodes[c], F[c, kc:, kc:]) for cf, kc, F, unodes in groups
                  for c in _chunks(len(cf), (F.shape[1] - kc) ** 2))):
             at = np.searchsorted(keys, fr[:, None] * nf + nodes) - uptr[fr, None] + ns[fr, None]
             at = np.where(nodes < pe[fr, None], nodes - ps[fr, None], at)  # pivot or update
-            loc = (nb * at[:, :, None] + dofs).reshape(len(fr), -1)
+            loc = (nb * at[:, :, None] + dofs).reshape(len(fr), -1).astype(it)
             tgt = base[fr, None, None] + loc[:, :, None] * s[fr, None, None] + loc[:, None, :]
             fixed = np.repeat(nodes < 0, nb, axis=1)
             tgt[fixed[:, :, None] | fixed[:, None, :]] = -1

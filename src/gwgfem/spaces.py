@@ -333,7 +333,9 @@ def interior_mass(mesh: Mesh2D, eid, cfg: InteriorSpaceConfig,
     and the interior mass Gram matrix (batched over an array of elements)."""
     rule = element_quadrature(mesh, eid, quad_degree)
     vals = eval_interior(cfg, params, rule.points)
-    return rule, vals, np.einsum("...inc,...jnc,...n->...ij", vals, vals, rule.weights)
+    s = vals.reshape(vals.shape[:-2] + (-1,))  # the samples, (..., dim, 2 nq)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or NaN
+        return rule, vals, s * np.repeat(rule.weights, 2, -1)[..., None, :] @ s.swapaxes(-1, -2)
 
 
 def interior_gram_condition(mesh: Mesh2D, eid, cfg: InteriorSpaceConfig,

@@ -200,6 +200,41 @@ class TestEliminate:
             solver.eliminate(F, 5)
         assert (err.value.block, err.value.pivot) == (2, 2)
 
+    @pytest.mark.parametrize("g", [1, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 6, 7, 8, 31, 32, 33, 64, 65, 128])
+    def test_triangle_inverse_by_halves(self, k, g):
+        # sizes off a power of two end in a narrower block at some width, so
+        # every merge shape is reached; the upper part stays exactly 0
+        L = np.linalg.cholesky(_spd_batch(g, k, seed=k))
+        ref = np.linalg.inv(L)
+        Li = solver._tril_inv(L)  # in place
+        assert Li is L
+        assert np.abs(Li - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
+        assert not np.triu(Li, 1).any()
+
+    def test_front_without_pivots(self):
+        # a part whose separator is empty (jittered meshes make them) takes
+        # a step with k = 0: empty factors, and its matrix passes unchanged
+        F = _spd_batch(3, 5, seed=2)
+        F0 = F.copy()
+        Li, L21 = solver.eliminate(F, 0)
+        assert Li.shape == (3, 0, 0) and L21.shape == (3, 5, 0)
+        assert np.array_equal(F, F0)
+
+    def test_no_lapack_inverse(self, monkeypatch):
+        # every triangle is inverted by halves, the element interiors' and
+        # the fronts' alike, so numpy's inverse is never called
+        mesh = build_triangular(8)
+        spaces = make_spaces(mesh, "p1", "p1")
+        case = manufactured("example1", 0.5, 1.0)
+
+        def no_inverse(*args, **kwargs):
+            raise AssertionError("np.linalg.inv called")
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        system = assembly.assemble(mesh, spaces, parse_rb("qb"), 0.5, 1.0, 1.0, -1.0,
+                                   case.f, case.g)
+        assert solve_system(system).relative_residual <= solver.RESIDUAL_TOL
+
 
 def _hager_five_full_sweeps(apply, n):
     """Hager's estimate as a loop of five whole sweeps, each ending in the
