@@ -179,7 +179,7 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
         F[:, :-1, :-1] = kern.local_stiffness(mu, lam, rho, gamma)
         F[:, -1, :-1] = F[:, :-1, -1] = kern.local_load(f)
         try:
-            Li, L21 = eliminate(F, n0)
+            Li, L21, S = eliminate(F, n0)
         except IndefiniteMatrixError as err:
             e = int(eids[err.block])
             raise IndefiniteMatrixError(
@@ -189,7 +189,7 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
         # L21 = [A_bi; b_i^T] L^-T with A_ii = L L^T, so the recovery
         # A_ii^-1 [A_ib | b_i] is Li^T L21^T
         recovery[eids] = Li.transpose(0, 2, 1) @ L21.transpose(0, 2, 1)
-        A[eids], b[eids] = F[:, n0:-1, n0:-1], F[:, n0:-1, -1]
+        A[eids], b[eids] = S[:, :-1, :-1], S[:, :-1, -1]
     # eliminate the fixed columns; ``ufix`` is zero on free dofs
     ufix = fixed[mesh.element_edges].reshape(ne, -1)
     b = b - (A @ ufix[:, :, None])[:, :, 0]

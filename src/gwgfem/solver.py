@@ -4,7 +4,7 @@ step that also condenses the element interiors in assembly.
 :func:`eliminate` is that step: a batched Cholesky of the pivot blocks,
 which is the SPD certificate (the inertia of a block matrix is that of a
 pivot block plus that of its Schur complement) and its only LAPACK call,
-then the triangles' inverses, by halves, and the Schur update.
+then the triangles' inverses, by halves, and new Schur complements.
 :func:`solve` takes such steps along the matrix's nested-dissection tree:
 a multifrontal Cholesky factorization (Duff and Reid 1983; Liu 1992) in
 the tree's numbering.  Each part of the tree owns one front: its separator
@@ -16,9 +16,11 @@ fronts of a level are grouped by size, and each group takes one step and
 keeps ``Li`` and ``L21``; a front has no pivots (k = 0) when its part's
 separator is empty, as on jittered meshes.  A failed front raises
 :class:`IndefiniteMatrixError` with the global index of a failing pivot,
-singular matrices included.  A level holds the factor so far and two level
-buffers, its own and its children's; each Schur product and scatter runs
-in chunks of at most ``CHUNK_ENTRIES`` entries.
+singular matrices included.  A level holds the factor so far, its own
+buffer of fronts, freed once they are eliminated, and one level's Schur
+complements: its children's while it scatters them, each group freed once
+added, then its own; each Schur product and scatter runs in chunks of at
+most ``CHUNK_ENTRIES`` entries.
 
 Every solution is refined (at most three steps) and re-verified against
 ``RESIDUAL_TOL`` by an independent matrix-vector multiply; a miss, a
@@ -59,7 +61,7 @@ __all__ = [
 
 CONDITION_WARNING_LIMIT = 1e14
 RESIDUAL_TOL = 1e-12  # relative residual every accepted solution meets
-# Entries in one chunk of a Schur update or a scatter: 8 MB of float64,
+# Entries in one chunk of a Schur product or a scatter: 8 MB of float64,
 # under the 32 MB ceiling of glibc's mmap threshold, so the heap can reuse
 # these temporaries instead of mapping fresh pages.
 CHUNK_ENTRIES = 1 << 20
@@ -260,11 +262,12 @@ def _tril_inv(L: np.ndarray) -> np.ndarray:
 
 def eliminate(F: np.ndarray, k: int) -> tuple:
     """Eliminate the leading k unknowns of a batch of symmetric matrices
-    ``F`` (g, s, s), reading only the lower triangle of the pivot blocks
-    and the blocks below them.  Returns ``Li = L^-1`` (g, k, k) for the
-    Cholesky factors ``L L^T`` of the pivot blocks and ``L21 = F21 Li^T``
-    (g, s - k, k), and writes the Schur complements ``F22 - L21 L21^T``
-    over ``F22``; k = 0 leaves ``F`` as it was.  ``Li`` is inverted by halves;
+    ``F`` (g, s, s), which it only reads: the lower triangle of the pivot
+    blocks, the blocks below them and ``F22``.  Returns ``Li = L^-1``
+    (g, k, k) for the Cholesky factors ``L L^T`` of the pivot blocks,
+    ``L21 = F21 Li^T`` (g, s - k, k) and the Schur complements
+    ``S = F22 - L21 L21^T`` as a new contiguous (g, s - k, s - k) array;
+    k = 0 gives ``S`` equal to ``F``.  ``Li`` is inverted by halves;
     LAPACK's Cholesky is the certificate, and a failure raises
     :class:`IndefiniteMatrixError` with the failing block and pivot."""
     try:
@@ -276,9 +279,11 @@ def eliminate(F: np.ndarray, k: int) -> tuple:
             pivot=j, block=i) from None
     # a contiguous right operand keeps the batched matmuls on BLAS
     L21 = F[:, k:, :k] @ Li.transpose(0, 2, 1).copy()
-    for c in _chunks(len(F), (F.shape[1] - k) ** 2):
-        F[c, k:, k:] -= L21[c] @ L21[c].transpose(0, 2, 1).copy()
-    return Li, L21
+    S = np.empty((len(F), F.shape[1] - k, F.shape[1] - k))
+    for c in _chunks(len(F), S.shape[1] ** 2):
+        np.matmul(L21[c], L21[c].transpose(0, 2, 1).copy(), out=S[c])
+        np.subtract(F[c, k:, k:], S[c], out=S[c])
+    return Li, L21, S
 
 
 def _factor(A: ElementMatrix) -> list:
@@ -330,18 +335,21 @@ def _factor(A: ElementMatrix) -> list:
 
         # one scatter adds the element blocks, then the children's update blocks,
         # into their fronts a chunk at a time, by int32 targets below 2^31 entries
+        # child groups are popped in order, each freed once its chunks are added
         for fr, nodes, block in itertools.chain(
                 ((efr[c], elnodes[c], A.data[el[c]]) for c in _chunks(len(el), A.data[0].size)),
-                ((cparent[cf[c]], unodes[c], F[c, kc:, kc:]) for cf, kc, F, unodes in groups
-                 for c in _chunks(len(cf), (F.shape[1] - kc) ** 2))):
+                ((cparent[cf[c]], unodes[c], S[c]) for cf, S, unodes
+                 in (groups.pop(0) for _ in range(len(groups)))
+                 for c in _chunks(len(cf), S.shape[1] ** 2))):
             at = np.searchsorted(keys, fr[:, None] * nf + nodes) - uptr[fr, None] + ns[fr, None]
             at = np.where(nodes < pe[fr, None], nodes - ps[fr, None], at)  # pivot or update
             loc = (nb * at[:, :, None] + dofs).reshape(len(fr), -1).astype(it)
             tgt = base[fr, None, None] + loc[:, :, None] * s[fr, None, None] + loc[:, None, :]
             fixed = np.repeat(nodes < 0, nb, axis=1)
-            tgt[fixed[:, :, None] | fixed[:, None, :]] = -1
+            if fixed.any():  # element rows only: update nodes are never fixed
+                tgt[fixed[:, :, None] | fixed[:, None, :]] = -1
             np.add.at(buf, tgt.ravel(), block.ravel())  # flat: the fast path
-        groups = F = block = tgt = loc = at = None  # frees the level below
+        block = tgt = loc = at = None  # frees the last child group's chunk
 
         level, groups = [], []
         ks, us = k[order], u[order]
@@ -351,7 +359,7 @@ def _factor(A: ElementMatrix) -> list:
             g, kg, ug = len(fg), int(ks[a]), int(us[a])
             F = buf[base[fg[0]]:base[fg[0]] + g * (kg + ug) ** 2].reshape(g, kg + ug, -1)
             try:
-                Li, L21 = eliminate(F, kg)
+                Li, L21, S = eliminate(F, kg)
             except IndefiniteMatrixError as err:
                 pivot = int(nb * ps[fg[err.block]] + err.pivot)
                 raise IndefiniteMatrixError(
@@ -360,7 +368,8 @@ def _factor(A: ElementMatrix) -> list:
             unodes = keys[uptr[fg, None] + np.arange(ug // nb)] % nf
             level.append((nb * ps[fg, None] + np.arange(kg), Li,
                           (nb * unodes[:, :, None] + dofs).reshape(g, ug), L21))
-            groups.append((fg, kg, F, unodes))
+            groups.append((fg, S, unodes))
+        buf = F = None  # only the Schur complements are read again
         factor.append(level)
         ckeys, cparent = keys, parent
     return factor

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -185,13 +186,14 @@ class TestEliminate:
     def test_schur_complement_and_factors(self):
         F = _spd_batch(3, 7)
         F0 = F.copy()
-        Li, L21 = solver.eliminate(F, 4)
+        Li, L21, S = solver.eliminate(F, 4)
         A11, A21 = F0[:, :4, :4], F0[:, 4:, :4]
         assert np.allclose(Li @ A11 @ Li.transpose(0, 2, 1), np.eye(4), atol=1e-12)
         assert np.allclose(L21, A21 @ Li.transpose(0, 2, 1), atol=1e-12)
         schur = F0[:, 4:, 4:] - A21 @ np.linalg.solve(A11, A21.transpose(0, 2, 1))
-        assert np.allclose(F[:, 4:, 4:], schur, atol=1e-12)
-        assert np.array_equal(F[:, :, :4], F0[:, :, :4])  # pivot columns kept
+        assert S.shape == (3, 3, 3) and S.flags.c_contiguous
+        assert np.allclose(S, schur, atol=1e-12)
+        assert np.array_equal(F, F0)  # only read
 
     def test_failing_block_and_pivot(self):
         F = _spd_batch(4, 6, seed=1)
@@ -217,9 +219,9 @@ class TestEliminate:
         # a step with k = 0: empty factors, and its matrix passes unchanged
         F = _spd_batch(3, 5, seed=2)
         F0 = F.copy()
-        Li, L21 = solver.eliminate(F, 0)
+        Li, L21, S = solver.eliminate(F, 0)
         assert Li.shape == (3, 0, 0) and L21.shape == (3, 5, 0)
-        assert np.array_equal(F, F0)
+        assert np.array_equal(S, F0) and np.array_equal(F, F0)
 
     def test_no_lapack_inverse(self, monkeypatch):
         # every triangle is inverted by halves, the element interiors' and
@@ -492,11 +494,18 @@ class TestBoundedMemory:
         monkeypatch.setattr(solver, "CHUNK_ENTRIES", 1 << 16)
         system = _assembled(build_triangular, 64, "p1", "p1")
         factor = solver._factor(system.matrix)
-        kept = sum(a.nbytes for level in factor for group in level for a in group)
-        # a level's buffer holds every front (k + u) x (k + u)
+        # per level, deepest first: the factor so far, the buffer that holds
+        # every front (k + u) x (k + u), and the Schur complements u x u
+        kept = itertools.accumulate(sum(a.nbytes for group in level for a in group)
+                                    for level in factor)
         buffers = [sum(8 * len(Li) * (Li.shape[1] + L21.shape[1]) ** 2
                        for pidx, Li, uidx, L21 in level) for level in factor]
-        two = max(a + b for a, b in zip(buffers, buffers[1:]))
+        schur = [sum(8 * len(Li) * L21.shape[1] ** 2 for pidx, Li, uidx, L21 in level)
+                 for level in factor]
+        # a level scatters its children's Schur complements into its buffer,
+        # then eliminates its fronts into its own; the buffer then goes
+        bound = max(k + b + max(s, below) for k, b, s, below
+                    in zip(kept, buffers, schur, [0] + schur[:-1]))
         del factor
         tracemalloc.start()
         try:
@@ -505,7 +514,7 @@ class TestBoundedMemory:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= kept + two + 4 * 8 * solver.CHUNK_ENTRIES
+        assert peak <= bound + 4 * 8 * solver.CHUNK_ENTRIES
 
 
 def _openblas():
