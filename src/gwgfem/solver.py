@@ -22,11 +22,21 @@ complements: its children's while it scatters them, each group freed once
 added, then its own; each Schur product and scatter runs in chunks of at
 most ``CHUNK_ENTRIES`` entries.
 
-Every solution is refined (at most three steps) and re-verified against
-``RESIDUAL_TOL`` by an independent matrix-vector multiply; a miss, a
-non-finite residual included, raises :class:`IterationLimitError`.  The
-condition estimate is Hager's 1-norm estimate, taken once with that
-multiply and once with the factor's substitutions.
+Where a lower bound of the condition, Hager's 1-norm estimate over the
+smallest diagonal entry ((A^-1)_ii >= 1 / a_ii for SPD A), is at most
+1 / (64 u) = 2^18 (u: float32's unit roundoff) and the entries lie in
+float32's normal range, the factor is float32 and the solution is refined
+with float64 residuals (Buttari et al. 2008; LAPACK's DSPOSV) until
+``|r| <= 4 eps |A| |x|`` (max norms) and ``RESIDUAL_TOL`` hold.  A float32
+Cholesky failure, or a correction not at most half the one before, falls
+back to float64, which assembly's condensation also keeps; so only float64
+raises :class:`IndefiniteMatrixError`, and in float32 the certificate is a
+Cholesky of A + E and a contracting refinement: ``||(A + E)^-1 E|| < 1``,
+so A is SPD.  Float64 refines at most three steps.  Every solution is
+re-verified against ``RESIDUAL_TOL`` by an independent matrix-vector multiply;
+a miss, a non-finite residual included, raises :class:`IterationLimitError`.
+The condition estimate is Hager's, with that multiply and with the factor's
+substitutions (good to O(cond u) in float32).
 
 The module is numpy only.  The matrix is an :class:`ElementMatrix`, the
 condensed element blocks at the tree nodes of their edges, as assembly
@@ -142,6 +152,12 @@ class ElementMatrix:
         ids = self.nb * self.indices[:, :, None] + np.arange(self.nb)  # node -1: -nb..-1
         return np.maximum(ids, -1, out=ids).reshape(self.data.shape[:2])
 
+    def diagonal(self) -> np.ndarray:
+        """The assembled diagonal (n,)."""
+        ids = self.unknowns()
+        free = ids >= 0
+        return np.bincount(ids[free], self.data.diagonal(0, 1, 2)[free], minlength=self.shape[0])
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         ids = self.unknowns()
         free = ids >= 0
@@ -156,14 +172,8 @@ class SolveReport:
     relative_residual: float
     method: str  # always "factorization"
     iterations: int  # refinement solves after the first
+    precision: str = "double"  # of the factor: "single" or "double"
     condition_estimate: float | None = None
-
-
-def _relative_residual(A, b, x) -> float:
-    denom = np.linalg.norm(b)
-    if denom == 0.0:
-        denom = 1.0
-    return float(np.linalg.norm(b - A @ x) / denom)
 
 
 _blas_lock, _blas = threading.Lock(), {"depth": 0}  # OpenBLAS has one count a process
@@ -279,15 +289,15 @@ def eliminate(F: np.ndarray, k: int) -> tuple:
             pivot=j, block=i) from None
     # a contiguous right operand keeps the batched matmuls on BLAS
     L21 = F[:, k:, :k] @ Li.transpose(0, 2, 1).copy()
-    S = np.empty((len(F), F.shape[1] - k, F.shape[1] - k))
+    S = np.empty((len(F), F.shape[1] - k, F.shape[1] - k), dtype=F.dtype)
     for c in _chunks(len(F), S.shape[1] ** 2):
         np.matmul(L21[c], L21[c].transpose(0, 2, 1).copy(), out=S[c])
         np.subtract(F[c, k:, k:], S[c], out=S[c])
     return Li, L21, S
 
 
-def _factor(A: ElementMatrix) -> list:
-    """Multifrontal Cholesky of ``A`` along its tree (see :func:`solve`):
+def _factor(A: ElementMatrix, dtype=np.float64) -> list:
+    """Multifrontal Cholesky of ``A`` in ``dtype`` along its tree (see :func:`solve`):
     per level deepest first and per group of equal-size fronts, the pivot
     indices ``(g, k)``, ``Li`` ``(g, k, k)``, the update indices ``(g, u)``
     and ``L21`` ``(g, u, k)``."""
@@ -328,7 +338,7 @@ def _factor(A: ElementMatrix) -> list:
         s = k + u
         order = np.lexsort((u, k))  # groups of equal-size fronts
         size = s[order] ** 2
-        buf = np.zeros(int(size.sum()) + 1)  # the last entry takes fixed rows
+        buf = np.zeros(int(size.sum()) + 1, dtype)  # the last entry takes fixed rows
         it = np.int32 if buf.size < 2 ** 31 else np.int64
         base, s = np.empty(P, dtype=it), s.astype(it)
         base[order] = np.cumsum(size) - size
@@ -348,7 +358,8 @@ def _factor(A: ElementMatrix) -> list:
             fixed = np.repeat(nodes < 0, nb, axis=1)
             if fixed.any():  # element rows only: update nodes are never fixed
                 tgt[fixed[:, :, None] | fixed[:, None, :]] = -1
-            np.add.at(buf, tgt.ravel(), block.ravel())  # flat: the fast path
+            # flat and of the buffer's dtype: the fast path
+            np.add.at(buf, tgt.ravel(), block.astype(dtype, copy=False).ravel())
         block = tgt = loc = at = None  # frees the last child group's chunk
 
         level, groups = [], []
@@ -376,8 +387,8 @@ def _factor(A: ElementMatrix) -> list:
 
 
 def _substitute(factor: list, b: np.ndarray) -> np.ndarray:
-    """Solve with the factor: forward up the tree, backward down it."""
-    x = np.array(b, dtype=float)
+    """Solve with the factor, in its dtype: forward up the tree, backward down it."""
+    x = b.astype(factor[0][0][1].dtype)
     for level in factor:
         idx, val = [], []
         for pidx, Li, uidx, L21 in level:
@@ -391,6 +402,35 @@ def _substitute(factor: list, b: np.ndarray) -> np.ndarray:
             y = x[pidx][:, :, None] - L21.transpose(0, 2, 1) @ x[uidx][:, :, None]
             x[pidx] = (Li.transpose(0, 2, 1) @ y)[:, :, 0]
     return x
+
+
+def _solve_in(A: ElementMatrix, b: np.ndarray, norm1: float, dtype) -> SolveReport | None:
+    """Factor ``A`` in ``dtype`` and refine the solution of ``A x = b`` with
+    float64 residuals (see the module notes); None where float32 stalls."""
+    single, factor = dtype == np.float32, _factor(A, dtype)
+    cond = norm1 * _hager_norm(lambda v: _substitute(factor, v), len(b))
+    x, steps, last = _substitute(factor, b).astype(float), 0, np.inf
+    tiny = 4 * np.finfo(float).eps * norm1  # |r| <= 4 eps |A| |x|: float64's backward error
+    while True:
+        r = b - A @ x
+        res = float(np.linalg.norm(r) / (np.linalg.norm(b) or 1.0))
+        if (res <= RESIDUAL_TOL and (not single or np.abs(r).max() <= tiny * np.abs(x).max())
+                or not single and steps == 3):
+            break
+        d = _substitute(factor, r)
+        if single and not 0 < np.abs(d).max() <= last / 2:
+            return None
+        x, steps, last = x + d, steps + 1, np.abs(d).max()
+    if cond > CONDITION_WARNING_LIMIT:
+        warnings.warn(f"system condition estimate {cond:.3e} exceeds "
+                      f"{CONDITION_WARNING_LIMIT:.0e}; results may be inaccurate",
+                      RuntimeWarning, stacklevel=3)
+    if not res <= RESIDUAL_TOL:  # NaN is a miss
+        raise IterationLimitError(
+            f"factorization residual {res:.3e} exceeds tolerance {RESIDUAL_TOL:.1e} "
+            f"after {steps} refinement steps", residual=res)
+    return SolveReport(x=x, relative_residual=res, method="factorization", iterations=steps,
+                       precision="single" if single else "double", condition_estimate=cond)
 
 
 def solve(matrix: ElementMatrix, rhs: np.ndarray) -> SolveReport:
@@ -417,24 +457,14 @@ def solve(matrix: ElementMatrix, rhs: np.ndarray) -> SolveReport:
         return SolveReport(np.zeros(0), 0.0, method="factorization", iterations=0)
     with _one_blas_thread():  # many small gemms: threads only spin
         norm1 = _hager_norm(lambda v: A @ v, n)  # before the factor takes memory
-        factor = _factor(A)
-        cond = norm1 * _hager_norm(lambda v: _substitute(factor, v), n)
-        if cond > CONDITION_WARNING_LIMIT:
-            warnings.warn(f"system condition estimate {cond:.3e} exceeds "
-                          f"{CONDITION_WARNING_LIMIT:.0e}; results may be inaccurate",
-                          RuntimeWarning, stacklevel=2)
-        x, steps = _substitute(factor, b), 0
-        res = _relative_residual(A, b, x)
-        while not res <= RESIDUAL_TOL and steps < 3:  # iterative refinement; NaN is a miss
-            x = x + _substitute(factor, b - A @ x)
-            steps += 1
-            res = _relative_residual(A, b, x)
-        if not res <= RESIDUAL_TOL:
-            raise IterationLimitError(
-                f"factorization residual {res:.3e} exceeds tolerance {RESIDUAL_TOL:.1e} "
-                f"after {steps} refinement steps", residual=res)
-    return SolveReport(x=x, relative_residual=res, method="factorization",
-                       iterations=steps, condition_estimate=cond)
+        # float32 where the condition bound allows and the entries fit
+        dmin, f32 = A.diagonal().min(), np.finfo(np.float32)
+        single = (f32.tiny <= dmin and norm1 <= dmin / (32 * f32.eps)
+                  and max(np.abs(A.data).max(), np.abs(b).max()) <= f32.max)
+        rep = None  # float32's failures, overflows included, fall back to float64
+        with contextlib.suppress(IndefiniteMatrixError), np.errstate(all="ignore"):
+            rep = single and _solve_in(A, b, norm1, np.float32)
+        return rep or _solve_in(A, b, norm1, np.float64)
 
 
 def solve_system(system) -> SolveReport:

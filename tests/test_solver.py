@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,7 +174,7 @@ class TestDirectPath:
         system = _table_system(16)
         rep = solve_system(system)
         dense = np.linalg.solve(as_scipy(system.matrix).toarray(), system.rhs)
-        assert rep.iterations == 0
+        assert rep.precision == "single"  # the gate's pick on this well-conditioned system
         assert np.linalg.norm(rep.x - dense) / np.linalg.norm(dense) < 1e-8
 
 
@@ -449,6 +450,91 @@ def _locking(n):
                              case.f, case.g)
 
 
+def _factor_dtypes(monkeypatch):
+    """The dtypes ``solve`` factors in, in order, recorded as it calls ``_factor``."""
+    dtypes, factor = [], solver._factor
+
+    def record(A, dtype=np.float64):
+        dtypes.append(np.dtype(dtype))
+        return factor(A, dtype)
+    monkeypatch.setattr(solver, "_factor", record)
+    return dtypes
+
+
+class TestMixedPrecision:
+    """float32 factors where norm / smallest diagonal entry is at most
+    1 / (64 u) and the entries fit; float64 factors everywhere else, and
+    where float32 fails."""
+
+    def test_well_conditioned_system_takes_float32(self, monkeypatch):
+        system = _assembled(build_triangular, 16, "p1", "p1")
+        A, b = system.matrix, system.rhs
+        dtypes = _factor_dtypes(monkeypatch)
+        rep = solve_system(system)
+        assert dtypes == [np.float32] and rep.precision == "single"
+        # the float64 path's tolerances: the dense solution, the residual
+        # and the condition estimate (to the float32 substitutions' rounding)
+        dense = np.linalg.solve(as_scipy(A).toarray(), b)
+        assert np.linalg.norm(rep.x - dense) <= 1e-10 * np.linalg.norm(dense)
+        assert rep.relative_residual <= solver.RESIDUAL_TOL
+        assert np.linalg.norm(b - A @ rep.x) <= solver.RESIDUAL_TOL * np.linalg.norm(b)
+        cond = np.linalg.cond(as_scipy(A).toarray(), 1)
+        assert rep.condition_estimate <= 1.001 * cond
+        # within cond x eps of the float64 factor's solution
+        x64 = solver._substitute(solver._factor(A), b)
+        assert np.abs(rep.x - x64).max() <= cond * np.finfo(float).eps * np.abs(x64).max()
+
+    def test_locking_factors_once_in_float64(self, monkeypatch):
+        # lambda = 1e6: the bound reads millions, so float32 is never tried
+        system = _locking(16)
+        dtypes = _factor_dtypes(monkeypatch)
+        rep = solve_system(system)
+        assert dtypes == [np.float64] and rep.precision == "double"
+        assert rep.relative_residual <= solver.RESIDUAL_TOL
+
+    def test_failed_float32_cholesky_falls_back(self, monkeypatch):
+        # the bound reads 2, but 1 - 1e-9 rounds to 1 in float32, where the
+        # matrix is singular; float64 factors it (condition 2e9)
+        A = np.array([[1.0, 1.0 - 1e-9], [1.0 - 1e-9, 1.0]])
+        b = np.array([1.0, 2.0])
+        dtypes = _factor_dtypes(monkeypatch)
+        rep = solve(_dense(A), b)
+        assert dtypes == [np.float32, np.float64] and rep.precision == "double"
+        assert rep.relative_residual <= solver.RESIDUAL_TOL
+        assert np.allclose(rep.x, np.linalg.solve(A, b), rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("scale", [1e39, 1e-39])
+    def test_entries_out_of_float32_range_take_float64(self, monkeypatch, scale):
+        # a bound of 2 passes, but the entries overflow (or fall below the
+        # smallest normal) in float32: no cast is tried, so nothing warns
+        dtypes = _factor_dtypes(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve(_dense(scale * np.diag([1.0, 2.0])), np.array([scale, scale]))
+        assert dtypes == [np.float64] and rep.precision == "double"
+        assert np.allclose(rep.x, [1.0, 0.5], rtol=1e-15, atol=0)
+
+    def test_float32_overflow_falls_back_without_warning(self, monkeypatch):
+        # the gate passes (bound 1, entries in range), but x = 1e40 overflows
+        # float32: the attempt stalls on inf and float64 solves it, silently
+        dtypes = _factor_dtypes(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve(_dense(1e-30 * np.eye(2)), np.array([1e10, 2e10]))
+        assert dtypes == [np.float32, np.float64] and rep.precision == "double"
+        assert np.allclose(rep.x, [1e40, 2e40], rtol=1e-15, atol=0)
+
+    def test_indefinite_matrix_raises_its_float64_pivot(self, monkeypatch):
+        # a positive diagonal and a bound of 3 pass the gate; the third pivot
+        # is 1 - 4 in either precision, and float64's failure is the one raised
+        dtypes = _factor_dtypes(monkeypatch)
+        A = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
+        with pytest.raises(IndefiniteMatrixError) as err:
+            solve(_dense(A), np.ones(3))
+        assert dtypes == [np.float32, np.float64]
+        assert err.value.pivot == 2
+
+
 class TestBoundedMemory:
     """Temporaries come in chunks of ``solver.CHUNK_ENTRIES`` entries."""
 
@@ -493,14 +579,17 @@ class TestBoundedMemory:
         # bound allows a few chunks of 8 MB
         monkeypatch.setattr(solver, "CHUNK_ENTRIES", 1 << 16)
         system = _assembled(build_triangular, 64, "p1", "p1")
-        factor = solver._factor(system.matrix)
+        # fronts, Schur complements and factor in the precision solve picks
+        single = solve_system(system).precision == "single"
+        factor = solver._factor(system.matrix, np.float32 if single else np.float64)
+        item = factor[0][0][1].itemsize
         # per level, deepest first: the factor so far, the buffer that holds
         # every front (k + u) x (k + u), and the Schur complements u x u
         kept = itertools.accumulate(sum(a.nbytes for group in level for a in group)
                                     for level in factor)
-        buffers = [sum(8 * len(Li) * (Li.shape[1] + L21.shape[1]) ** 2
+        buffers = [sum(item * len(Li) * (Li.shape[1] + L21.shape[1]) ** 2
                        for pidx, Li, uidx, L21 in level) for level in factor]
-        schur = [sum(8 * len(Li) * L21.shape[1] ** 2 for pidx, Li, uidx, L21 in level)
+        schur = [sum(item * len(Li) * L21.shape[1] ** 2 for pidx, Li, uidx, L21 in level)
                  for level in factor]
         # a level scatters its children's Schur complements into its buffer,
         # then eliminates its fronts into its own; the buffer then goes
@@ -544,8 +633,8 @@ spaces = build_spaces(mesh, parse_interior("p1", seed=0), parse_boundary(boundar
 case = manufactured(example, 0.5, lam)
 system = assembly.assemble(mesh, spaces, parse_rb(rb), 0.5, lam, 1.0, gamma, case.f, case.g)
 h, factor = hashlib.sha256(), solver._factor
-def hashed(A):
-    levels = factor(A)
+def hashed(*args):
+    levels = factor(*args)
     for group in (g for level in levels for g in level):
         for a in group:
             h.update(a.tobytes())
