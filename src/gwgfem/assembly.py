@@ -20,8 +20,10 @@ the dissection tree: the tree's nodes are the free edges, and the solver
 continues the same elimination up that tree, front by front.
 
 Every quadrature rule has the level's degree, ``spaces.quad_degree``.  Each
-function builds the rules it needs and drops them when it returns: one edge
-rule per call, one volume rule per element block.
+rule covers what its caller reads and is dropped when the caller returns:
+the element kernel builds the edge and volume rules of its element block,
+:func:`apply_dirichlet` an edge rule over the boundary edges, and only
+:func:`interpolate` one over every edge.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .mesh import Mesh2D, element_blocks
 from .solver import ElementMatrix, IndefiniteMatrixError, eliminate
 from .spaces import SpaceSet, interior_mass
-from .weakops import EdgeRule, ElementKernel, RbOperator, WeakFunction, edge_rule
+from .weakops import ElementKernel, RbOperator, WeakFunction, edge_rule
 
 __all__ = [
     "DiscreteSystem",
@@ -128,13 +130,13 @@ def _nested_dissection(mesh: Mesh2D) -> tuple:
     return node, tuple(tree)
 
 
-def apply_dirichlet(mesh: Mesh2D, edges: EdgeRule, g) -> np.ndarray:
-    """L2-project the boundary displacement onto V^b(e) with the edge rule
-    ``edges`` for every boundary edge; returns an (ned, nb) array with
-    valid rows on boundary edges."""
-    fixed = np.zeros((mesh.num_edges, edges.basis.shape[1]))
-    bnd = np.nonzero(mesh.boundary)[0]
-    fixed[bnd] = edges.project(bnd, g)
+def apply_dirichlet(mesh: Mesh2D, spaces: SpaceSet, g) -> np.ndarray:
+    """L2-project the boundary displacement onto V^b(e) for every boundary
+    edge, with an edge rule of the level's degree over those edges; returns
+    an (ned, nb) array with valid rows on boundary edges."""
+    fixed = np.zeros((mesh.num_edges, spaces.boundary.dim))
+    bnd = np.flatnonzero(mesh.boundary)
+    fixed[bnd] = edge_rule(mesh, spaces.boundary, spaces.quad_degree, bnd).project(g)
     return fixed
 
 
@@ -163,8 +165,7 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
         raise ValueError(f"quad_degree {quad_degree} differs from the level's "
                          f"{spaces.quad_degree}")
     node, tree = _nested_dissection(mesh)
-    edges = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
-    fixed = apply_dirichlet(mesh, edges, g)
+    fixed = apply_dirichlet(mesh, spaces, g)
     ne = mesh.num_elements
     n0 = spaces.interior.dim
     ndof = n0 + mesh.element_edges.shape[1] * spaces.boundary.dim
@@ -174,7 +175,7 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
     for eids in element_blocks(np.arange(ne)):
         # the block's element matrices bordered by their loads, so that one
         # elimination step condenses the loads with the matrices
-        kern = ElementKernel(mesh, spaces, rb, edges, eids)
+        kern = ElementKernel(mesh, spaces, rb, eids)
         F = np.zeros((len(eids), ndof + 1, ndof + 1))
         F[:, :-1, :-1] = kern.local_stiffness(mu, lam, rho, gamma)
         F[:, -1, :-1] = F[:, :-1, -1] = kern.local_load(f)
@@ -220,10 +221,9 @@ def seminorm(v: WeakFunction, mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator,
              mu: float, lam: float, rho: float, gamma: float) -> float:
     """Energy semi-norm sqrt(a(v,v) + s(v,v)); zero exactly on the
     zero-energy weak functions (e.g. matched rigid motions)."""
-    edges = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
     total = 0.0
     for eids in element_blocks(np.arange(mesh.num_elements)):
-        kern = ElementKernel(mesh, spaces, rb, edges, eids)
+        kern = ElementKernel(mesh, spaces, rb, eids)
         vloc = v.local_coefficients(mesh, eids)
         total += float(kern.energy(vloc, mu, lam, rho, gamma).sum())
     return float(np.sqrt(max(total, 0.0)))
@@ -248,6 +248,5 @@ def interpolate(mesh: Mesh2D, spaces: SpaceSet, field_fn) -> WeakFunction:
     wf = WeakFunction.zeros(mesh, spaces)
     for eids in element_blocks(np.arange(mesh.num_elements)):
         wf.interior[eids] = project_interior(mesh, eids, spaces, field_fn)
-    edges = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
-    wf.boundary[:] = edges.project(np.arange(mesh.num_edges), field_fn)
+    wf.boundary[:] = edge_rule(mesh, spaces.boundary, spaces.quad_degree).project(field_fn)
     return wf

@@ -22,15 +22,15 @@ and applies R_b to interior traces only, as edge bases lie in V^b; an edge
 basis function's jump is 0 off its own edge and is kept on that edge only.
 Elements are independent of one another, so the element kernel works on a
 block of elements at once, with arrays carrying a leading element axis.
-Edge data (quadrature, basis values and their norms) is one
-:class:`EdgeRule` of arrays over every edge of a mesh, all in the one edge
+Edge data (quadrature and basis values at its points) is an
+:class:`EdgeRule` over the edges its caller reads, all in the one edge
 basis of :func:`gwgfem.spaces.eval_boundary`, which is orthogonal under the
 symmetric Gauss rule, so the L2 projection onto V^b(e) divides moments by
-norms and solves nothing.  The caller builds it at the level's degree
-(``SpaceSet.quad_degree``), and it is gathered per element through
-``mesh.element_edges``; the kernel's volume rule has the same degree.  The
-admissibility predicates take one edge rule, so a caller can build it once
-for both.
+norms and solves nothing.  The kernel builds the rule of its block's edges
+(``mesh.element_edges`` of its elements) at the level's degree
+(``SpaceSet.quad_degree``), the degree of its volume rule too.  The
+admissibility predicates take one edge rule over every edge, so a caller
+can build it once for both.
 """
 
 from __future__ import annotations
@@ -111,59 +111,60 @@ class WeakFunction:
 
 @dataclass(frozen=True)
 class EdgeRule:
-    """Gauss rule and L2-projection data of V^b(e) for every edge of a mesh.
+    """Gauss rule and L2-projection data of V^b(e) on an array of edges.
 
-    Arrays carry a leading edge axis.  The basis is the one of
-    :func:`gwgfem.spaces.eval_boundary`, orthogonal under the symmetric
-    rule (constants and midpoint-centred linears), so its Gram matrix is its
-    diagonal ``norms``: the projection coefficients of a field are its
-    weighted moments against the basis divided by ``norms``, which
-    ``coeff_map`` holds once per edge.  :func:`check_rb_injectivity`
+    Arrays carry the leading axes of the edge ids the rule was built on.
+    The basis is the one of :func:`gwgfem.spaces.eval_boundary`, orthogonal
+    under the symmetric rule (constants and midpoint-centred linears), so
+    its Gram matrix is diagonal: the projection coefficients of a field are
+    its weighted moments against the basis divided by the squared norms,
+    which ``coeff_map`` holds once per edge.  :func:`check_rb_injectivity`
     certifies the diagonal.
     """
 
-    points: np.ndarray  # (ned, nq, 2)
-    weights: np.ndarray  # (ned, nq), summing to the edge length
-    basis: np.ndarray  # (ned, nb, nq, 2) basis values at the points
-    norms: np.ndarray  # (ned, nb) squared L2 norms of the basis functions
-    coeff_map: np.ndarray  # (ned, nb, 2 nq) values over (point, component) -> coefficients
+    points: np.ndarray  # (..., nq, 2)
+    weights: np.ndarray  # (..., nq), summing to the edge length
+    basis: np.ndarray  # (..., nb, nq, 2) basis values at the points
+    coeff_map: np.ndarray  # (..., nb, 2 nq) values over (point, component) -> coefficients
 
-    def project(self, edges, field_fn) -> np.ndarray:
-        """L2 projection of a vector field onto V^b(e) for ``edges`` (an id
-        or an array of ids); coefficients in the edge basis."""
-        pts = self.points[edges]
-        vals = np.asarray(field_fn(pts.reshape(-1, 2)), dtype=float)
-        vals = vals.reshape(pts.shape[:-2] + (-1,))
-        return np.einsum("...jk,...k->...j", self.coeff_map[edges], vals)
+    def project(self, field_fn) -> np.ndarray:
+        """L2 projection of a vector field onto V^b(e) on every edge of the
+        rule; coefficients in the edge basis."""
+        vals = np.asarray(field_fn(self.points.reshape(-1, 2)), dtype=float)
+        vals = vals.reshape(self.points.shape[:-2] + (-1,))
+        return np.einsum("...jk,...k->...j", self.coeff_map, vals)
 
-    def apply(self, edges, values: np.ndarray) -> np.ndarray:
+    def apply(self, values: np.ndarray) -> np.ndarray:
         """Project k traces per edge through their projection coefficients:
-        ``values`` has shape ``edges.shape + (k, nq, 2)``; returns the same shape."""
-        cmap = self.coeff_map[edges]
+        ``values`` has the rule's edge axes, then (k, nq, 2); so has the result."""
+        cmap = self.coeff_map
         coeffs = values.reshape(values.shape[:-2] + (-1,)) @ np.swapaxes(cmap, -1, -2)
-        return (coeffs @ self.basis[edges].reshape(cmap.shape)).reshape(values.shape)
+        return (coeffs @ self.basis.reshape(cmap.shape)).reshape(values.shape)
 
 
-def edge_rule(mesh: Mesh2D, cfg: BoundarySpaceConfig, quad_degree: int) -> EdgeRule:
-    """Gauss-Legendre rule of degree ``quad_degree`` on every edge, with the
-    values of the :func:`gwgfem.spaces.eval_boundary` basis at its points,
-    their squared norms and the projection coefficient map; a basis
-    function of zero norm under the rule (a linear one at a 1-point rule)
-    raises ``ValueError``."""
+def edge_rule(mesh: Mesh2D, cfg: BoundarySpaceConfig, quad_degree: int,
+              edges=None) -> EdgeRule:
+    """Gauss-Legendre rule of degree ``quad_degree`` on the edges ``edges``
+    (edge ids of any shape, every edge of the mesh by default), with the
+    values of the :func:`gwgfem.spaces.eval_boundary` basis at its points
+    and the projection coefficient map; a basis function of zero norm
+    under the rule (a linear one at a 1-point rule) raises ``ValueError``."""
     _check_degree(quad_degree)
     x, w = _gauss_1d((quad_degree + 2) // 2)
-    edges = np.arange(mesh.num_edges)
-    vec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
-    points = mesh.edge_midpoint[:, None, :] + (x - 0.5)[None, :, None] * vec[:, None, :]
-    weights = w[None, :] * np.hypot(vec[:, 0], vec[:, 1])[:, None]
+    edges = np.arange(mesh.num_edges) if edges is None else np.asarray(edges)
+    vec = mesh.vertices[mesh.edges[edges, 1]] - mesh.vertices[mesh.edges[edges, 0]]
+    points = mesh.edge_midpoint[edges][..., None, :] + (x - 0.5)[:, None] * vec[..., None, :]
+    weights = w * np.hypot(vec[..., 0], vec[..., 1])[..., None]
     basis = eval_boundary(mesh, edges, cfg, points)
-    norms = np.einsum("einc,einc,en->ei", basis, basis, weights)
+    flat = basis.reshape((-1,) + basis.shape[-3:])  # one edge axis: the full rule's bits
+    norms = np.einsum("einc,einc,en->ei", flat, flat,
+                      weights.reshape(len(flat), -1)).reshape(basis.shape[:-2])
     if not np.all(norms > 0):
         raise ValueError(f"the {cfg.kind} edge basis has a function of zero norm "
                          f"under the degree-{quad_degree} rule")
-    cmap = basis.reshape(norms.shape + (-1,)) * np.repeat(weights, 2, axis=-1)[:, None, :]
+    cmap = basis.reshape(norms.shape + (-1,)) * np.repeat(weights, 2, axis=-1)[..., None, :]
     cmap *= (1.0 / norms)[..., None]  # in place: half the time of a second product
-    return EdgeRule(points=points, weights=weights, basis=basis, norms=norms, coeff_map=cmap)
+    return EdgeRule(points=points, weights=weights, basis=basis, coeff_map=cmap)
 
 
 class ElementKernel:
@@ -171,21 +172,21 @@ class ElementKernel:
 
     Precomputes interior basis values/gradients at the volume rule, the
     R_b images of the boundary jumps of every local basis weak function at
-    the edge rules, and the corrections delta1 (constant matrix) and delta2
-    (constant scalar) per local degree of freedom; an edge basis function
-    lies in V^b, so its jump is its own edge's basis values, kept on that
-    edge only (0 on the others).  One builder of weighted samples of the
-    bilinear form, split into interior fluctuations and per-dof
-    mean-plus-correction samples, serves both the local stiffness matrices
-    and the energy.  Every array carries a leading element axis; methods
-    taking local coefficient vectors expect them as (E, ndof).
+    the rule of the block's edges, and the corrections delta1 (constant
+    matrix) and delta2 (constant scalar) per local degree of freedom; an
+    edge basis function lies in V^b, so its jump is its own edge's basis
+    values, kept on that edge only (0 on the others).  One builder of
+    weighted samples of the bilinear form, split into interior fluctuations
+    and per-dof mean-plus-correction samples, serves both the local
+    stiffness matrices and the energy.  Every array carries a leading
+    element axis; methods taking local coefficient vectors expect them as
+    (E, ndof).
 
     Local dof layout: interior basis functions first, then the edge basis
     blocks in the element's local edge order.
     """
 
-    def __init__(self, mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator,
-                 edges: EdgeRule, eids: np.ndarray):
+    def __init__(self, mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, eids: np.ndarray):
         icfg = spaces.interior
         prm = spaces.params[eids]
         self.eids = eids
@@ -200,8 +201,8 @@ class ElementKernel:
         # values, slopes and traces share one activation argument array
         # (E, p, nq + m nqe) over the volume points, then the edge points
         self.vol = element_quadrature(mesh, eids, spaces.quad_degree)
-        self.edge_points = edges.points[self.edge_ids]  # (E, m, nqe, 2)
-        self.edge_weights = edges.weights[self.edge_ids]  # (E, m, nqe)
+        rule = edge_rule(mesh, spaces.boundary, spaces.quad_degree, self.edge_ids)
+        self.edge_points, self.edge_weights = rule.points, rule.weights  # (E, m, nqe[, 2])
         nq, nqe = self.vol.points.shape[1], self.edge_points.shape[2]
         pts = np.concatenate([self.vol.points, self.edge_points.reshape(E, -1, 2)], axis=1)
         t = _activation_args(pts, prm)
@@ -213,8 +214,8 @@ class ElementKernel:
         # nqe, 2) on their own edge, which R_b fixes
         tr0 = _values_at(icfg, t[..., nq:])
         jump0 = -tr0.reshape(E, self.n0, self.m, nqe, 2).transpose(0, 2, 1, 3, 4)
-        self.rb_jump0 = edges.apply(self.edge_ids, jump0) if rb.kind == "qb" else jump0
-        self.rb_jumpb = edges.basis[self.edge_ids]
+        self.rb_jump0 = rule.apply(jump0) if rb.kind == "qb" else jump0
+        self.rb_jumpb = rule.basis
         # surface integrals of R_b jump (x) n: rows (dof, c) times w n over the points
         wn = self.edge_weights[..., None] * self.normals[:, :, None]  # (E, m, nqe, 2)
         j0 = self.rb_jump0.transpose(0, 2, 4, 1, 3).reshape(E, 2 * self.n0, -1)
@@ -338,15 +339,15 @@ def check_rigid_motion_invariance(mesh: Mesh2D, rule: EdgeRule,
     Checks the generators of the edge's rigid-motion traces, (1,0), (0,1)
     and the rotation about the edge midpoint in the edge-local coordinate
     (the ``rm`` basis), against their R_b images at the points of the edge
-    rule ``rule`` of V^b.  The identity passes trivially; the projection
-    passes iff rigid-motion traces lie in V^b(e).
+    rule ``rule`` of V^b over every edge.  The identity passes trivially;
+    the projection passes iff rigid-motion traces lie in V^b(e).
     """
     name = "rigid-motion invariance"
     if rb.kind == "identity":
         return AssumptionCheck(name, True, 0.0, -1, "identity preserves all traces")
     edges = np.arange(mesh.num_edges)
     gens = eval_boundary(mesh, edges, BoundarySpaceConfig("rm"), rule.points)
-    resid = np.abs(rule.apply(edges, gens) - gens).max(axis=(1, 2, 3))
+    resid = np.abs(rule.apply(gens) - gens).max(axis=(1, 2, 3))
     worst, worst_edge = _worst(resid)
     passed = worst <= RIGID_MOTION_TOL
     return AssumptionCheck(

@@ -72,8 +72,7 @@ def kernel(mesh, spaces, rb, eids=None):
     """Batched element kernel over ``eids`` (default: every element)."""
     if eids is None:
         eids = np.arange(mesh.num_elements)
-    edges = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
-    return ElementKernel(mesh, spaces, rb, edges, np.asarray(eids))
+    return ElementKernel(mesh, spaces, rb, np.asarray(eids))
 
 
 def dense_full_system(mesh, spaces, rb, mu, lam, rho, gamma, f):
@@ -106,8 +105,7 @@ def dense_reference_solution(mesh, spaces, rb, mu, lam, rho, gamma, f, g):
     free = np.ones(size, dtype=bool)
     free[fixed] = False
     u = np.zeros(size)
-    edges = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
-    u[fixed] = apply_dirichlet(mesh, edges, g)[bnd].ravel()
+    u[fixed] = apply_dirichlet(mesh, spaces, g)[bnd].ravel()
     u[free] = np.linalg.solve(K[np.ix_(free, free)],
                               F[free] - K[np.ix_(free, ~free)] @ u[~free])
     wf = WeakFunction.zeros(mesh, spaces)
@@ -173,7 +171,7 @@ def operator_identity_residuals(mesh, spaces, rb, phi, grad_phi, eids):
     ``eids``.
     """
     kern = kernel(mesh, spaces, rb, eids)
-    edges = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
+    rule = edge_rule(mesh, spaces.boundary, spaces.quad_degree, kern.edge_ids)
     wf = interpolate(mesh, spaces, phi)
     vloc = wf.local_coefficients(mesh, kern.eids)
     E, nq = kern.vol.weights.shape
@@ -194,16 +192,15 @@ def operator_identity_residuals(mesh, spaces, rb, phi, grad_phi, eids):
     ep, ew, nrm = kern.edge_points, kern.edge_weights, kern.normals
     m, nqe = ep.shape[1:3]
     phi_vals = phi(ep.reshape(-1, 2)).reshape(ep.shape)
-    qb_vals = np.einsum("emj,emjnc->emnc", wf.boundary[kern.edge_ids],
-                        edges.basis[kern.edge_ids])
+    qb_vals = np.einsum("emj,emjnc->emnc", wf.boundary[kern.edge_ids], rule.basis)
     tr0 = eval_interior(spaces.interior, spaces.params[kern.eids], ep.reshape(E, -1, 2))
     q0_vals = np.einsum("ej,ejmnc->emnc", vloc[:, : kern.n0],
                         tr0.reshape(E, kern.n0, m, nqe, 2))
     j1 = qb_vals - phi_vals
     j2 = phi_vals - q0_vals
     if rb.kind == "qb":
-        j1 = edges.apply(kern.edge_ids, j1[:, :, None])[:, :, 0]
-        j2 = edges.apply(kern.edge_ids, j2[:, :, None])[:, :, 0]
+        j1 = rule.apply(j1[:, :, None])[:, :, 0]
+        j2 = rule.apply(j2[:, :, None])[:, :, 0]
 
     worst_eps = 0.0
     for a in range(2):

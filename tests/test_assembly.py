@@ -144,11 +144,10 @@ class TestLocalStiffness:
         # local edges, 7.6 MB with its own edge's row only
         mesh = build_rectangular(16)
         spaces = make_spaces(mesh, "sin", "p0", quad=10)
-        edges = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            kern = ElementKernel(mesh, spaces, QB, edges, np.arange(meshmod.ELEMENT_BLOCK))
+            kern = ElementKernel(mesh, spaces, QB, np.arange(meshmod.ELEMENT_BLOCK))
             kern.local_stiffness(0.5, 1.0, 1.0, -1.0)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
@@ -189,16 +188,14 @@ class TestDirichlet:
         mesh = build_rectangular(2)
         spaces = make_spaces(mesh, "p1", "p0")
         gconst = vec_field(lambda x, y: 0.7 + 0 * x, lambda x, y: -0.4 + 0 * x)
-        rule = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
-        fixed = apply_dirichlet(mesh, rule, gconst)
+        fixed = apply_dirichlet(mesh, spaces, gconst)
         for e in np.nonzero(mesh.boundary)[0]:
             assert np.allclose(fixed[e], [0.7, -0.4], atol=1e-14)
 
     def test_linear_data_bottom_edge_mean(self):
         mesh = build_rectangular(1)
         spaces = make_spaces(mesh, "p1", "p0")
-        rule = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
-        fixed = apply_dirichlet(mesh, rule, X_FIELD)
+        fixed = apply_dirichlet(mesh, spaces, X_FIELD)
         bottom = [e for e in range(4)
                   if np.allclose(mesh.edge_midpoint[e], [0.5, 0.0])][0]
         assert np.allclose(fixed[bottom], [0.5, 0.0], atol=1e-14)
@@ -206,12 +203,11 @@ class TestDirichlet:
     def test_rigid_motion_exact_in_rm(self):
         mesh = build_triangular(2)
         spaces = make_spaces(mesh, "p1", "rm")
-        fixed = apply_dirichlet(
-            mesh, edge_rule(mesh, spaces.boundary, spaces.quad_degree), RIGID)
-        rule = edge_rule(mesh, spaces.boundary, 10)
+        fixed = apply_dirichlet(mesh, spaces, RIGID)
         bnd = np.nonzero(mesh.boundary)[0]
-        values = np.einsum("ej,ejnc->enc", fixed[bnd], rule.basis[bnd])
-        resid = values - RIGID(rule.points[bnd].reshape(-1, 2)).reshape(values.shape)
+        rule = edge_rule(mesh, spaces.boundary, 10, bnd)
+        values = np.einsum("ej,ejnc->enc", fixed[bnd], rule.basis)
+        resid = values - RIGID(rule.points.reshape(-1, 2)).reshape(values.shape)
         assert np.abs(resid).max() < 1e-12
 
 
@@ -453,22 +449,21 @@ class TestGlobalSystem:
         assert (err.value.block, err.value.pivot) == (bad, 2)
 
     def test_assemble_peak_is_its_output_and_one_element_block(self):
-        # beyond what the system holds, assemble holds the edge rule, one
-        # element block at a time (its kernel and its bordered
-        # (E, ndof + 1, ndof + 1) array) and a few (ne, m nb) vectors of
-        # the size of the dof ids: no copy of the element Schur blocks
+        # beyond what the system holds, assemble holds one element block at
+        # a time (its kernel with the edge rule of its edges, and its
+        # bordered (E, ndof + 1, ndof + 1) array) and a few (ne, m nb)
+        # vectors of the size of the dof ids: no edge rule over the mesh and
+        # no copy of the element Schur blocks
         mesh = build_triangular(64)
         spaces = make_spaces(mesh, "p1", "p1")
         case = manufactured("example1", 0.5, 1.0)
-        edges = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
-        rule = sum(a.nbytes for a in vars(edges).values())
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            kern = ElementKernel(mesh, spaces, QB, edges, np.arange(meshmod.ELEMENT_BLOCK))
+            kern = ElementKernel(mesh, spaces, QB, np.arange(meshmod.ELEMENT_BLOCK))
             kern.local_stiffness(0.5, 1.0, 1.0, -1.0), kern.local_load(case.f)
             block = tracemalloc.get_traced_memory()[1] - start
-            del kern, edges
+            del kern
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             system = assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g)
@@ -477,7 +472,7 @@ class TestGlobalSystem:
             tracemalloc.stop()
         ne, n0, mnb = mesh.num_elements, spaces.interior.dim, 3 * system.matrix.nb
         bordered = 8 * meshmod.ELEMENT_BLOCK * (n0 + mnb + 1) ** 2
-        assert peak - held <= rule + block + bordered + 4 * 8 * ne * mnb
+        assert peak - held <= block + bordered + 4 * 8 * ne * mnb
 
 
 class TestSeminorm:
@@ -519,11 +514,11 @@ class TestProjections:
     def test_edge_projection_p1_reproduces_linears(self):
         mesh = build_rectangular(2)
         spaces = make_spaces(mesh, "p1", "p1")
-        rule = edge_rule(mesh, spaces.boundary, 10)
         edges = np.array([0, np.nonzero(~mesh.boundary)[0][0]])
-        coeffs = edge_rule(mesh, spaces.boundary, spaces.quad_degree).project(edges, X_FIELD)
-        values = np.einsum("ej,ejnc->enc", coeffs, rule.basis[edges])
-        resid = values - X_FIELD(rule.points[edges].reshape(-1, 2)).reshape(values.shape)
+        rule = edge_rule(mesh, spaces.boundary, 10, edges)
+        coeffs = edge_rule(mesh, spaces.boundary, spaces.quad_degree, edges).project(X_FIELD)
+        values = np.einsum("ej,ejnc->enc", coeffs, rule.basis)
+        resid = values - X_FIELD(rule.points.reshape(-1, 2)).reshape(values.shape)
         assert np.abs(resid).max() < 1e-13
 
 

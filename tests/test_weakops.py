@@ -7,7 +7,7 @@ from conftest import (classical_gradient, correction_pair, corrections_closed_fo
                       make_spaces, moment_residuals, rb_jump_values, vec_field,
                       weak_gradient, weak_strain)
 from gwgfem.assembly import interpolate, project_interior
-from gwgfem.mesh import build_rectangular, build_triangular
+from gwgfem.mesh import build_rectangular, build_triangular, element_blocks
 from gwgfem.spaces import eval_boundary, eval_interior, grad_interior, parse_boundary
 from gwgfem.weakops import (
     WeakFunction,
@@ -35,10 +35,10 @@ def unit_square_weak_x():
     return mesh, spaces, wf
 
 
-def project_traces(rule, edges, field):
-    """Q_b of a field on ``edges``, as values at the rule's points."""
-    vals = field(rule.points[edges].reshape(-1, 2)).reshape(rule.points[edges].shape)
-    return rule.apply(edges, vals[:, None])[:, 0]
+def project_traces(rule, field):
+    """Q_b of a field on the rule's edges, as values at the rule's points."""
+    vals = field(rule.points.reshape(-1, 2)).reshape(rule.points.shape)
+    return rule.apply(vals[:, None])[:, 0]
 
 
 def divergence(kern, vloc):
@@ -65,16 +65,16 @@ class TestApplyRb:
     def test_projection_fixes_constants(self):
         mesh = build_rectangular(1)
         const = vec_field(lambda x, y: 0.7 + 0 * x, lambda x, y: -0.2 + 0 * x)
-        rule = edge_rule(mesh, parse_boundary("p0"), 4)
-        out = project_traces(rule, np.array([0]), const)[0]
+        rule = edge_rule(mesh, parse_boundary("p0"), 4, np.array([0]))
+        out = project_traces(rule, const)[0]
         assert np.allclose(out, const(rule.points[0]), atol=1e-14)
 
     def test_projection_onto_constants_is_edge_mean(self):
         mesh = build_rectangular(1)
         bottom = [e for e in range(4)
                   if np.allclose(mesh.edge_midpoint[e], [0.5, 0.0])][0]
-        rule = edge_rule(mesh, parse_boundary("p0"), 10)
-        assert np.allclose(rule.project(bottom, x_field), [0.5, 0.0], atol=1e-14)
+        rule = edge_rule(mesh, parse_boundary("p0"), 10, bottom)
+        assert np.allclose(rule.project(x_field), [0.5, 0.0], atol=1e-14)
 
     def test_identity_passthrough(self):
         # identity R_b leaves the trace jump vb - v0 unchanged
@@ -99,14 +99,14 @@ class TestApplyRb:
         mesh = build_triangular(2)
         spaces = make_spaces(mesh, "sin", "p1", seed=3)
         kern = kernel(mesh, spaces, rb)
-        rule = edge_rule(mesh, spaces.boundary, spaces.quad_degree)
+        rule = edge_rule(mesh, spaces.boundary, spaces.quad_degree, kern.edge_ids)
         E, m, nqe = kern.edge_weights.shape
         assert kern.rb_jump0.shape == (E, m, kern.n0, nqe, 2)
         assert kern.rb_jumpb.shape == (E, m, kern.nb, nqe, 2)
         tr0 = eval_interior(spaces.interior, spaces.params[kern.eids],
                             kern.edge_points.reshape(E, -1, 2))
         jump0 = -np.swapaxes(tr0.reshape(E, kern.n0, m, nqe, 2), 1, 2)
-        expect = rule.apply(kern.edge_ids, jump0) if rb.kind == "qb" else jump0
+        expect = rule.apply(jump0) if rb.kind == "qb" else jump0
         # the jumps of each local basis function on every local edge
         unit = np.eye(kern.ndof)
         J = np.stack([rb_jump_values(kern, np.broadcast_to(unit[k], (E, kern.ndof)))
@@ -115,7 +115,7 @@ class TestApplyRb:
         edge_rows = J[:, :, kern.n0:].reshape(E, m, m, kern.nb, nqe, 2)
         for le in range(m):
             for other in range(m):
-                want = rule.basis[kern.edge_ids[:, le]] if other == le else 0.0
+                want = rule.basis[:, le] if other == le else 0.0
                 assert np.array_equal(edge_rows[:, le, other],
                                       np.broadcast_to(want, edge_rows[:, le, other].shape))
 
@@ -123,41 +123,59 @@ class TestApplyRb:
     def test_idempotent_on_traces(self, kind):
         # Qb(Qb w) = Qb w, including rm on fine-mesh edges away from origin
         mesh = build_triangular(8)
-        rule = edge_rule(mesh, parse_boundary(kind), 10)
-        w = vec_field(lambda x, y: np.sin(3 * x) + y, lambda x, y: x * y)
         edges = np.array([0, mesh.num_edges // 2, mesh.num_edges - 1])
-        once = project_traces(rule, edges, w)
-        twice = rule.apply(edges, once[:, None])[:, 0]
+        rule = edge_rule(mesh, parse_boundary(kind), 10, edges)
+        w = vec_field(lambda x, y: np.sin(3 * x) + y, lambda x, y: x * y)
+        once = project_traces(rule, w)
+        twice = rule.apply(once[:, None])[:, 0]
         assert np.allclose(once, twice, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["p0", "p1", "rm"])
     def test_apply_is_the_explicit_projector(self, kind):
         # apply goes through projection coefficients; the reference forms
-        # each edge's projector flat^T cmap on (point, component) values
+        # each edge's projector flat^T cmap on (point, component) values,
+        # with the squared norms of the basis under the rule
         mesh = build_triangular(8)
-        rule = edge_rule(mesh, parse_boundary(kind), 10)
         edges = np.array([0, mesh.num_edges // 2, mesh.num_edges - 1])
+        rule = edge_rule(mesh, parse_boundary(kind), 10, edges)
         vals = np.random.default_rng(2).standard_normal((3, 4) + rule.points.shape[1:])
-        flat = rule.basis[edges].reshape(3, rule.basis.shape[1], -1)
-        cmap = flat * np.repeat(rule.weights[edges], 2, axis=1)[:, None] \
-            / rule.norms[edges][:, :, None]
+        norms = np.einsum("einc,einc,en->ei", rule.basis, rule.basis, rule.weights)
+        flat = rule.basis.reshape(3, rule.basis.shape[1], -1)
+        cmap = flat * np.repeat(rule.weights, 2, axis=1)[:, None] / norms[:, :, None]
         P = np.swapaxes(flat, 1, 2) @ cmap
         want = (vals.reshape(3, 4, -1) @ np.swapaxes(P, 1, 2)).reshape(vals.shape)
-        once = rule.apply(edges, vals)
+        once = rule.apply(vals)
         assert np.abs(once - want).max() < 1e-14
-        assert np.abs(rule.apply(edges, once) - once).max() < 1e-14
+        assert np.abs(rule.apply(once) - once).max() < 1e-14
 
     def test_linearity_on_jumps(self):
         # R_b applied to the jump equals the difference of the images
         mesh = build_rectangular(2)
-        rule = edge_rule(mesh, parse_boundary("p1"), 10)
+        rule = edge_rule(mesh, parse_boundary("p1"), 10, np.nonzero(~mesh.boundary)[0][:1])
         a = vec_field(lambda x, y: np.sin(x + y), lambda x, y: x ** 2)
         b = vec_field(lambda x, y: np.cos(x), lambda x, y: y ** 3)
         jump = lambda pts: a(pts) - b(pts)
-        e = np.nonzero(~mesh.boundary)[0][:1]
-        whole = project_traces(rule, e, jump)
-        parts = project_traces(rule, e, a) - project_traces(rule, e, b)
+        whole = project_traces(rule, jump)
+        parts = project_traces(rule, a) - project_traces(rule, b)
         assert np.allclose(whole, parts, atol=1e-13)
+
+
+class TestEdgeRuleOnEdgeIds:
+    @pytest.mark.parametrize("build", [build_rectangular, build_triangular])
+    @pytest.mark.parametrize("kind", ["p0", "p1", "rm"])
+    @pytest.mark.parametrize("degree", [3, 10])
+    def test_rule_on_ids_is_the_full_rule_at_them(self, build, kind, degree):
+        # a rule over edge ids of any shape has the bits of the rule over
+        # every edge taken at those ids: the (E, m) element edges of a
+        # kernel's element block, and the boundary edges
+        mesh = build(12)
+        cfg = parse_boundary(kind)
+        full = edge_rule(mesh, cfg, degree)
+        *_, last = element_blocks(np.arange(mesh.num_elements))
+        for ids in (mesh.element_edges[last], np.flatnonzero(mesh.boundary)):
+            rule = edge_rule(mesh, cfg, degree, ids)
+            for name in ("points", "weights", "basis", "coeff_map"):
+                assert np.array_equal(getattr(rule, name), getattr(full, name)[ids]), name
 
 
 class TestCorrections:
