@@ -8,8 +8,8 @@ Two subcommands:
                invariance of R_b and edge-space injectivity) for the
                configured (boundary space, R_b) pair.
 
-Exit codes: 0 success, 2 configuration error (an output path that cannot
-be written included), 3 solver failure (or an element space that stays
+Exit codes: 0 success, 2 configuration error (a bad argument, or an output
+path that cannot be written), 3 solver failure (or an element space that stays
 ill-conditioned after resampling, or a numerical warning such as an
 overflow in the data when warnings are errors, ``python -W error``),
 4 assumption-check failure under --strict.
@@ -159,24 +159,24 @@ def check_assumptions(config: RunConfig):
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file; flags override")
-    p.add_argument("--mesh", choices=["rect", "tri"])
+    p.add_argument("--mesh", help="rect or tri")
     p.add_argument("--levels", help="comma-separated subdivision counts, e.g. 8,16,32,64")
     p.add_argument("--interior",
                    help="interior space: p1, sin, cos, sigmoid, relu, lrelu:<eps>")
-    p.add_argument("--boundary", choices=["p0", "p1", "rm"])
-    p.add_argument("--rb", choices=["qb", "id"])
+    p.add_argument("--boundary", help="edge space: p0, p1, rm")
+    p.add_argument("--rb", help="edge operator R_b: qb, or id (identity)")
     p.add_argument("--gamma", type=float)
     p.add_argument("--rho", type=float)
     p.add_argument("--mu", type=float)
     p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--example", type=int, choices=[1, 2])
+    p.add_argument("--example", type=int, help="manufactured solution: 1 or 2")
     p.add_argument("--seed", type=int)
     p.add_argument("--quad-degree", dest="quad_degree", type=int)
     p.add_argument("--condense", action="store_const", const=True,
                    help="no effect (condensation is always on); accepted for compatibility")
     p.add_argument("--strict", action="store_const", const=True)
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", dest="fmt", choices=["csv", "table"])
+    p.add_argument("--format", dest="fmt", help="csv or table")
 
 
 def _parse_levels(text: str) -> tuple:
@@ -240,8 +240,13 @@ def _emit_output(text: str, out: str | None) -> None:
         raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # an exit code, not SystemExit, for in-process callers
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gwgfem",
         description="Generalized weak Galerkin solver for planar linear "
                     "elasticity: convergence studies and admissibility checks.")
@@ -251,8 +256,8 @@ def main(argv=None) -> int:
     check_p = sub.add_parser("check", help="check admissibility assumptions")
     _add_common_flags(check_p)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         config = _merge_config(args)
     except (ConfigError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

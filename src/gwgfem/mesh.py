@@ -141,16 +141,15 @@ def _finish_mesh(n: int, vertices: np.ndarray, elements: np.ndarray) -> Mesh2D:
             d = np.linalg.norm(coords[:, a] - coords[:, b], axis=1)
             diameter = np.maximum(diameter, d)
 
-    # outward unit normals per local edge of a ccw polygon
-    evec = nxt - coords  # (ne, m, 2)
-    elen = np.linalg.norm(evec, axis=2)
-    normals = np.stack([evec[:, :, 1], -evec[:, :, 0]], axis=2) / elen[:, :, None]
-
     p0 = vertices[edges[:, 0]]
     p1 = vertices[edges[:, 1]]
     edge_length = np.linalg.norm(p1 - p0, axis=1)
     edge_midpoint = 0.5 * (p0 + p1)
     edge_tangent = (p1 - p0) / edge_length[:, None]
+
+    # outward unit normals per local edge of a ccw polygon
+    evec = nxt - coords  # (ne, m, 2)
+    normals = np.stack([evec[:, :, 1], -evec[:, :, 0]], axis=2) / edge_length[element_edges, None]
 
     return Mesh2D(
         n=n,
@@ -199,9 +198,9 @@ def element_blocks(eids: np.ndarray):
 
 
 @lru_cache(maxsize=None)
-def _gauss_1d(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(npts)
+def _gauss_1d(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on [0, 1], the fewest exact for degree <= degree."""
+    x, w = np.polynomial.legendre.leggauss((degree + 2) // 2)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
@@ -215,8 +214,7 @@ def _check_degree(degree: int) -> None:
 @lru_cache(maxsize=None)
 def _reference_square(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss rule on [0,1]^2 exact for total degree <= degree."""
-    npts = (degree + 2) // 2
-    x, w = _gauss_1d(npts)
+    x, w = _gauss_1d(degree)
     X, Y = np.meshgrid(x, x)
     W = np.outer(w, w)
     return np.column_stack([X.ravel(), Y.ravel()]), W.ravel()
@@ -227,14 +225,12 @@ def _reference_triangle(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Collapsed tensor rule on the triangle (0,0),(1,0),(0,1).
 
     Built from the square via the map (u, v) -> (u(1-v), v) whose
-    Jacobian 1-v raises the polynomial degree in v by one; the point
-    counts account for that, so the rule is exact for total degree
-    <= degree with strictly positive weights.
+    Jacobian 1-v raises the polynomial degree in v by one; the rule in v
+    accounts for that, so the rule is exact for total degree <= degree
+    with strictly positive weights.
     """
-    nu = (degree + 2) // 2
-    nv = (degree + 3) // 2
-    u, wu = _gauss_1d(nu)
-    v, wv = _gauss_1d(nv)
+    u, wu = _gauss_1d(degree)
+    v, wv = _gauss_1d(degree + 1)
     U, V = np.meshgrid(u, v)
     X = U * (1.0 - V)
     Y = V

@@ -81,12 +81,10 @@ def _activation_pair(cfg: InteriorSpaceConfig) -> tuple[Callable, Callable]:
             lambda t: np.maximum(t, 0.0),
             lambda t: (t > 0).astype(float),
         )
-    if name == "lrelu":
-        return (
-            lambda t: np.where(t > 0, t, eps * t),
-            lambda t: np.where(t > 0, 1.0, eps),
-        )
-    raise ValueError(f"unknown activation {name!r}")
+    return (  # lrelu, the last of ACTIVATIONS
+        lambda t: np.where(t > 0, t, eps * t),
+        lambda t: np.where(t > 0, 1.0, eps),
+    )
 
 
 @dataclass(frozen=True)
@@ -196,14 +194,12 @@ def parse_interior(spec: str, seed: int = 0) -> InteriorSpaceConfig:
             raise ValueError(f"invalid lrelu slope {tail!r}") from exc
         return InteriorSpaceConfig(kind="activation", activation="lrelu",
                                    leaky_slope=eps, seed=seed)
-    if spec in ("sin", "cos", "sigmoid", "relu"):
+    if spec in ACTIVATIONS:
         return InteriorSpaceConfig(kind="activation", activation=spec, seed=seed)
     raise ValueError(f"unknown interior space {spec!r}")
 
 
 def parse_boundary(spec: str) -> BoundarySpaceConfig:
-    if spec not in ("p0", "p1", "rm"):
-        raise ValueError(f"unknown boundary space {spec!r}")
     return BoundarySpaceConfig(kind=spec)
 
 

@@ -4,18 +4,19 @@ A weak function is a pair {v0, vb}: per-element interior coefficient
 blocks and per-edge boundary coefficient blocks with no continuity between
 them (vb is stored once per edge and therefore single-valued).
 
-The generalized weak gradient / divergence of a weak function on an
-element T is the classical operator applied to v0 plus a constant
-correction obtained from a small moment problem against the boundary
-jump R_b(vb - v0):
+The generalized weak gradient of a weak function on an element T is the
+classical gradient of v0 plus a constant correction obtained from a small
+moment problem against the boundary jump R_b(vb - v0):
 
-    (delta1, psi)_T = <R_b(vb - v0), psi n>_dT   for psi in the constant
-                                                  matrix space,
-    (delta2, phi)_T = <R_b(vb - v0), phi n>_dT   for phi constant scalar.
+    (delta1, psi)_T = <R_b(vb - v0), psi n>_dT   for psi constant matrices.
+
+The weak divergence's correction delta2 solves it at psi = phi I, phi
+constant: (delta2, phi)_T = <R_b(vb - v0), phi n>_dT.  So delta2 = tr
+delta1, div_g = tr grad_g, and the kernel forms delta1 only.
 
 R_b is either the edgewise L2 projection onto V^b(e) (``qb``) or the
-identity.  The test spaces are constant, so the moment problem's Gram
-matrix is q_T I, with q_T the volume rule's total weight, and each
+identity.  The test space is constant, so the moment problem's Gram
+matrix is q_T I, with q_T the volume rule's total weight, and the
 correction is its surface integral divided by q_T.  The kernel splits the
 form at that constant (interior fluctuations, per-dof mean plus correction)
 and applies R_b to interior traces only, as edge bases lie in V^b; an edge
@@ -74,11 +75,7 @@ class RbOperator:
 
 
 def parse_rb(spec: str) -> RbOperator:
-    if spec == "qb":
-        return RbOperator("qb")
-    if spec in ("id", "identity"):
-        return RbOperator("identity")
-    raise ValueError(f"unknown Rb operator {spec!r}")
+    return RbOperator("identity" if spec == "id" else spec)
 
 
 @dataclass
@@ -150,11 +147,11 @@ def edge_rule(mesh: Mesh2D, cfg: BoundarySpaceConfig, quad_degree: int,
     and the projection coefficient map; a basis function of zero norm
     under the rule (a linear one at a 1-point rule) raises ``ValueError``."""
     _check_degree(quad_degree)
-    x, w = _gauss_1d((quad_degree + 2) // 2)
+    x, w = _gauss_1d(quad_degree)
     edges = np.arange(mesh.num_edges) if edges is None else np.asarray(edges)
     vec = mesh.vertices[mesh.edges[edges, 1]] - mesh.vertices[mesh.edges[edges, 0]]
     points = mesh.edge_midpoint[edges][..., None, :] + (x - 0.5)[:, None] * vec[..., None, :]
-    weights = w * np.hypot(vec[..., 0], vec[..., 1])[..., None]
+    weights = w * mesh.edge_length[edges][..., None]
     basis = eval_boundary(mesh, edges, cfg, points)
     flat = basis.reshape((-1,) + basis.shape[-3:])  # one edge axis: the full rule's bits
     norms = np.einsum("einc,einc,en->ei", flat, flat,
@@ -172,8 +169,8 @@ class ElementKernel:
 
     Precomputes interior basis values/gradients at the volume rule, the
     R_b images of the boundary jumps of every local basis weak function at
-    the rule of the block's edges, and the corrections delta1 (constant
-    matrix) and delta2 (constant scalar) per local degree of freedom; an
+    the rule of the block's edges, and the correction delta1 (constant
+    matrix; its trace corrects the divergence) per local degree of freedom; an
     edge basis function lies in V^b, so its jump is its own edge's basis
     values, kept on that edge only (0 on the others).  One builder of
     weighted samples of the bilinear form, split into interior fluctuations
@@ -222,15 +219,12 @@ class ElementKernel:
         jb = self.rb_jumpb.transpose(0, 1, 2, 4, 3).reshape(E, self.m, 2 * self.nb, -1)
         flux = [j0 @ wn.reshape(E, -1, 2), (jb @ wn).reshape(E, -1, 2)]
         self.jump_flux = np.concatenate(flux, axis=1).reshape(E, -1, 2, 2)
-        # R_b jump . n is the trace of R_b jump (x) n
-        self.jump_divflux = self.jump_flux[..., 0, 0] + self.jump_flux[..., 1, 1]
 
-        # corrections: the correction spaces are constant, so each moment
+        # the correction: the correction space is constant, so the moment
         # problem's Gram matrix is the volume rule's total weight q_T times
         # the identity
         self.qarea = self.vol.weights.sum(axis=1)
         self.delta1 = self.jump_flux * (1.0 / self.qarea)[:, None, None, None]
-        self.delta2 = self.jump_divflux / self.qarea[:, None]
 
     # -- local matrices --
 
@@ -255,8 +249,7 @@ class ElementKernel:
         E = w.shape[0]
         a = _strain_samples(G)  # (E, n0, nq, 4)
         abar = (w[:, None, None] @ a)[:, :, 0] * (1.0 / self.qarea)[:, None, None]
-        mean = _strain_samples(self.delta1)  # (E, ndof, 4)
-        mean[..., 3] = self.delta2
+        mean = _strain_samples(self.delta1)  # (E, ndof, 4), div_g = tr grad_g
         mean[:, : self.n0] += abar
         coef = np.array([2.0 * mu] * 3 + [lam])
         mean *= np.sqrt(coef * self.qarea[:, None])[:, None]

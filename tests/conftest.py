@@ -127,9 +127,10 @@ def rb_jump_values(kern, vloc):
 
 
 def correction_pair(kern, vloc):
-    """The corrections delta1 (E, 2, 2) and delta2 (E,) of weak functions."""
-    return (np.einsum("ek,ekab->eab", vloc, kern.delta1),
-            np.einsum("ek,ek->e", vloc, kern.delta2))
+    """The corrections delta1 (E, 2, 2) and delta2 = tr delta1 (E,) of weak
+    functions."""
+    d1 = np.einsum("ek,ekab->eab", vloc, kern.delta1)
+    return d1, np.trace(d1, axis1=1, axis2=2)
 
 
 def moment_residuals(kern, vloc):
@@ -138,16 +139,17 @@ def moment_residuals(kern, vloc):
     d1, d2 = correction_pair(kern, vloc)
     lhs1 = kern.qarea[:, None] * d1.reshape(-1, 4)
     rhs1 = np.einsum("ek,ekab->eab", vloc, kern.jump_flux).reshape(-1, 4)
-    rhs2 = np.einsum("ek,ek->e", vloc, kern.jump_divflux)
+    rhs2 = np.einsum("ek,ekaa->e", vloc, kern.jump_flux)  # <R_b jump . n, 1>_dT
     return lhs1 - rhs1, kern.qarea * d2 - rhs2
 
 
 def corrections_closed_form(kern, mesh):
     """delta1 = |T|^-1 * surface integral of R_b(jump) (x) n, and its
-    divergence counterpart, with the exact element areas."""
+    divergence counterpart from the trace of that integral, with the exact
+    element areas."""
     area = shoelace_area(mesh)[kern.eids]
     return (kern.jump_flux / area[:, None, None, None],
-            kern.jump_divflux / area[:, None])
+            np.trace(kern.jump_flux, axis1=2, axis2=3) / area[:, None])
 
 
 def weak_gradient(kern, vloc):

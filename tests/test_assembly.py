@@ -123,7 +123,8 @@ class TestLocalStiffness:
         grad[:, : kern.n0] = kern.G0
         eps = 0.5 * (grad + grad.transpose(0, 1, 2, 4, 3)) \
             + 0.5 * (kern.delta1 + kern.delta1.transpose(0, 1, 3, 2))[:, :, None]
-        div = np.trace(grad, axis1=3, axis2=4) + kern.delta2[:, :, None]
+        div = np.trace(grad, axis1=3, axis2=4) \
+            + np.trace(kern.delta1, axis1=2, axis2=3)[:, :, None]
         # the dense jump rows: each edge dof's own-edge row, 0 on the others
         J = np.zeros((E, kern.m, kern.ndof) + kern.rb_jumpb.shape[3:])
         J[:, :, : kern.n0] = kern.rb_jump0

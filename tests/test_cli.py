@@ -89,6 +89,17 @@ class TestRun:
             assert code == EXIT_CONFIG
             assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["run", "--bogus"], [], ["run", "--seed", "x"],
+                                      ["run", "--lambda", "x"], ["run", "--mesh", "hex"]])
+    def test_argument_error_exits_config(self, argv, capsys):
+        # argparse's errors return the exit code too, not SystemExit
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error:")
+
+    def test_rb_identity_flag(self, capsys):
+        assert main(["run", "--mesh", "rect", "--levels", "2", "--rb", "identity"]) == EXIT_OK
+
     def test_failed_write_exits_config(self, monkeypatch, tmp_path, capsys):
         # an output path that passed validation and still cannot be written
         from gwgfem import cli as climod

@@ -185,6 +185,16 @@ class TestQuadrature:
         assert (r5.points[bottom, :, 0] ** 3 @ r5.weights[bottom]
                 == pytest.approx(0.25, abs=1e-14))
 
+    def test_point_counts(self):
+        # the fewest Gauss points exact for degree d, one degree more in v
+        # for the collapsed triangle's Jacobian
+        rect, tri = build_rectangular(1), build_triangular(1)
+        for d in range(1, MAX_QUAD_DEGREE + 1):
+            k = (d + 2) // 2
+            assert element_quadrature(rect, 0, d).weights.shape == (k * k,)
+            assert element_quadrature(tri, 0, d).weights.shape == (k * ((d + 3) // 2),)
+            assert edge_rule(rect, P0, d).weights.shape == (4, k)
+
     def test_unsupported_degree_message(self):
         m = build_rectangular(1)
         with pytest.raises(ValueError, match=f"1..{MAX_QUAD_DEGREE}"):

@@ -53,8 +53,9 @@ class TestConfigs:
         for bad in ("lrelu", "lrelu:x", "lrelu:nan", "lrelu:-inf", "tanh", "p2"):
             with pytest.raises(ValueError):
                 parse_interior(bad)
-        with pytest.raises(ValueError):
-            parse_boundary("p2")
+        for bad in ("p2", "p9"):
+            with pytest.raises(ValueError, match="unknown boundary space"):
+                parse_boundary(bad)
 
 
 class TestSampling:

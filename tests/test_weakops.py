@@ -10,6 +10,7 @@ from gwgfem.assembly import interpolate, project_interior
 from gwgfem.mesh import build_rectangular, build_triangular, element_blocks
 from gwgfem.spaces import eval_boundary, eval_interior, grad_interior, parse_boundary
 from gwgfem.weakops import (
+    RbOperator,
     WeakFunction,
     check_rb_injectivity,
     check_rigid_motion_invariance,
@@ -225,7 +226,7 @@ class TestCorrections:
                 kern = kernel(mesh, spaces, rb)
                 d1c, d2c = corrections_closed_form(kern, mesh)
                 assert np.abs(kern.delta1 - d1c).max() < 1e-12
-                assert np.abs(kern.delta2 - d2c).max() < 1e-12
+                assert np.abs(np.trace(kern.delta1, axis1=2, axis2=3) - d2c).max() < 1e-12
 
 
 class TestWeakOperators:
@@ -274,16 +275,6 @@ class TestWeakOperators:
         assert np.allclose(weak_gradient(kern, vloc), classical_gradient(kern, vloc),
                            atol=1e-12)
 
-    def test_trace_of_delta1_equals_delta2(self):
-        mesh = build_triangular(2)
-        spaces = make_spaces(mesh, "sin", "p0", seed=2)
-        rng = np.random.default_rng(5)
-        for rb in (QB, ID):
-            kern = kernel(mesh, spaces, rb)
-            vloc = rng.normal(size=(mesh.num_elements, kern.ndof))
-            d1, d2 = correction_pair(kern, vloc)
-            assert np.abs(np.trace(d1, axis1=1, axis2=2) - d2).max() < 1e-12
-
     @given(st.integers(0, 7), st.booleans())
     @settings(max_examples=16, deadline=None)
     def test_moment_equation_residuals(self, eid, use_qb):
@@ -296,6 +287,14 @@ class TestWeakOperators:
         scale = max(1.0, np.abs(vloc).max())
         assert np.abs(r1).max() < 1e-12 * scale
         assert np.abs(r2).max() < 1e-12 * scale
+
+
+class TestParseRb:
+    def test_names(self):
+        assert parse_rb("identity") == parse_rb("id") == RbOperator("identity")
+        assert parse_rb("qb") == RbOperator("qb")
+        with pytest.raises(ValueError, match="unknown Rb operator 'proj'"):
+            parse_rb("proj")
 
 
 class TestAssumptionPredicates:
