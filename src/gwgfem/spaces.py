@@ -8,16 +8,17 @@ vector linears (kind "p1", dimension 6) span sigma(t) = t with p = 4, every
 anchor at the barycenter and directions (1/h, 0), (1/h, 0), (0, 1/h),
 (0, 1/h), h the element diameter.
 
-Edge spaces are constant vectors (dimension 2), linear vectors in the
-edge-local coordinate (dimension 4), or rigid motions restricted to the
-edge (dimension 3): the constants and the rotation about the edge
-midpoint, in that same coordinate (x - x_e)/length.
+Edge spaces are constant vectors (dimension 2), linear vectors (s,0),
+(0,s) in the edge coordinate s = (x - x_e) . t / length in [-1/2, 1/2]
+(dimension 4), or rigid motions restricted to the edge (dimension 3): the
+constants and the rotation s (-t_y, t_x) about the midpoint x_e.  Only
+that rotation row varies from edge to edge.
 
 Basis ordering is fixed and documented per kind; weak-function
-coefficient blocks refer to these orderings.  The evaluation functions
-accept either one element (edge) id with points (nq, 2) or an array of E
-ids with points (E, nq, 2); batched results carry a leading element (edge)
-axis.
+coefficient blocks refer to these orderings.  The interior evaluation
+functions accept one element id with points (nq, 2) or an array of E ids
+with points (E, nq, 2), with a leading element axis on the result; the
+edge basis takes coordinates s (nq,) and edge ids of any shape.
 """
 
 from __future__ import annotations
@@ -286,30 +287,27 @@ def grad_interior(cfg: InteriorSpaceConfig, params: ElementRandomParams,
     return _grads_at(cfg, params, _activation_args(np.atleast_2d(points), params))
 
 
-def eval_boundary(mesh: Mesh2D, edge_id, cfg: BoundarySpaceConfig,
-                  points: np.ndarray) -> np.ndarray:
-    """Edge basis values at ``points`` on the edge; shape (dim, nq, 2), or
-    (E, dim, nq, 2) for an array of E edges.
+def eval_boundary(mesh: Mesh2D, edge_id, cfg: BoundarySpaceConfig, s) -> np.ndarray:
+    """Edge basis values at the edge coordinates ``s`` (nq,); shape (dim, nq,
+    2), or (..., dim, nq, 2) for edge ids of any shape.
 
-    Both higher kinds use the edge-local coordinate r = (x - x_e)/length,
-    with x_e the edge midpoint.  p0: (1,0), (0,1).  p1: additionally (s,0),
-    (0,s) with s = r . t along the canonical tangent t.  rm: (1,0), (0,1),
-    (-r_y, r_x), the rotation about the midpoint.  All values are identical
-    from either owner element.
+    A point x of edge e sits at s = (x - x_e) . t / length in [-1/2, 1/2],
+    with x_e the midpoint and t the canonical tangent.  p0: (1,0), (0,1).
+    p1: additionally (s,0), (0,s).  rm: (1,0), (0,1), s (-t_y, t_x), the
+    rotation about the midpoint.  p0 and p1 depend on s alone, so their
+    values are one read-only table broadcast over the edge axes; rm's
+    rotation row is its only per-edge value.  All values are identical from
+    either owner element.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros(points.shape[:-2] + (cfg.dim,) + points.shape[-2:])
-    out[..., 0, :, 0] = 1.0
-    out[..., 1, :, 1] = 1.0
-    rel = points - mesh.edge_midpoint[edge_id][..., None, :]
-    length = mesh.edge_length[edge_id][..., None]
+    s = np.asarray(s, dtype=float)
+    table = np.zeros((cfg.dim, s.size, 2))
+    table[0, :, 0] = table[1, :, 1] = 1.0
     if cfg.kind == "p1":
-        s = np.einsum("...nc,...c->...n", rel, mesh.edge_tangent[edge_id]) / length
-        out[..., 2, :, 0] = s
-        out[..., 3, :, 1] = s
-    elif cfg.kind == "rm":
-        out[..., 2, :, 0] = -rel[..., 1] / length
-        out[..., 2, :, 1] = rel[..., 0] / length
+        table[2, :, 0] = table[3, :, 1] = s
+    out = np.broadcast_to(table, np.shape(edge_id) + table.shape)
+    if cfg.kind == "rm":
+        out, t = out.copy(), mesh.edge_tangent[edge_id][..., None, :]
+        out[..., 2, :, 0], out[..., 2, :, 1] = -s * t[..., 1], s * t[..., 0]
     return out
 
 

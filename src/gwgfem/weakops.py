@@ -25,13 +25,15 @@ Elements are independent of one another, so the element kernel works on a
 block of elements at once, with arrays carrying a leading element axis.
 Edge data (quadrature and basis values at its points) is an
 :class:`EdgeRule` over the edges its caller reads, all in the one edge
-basis of :func:`gwgfem.spaces.eval_boundary`, which is orthogonal under the
-symmetric Gauss rule, so the L2 projection onto V^b(e) divides moments by
-norms and solves nothing.  The kernel builds the rule of its block's edges
-(``mesh.element_edges`` of its elements) at the level's degree
-(``SpaceSet.quad_degree``), the degree of its volume rule too.  The
-admissibility predicates take one edge rule over every edge, so a caller
-can build it once for both.
+basis of :func:`gwgfem.spaces.eval_boundary` at the edge coordinates
+s = x_gauss - 1/2.  It is orthogonal under the symmetric Gauss rule, so
+the L2 projection onto V^b(e) divides moments by norms, the table (sum w,
+sum w s^2) over the edge length, and solves nothing; p0 and p1 share one
+table of basis values and coefficient map over every edge.  The kernel
+builds the rule of its block's edges (``mesh.element_edges`` of its
+elements) at the level's degree (``SpaceSet.quad_degree``), the degree of
+its volume rule too.  The admissibility predicates take one edge rule
+over every edge, so a caller can build it once for both.
 """
 
 from __future__ import annotations
@@ -110,17 +112,19 @@ class WeakFunction:
 class EdgeRule:
     """Gauss rule and L2-projection data of V^b(e) on an array of edges.
 
-    Arrays carry the leading axes of the edge ids the rule was built on.
-    The basis is the one of :func:`gwgfem.spaces.eval_boundary`, orthogonal
-    under the symmetric rule (constants and midpoint-centred linears), so
-    its Gram matrix is diagonal: the projection coefficients of a field are
-    its weighted moments against the basis divided by the squared norms,
-    which ``coeff_map`` holds once per edge.  :func:`check_rb_injectivity`
-    certifies the diagonal.
+    Arrays other than ``s`` carry the leading axes of the edge ids the rule
+    was built on.  The basis is that of :func:`gwgfem.spaces.eval_boundary`
+    at ``s``, orthogonal under the symmetric rule (constants and
+    midpoint-centred linears), so the projection coefficients of a field
+    are its weighted moments against the basis over the squared norms:
+    ``coeff_map``, from which the edge length cancels, so for p0 and p1 it
+    and ``basis`` are one read-only table broadcast over the edge axes.
+    :func:`check_rb_injectivity` certifies the diagonal Gram matrix.
     """
 
     points: np.ndarray  # (..., nq, 2)
     weights: np.ndarray  # (..., nq), summing to the edge length
+    s: np.ndarray  # (nq,) edge coordinates of the points, in [-1/2, 1/2]
     basis: np.ndarray  # (..., nb, nq, 2) basis values at the points
     coeff_map: np.ndarray  # (..., nb, 2 nq) values over (point, component) -> coefficients
 
@@ -148,20 +152,20 @@ def edge_rule(mesh: Mesh2D, cfg: BoundarySpaceConfig, quad_degree: int,
     under the rule (a linear one at a 1-point rule) raises ``ValueError``."""
     _check_degree(quad_degree)
     x, w = _gauss_1d(quad_degree)
+    s = x - 0.5
     edges = np.arange(mesh.num_edges) if edges is None else np.asarray(edges)
     vec = mesh.vertices[mesh.edges[edges, 1]] - mesh.vertices[mesh.edges[edges, 0]]
-    points = mesh.edge_midpoint[edges][..., None, :] + (x - 0.5)[:, None] * vec[..., None, :]
-    weights = w * mesh.edge_length[edges][..., None]
-    basis = eval_boundary(mesh, edges, cfg, points)
-    flat = basis.reshape((-1,) + basis.shape[-3:])  # one edge axis: the full rule's bits
-    norms = np.einsum("einc,einc,en->ei", flat, flat,
-                      weights.reshape(len(flat), -1)).reshape(basis.shape[:-2])
+    points = mesh.edge_midpoint[edges][..., None, :] + s[:, None] * vec[..., None, :]
+    # squared norms over the edge length: the two constants, then s times a unit vector
+    norms = np.where(np.arange(cfg.dim) < 2, w.sum(), w @ (s * s))
     if not np.all(norms > 0):
         raise ValueError(f"the {cfg.kind} edge basis has a function of zero norm "
                          f"under the degree-{quad_degree} rule")
-    cmap = basis.reshape(norms.shape + (-1,)) * np.repeat(weights, 2, axis=-1)[..., None, :]
-    cmap *= (1.0 / norms)[..., None]  # in place: half the time of a second product
-    return EdgeRule(points=points, weights=weights, basis=basis, coeff_map=cmap)
+    basis = eval_boundary(mesh, edges, cfg, s)
+    one = basis if cfg.kind == "rm" else basis[(0,) * edges.ndim]  # p0, p1: the table
+    cmap = one.reshape(one.shape[:-2] + (-1,)) * (np.repeat(w, 2) / norms[:, None])
+    return EdgeRule(points=points, weights=w * mesh.edge_length[edges][..., None], s=s,
+                    basis=basis, coeff_map=np.broadcast_to(cmap, basis.shape[:-2] + (2 * s.size,)))
 
 
 class ElementKernel:
@@ -330,16 +334,15 @@ def check_rigid_motion_invariance(mesh: Mesh2D, rule: EdgeRule,
     """Does R_b fix rigid-motion traces on every edge?
 
     Checks the generators of the edge's rigid-motion traces, (1,0), (0,1)
-    and the rotation about the edge midpoint in the edge-local coordinate
-    (the ``rm`` basis), against their R_b images at the points of the edge
-    rule ``rule`` of V^b over every edge.  The identity passes trivially;
+    and the rotation about the edge midpoint (the ``rm`` basis), against
+    their R_b images at the edge coordinates ``rule.s`` of the edge rule
+    ``rule`` of V^b over every edge.  The identity passes trivially;
     the projection passes iff rigid-motion traces lie in V^b(e).
     """
     name = "rigid-motion invariance"
     if rb.kind == "identity":
         return AssumptionCheck(name, True, 0.0, -1, "identity preserves all traces")
-    edges = np.arange(mesh.num_edges)
-    gens = eval_boundary(mesh, edges, BoundarySpaceConfig("rm"), rule.points)
+    gens = eval_boundary(mesh, np.arange(mesh.num_edges), BoundarySpaceConfig("rm"), rule.s)
     resid = np.abs(rule.apply(gens) - gens).max(axis=(1, 2, 3))
     worst, worst_edge = _worst(resid)
     passed = worst <= RIGID_MOTION_TOL

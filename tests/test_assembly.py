@@ -155,6 +155,22 @@ class TestLocalStiffness:
             tracemalloc.stop()
         assert peak < 8.38e6
 
+    def test_error_norms_peak_memory(self):
+        # tri p1/p1 n=64: 7.5 MiB when the every-edge rule held a basis and
+        # coefficient map per edge, 2.7 MiB with p1's one table
+        mesh = build_triangular(64)
+        spaces = make_spaces(mesh, "p1", "p1")
+        wf = WeakFunction.zeros(mesh, spaces)
+        u = manufactured("example1", 0.5, 1.0).u
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            error_norms(mesh, spaces, wf, u)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
     def test_local_matrix_symmetry(self):
         mesh = build_triangular(2)
         spaces = make_spaces(mesh, "sigmoid", "rm", seed=8)

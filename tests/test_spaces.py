@@ -263,20 +263,19 @@ class TestEvaluation:
 class TestBoundaryBasis:
     def test_p0_anywhere(self):
         m = build_rectangular(1)
-        vals = eval_boundary(m, 0, parse_boundary("p0"), np.array([[0.3, 0.0]]))
+        vals = eval_boundary(m, 0, parse_boundary("p0"), np.array([-0.2]))
         assert np.allclose(vals[0, 0], [1, 0])
         assert np.allclose(vals[1, 0], [0, 1])
 
     @pytest.mark.parametrize("build", [build_rectangular, build_triangular])
     def test_rm_third_vector_rotates_about_midpoint(self, build):
-        # (-r_y, r_x) with r = (x - x_e)/|e|: 0 at the midpoint and
-        # +-(1/2)(-t_y, t_x) at the endpoints x_e +- (1/2)|e| t
+        # s (-t_y, t_x) in the edge coordinate s = (x - x_e) . t/|e|: 0 at
+        # the midpoint and +-(1/2)(-t_y, t_x) at the endpoints s = +-1/2
         m = build(3)
         cfg = parse_boundary("rm")
         for e in range(m.num_edges):
-            mid, t = m.edge_midpoint[e], m.edge_tangent[e]
-            pts = mid + np.outer([0.0, 0.5, -0.5], m.edge_length[e] * t)
-            vals = eval_boundary(m, e, cfg, pts)[2]
+            t = m.edge_tangent[e]
+            vals = eval_boundary(m, e, cfg, np.array([0.0, 0.5, -0.5]))[2]
             assert np.array_equal(vals[0], [0.0, 0.0])
             assert np.allclose(vals[1], [-0.5 * t[1], 0.5 * t[0]], atol=1e-15)
             assert np.allclose(vals[2], [0.5 * t[1], -0.5 * t[0]], atol=1e-15)
@@ -284,8 +283,7 @@ class TestBoundaryBasis:
     def test_p1_coordinate_vanishes_at_midpoint(self):
         m = build_rectangular(2)
         for e in range(m.num_edges):
-            mid = m.edge_midpoint[e][None, :]
-            vals = eval_boundary(m, e, parse_boundary("p1"), mid)
+            vals = eval_boundary(m, e, parse_boundary("p1"), np.zeros(1))
             assert np.allclose(vals[2:, 0], 0.0, atol=1e-14)
 
     @pytest.mark.parametrize("kind", ["p0", "p1", "rm"])
@@ -295,9 +293,8 @@ class TestBoundaryBasis:
         m = build_triangular(2)
         cfg = parse_boundary(kind)
         for e in np.nonzero(~m.boundary)[0]:
-            pts = m.edge_midpoint[e][None, :] + 0.001 * m.edge_tangent[e]
-            first = eval_boundary(m, e, cfg, pts)
-            second = eval_boundary(m, e, cfg, pts)
+            first, second = (eval_boundary(m, m.element_edges[t, le], cfg, np.array([0.001]))
+                             for t, le in zip(*np.nonzero(m.element_edges == e)))
             assert np.array_equal(first, second)
 
     def test_rigid_motion_containment_in_p1_interior(self):

@@ -85,8 +85,12 @@ class TestApplyRb:
         vloc = np.random.default_rng(1).normal(size=(1, kern.ndof))
         pts = kern.edge_points[0]  # (m, nqe, 2)
         edges = kern.edge_ids[0]
+        # each point's edge coordinate s = (x - x_e) . t/|e|
+        s = np.einsum("mnc,mc->mn", pts - mesh.edge_midpoint[edges][:, None],
+                      mesh.edge_tangent[edges]) / mesh.edge_length[edges][:, None]
         vb = np.einsum("mj,mjnc->mnc", vloc[0, kern.n0:].reshape(kern.m, -1),
-                       eval_boundary(mesh, edges, spaces.boundary, pts))
+                       np.stack([eval_boundary(mesh, e, spaces.boundary, se)
+                                 for e, se in zip(edges, s)]))
         v0 = np.einsum("j,jmnc->mnc", vloc[0, : kern.n0],
                        eval_interior(spaces.interior, spaces.params[0],
                                      pts.reshape(-1, 2)).reshape(kern.n0, *pts.shape))
@@ -177,6 +181,38 @@ class TestEdgeRuleOnEdgeIds:
             rule = edge_rule(mesh, cfg, degree, ids)
             for name in ("points", "weights", "basis", "coeff_map"):
                 assert np.array_equal(getattr(rule, name), getattr(full, name)[ids]), name
+            assert np.array_equal(rule.s, full.s)
+
+
+class TestEdgeTable:
+    @pytest.mark.parametrize("kind", ["p0", "p1"])
+    def test_p0_p1_are_one_table_on_every_edge(self, kind):
+        # the basis depends on the edge coordinate alone, and the edge length
+        # cancels from the coefficient map: both are one table, held once
+        mesh = build_triangular(3)
+        rule = edge_rule(mesh, parse_boundary(kind), 4)
+        x, w = np.polynomial.legendre.leggauss(3)
+        assert np.allclose(rule.s, 0.5 * x, rtol=0, atol=1e-16)
+        s, w = rule.s, 0.5 * w
+        one, zero = np.ones_like(s), np.zeros_like(s)
+        table = np.stack([np.stack(pair, axis=-1) for pair in
+                          [(one, zero), (zero, one), (s, zero), (zero, s)]])
+        table = table[: parse_boundary(kind).dim]
+        norms = np.einsum("inc,inc,n->i", table, table, w)
+        cmap = table.reshape(len(table), -1) * np.repeat(w, 2) / norms[:, None]
+        for name, want, tol in (("basis", table, 0.0), ("coeff_map", cmap, 1e-15)):
+            got = getattr(rule, name)
+            assert got.shape == (mesh.num_edges,) + want.shape, name
+            assert got.strides[0] == 0, name
+            assert np.allclose(got, want, rtol=tol, atol=0), name
+
+    def test_rm_rotation_row_on_every_edge(self):
+        mesh = build_triangular(3)
+        rule = edge_rule(mesh, parse_boundary("rm"), 4)
+        t = mesh.edge_tangent
+        want = rule.s[:, None] * np.stack([-t[:, 1], t[:, 0]], axis=-1)[:, None]
+        assert np.abs(rule.basis[:, 2] - want).max() <= 1e-15
+        assert np.array_equal(rule.basis[:, :2], edge_rule(mesh, parse_boundary("p0"), 4).basis)
 
 
 class TestCorrections:
