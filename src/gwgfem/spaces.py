@@ -2,11 +2,12 @@
 
 Every interior space is an activation span: the two constant vectors plus
 ``p`` activation functions sigma(t_i) with t_i = w_i . (x - x0_i), the i-th
-(1-based) in component 1 for odd i and component 2 for even i.  Activation
-kinds draw the direction w_i and the anchor x0_i on every element.  The
-vector linears (kind "p1", dimension 6) span sigma(t) = t with p = 4, every
-anchor at the barycenter and directions (1/h, 0), (1/h, 0), (0, 1/h),
-(0, 1/h), h the element diameter.
+(1-based) in component 1 for odd i and component 2 for even i.  One table
+row per space name gives sigma, sigma' and the level's quadrature degree.
+The activations draw the direction w_i and the anchor x0_i on every
+element.  The vector linears ("p1", dimension 6) are the row sigma(t) = t
+with p = 4, every anchor at the barycenter and directions (1/h, 0),
+(1/h, 0), (0, 1/h), (0, 1/h), h the element diameter.
 
 Edge spaces are constant vectors (dimension 2), linear vectors (s,0),
 (0,s) in the edge coordinate s = (x - x_e) . t / length in [-1/2, 1/2]
@@ -24,7 +25,6 @@ edge basis takes coordinates s (nq,) and edge ids of any shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -55,68 +55,49 @@ __all__ = [
 GRAM_CONDITION_LIMIT = 1e12
 MAX_RESAMPLE_ATTEMPTS = 8
 
-ACTIVATIONS = ("sin", "cos", "sigmoid", "relu", "lrelu")
+
+def _sigmoid(t, e):
+    return 0.5 * (1.0 + np.tanh(0.5 * t))
 
 
-def _activation_pair(cfg: InteriorSpaceConfig) -> tuple[Callable, Callable]:
-    """Return (sigma, sigma') for an interior space.
-
-    The relu subgradient at t = 0 is taken as 0 (eps for leaky relu).
-    p1 has no ``activation``: it spans the linear one, sigma(t) = t, which
-    is not offered as an activation of its own.
-    """
-    name, eps = cfg.activation or "linear", cfg.leaky_slope
-    if name == "linear":
-        return (lambda t: t), np.ones_like
-    if name == "sin":
-        return np.sin, np.cos
-    if name == "cos":
-        return np.cos, lambda t: -np.sin(t)
-    if name == "sigmoid":
-        def sig(t):
-            return 0.5 * (1.0 + np.tanh(0.5 * t))
-
-        return sig, lambda t: sig(t) * (1.0 - sig(t))
-    if name == "relu":
-        return (
-            lambda t: np.maximum(t, 0.0),
-            lambda t: (t > 0).astype(float),
-        )
-    return (  # lrelu, the last of ACTIVATIONS
-        lambda t: np.where(t > 0, t, eps * t),
-        lambda t: np.where(t > 0, 1.0, eps),
-    )
+# name -> (sigma(t, e), sigma'(t, e), level quadrature degree), e the leaky
+# slope.  Degree 4 for p1; 6 for the smooth activations, whose element
+# matrices it resolves to 1e-12 of degree 20's on the coarsest levels; 10
+# for relu and lrelu, whose kink no Gauss rule resolves.  Their derivative
+# at the kink t = 0 is taken as 0 (e for lrelu).
+_SPACES = {
+    "p1": (lambda t, e: t, lambda t, e: np.ones_like(t), 4),
+    "sin": (lambda t, e: np.sin(t), lambda t, e: np.cos(t), 6),
+    "cos": (lambda t, e: np.cos(t), lambda t, e: -np.sin(t), 6),
+    "sigmoid": (_sigmoid, lambda t, e: _sigmoid(t, e) * (1.0 - _sigmoid(t, e)), 6),
+    "relu": (lambda t, e: np.maximum(t, 0.0), lambda t, e: (t > 0).astype(float), 10),
+    "lrelu": (lambda t, e: np.where(t > 0, t, e * t), lambda t, e: np.where(t > 0, 1.0, e), 10),
+}
+ACTIVATIONS = tuple(_SPACES)[1:]
 
 
 @dataclass(frozen=True)
 class InteriorSpaceConfig:
-    """Descriptor of V0(T).
+    """Descriptor of V0(T): the two constants plus ``p`` activation basis
+    vectors of the table row ``name``.
 
-    kind "activation" spans the two constants plus ``p`` activation basis
-    vectors; kind "p1", the 6-dimensional vector-linear space, spans them
-    for the linear activation with p = 4, and takes no other ``activation``
-    or ``p``.  ``leaky_slope`` is used only by the lrelu activation.
+    "p1", the 6-dimensional vector-linear space, is the linear row with
+    p = 4 and geometric parameters; every other row draws its parameters.
+    ``leaky_slope`` is used only by lrelu.
     """
 
-    kind: str  # "p1" | "activation"
-    activation: str | None = None
+    name: str
     p: int = 4
     leaky_slope: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("p1", "activation"):
-            raise ValueError(f"unknown interior space kind {self.kind!r}")
-        if self.kind == "p1" and (self.activation is not None or self.p != 4):
-            raise ValueError(f"p1 takes no activation and p = 4, not {self.activation!r} "
-                             f"and p = {self.p}")
-        if self.kind == "activation":
-            if self.activation not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {self.activation!r}")
-            if self.p < 1:
-                raise ValueError("activation count p must be >= 1")
-            if self.activation == "lrelu" and not np.isfinite(self.leaky_slope):
-                raise ValueError(f"lrelu slope must be finite, got {self.leaky_slope}")
+        if self.name not in _SPACES:
+            raise ValueError(f"unknown interior space {self.name!r}")
+        if self.p < 1 or (self.name == "p1" and self.p != 4):
+            raise ValueError(f"p must be >= 1, and 4 for p1; got p = {self.p} for {self.name}")
+        if self.name == "lrelu" and not np.isfinite(self.leaky_slope):
+            raise ValueError(f"lrelu slope must be finite, got {self.leaky_slope}")
 
     @property
     def dim(self) -> int:
@@ -183,21 +164,19 @@ class SpaceConditioningError(RuntimeError):
 
 def parse_interior(spec: str, seed: int = 0) -> InteriorSpaceConfig:
     """Parse an interior space string: p1, sin, cos, sigmoid, relu, lrelu:<eps>."""
-    if spec == "p1":
-        return InteriorSpaceConfig(kind="p1", seed=seed)
-    if spec.startswith("lrelu"):
-        _, _, tail = spec.partition(":")
-        if not tail:
-            raise ValueError("lrelu requires a slope, e.g. lrelu:0.1")
-        try:
-            eps = float(tail)
-        except ValueError as exc:
-            raise ValueError(f"invalid lrelu slope {tail!r}") from exc
-        return InteriorSpaceConfig(kind="activation", activation="lrelu",
-                                   leaky_slope=eps, seed=seed)
-    if spec in ACTIVATIONS:
-        return InteriorSpaceConfig(kind="activation", activation=spec, seed=seed)
-    raise ValueError(f"unknown interior space {spec!r}")
+    name, colon, tail = spec.partition(":")
+    if name not in _SPACES:
+        raise ValueError(f"unknown interior space {spec!r}")
+    if (name == "lrelu") != bool(colon):
+        raise ValueError(f"only lrelu takes a slope, and it requires one, e.g. lrelu:0.1; "
+                         f"got {spec!r}")
+    if name != "lrelu":
+        return InteriorSpaceConfig(name, seed=seed)
+    try:
+        eps = float(tail)
+    except ValueError as exc:
+        raise ValueError(f"invalid lrelu slope {tail!r}") from exc
+    return InteriorSpaceConfig(name, leaky_slope=eps, seed=seed)
 
 
 def parse_boundary(spec: str) -> BoundarySpaceConfig:
@@ -205,13 +184,8 @@ def parse_boundary(spec: str) -> BoundarySpaceConfig:
 
 
 def default_quad_degree(interior: InteriorSpaceConfig) -> int:
-    """Degree 4 for p1; 6 for the smooth activations (sin, cos, sigmoid),
-    whose element matrices it resolves to 1e-12 of degree 20's on the
-    coarsest levels; 10 for relu and lrelu, whose kink no Gauss rule
-    resolves."""
-    if interior.kind == "p1":
-        return 4
-    return 10 if interior.activation in ("relu", "lrelu") else 6
+    """The level quadrature degree of the interior space's table row."""
+    return _SPACES[interior.name][2]
 
 
 def sample_element_params(vertices: np.ndarray, u: np.ndarray) -> ElementRandomParams:
@@ -247,7 +221,7 @@ def _values_at(cfg: InteriorSpaceConfig, t: np.ndarray) -> np.ndarray:
     out = np.zeros(t.shape[:-2] + (cfg.dim, t.shape[-1], 2))
     out[..., 0, :, 0] = 1.0
     out[..., 1, :, 1] = 1.0
-    vals = _activation_pair(cfg)[0](t)
+    vals = _SPACES[cfg.name][0](t, cfg.leaky_slope)
     for c in range(2):  # the activations living in component c
         out[..., 2 + c::2, :, c] = vals[..., c::2, :]
     return out
@@ -256,7 +230,7 @@ def _values_at(cfg: InteriorSpaceConfig, t: np.ndarray) -> np.ndarray:
 def _grads_at(cfg: InteriorSpaceConfig, params: ElementRandomParams, t: np.ndarray) -> np.ndarray:
     """:func:`grad_interior` from the activation arguments ``t`` (..., p, nq)."""
     out = np.zeros(t.shape[:-2] + (cfg.dim, t.shape[-1], 2, 2))
-    slopes = _activation_pair(cfg)[1](t)
+    slopes = _SPACES[cfg.name][1](t, cfg.leaky_slope)
     for c, d in np.ndindex(2, 2):  # component c of the activations living there, along x_d
         np.multiply(slopes[..., c::2, :], params.w[..., c::2, d, None],
                     out=out[..., 2 + c::2, :, c, d])
@@ -363,7 +337,7 @@ def build_spaces(mesh: Mesh2D, interior: InteriorSpaceConfig,
     if seed_entropy is None:
         seed_entropy = interior.seed
     ne = mesh.num_elements
-    sampled = interior.kind == "activation"
+    sampled = interior.name != "p1"
     shape = (ne, interior.p, 2)
     if sampled:
         params = ElementRandomParams(w=np.empty(shape), x0=np.empty(shape))

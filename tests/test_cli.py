@@ -43,6 +43,7 @@ class TestConfig:
         dict(interior="lrelu:inf"),
         dict(out="/"),
         dict(out="/nonexistent-dir/x.csv"),
+        dict(interior="lrelufoo:0.1"),
     ])
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -84,7 +85,8 @@ class TestRun:
                       ["--levels", "2,4", "--interior", "lrelu:nan"],
                       ["--levels", "2,4", "--interior", "lrelu:inf"],
                       ["--levels", "2,4", "--out", "/"],
-                      ["--levels", "2,4", "--out", "/nonexistent-dir/x.csv"]):
+                      ["--levels", "2,4", "--out", "/nonexistent-dir/x.csv"],
+                      ["--levels", "2,4", "--interior", "lrelufoo:1.0"]):
             code = main(["run", "--mesh", "rect"] + flags)
             assert code == EXIT_CONFIG
             assert "configuration error" in capsys.readouterr().err

@@ -27,30 +27,35 @@ class TestConfigs:
     def test_dimensions(self):
         assert parse_interior("p1").dim == 6
         assert parse_interior("sin").dim == 6  # 2 constants + p=4
-        assert InteriorSpaceConfig("activation", "sigmoid", p=7).dim == 9
+        assert InteriorSpaceConfig("sigmoid", p=7).dim == 9
         assert parse_boundary("p0").dim == 2
         assert parse_boundary("p1").dim == 4
         assert parse_boundary("rm").dim == 3
 
     def test_p1_takes_no_activation_or_p(self):
-        # p1 is the linear activation span with p = 4, so any other
-        # activation or p would build a different space
+        # p1 is the linear row with p = 4, so any other p would build a
+        # different space
         with pytest.raises(ValueError):
-            InteriorSpaceConfig(kind="p1", p=6)
-        with pytest.raises(ValueError):
-            InteriorSpaceConfig(kind="p1", activation="sin")
-        assert InteriorSpaceConfig(kind="p1") == parse_interior("p1")
-        # the linear activation stays internal to p1
+            InteriorSpaceConfig("p1", p=6)
+        assert InteriorSpaceConfig("p1") == parse_interior("p1")
+        # the linear activation is p1's row, not a name of its own
         assert ACTIVATIONS == ("sin", "cos", "sigmoid", "relu", "lrelu")
+        for bad in ("linear", "activation"):
+            with pytest.raises(ValueError):
+                parse_interior(bad)
+            with pytest.raises(ValueError):
+                InteriorSpaceConfig(bad)
         with pytest.raises(ValueError):
-            parse_interior("linear")
-        with pytest.raises(ValueError):
-            InteriorSpaceConfig(kind="activation", activation="linear")
+            InteriorSpaceConfig("sin", p=0)
+        for slope in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                InteriorSpaceConfig("lrelu", leaky_slope=slope)
 
     def test_parse_strings(self):
         cfg = parse_interior("lrelu:0.25")
-        assert cfg.activation == "lrelu" and cfg.leaky_slope == 0.25
-        for bad in ("lrelu", "lrelu:x", "lrelu:nan", "lrelu:-inf", "tanh", "p2"):
+        assert cfg.name == "lrelu" and cfg.leaky_slope == 0.25
+        for bad in ("lrelu", "lrelu:x", "lrelu:nan", "lrelu:-inf", "tanh", "p2",
+                    "lrelufoo:0.1", "lrelu0.5:0.1", "p1:2", "sin:3", "sin:"):
             with pytest.raises(ValueError):
                 parse_interior(bad)
         for bad in ("p2", "p9"):
@@ -245,11 +250,16 @@ class TestEvaluation:
            st.floats(min_value=-0.45, max_value=0.45))
     @settings(max_examples=25, deadline=None)
     def test_gradients_match_finite_differences(self, wx, wy):
+        # every table row; the kinked ones only where t = w . (x - x0)
+        # stays clear of 0 by more than the step moves it
         prm = ElementRandomParams(w=np.array([[wx, wy]] * 4),
                                   x0=np.full((4, 2), 0.4))
         pt = np.array([[0.6, 0.7]])
         h = 1e-6
-        for name in ("sin", "cos", "sigmoid"):
+        t = 0.2 * wx + 0.3 * wy
+        for name in ("p1", "sin", "cos", "sigmoid", "relu", "lrelu:0.25"):
+            if name in ("relu", "lrelu:0.25") and abs(t) <= 2 * h * (abs(wx) + abs(wy)):
+                continue
             cfg = parse_interior(name)
             g = grad_interior(cfg, prm, pt)[2, 0, 0]
             for d in range(2):
