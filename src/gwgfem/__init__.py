@@ -51,7 +51,6 @@ from .weakops import (
     ElementKernel,
     RbOperator,
     WeakFunction,
-    check_rb_injectivity,
     check_rigid_motion_invariance,
     edge_rule,
     parse_rb,

@@ -32,8 +32,8 @@ sum w s^2) over the edge length, and solves nothing; p0 and p1 share one
 table of basis values and coefficient map over every edge.  The kernel
 builds the rule of its block's edges (``mesh.element_edges`` of its
 elements) at the level's degree (``SpaceSet.quad_degree``), the degree of
-its volume rule too.  The admissibility predicates take one edge rule
-over every edge, so a caller can build it once for both.
+its volume rule too.  The admissibility predicate takes one edge rule
+over every edge.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from .mesh import Mesh2D, _check_degree, _gauss_1d, element_quadrature
 from .spaces import (BoundarySpaceConfig, SpaceSet, _activation_args, _grads_at, _values_at,
-                     eval_boundary, spd_condition)
+                     eval_boundary)
 
 __all__ = [
     "RbOperator",
@@ -55,15 +55,11 @@ __all__ = [
     "ElementKernel",
     "AssumptionCheck",
     "check_rigid_motion_invariance",
-    "check_rb_injectivity",
     "RIGID_MOTION_TOL",
-    "EDGE_GRAM_CONDITION_LIMIT",
 ]
 
-# Admissibility thresholds: largest rigid-motion residual of R_b, and
-# largest normalized edge Gram condition of V^b(e).
+# Admissibility threshold: largest rigid-motion residual of R_b.
 RIGID_MOTION_TOL = 1e-10
-EDGE_GRAM_CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class RbOperator:
@@ -115,11 +111,12 @@ class EdgeRule:
     Arrays other than ``s`` carry the leading axes of the edge ids the rule
     was built on.  The basis is that of :func:`gwgfem.spaces.eval_boundary`
     at ``s``, orthogonal under the symmetric rule (constants and
-    midpoint-centred linears), so the projection coefficients of a field
-    are its weighted moments against the basis over the squared norms:
-    ``coeff_map``, from which the edge length cancels, so for p0 and p1 it
-    and ``basis`` are one read-only table broadcast over the edge axes.
-    :func:`check_rb_injectivity` certifies the diagonal Gram matrix.
+    midpoint-centred linears), and :func:`edge_rule` rejects a function of
+    zero norm, so R_b is one-to-one and the projection coefficients of a
+    field are its weighted moments against the basis over the squared
+    norms: ``coeff_map``, from which the edge length cancels, so for p0
+    and p1 it and ``basis`` are one read-only table broadcast over the
+    edge axes.
     """
 
     points: np.ndarray  # (..., nq, 2)
@@ -323,12 +320,6 @@ class AssumptionCheck:
     detail: str
 
 
-def _worst(values: np.ndarray) -> tuple[float, int]:
-    """Largest per-edge value and its edge (-1 when every value is 0)."""
-    e = int(np.argmax(values))
-    return float(values[e]), (e if values[e] != 0 else -1)
-
-
 def check_rigid_motion_invariance(mesh: Mesh2D, rule: EdgeRule,
                                   rb: RbOperator) -> AssumptionCheck:
     """Does R_b fix rigid-motion traces on every edge?
@@ -344,25 +335,11 @@ def check_rigid_motion_invariance(mesh: Mesh2D, rule: EdgeRule,
         return AssumptionCheck(name, True, 0.0, -1, "identity preserves all traces")
     gens = eval_boundary(mesh, np.arange(mesh.num_edges), BoundarySpaceConfig("rm"), rule.s)
     resid = np.abs(rule.apply(gens) - gens).max(axis=(1, 2, 3))
-    worst, worst_edge = _worst(resid)
+    e = int(np.argmax(resid))  # the worst edge, -1 when every residual is 0
+    worst, worst_edge = float(resid[e]), (e if resid[e] != 0 else -1)
     passed = worst <= RIGID_MOTION_TOL
     return AssumptionCheck(
         name, passed, worst, worst_edge,
         f"max rigid-motion projection residual {worst:.3e}"
         + ("" if passed else f" on edge {worst_edge}"),
-    )
-
-
-def check_rb_injectivity(rule: EdgeRule) -> AssumptionCheck:
-    """Are the edge Gram matrices of V^b(e) in the edge rule ``rule``
-    nonsingular (R_b one-to-one)?  The Gram matrices are formed in full, so
-    a reported normalized condition of 1 (to rounding) also shows that they
-    are diagonal, as :class:`EdgeRule` takes them to be."""
-    gram = np.einsum("einc,ejnc,en->eij", rule.basis, rule.basis, rule.weights)
-    d = np.sqrt(np.einsum("eii->ei", gram))
-    worst, worst_edge = _worst(spd_condition(gram / (d[:, :, None] * d[:, None, :])))
-    passed = bool(np.isfinite(worst)) and worst <= EDGE_GRAM_CONDITION_LIMIT
-    return AssumptionCheck(
-        "edge-space injectivity", passed, worst, worst_edge,
-        f"max normalized edge Gram condition {worst:.3e}",
     )

@@ -80,9 +80,9 @@ def test_criterion_3_divergence_reproduction():
                                     interior="p1", boundary="p0", rb="qb",
                                     gamma=-1.0, lam=1.0, example=1))
     rate = rep.rate_columns["u0_l2"][-1]
-    rm_chk, inj_chk = check_assumptions(RunConfig(mesh="tri", levels=(8,),
-                                                  boundary="p0", rb="qb"))
-    ok = rate <= 0.3 and not rm_chk.passed and inj_chk.passed
+    (rm_chk,) = check_assumptions(RunConfig(mesh="tri", levels=(8,),
+                                            boundary="p0", rb="qb"))
+    ok = rate <= 0.3 and not rm_chk.passed
     assert _emit("criterion 3", ok,
                  f"rate(1/64)={rate:.2f} (ref 0.01), rigid-motion check "
                  f"{'FAIL' if not rm_chk.passed else 'PASS'} as required")

@@ -236,11 +236,13 @@ class TestRun:
         assert err.startswith("space conditioning failure: element 0")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("command", [["run"], ["run", "--strict"]], ids=["run", "strict"])
     def test_overflowing_space_exits_solver(self, command, capsys):
         # lrelu:1e300 overflows the Gram matrices to inf: every draw is
-        # rejected, with no traceback
-        code = main([command, "--levels", "2,4", "--interior", "lrelu:1e300"])
+        # rejected, with no traceback; --strict checks the pair first,
+        # which samples no space, then the run samples and fails
+        code = main(command + ["--boundary", "p1", "--levels", "2,4",
+                               "--interior", "lrelu:1e300"])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("space conditioning failure: element 0")
@@ -326,6 +328,29 @@ class TestCheck:
         assert code == EXIT_ASSUMPTIONS
 
     def test_check_assumptions_api(self):
-        rm_chk, inj_chk = check_assumptions(RunConfig(mesh="tri", levels=(4,),
-                                                      boundary="p1", rb="qb"))
-        assert rm_chk.passed and inj_chk.passed
+        (rm_chk,) = check_assumptions(RunConfig(mesh="tri", levels=(4,),
+                                                boundary="p1", rb="qb"))
+        assert rm_chk.passed
+
+    def test_check_samples_no_interior_space(self):
+        # no predicate reads the interior spaces: a cos space that stays
+        # ill-conditioned at n=32 (element 22) does not fail the check
+        checks = check_assumptions(RunConfig(mesh="tri", interior="cos", boundary="p1",
+                                             levels=(32,)))
+        assert len(checks) == 1 and checks[0].passed
+
+    @pytest.mark.parametrize("interior, levels", [("cos", "32"), ("lrelu:1e300", "2,4")],
+                             ids=["cos", "lrelu"])
+    def test_check_ignores_interior_conditioning(self, interior, levels, capsys):
+        # neither space can be sampled at these levels: the run exits 3
+        code = main(["check", "--mesh", "tri", "--interior", interior, "--levels", levels,
+                     "--boundary", "p1"])
+        assert code == EXIT_OK
+        assert "result: ADMISSIBLE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("boundary", ["p1", "rm"])
+    def test_check_zero_norm_edge_rule_is_config_error(self, boundary, capsys):
+        # a 1-point rule cannot carry the edge linears
+        code = main(["check", "--quad-degree", "1", "--boundary", boundary, "--levels", "2"])
+        assert code == EXIT_CONFIG
+        assert "zero norm" in capsys.readouterr().err
