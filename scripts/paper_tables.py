@@ -14,10 +14,8 @@ import pathlib
 import sys
 import time
 
-from gwgfem.cli import RunConfig, run_convergence
+from gwgfem.cli import RUN_FAILURES, RunConfig, run_convergence
 from gwgfem.postproc import emit
-from gwgfem.solver import SolverError
-from gwgfem.spaces import SpaceConditioningError
 
 # (label, example, mesh, interior, boundary, rb, gamma)
 BLOCKS = [
@@ -80,7 +78,7 @@ def main(argv=None) -> int:
         t0 = time.time()
         try:
             report = run_convergence(cfg)
-        except (SolverError, SpaceConditioningError, RuntimeWarning) as exc:
+        except RUN_FAILURES as exc:
             print(f"== {name}  FAILED: {exc}")
             code = 3
             continue

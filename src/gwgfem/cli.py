@@ -42,7 +42,8 @@ from .spaces import (
 )
 from .weakops import check_rigid_motion_invariance, edge_rule, parse_rb
 
-__all__ = ["RunConfig", "ConfigError", "run_convergence", "check_assumptions", "main"]
+__all__ = ["RunConfig", "ConfigError", "RUN_FAILURES", "run_convergence", "check_assumptions",
+           "main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,6 +53,10 @@ EXIT_ASSUMPTIONS = 4
 
 class ConfigError(ValueError):
     pass
+
+
+# what a run maps to exit 3; a RuntimeWarning only when warnings are errors
+RUN_FAILURES = (solver.SolverError, SpaceConditioningError, RuntimeWarning)
 
 
 @dataclass(frozen=True)
@@ -171,7 +176,8 @@ def check_assumptions(config: RunConfig):
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file; flags override")
     p.add_argument("--mesh", help="rect or tri")
-    p.add_argument("--levels", help="comma-separated subdivision counts, e.g. 8,16,32,64")
+    p.add_argument("--levels", type=_parse_levels,
+                   help="comma-separated subdivision counts, e.g. 8,16,32,64")
     p.add_argument("--interior",
                    help="interior space: p1, sin, cos, sigmoid, relu, lrelu:<eps>")
     p.add_argument("--boundary", help="edge space: p0, p1, rm")
@@ -194,50 +200,35 @@ def _parse_levels(text: str) -> tuple:
     try:
         return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
     except ValueError as exc:
-        raise ConfigError(f"invalid level list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"invalid level list {text!r}") from exc
 
 
-def _read_config_file(path: str) -> dict:
-    """Flat key=value document mirroring the flag names (lambda -> lam)."""
-    values: dict = {}
-    aliases = {"lambda": "lam", "format": "fmt", "quad-degree": "quad_degree"}
-    convert = dict.fromkeys(("mesh", "interior", "boundary", "rb", "out", "fmt"), str)
-    convert.update(dict.fromkeys(("example", "seed", "quad_degree"), int))
-    convert.update(dict.fromkeys(("gamma", "rho", "mu", "lam"), float))
-    switches = {"1": True, "true": True, "yes": True, "on": True,
-                "0": False, "false": False, "no": False, "off": False}
-    convert.update(dict.fromkeys(("condense", "strict"), lambda v: switches[v.lower()]))
-    convert["levels"] = _parse_levels
+_SWITCHES = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _config_flags(path: str) -> list:
+    """A flat key=value file as the flags it stands for: ``key=value`` is
+    ``--key=value`` (``_`` in a key reads as ``-``); a switch's true word is
+    the bare flag, its false word no flag."""
     try:
         with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"malformed config line {raw.strip()!r}")
-                key, _, val = line.partition("=")
-                key = aliases.get(key.strip(), key.strip().replace("-", "_"))
-                if key not in convert:
-                    raise ConfigError(f"unknown config key {key!r}")
-                try:
-                    values[key] = convert[key](val.strip())
-                except (KeyError, ValueError) as exc:
-                    raise ConfigError(f"invalid value {val.strip()!r} for {key!r}") from exc
+            lines = [raw.split("#", 1)[0].strip() for raw in fh]
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if args.config:
-        values.update(_read_config_file(args.config))
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            values[f.name] = _parse_levels(flag) if f.name == "levels" else flag
-    return RunConfig(**values).validate()
+    flags = []
+    for line in filter(None, lines):
+        key, eq, val = line.partition("=")
+        key, val = key.strip().replace("_", "-"), val.strip()
+        if not eq or "config".startswith(key):  # no file names another
+            raise ConfigError(f"malformed config line {line!r}")
+        if key in ("strict", "condense"):
+            if val.lower() not in _SWITCHES:
+                raise ConfigError(f"invalid value {val!r} for {key!r}")
+            flags += [f"--{key}"] * _SWITCHES[val.lower()]
+        else:
+            flags.append(f"--{key}={val}")
+    return flags
 
 
 def _emit_output(text: str, out: str | None) -> None:
@@ -267,14 +258,14 @@ def main(argv=None) -> int:
     check_p = sub.add_parser("check", help="check admissibility assumptions")
     _add_common_flags(check_p)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        config = _merge_config(args)
-    except (ConfigError, TypeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
+        if args.config:  # the file's flags first, so the command line's override them
+            args = parser.parse_args([args.command, *_config_flags(args.config), *argv[1:]])
+        values = vars(args)
+        config = RunConfig(**{f.name: values[f.name] for f in fields(RunConfig)
+                              if values[f.name] is not None}).validate()
         if args.command == "check" or config.strict:
             (chk,) = check_assumptions(config)
         if args.command == "check":
@@ -293,14 +284,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except solver.SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except SpaceConditioningError as exc:
-        print(f"space conditioning failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except RuntimeWarning as exc:  # raised only when warnings are errors
-        print(f"solver failure: {exc}", file=sys.stderr)
+    except RUN_FAILURES as exc:
+        kind = "space conditioning" if isinstance(exc, SpaceConditioningError) else "solver"
+        print(f"{kind} failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 

@@ -199,6 +199,44 @@ class TestRun:
             cfgfile.write_text(text)
             assert main(["run", "--config", str(cfgfile)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key, value", [("levels", "2,x"), ("seed", "abc")])
+    def test_config_value_fails_as_its_flag(self, key, value, tmp_path, capsys):
+        # a file's line is read as the flag it names, by the same parser
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"{key}={value}\n")
+        assert main(["run", "--config", str(cfgfile)]) == EXIT_CONFIG
+        from_file = capsys.readouterr().err
+        assert main(["run", f"--{key}", value]) == EXIT_CONFIG
+        assert from_file == capsys.readouterr().err
+        assert from_file.startswith(f"configuration error: argument --{key}: invalid ")
+
+    @pytest.mark.parametrize("text", ["mesh\n", "config=other.cfg\n", "conf=other.cfg\n"],
+                             ids=["no-equals", "config-key", "config-prefix"])
+    def test_config_line_without_value_or_naming_a_config(self, text, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        assert main(["run", "--config", str(cfgfile)]) == EXIT_CONFIG
+        assert "malformed config line" in capsys.readouterr().err
+
+    def test_config_keys_are_flag_names(self, tmp_path, capsys):
+        cfgfile = tmp_path / "study.cfg"
+        cfgfile.write_text("levels=4\nformat=table\n")
+        assert main(["run", "--config", str(cfgfile)]) == EXIT_OK
+        assert capsys.readouterr().out.split("\n")[1].strip().startswith("1/4")
+        # a RunConfig field name that is not a flag is an unknown key
+        cfgfile.write_text("levels=4\nfmt=table\n")
+        assert main(["run", "--config", str(cfgfile)]) == EXIT_CONFIG
+        assert "unrecognized arguments: --fmt=table" in capsys.readouterr().err
+
+    def test_config_switch_off_and_strict_flag(self, tmp_path, capsys):
+        # p0/qb is inadmissible on tri: the file's off switch runs it, the
+        # command line's --strict overrides the file and stops it
+        cfgfile = tmp_path / "study.cfg"
+        cfgfile.write_text("mesh=tri\nlevels=2\nboundary=p0\nrb=qb\nstrict=off\n")
+        assert main(["run", "--config", str(cfgfile)]) == EXIT_OK
+        assert main(["run", "--config", str(cfgfile), "--strict"]) == EXIT_ASSUMPTIONS
+        assert "assumption failure" in capsys.readouterr().err
+
     def test_run_convergence_rates_shape(self):
         rep = run_convergence(RunConfig(mesh="rect", levels=(2, 4)))
         assert rep.levels == [2, 4]

@@ -1,6 +1,6 @@
 """scripts/paper_tables.py: the CSVs of `gwgfem run`, one FAILED line per
-failing run, the --only and --lambdas selections, and --levels checked
-before any run."""
+failing run of each kind that exits 3, the --only and --lambdas selections,
+and --levels checked before any run."""
 
 import importlib.util
 import pathlib
@@ -9,6 +9,7 @@ import pytest
 
 from gwgfem import cli, postproc
 from gwgfem.solver import SolverError
+from gwgfem.spaces import SpaceConditioningError
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "paper_tables.py"
 
@@ -40,12 +41,20 @@ def test_csvs_equal_gwgfem_run(tables, tmp_path):
         assert (tmp_path / "tables" / name).read_bytes() == out.read_bytes()
 
 
-def test_failing_run_prints_failed_and_the_rest_go_on(tables, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("failure", [
+    SolverError("injected failure at level 2"),
+    SpaceConditioningError(0, 1e13, 8),
+    RuntimeWarning("overflow encountered in divide"),
+], ids=lambda exc: type(exc).__name__)
+def test_failing_run_prints_failed_and_the_rest_go_on(tables, tmp_path, monkeypatch, capsys,
+                                                      failure):
+    # each of cli.RUN_FAILURES, the failures `gwgfem run` maps to exit 3
+    assert isinstance(failure, cli.RUN_FAILURES)
     real = tables.run_convergence
 
     def fail_example1(config):
         if config.example == 1:
-            raise SolverError("injected failure at level 2")
+            raise failure
         return real(config)
 
     monkeypatch.setattr(tables, "run_convergence", fail_example1)
@@ -54,7 +63,7 @@ def test_failing_run_prints_failed_and_the_rest_go_on(tables, tmp_path, monkeypa
     out = capsys.readouterr().out
     assert code == 3
     assert [line for line in out.splitlines() if "FAILED" in line] == \
-        ["== rect_p1_p0  FAILED: injected failure at level 2"]
+        [f"== rect_p1_p0  FAILED: {failure}"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rect_p1_p0_qb_lam1e+06.csv"]
 
 
