@@ -32,8 +32,8 @@ sum w s^2) over the edge length, and solves nothing; p0 and p1 share one
 table of basis values and coefficient map over every edge.  The kernel
 builds the rule of its block's edges (``mesh.element_edges`` of its
 elements) at the level's degree (``SpaceSet.quad_degree``), the degree of
-its volume rule too.  The admissibility predicate takes one edge rule
-over every edge.
+its volume rule too.  The admissibility predicate builds its own
+two-point rule over every edge.
 """
 
 from __future__ import annotations
@@ -320,19 +320,22 @@ class AssumptionCheck:
     detail: str
 
 
-def check_rigid_motion_invariance(mesh: Mesh2D, rule: EdgeRule,
+def check_rigid_motion_invariance(mesh: Mesh2D, cfg: BoundarySpaceConfig,
                                   rb: RbOperator) -> AssumptionCheck:
-    """Does R_b fix rigid-motion traces on every edge?
+    """Does R_b fix rigid-motion traces on every edge of V^b = ``cfg``?
 
     Checks the generators of the edge's rigid-motion traces, (1,0), (0,1)
     and the rotation about the edge midpoint (the ``rm`` basis), against
-    their R_b images at the edge coordinates ``rule.s`` of the edge rule
-    ``rule`` of V^b over every edge.  The identity passes trivially;
-    the projection passes iff rigid-motion traces lie in V^b(e).
+    their R_b images at the points of V^b's two-point Gauss rule over every
+    edge.  Two points integrate the product of two linear traces exactly,
+    so that rule's projection is the exact L2 projection onto V^b(e) and
+    the verdict is that of every rule of degree >= 2.  The identity passes
+    trivially; the projection passes iff rigid-motion traces lie in V^b(e).
     """
     name = "rigid-motion invariance"
     if rb.kind == "identity":
         return AssumptionCheck(name, True, 0.0, -1, "identity preserves all traces")
+    rule = edge_rule(mesh, cfg, 2)
     gens = eval_boundary(mesh, np.arange(mesh.num_edges), BoundarySpaceConfig("rm"), rule.s)
     resid = np.abs(rule.apply(gens) - gens).max(axis=(1, 2, 3))
     e = int(np.argmax(resid))  # the worst edge, -1 when every residual is 0

@@ -18,6 +18,15 @@ from gwgfem.cli import (
 )
 
 
+@pytest.fixture
+def no_spaces(monkeypatch):
+    """Fail the test if a level's spaces are built."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a level was built before the config was rejected")
+
+    monkeypatch.setattr(gwgfem.cli, "build_spaces", fail)
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = RunConfig()
@@ -44,6 +53,8 @@ class TestConfig:
         dict(out="/"),
         dict(out="/nonexistent-dir/x.csv"),
         dict(interior="lrelufoo:0.1"),
+        dict(quad_degree=1),
+        dict(out="a\0b.csv"),
     ])
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -237,6 +248,24 @@ class TestRun:
         assert main(["run", "--config", str(cfgfile), "--strict"]) == EXIT_ASSUMPTIONS
         assert "assumption failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config-line", "config-path"])
+    def test_nul_in_path_exits_config_before_any_level(self, source, tmp_path, no_spaces,
+                                                       capsys):
+        # a shell cannot pass a NUL in argv, so these go through main()
+        cfgfile = tmp_path / "study.cfg"
+        cfgfile.write_text("out=a\0b.csv\n")
+        argv = {"flag": ["--out", "a\0b.csv"], "config-line": ["--config", str(cfgfile)],
+                "config-path": ["--config", str(cfgfile) + "\0"]}[source]
+        assert main(["run", "--levels", "2", *argv]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error:")
+
+    def test_undecodable_config_file_exits_config(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_bytes(b"mesh=\xff\n")
+        assert main(["run", "--config", str(cfgfile)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error:")
+
     def test_run_convergence_rates_shape(self):
         rep = run_convergence(RunConfig(mesh="rect", levels=(2, 4)))
         assert rep.levels == [2, 4]
@@ -386,9 +415,30 @@ class TestCheck:
         assert code == EXIT_OK
         assert "result: ADMISSIBLE" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("boundary", ["p1", "rm"])
-    def test_check_zero_norm_edge_rule_is_config_error(self, boundary, capsys):
-        # a 1-point rule cannot carry the edge linears
+    @pytest.mark.parametrize("mesh", ["tri", "rect"])
+    def test_p0_residual_reads_no_interior_space_or_degree(self, mesh, capsys):
+        # the check builds its own two-point rule: constants miss the
+        # rotation s (-t_y, t_x) there by 1/(2 sqrt 3)
+        lines = set()
+        for extra in (["--interior", "p1"], ["--interior", "sin"], ["--interior", "relu"],
+                      ["--quad-degree", "2"], ["--quad-degree", "10"]):
+            assert main(["check", "--mesh", mesh, "--levels", "8", "--boundary", "p0",
+                         "--rb", "qb", *extra]) == EXIT_OK
+            lines.add(capsys.readouterr().out.splitlines()[1])
+        assert len(lines) == 1
+        assert "residual 2.887e-01" in lines.pop()
+
+    @pytest.mark.parametrize("boundary", ["p0", "p1", "rm"])
+    def test_check_degree_one_is_config_error(self, boundary, capsys):
+        # one point cannot carry an element space; the check's own rule
+        # would not read the degree
         code = main(["check", "--quad-degree", "1", "--boundary", boundary, "--levels", "2"])
         assert code == EXIT_CONFIG
-        assert "zero norm" in capsys.readouterr().err
+        assert "quadrature degree must be in 2..40" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("boundary", ["p0", "p1", "rm"])
+    def test_run_degree_one_is_config_error_before_any_level(self, boundary, no_spaces,
+                                                             capsys):
+        code = main(["run", "--quad-degree", "1", "--boundary", boundary, "--levels", "2,4"])
+        assert code == EXIT_CONFIG
+        assert "quadrature degree must be in 2..40" in capsys.readouterr().err

@@ -352,31 +352,30 @@ class TestParseRb:
 
 class TestAssumptionPredicates:
     def test_rm_with_projection_passes(self):
-        mesh = build_triangular(4)
-        rule = edge_rule(mesh, parse_boundary("rm"), 10)
-        chk = check_rigid_motion_invariance(mesh, rule, QB)
+        chk = check_rigid_motion_invariance(build_triangular(4), parse_boundary("rm"), QB)
         assert chk.passed
 
     def test_p1_with_projection_passes(self):
-        mesh = build_triangular(4)
-        rule = edge_rule(mesh, parse_boundary("p1"), 10)
-        chk = check_rigid_motion_invariance(mesh, rule, QB)
+        chk = check_rigid_motion_invariance(build_triangular(4), parse_boundary("p1"), QB)
         assert chk.passed
 
     def test_identity_always_passes(self):
-        mesh = build_rectangular(4)
-        rule = edge_rule(mesh, parse_boundary("p0"), 10)
-        chk = check_rigid_motion_invariance(mesh, rule, ID)
+        chk = check_rigid_motion_invariance(build_rectangular(4), parse_boundary("p0"), ID)
         assert chk.passed
 
     @pytest.mark.parametrize("build", [build_rectangular, build_triangular])
     def test_p0_with_projection_fails(self, build):
         # projecting a rotation onto edge constants loses the variation
-        mesh = build(4)
-        rule = edge_rule(mesh, parse_boundary("p0"), 10)
-        chk = check_rigid_motion_invariance(mesh, rule, QB)
+        chk = check_rigid_motion_invariance(build(4), parse_boundary("p0"), QB)
         assert not chk.passed
         assert chk.worst > 1e-3
+
+    @pytest.mark.parametrize("build", [build_rectangular, build_triangular])
+    def test_p0_residual_is_rotation_at_two_point_rule(self, build):
+        # constants miss the whole rotation s (-t_y, t_x), which the
+        # predicate's own two-point rule reads at s = +-1/(2 sqrt 3)
+        chk = check_rigid_motion_invariance(build(4), parse_boundary("p0"), QB)
+        assert abs(chk.worst - 0.5 / np.sqrt(3)) <= 1e-15
 
     @pytest.mark.parametrize("kind", ["p1", "rm"])
     def test_zero_norm_basis_raises(self, kind):
