@@ -3,12 +3,14 @@
 Find u_h with u_h = (L2 projection of g onto the edge spaces) on the
 domain boundary and
 
-    (2 mu eps_g(u_h), eps_g(v)) + (lam div_g u_h, div_g v)
+    (2 mu eps_g(u_h), eps_g(v)) + (lam P0 div_g u_h, P0 div_g v)
         + sum_T rho h_T^gamma <R_b(u0 - ub), R_b(v0 - vb)>_dT = (f, v0)
 
-for all weak test functions vanishing on the boundary.  Interior dofs
-couple only to their own element's edges, so they are condensed out
-element by element (static condensation, one
+for all weak test functions vanishing on the boundary, P0 the element mean:
+lambda penalises a P0 pressure, as selective reduced integration does
+(Malkus and Hughes 1978); p1's div_g is constant on an element anyway.
+Interior dofs couple only to their own element's edges, so they are
+condensed out element by element (static condensation, one
 :func:`~gwgfem.solver.eliminate` step per element block) and the global
 unknowns are the free edge blocks only, numbered by nested dissection.
 Dirichlet data is enforced by elimination: fixed edge blocks are moved to

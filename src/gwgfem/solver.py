@@ -36,7 +36,9 @@ so A is SPD.  Float64 refines at most three steps.  Every solution is
 re-verified against ``RESIDUAL_TOL`` by an independent matrix-vector multiply;
 a miss, a non-finite residual included, raises :class:`IterationLimitError`.
 The condition estimate is Hager's, with that multiply and with the factor's
-substitutions (good to O(cond u) in float32).
+substitutions (good to O(cond u) in float32): five sweeps for ||A||_1, which
+gates float32, three for ||A^-1||_1, only reported (5 substitutions, not up
+to 9; 0.954-0.969 of five sweeps' on tri p1/p0/id, lambda = 1e6, n = 32-128).
 
 The module is numpy only.  The matrix is an :class:`ElementMatrix`, the
 condensed element blocks at the tree nodes of their edges, as assembly
@@ -210,17 +212,17 @@ def _one_blas_thread():
                 threads[1](_blas["caller"])
 
 
-def _hager_norm(apply, n: int) -> float:
+def _hager_norm(apply, n: int, sweeps: int = 5) -> float:
     """Hager's estimate of the 1-norm of a symmetric matrix of order ``n``,
-    given as its product ``apply`` with a vector, in at most five sweeps
-    (a symmetric matrix is its own transpose).  The estimate is the 1-norm
-    of a product with a unit vector, so it never exceeds the norm."""
+    given as its product ``apply`` with a vector, in at most ``sweeps``
+    sweeps (a symmetric matrix is its own transpose).  The estimate is the
+    1-norm of a product with a unit vector, so it never exceeds the norm."""
     x = np.full(n, 1.0 / n)
     est = 0.0
-    for sweep in range(5):
+    for sweep in range(sweeps):
         y = apply(x)
         est = max(est, float(np.abs(y).sum()))
-        if sweep == 4:  # no sixth sweep, so no test product for one
+        if sweep == sweeps - 1:  # no further sweep, so no test product for one
             break
         xi = np.sign(y)
         xi[xi == 0] = 1.0
@@ -228,8 +230,7 @@ def _hager_norm(apply, n: int) -> float:
         j = int(np.argmax(np.abs(z)))
         if np.abs(z[j]) <= z @ x:
             break
-        x = np.zeros(n)
-        x[j] = 1.0
+        x = np.eye(1, n, j)[0]
     return est
 
 
@@ -408,7 +409,7 @@ def _solve_in(A: ElementMatrix, b: np.ndarray, norm1: float, dtype) -> SolveRepo
     """Factor ``A`` in ``dtype`` and refine the solution of ``A x = b`` with
     float64 residuals (see the module notes); None where float32 stalls."""
     single, factor = dtype == np.float32, _factor(A, dtype)
-    cond = norm1 * _hager_norm(lambda v: _substitute(factor, v), len(b))
+    cond = norm1 * _hager_norm(lambda v: _substitute(factor, v), len(b), sweeps=3)
     x, steps, last = _substitute(factor, b).astype(float), 0, np.inf
     tiny = 4 * np.finfo(float).eps * norm1  # |r| <= 4 eps |A| |x|: float64's backward error
     while True:

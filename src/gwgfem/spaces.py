@@ -227,14 +227,15 @@ def _values_at(cfg: InteriorSpaceConfig, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grads_at(cfg: InteriorSpaceConfig, params: ElementRandomParams, t: np.ndarray) -> np.ndarray:
-    """:func:`grad_interior` from the activation arguments ``t`` (..., p, nq)."""
-    out = np.zeros(t.shape[:-2] + (cfg.dim, t.shape[-1], 2, 2))
-    slopes = _SPACES[cfg.name][1](t, cfg.leaky_slope)
-    for c, d in np.ndindex(2, 2):  # component c of the activations living there, along x_d
-        np.multiply(slopes[..., c::2, :], params.w[..., c::2, d, None],
-                    out=out[..., 2 + c::2, :, c, d])
-    return out
+def _slopes_patterns(cfg: InteriorSpaceConfig, params: ElementRandomParams, t: np.ndarray):
+    """Slopes sigma'(t) (..., dim, nq) at ``t`` (..., p, nq) and patterns e_c (x) w_i
+    (..., dim, 2, 2), whose products are the basis gradients; 0 on the constants."""
+    slopes = np.zeros(t.shape[:-2] + (cfg.dim, t.shape[-1]))
+    slopes[..., 2:, :] = _SPACES[cfg.name][1](t, cfg.leaky_slope)
+    pattern = np.zeros(params.w.shape[:-2] + (cfg.dim, 2, 2))
+    for c in range(2):  # the activations living in component c
+        pattern[..., 2 + c::2, c, :] = params.w[..., c::2, :]
+    return slopes, pattern
 
 
 def eval_interior(cfg: InteriorSpaceConfig, params: ElementRandomParams,
@@ -258,7 +259,8 @@ def grad_interior(cfg: InteriorSpaceConfig, params: ElementRandomParams,
 
     Entry (i, q, a, b) is d(phi_i)_a / d x_b.
     """
-    return _grads_at(cfg, params, _activation_args(np.atleast_2d(points), params))
+    slope, pat = _slopes_patterns(cfg, params, _activation_args(np.atleast_2d(points), params))
+    return slope[..., None, None] * pat[..., None, :, :]
 
 
 def eval_boundary(mesh: Mesh2D, edge_id, cfg: BoundarySpaceConfig, s) -> np.ndarray:

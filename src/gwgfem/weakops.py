@@ -12,7 +12,8 @@ moment problem against the boundary jump R_b(vb - v0):
 
 The weak divergence's correction delta2 solves it at psi = phi I, phi
 constant: (delta2, phi)_T = <R_b(vb - v0), phi n>_dT.  So delta2 = tr
-delta1, div_g = tr grad_g, and the kernel forms delta1 only.
+delta1, div_g = tr grad_g, and the kernel forms delta1 only; lambda sees
+only div_g's element mean, so activation spans do not lock (:mod:`gwgfem.assembly`).
 
 R_b is either the edgewise L2 projection onto V^b(e) (``qb``) or the
 identity.  The test space is constant, so the moment problem's Gram
@@ -39,12 +40,13 @@ two-point rule over every edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .mesh import Mesh2D, _check_degree, _gauss_1d, element_quadrature
-from .spaces import (BoundarySpaceConfig, SpaceSet, _activation_args, _grads_at, _values_at,
-                     eval_boundary)
+from .spaces import (BoundarySpaceConfig, SpaceSet, _activation_args, _slopes_patterns,
+                     _values_at, eval_boundary)
 
 __all__ = [
     "RbOperator",
@@ -116,14 +118,22 @@ class EdgeRule:
     field are its weighted moments against the basis over the squared
     norms: ``coeff_map``, from which the edge length cancels, so for p0
     and p1 it and ``basis`` are one read-only table broadcast over the
-    edge axes.
+    edge axes.  It is built on first use: the error norms read none.
     """
 
     points: np.ndarray  # (..., nq, 2)
     weights: np.ndarray  # (..., nq), summing to the edge length
     s: np.ndarray  # (nq,) edge coordinates of the points, in [-1/2, 1/2]
     basis: np.ndarray  # (..., nb, nq, 2) basis values at the points
-    coeff_map: np.ndarray  # (..., nb, 2 nq) values over (point, component) -> coefficients
+
+    @cached_property
+    def coeff_map(self) -> np.ndarray:
+        """(..., nb, 2 nq): values over (point, component) -> coefficients."""
+        w, s, nb = _gauss_1d(2 * self.s.size - 1)[1], self.s, self.basis.shape[-3]
+        norms = np.where(np.arange(nb) < 2, w.sum(), w @ (s * s))  # squared, over the length
+        one = self.basis if nb == 3 else self.basis[(0,) * (self.basis.ndim - 3)]  # rm: per edge
+        cmap = one.reshape(one.shape[:-2] + (-1,)) * (np.repeat(w, 2) / norms[:, None])
+        return np.broadcast_to(cmap, self.basis.shape[:-2] + (2 * s.size,))
 
     def project(self, field_fn) -> np.ndarray:
         """L2 projection of a vector field onto V^b(e) on every edge of the
@@ -153,25 +163,21 @@ def edge_rule(mesh: Mesh2D, cfg: BoundarySpaceConfig, quad_degree: int,
     edges = np.arange(mesh.num_edges) if edges is None else np.asarray(edges)
     vec = mesh.vertices[mesh.edges[edges, 1]] - mesh.vertices[mesh.edges[edges, 0]]
     points = mesh.edge_midpoint[edges][..., None, :] + s[:, None] * vec[..., None, :]
-    # squared norms over the edge length: the two constants, then s times a unit vector
-    norms = np.where(np.arange(cfg.dim) < 2, w.sum(), w @ (s * s))
-    if not np.all(norms > 0):
+    if cfg.dim > 2 and not w @ (s * s) > 0:  # the linears' squared norm
         raise ValueError(f"the {cfg.kind} edge basis has a function of zero norm "
                          f"under the degree-{quad_degree} rule")
-    basis = eval_boundary(mesh, edges, cfg, s)
-    one = basis if cfg.kind == "rm" else basis[(0,) * edges.ndim]  # p0, p1: the table
-    cmap = one.reshape(one.shape[:-2] + (-1,)) * (np.repeat(w, 2) / norms[:, None])
     return EdgeRule(points=points, weights=w * mesh.edge_length[edges][..., None], s=s,
-                    basis=basis, coeff_map=np.broadcast_to(cmap, basis.shape[:-2] + (2 * s.size,)))
+                    basis=eval_boundary(mesh, edges, cfg, s))
 
 
 class ElementKernel:
     """All element-local computations for a block of E elements.
 
-    Precomputes interior basis values/gradients at the volume rule, the
-    R_b images of the boundary jumps of every local basis weak function at
-    the rule of the block's edges, and the correction delta1 (constant
-    matrix; its trace corrects the divergence) per local degree of freedom; an
+    Precomputes interior basis values and slopes at the volume rule and
+    the gradients' constant patterns, the R_b images of the jumps of every
+    local basis weak function at the rule of the block's edges, and the
+    correction delta1 (constant matrix; its trace corrects the divergence)
+    per local degree of freedom; an
     edge basis function lies in V^b, so its jump is its own edge's basis
     values, kept on that edge only (0 on the others).  One builder of
     weighted samples of the bilinear form, split into interior fluctuations
@@ -205,7 +211,7 @@ class ElementKernel:
         pts = np.concatenate([self.vol.points, self.edge_points.reshape(E, -1, 2)], axis=1)
         t = _activation_args(pts, prm)
         self.V0 = _values_at(icfg, t[..., :nq])
-        self.G0 = _grads_at(icfg, prm, t[..., :nq])
+        self.slopes, self.pattern = _slopes_patterns(icfg, prm, t[..., :nq])
 
         # R_b images of the jumps vb - v0 on each local edge: the interior
         # rows R_b(-tr0) (E, m, n0, nqe, 2), and the edge rows (E, m, nb,
@@ -230,53 +236,52 @@ class ElementKernel:
     # -- local matrices --
 
     def _weighted_samples(self, mu: float, lam: float, rho: float, gamma: float):
-        """The bilinear form 2 mu (eps_g, eps_g) + lam (div_g, div_g) +
-        rho h_T^gamma <R_b jump, R_b jump>_dT as weighted samples; the
+        """The form of :mod:`gwgfem.assembly` as weighted samples; the
         coefficients must be nonnegative (``ValueError`` otherwise).
 
-        With a dof's classical samples a = (e11, e22, sqrt(2) e12, div), 0 on
-        edge dofs, split into rule mean abar and fluctuation atil, and c its
-        constant correction, sum_q w_q (a_i + c_i)(a_j + c_j) = sum_q w_q
-        atil_i atil_j + q_T (abar_i + c_i)(abar_j + c_j).  So ``M`` (E, ndof,
-        4) holds abar + c, ``Fi`` (E, n0, 4 nq) the interior atil at the
-        volume points, and ``J0`` (E, m, n0, 2 nqe) and ``Jb`` (E, m, nb,
-        2 nqe) the rows of the R_b jumps at each edge's points, each scaled
-        by the square root of its weight times its coefficient.  Returns
-        (M, Fi, J0, Jb); an edge dof's jump samples off its own edge are 0.
+        A dof's samples (e11, e22, sqrt(2) e12, div) are its slope s_q times
+        p, its gradient pattern's (0 on edge dofs); with sbar the slopes' mean and
+        c the constant correction, sum_q w_q (s_i p_i + c_i)(s_j p_j + c_j) =
+        q_T (sbar_i p_i + c_i)(sbar_j p_j + c_j) + sum_q w_q (s_i - sbar_i)(s_j
+        - sbar_j) p_i . p_j, lambda in the first term only.  So ``M`` (E, ndof,
+        4) holds sbar p + c, ``S`` (E, n0, nq) the slope fluctuations, ``P``
+        (E, n0, 3) p's strain columns (the block is (S S^T) * (P P^T)), and
+        ``J0`` (E, m, n0, 2 nqe) and ``Jb`` (E, m, nb, 2 nqe) the R_b jump rows
+        at each edge's points, each scaled by the root of its weight times its
+        coefficient; an edge dof's jump samples off its own edge are 0.
         """
         if min(mu, lam, rho) < 0:
             raise ValueError(f"mu, lam and rho must be nonnegative, not {mu}, {lam}, {rho}")
-        w, G = self.vol.weights, self.G0
-        E = w.shape[0]
-        a = _strain_samples(G)  # (E, n0, nq, 4)
-        abar = (w[:, None, None] @ a)[:, :, 0] * (1.0 / self.qarea)[:, None, None]
+        w, E = self.vol.weights, len(self.qarea)
+        sbar = (self.slopes @ w[:, :, None])[..., 0] * (1.0 / self.qarea)[:, None]
+        pattern = _strain_samples(self.pattern)  # (E, n0, 4)
         mean = _strain_samples(self.delta1)  # (E, ndof, 4), div_g = tr grad_g
-        mean[:, : self.n0] += abar
+        mean[:, : self.n0] += sbar[..., None] * pattern
         coef = np.array([2.0 * mu] * 3 + [lam])
         mean *= np.sqrt(coef * self.qarea[:, None])[:, None]
-        a -= abar[:, :, None]  # the fluctuations
-        a *= np.sqrt(coef * w[..., None])[:, None]
+        S = (self.slopes - sbar[..., None]) * np.sqrt(w)[:, None]  # the fluctuations
         root = np.sqrt((rho * self.diameter ** gamma)[:, None, None] * self.edge_weights)
         root = np.repeat(root, 2, axis=2)[:, :, None]  # (E, m, 1, 2 nqe)
         J0 = self.rb_jump0.reshape(E, self.m, self.n0, -1) * root
         Jb = self.rb_jumpb.reshape(E, self.m, self.nb, -1) * root
-        return mean, a.reshape(E, self.n0, -1), J0, Jb
+        return mean, S, pattern[..., :3] * np.sqrt(coef[:3]), J0, Jb
 
     def local_stiffness(self, mu: float, lam: float, rho: float, gamma: float) -> np.ndarray:
         """Local energy matrices (E, ndof, ndof) of the bilinear form: M M^T,
         plus the fluctuations and jumps on the interior block, each edge's
         interior-by-own-edge jump products on both interior-edge blocks and
         one own-edge jump block per edge; every product is symmetric or mirrored."""
-        M, Fi, J0, Jb = self._weighted_samples(mu, lam, rho, gamma)
+        M, S, P, J0, Jb = self._weighted_samples(mu, lam, rho, gamma)
         (E, m, nb, _), n0 = Jb.shape, self.n0
         A = M @ M.transpose(0, 2, 1).copy()  # a contiguous right operand: 3-7x faster
-        A[:, :n0, :n0] += Fi @ Fi.transpose(0, 2, 1) + (J0 @ J0.transpose(0, 1, 3, 2)).sum(1)
-        cross = (J0 @ Jb.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3).reshape(E, n0, -1)
+        A[:, :n0, :n0] += ((S @ S.transpose(0, 2, 1).copy()) * (P @ P.transpose(0, 2, 1).copy())
+                           + (J0 @ J0.transpose(0, 1, 3, 2).copy()).sum(1))
+        cross = (J0 @ Jb.transpose(0, 1, 3, 2).copy()).transpose(0, 2, 1, 3).reshape(E, n0, -1)
         A[:, :n0, n0:] += cross
         A[:, n0:, :n0] += cross.transpose(0, 2, 1)
         own = np.arange(m)  # the edge blocks on the diagonal, through a view of A
         A[:, n0:, n0:].reshape(E, m, nb, m, nb)[:, own, :, own] += \
-            (Jb @ Jb.transpose(0, 1, 3, 2)).transpose(1, 0, 2, 3)
+            (Jb @ Jb.transpose(0, 1, 3, 2).copy()).transpose(1, 0, 2, 3)
         return A
 
     def local_load(self, f) -> np.ndarray:
@@ -293,11 +298,11 @@ class ElementKernel:
         their fields' weighted samples (not v^T A v, so exact-kernel
         functions come out at field-roundoff scale instead of
         matrix-cancellation scale); the coefficients must be nonnegative."""
-        M, Fi, J0, Jb = self._weighted_samples(mu, lam, rho, gamma)
+        M, S, P, J0, Jb = self._weighted_samples(mu, lam, rho, gamma)
         v0, vb = vloc[:, : self.n0], vloc[:, self.n0:].reshape(Jb.shape[:3])
         jumps = np.einsum("ek,emks->ems", v0, J0) + np.einsum("emk,emks->ems", vb, Jb)
         return ((np.einsum("ek,eks->es", vloc, M) ** 2).sum(axis=1)
-                + (np.einsum("ek,eks->es", v0, Fi) ** 2).sum(axis=1)
+                + (np.einsum("ek,ekq,eks->eqs", v0, S, P) ** 2).sum(axis=(1, 2))
                 + (jumps ** 2).sum(axis=(1, 2)))
 
 

@@ -114,9 +114,15 @@ def dense_reference_solution(mesh, spaces, rb, mu, lam, rho, gamma, f, g):
     return wf
 
 
+def interior_gradients(kern):
+    """Interior basis gradients at the kernel's volume rule, (E, n0, nq, 2,
+    2): each slope sigma'(t) times its function's constant pattern e_c (x) w."""
+    return kern.slopes[..., None, None] * kern.pattern[:, :, None]
+
+
 def classical_gradient(kern, vloc):
     """Gradient of v0 at the kernel's volume rule; (E, nq, 2, 2)."""
-    return np.einsum("ek,eknab->enab", vloc[:, : kern.n0], kern.G0)
+    return np.einsum("ek,eknab->enab", vloc[:, : kern.n0], interior_gradients(kern))
 
 
 def rb_jump_values(kern, vloc):

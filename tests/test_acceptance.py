@@ -261,3 +261,25 @@ def test_criterion_7_exact_linear_reproduction():
     assert _emit("criterion 7", ok,
                  f"linear reproduction, both mesh kinds, both R_b: "
                  f"worst norm {worst:.2e} (<= 1e-9)")
+
+
+def test_activation_spaces_locking_free():
+    # rectangular sin and sigmoid spaces, [P0]^2 / Qb, gamma=-1, example 2:
+    # lambda multiplies only the element mean of div_g, so at 1/64 the
+    # displacement L2 error at lam=1e6 is within 1.5x of lam=1's and its
+    # rate is at least 1.9 (with lambda on the whole of div_g, sin read
+    # 6.53e-4 and rate 1.23 at lam=1e6)
+    out = []
+    for interior in ("sin", "sigmoid"):
+        errs, rates_ = {}, {}
+        for lam in (1.0, 1e6):
+            rep = run_convergence(RunConfig(mesh="rect", levels=(32, 64),
+                                            interior=interior, boundary="p0", rb="qb",
+                                            gamma=-1.0, lam=lam, example=2))
+            errs[lam] = rep.errors["u0_l2"][-1]
+            rates_[lam] = rep.rate_columns["u0_l2"][-1]
+        out.append((interior, errs[1e6] / errs[1.0], rates_[1e6]))
+    ok = all(ratio <= 1.5 and rate >= 1.9 for _, ratio, rate in out)
+    assert _emit("locking-free activations", ok, ", ".join(
+        f"{name}: err ratio lam=1e6/lam=1 {ratio:.2f}, rate(1/64) {rate:.2f}"
+        for name, ratio, rate in out))

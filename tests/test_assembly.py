@@ -8,6 +8,7 @@ from conftest import (
     as_scipy,
     dense_full_system,
     dense_reference_solution,
+    interior_gradients,
     kernel,
     make_spaces,
     operator_identity_residuals,
@@ -115,12 +116,13 @@ class TestLocalStiffness:
     ])
     def test_stiffness_matches_unsplit_samples(self, mesh_kind, interior, boundary, rb):
         # local_stiffness splits the strain and divergence samples at the
-        # constant correction; the reference sums them point by point
+        # constant correction; the reference sums the strain point by point,
+        # and lambda multiplies the rule's element mean of div_g only
         mesh = (build_rectangular if mesh_kind == "rect" else build_triangular)(3)
         kern = kernel(mesh, make_spaces(mesh, interior, boundary, seed=4), rb)
         E, nq = kern.vol.weights.shape
         grad = np.zeros((E, kern.ndof, nq, 2, 2))
-        grad[:, : kern.n0] = kern.G0
+        grad[:, : kern.n0] = interior_gradients(kern)
         eps = 0.5 * (grad + grad.transpose(0, 1, 2, 4, 3)) \
             + 0.5 * (kern.delta1 + kern.delta1.transpose(0, 1, 3, 2))[:, :, None]
         div = np.trace(grad, axis1=3, axis2=4) \
@@ -131,9 +133,10 @@ class TestLocalStiffness:
         for le in range(kern.m):
             J[:, le, kern.n0 + le * kern.nb: kern.n0 + (le + 1) * kern.nb] = kern.rb_jumpb[:, le]
         w = kern.vol.weights
+        mean_div = np.einsum("eiq,eq->ei", div, w) / kern.qarea[:, None]
         for mu, lam, rho, gamma in ((0.5, 1.0, 1.0, -1.0), (0.5, 1e6, 1.0, 0.0)):
             ref = (2 * mu * np.einsum("eiqab,ejqab,eq->eij", eps, eps, w)
-                   + lam * np.einsum("eiq,ejq,eq->eij", div, div, w)
+                   + lam * np.einsum("e,ei,ej->eij", kern.qarea, mean_div, mean_div)
                    + np.einsum("e,emiqc,emjqc,emq->eij", rho * kern.diameter ** gamma,
                                J, J, kern.edge_weights))
             A = kern.local_stiffness(mu, lam, rho, gamma)

@@ -16,7 +16,7 @@ from gwgfem.postproc import (
     manufactured,
     rates,
 )
-from gwgfem.weakops import WeakFunction
+from gwgfem.weakops import EdgeRule, WeakFunction
 
 
 class TestManufactured:
@@ -90,6 +90,20 @@ class TestErrorNorms:
         xf = vec_field(lambda x, y: x, lambda x, y: 0 * x)
         norms = error_norms(mesh, spaces, wf, xf)
         assert norms.u0_l2 == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-12)
+
+    def test_rm_norms_never_build_the_coefficient_map(self, monkeypatch):
+        # the edge norms read the every-edge rule's points, weights and basis;
+        # rm's projection map, one block per edge, is built on first use only
+        mesh = build_triangular(4)
+        spaces = make_spaces(mesh, "p1", "rm")
+        u = vec_field(lambda x, y: 0.3 - 0.5 * y, lambda x, y: 0.5 * x)  # a rigid motion
+        wf = interpolate(mesh, spaces, u)
+
+        def unbuilt(rule):
+            raise AssertionError("error_norms built the edge rule's coeff_map")
+        monkeypatch.setattr(EdgeRule, "coeff_map", property(unbuilt))
+        norms = error_norms(mesh, spaces, wf, u)
+        assert norms.ub_l2 < 1e-13 and norms.ub_inf < 1e-13
 
     @given(t=st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=20, deadline=None)

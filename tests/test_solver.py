@@ -325,6 +325,26 @@ class TestMultifrontalPath:
         assert len(calls) <= 9
         assert got == _hager_five_full_sweeps(lambda v: B @ v, B.shape[0])
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_inverse_estimate_stops_after_three_sweeps(self, n, monkeypatch):
+        # on the lam=1e6 locking systems the estimate of ||A^-1||_1 takes at
+        # most 5 substitutions (five sweeps took up to 9) and reads at least
+        # 0.95 of the five-sweep estimate, never more
+        mesh = build_triangular(n)
+        case = manufactured("example2", 0.5, 1e6)
+        system = assembly.assemble(mesh, make_spaces(mesh, "p1", "p0"), parse_rb("id"),
+                                   0.5, 1e6, 1.0, 0.0, case.f, case.g)
+        factors, substitute = [], solver._substitute
+        monkeypatch.setattr(solver, "_substitute",
+                            lambda factor, v: factors.append(factor) or substitute(factor, v))
+        rep = solve_system(system)
+        final, A = factors[-1], system.matrix  # a float32 attempt's factor is another
+        estimate = sum(f is final for f in factors) - 1 - rep.iterations
+        five = (solver._hager_norm(lambda v: A @ v, A.shape[0])
+                * _hager_five_full_sweeps(lambda v: substitute(final, v), A.shape[0]))
+        assert estimate <= 5
+        assert 0.95 * five <= rep.condition_estimate <= five
+
     @pytest.mark.parametrize("depth", [0, 2, -1])
     def test_indefinite_front_reports_its_pivot(self, depth):
         # make the last pivot of one front negative: every pivot before it

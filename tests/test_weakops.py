@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (classical_gradient, correction_pair, corrections_closed_form, kernel,
-                      make_spaces, moment_residuals, rb_jump_values, vec_field,
-                      weak_gradient, weak_strain)
+from conftest import (classical_gradient, correction_pair, corrections_closed_form,
+                      interior_gradients, kernel, make_spaces, moment_residuals,
+                      rb_jump_values, vec_field, weak_gradient, weak_strain)
 from gwgfem.assembly import interpolate, project_interior
 from gwgfem.mesh import build_rectangular, build_triangular, element_blocks
 from gwgfem.spaces import eval_boundary, eval_interior, grad_interior, parse_boundary
@@ -50,7 +50,8 @@ class TestKernelInteriorSamples:
     @pytest.mark.parametrize("interior", ["sin", "cos", "sigmoid", "relu", "lrelu:0.1", "p1"])
     def test_shared_activation_args(self, interior):
         # the kernel evaluates the activation arguments at its volume points
-        # once for values and slopes; the bits are those of separate calls
+        # once for values and slopes; the bits are those of separate calls,
+        # and each gradient is its slope times its constant pattern e_c (x) w
         mesh = build_triangular(3)
         spaces = make_spaces(mesh, interior, "rm", seed=5)
         kern = kernel(mesh, spaces, QB)
@@ -58,7 +59,8 @@ class TestKernelInteriorSamples:
         V0 = eval_interior(spaces.interior, prm, kern.vol.points)
         G0 = grad_interior(spaces.interior, prm, kern.vol.points)
         assert np.array_equal(kern.V0, V0)
-        assert np.array_equal(kern.G0, G0)
+        assert np.array_equal(interior_gradients(kern), G0)
+        assert not kern.slopes[:, :2].any() and not kern.pattern[:, :2].any()
 
 
 class TestApplyRb:
