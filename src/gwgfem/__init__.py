@@ -42,7 +42,6 @@ from .spaces import (
     build_spaces,
     eval_boundary,
     eval_interior,
-    grad_interior,
     parse_boundary,
     parse_interior,
 )

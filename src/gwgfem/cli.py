@@ -110,17 +110,13 @@ def _mesh(config: RunConfig, n: int):
     return (build_rectangular if config.mesh == "rect" else build_triangular)(n)
 
 
-def _level(config: RunConfig, n: int) -> tuple:
-    """The mesh of level ``n`` and its spaces, drawn from the stream seeded
-    by ``(config.seed, n)``."""
-    mesh = _mesh(config, n)
-    return mesh, build_spaces(mesh, parse_interior(config.interior, seed=config.seed),
-                              parse_boundary(config.boundary), config.quad_degree,
-                              seed_entropy=(config.seed, n))
-
-
 def _solve_level(config: RunConfig, case, n: int):
-    mesh, spaces = _level(config, n)
+    """The errors of level ``n``, its spaces drawn from the stream seeded by
+    ``(config.seed, n)``."""
+    mesh = _mesh(config, n)
+    spaces = build_spaces(mesh, parse_interior(config.interior, seed=config.seed),
+                          parse_boundary(config.boundary), config.quad_degree,
+                          seed_entropy=(config.seed, n))
     system = assembly.assemble(mesh, spaces, parse_rb(config.rb), config.mu, config.lam,
                                config.rho, config.gamma, case.f, case.g)
     report = solver.solve_system(system)
@@ -186,7 +182,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 def _parse_levels(text: str) -> tuple:
     try:
-        return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())  # int("8 16") raises
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid level list {text!r}") from exc
 

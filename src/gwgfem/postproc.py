@@ -38,28 +38,17 @@ NORM_KEYS = ("u0_l2", "ub_l2", "u0_inf", "ub_inf")
 
 @dataclass(frozen=True)
 class ManufacturedCase:
-    """Analytic displacement, its gradient, boundary data, and body force."""
+    """Analytic displacement, boundary data, and body force."""
 
     case_id: str
     mu: float
     lam: float
     u: callable  # points (nq, 2) -> (nq, 2)
-    grad_u: callable  # points (nq, 2) -> (nq, 2, 2)
     f: callable  # points (nq, 2) -> (nq, 2)
 
     def g(self, points):
         """Dirichlet boundary displacement: the trace of u."""
         return self.u(points)
-
-    def stress(self, points) -> np.ndarray:
-        """sigma(u) = 2 mu eps(u) + lam div(u) I, from the analytic gradient."""
-        G = self.grad_u(points)
-        eps = 0.5 * (G + G.transpose(0, 2, 1))
-        div = np.trace(G, axis1=1, axis2=2)
-        sig = 2.0 * self.mu * eps
-        sig[:, 0, 0] += self.lam * div
-        sig[:, 1, 1] += self.lam * div
-        return sig
 
 
 def manufactured(case_id: str, mu: float, lam: float) -> ManufacturedCase:
@@ -81,13 +70,6 @@ def manufactured(case_id: str, mu: float, lam: float) -> ManufacturedCase:
             return np.column_stack([np.sin(pts[:, 0]) * np.sin(pts[:, 1]),
                                     np.ones(pts.shape[0])])
 
-        def grad_u(pts):
-            pts = np.atleast_2d(pts)
-            G = np.zeros((pts.shape[0], 2, 2))
-            G[:, 0, 0] = np.cos(pts[:, 0]) * np.sin(pts[:, 1])
-            G[:, 0, 1] = np.sin(pts[:, 0]) * np.cos(pts[:, 1])
-            return G
-
         def f(pts):
             pts = np.atleast_2d(pts)
             return np.column_stack([
@@ -95,7 +77,7 @@ def manufactured(case_id: str, mu: float, lam: float) -> ManufacturedCase:
                 -(mu + lam) * np.cos(pts[:, 0]) * np.cos(pts[:, 1]),
             ])
 
-        return ManufacturedCase("example1", mu, lam, u, grad_u, f)
+        return ManufacturedCase("example1", mu, lam, u, f)
 
     if case_id == "example2":
         def u(pts):
@@ -105,15 +87,6 @@ def manufactured(case_id: str, mu: float, lam: float) -> ManufacturedCase:
                 np.cos(pts[:, 0]) * np.cos(pts[:, 1]) + pts[:, 1] / lam,
             ])
 
-        def grad_u(pts):
-            pts = np.atleast_2d(pts)
-            G = np.zeros((pts.shape[0], 2, 2))
-            G[:, 0, 0] = np.cos(pts[:, 0]) * np.sin(pts[:, 1]) + 1.0 / lam
-            G[:, 0, 1] = np.sin(pts[:, 0]) * np.cos(pts[:, 1])
-            G[:, 1, 0] = -np.sin(pts[:, 0]) * np.cos(pts[:, 1])
-            G[:, 1, 1] = -np.cos(pts[:, 0]) * np.sin(pts[:, 1]) + 1.0 / lam
-            return G
-
         def f(pts):
             pts = np.atleast_2d(pts)
             return np.column_stack([
@@ -121,7 +94,7 @@ def manufactured(case_id: str, mu: float, lam: float) -> ManufacturedCase:
                 2.0 * mu * np.cos(pts[:, 0]) * np.cos(pts[:, 1]),
             ])
 
-        return ManufacturedCase("example2", mu, lam, u, grad_u, f)
+        return ManufacturedCase("example2", mu, lam, u, f)
 
     raise ValueError(f"unknown manufactured case {case_id!r}")
 

@@ -43,10 +43,8 @@ __all__ = [
     "sample_element_params",
     "build_spaces",
     "eval_interior",
-    "grad_interior",
     "eval_boundary",
     "interior_mass",
-    "interior_gram_condition",
     "spd_condition",
     "GRAM_CONDITION_LIMIT",
     "MAX_RESAMPLE_ATTEMPTS",
@@ -252,17 +250,6 @@ def eval_interior(cfg: InteriorSpaceConfig, params: ElementRandomParams,
     return _values_at(cfg, _activation_args(np.atleast_2d(points), params))
 
 
-def grad_interior(cfg: InteriorSpaceConfig, params: ElementRandomParams,
-                  points: np.ndarray) -> np.ndarray:
-    """Exact analytic basis gradients at ``points``; shape (dim, nq, 2, 2),
-    or (E, dim, nq, 2, 2) for E elements, as in :func:`eval_interior`.
-
-    Entry (i, q, a, b) is d(phi_i)_a / d x_b.
-    """
-    slope, pat = _slopes_patterns(cfg, params, _activation_args(np.atleast_2d(points), params))
-    return slope[..., None, None] * pat[..., None, :, :]
-
-
 def eval_boundary(mesh: Mesh2D, edge_id, cfg: BoundarySpaceConfig, s) -> np.ndarray:
     """Edge basis values at the edge coordinates ``s`` (nq,); shape (dim, nq,
     2), or (..., dim, nq, 2) for edge ids of any shape.
@@ -306,13 +293,6 @@ def interior_mass(mesh: Mesh2D, eid, cfg: InteriorSpaceConfig,
     s = vals.reshape(vals.shape[:-2] + (-1,))  # the samples, (..., dim, 2 nq)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or NaN
         return rule, vals, s * np.repeat(rule.weights, 2, -1)[..., None, :] @ s.swapaxes(-1, -2)
-
-
-def interior_gram_condition(mesh: Mesh2D, eid, cfg: InteriorSpaceConfig,
-                            params: ElementRandomParams, quad_degree: int):
-    """2-norm condition of the element interior mass matrix (an array of
-    them for an array of elements)."""
-    return spd_condition(interior_mass(mesh, eid, cfg, params, quad_degree)[2])
 
 
 def _level_stream(seed_entropy) -> np.random.Generator:
@@ -360,8 +340,8 @@ def build_spaces(mesh: Mesh2D, interior: InteriorSpaceConfig,
             params.w[todo] = prm.w
             params.x0[todo] = prm.x0
         for eids in element_blocks(todo):
-            cond[eids] = interior_gram_condition(mesh, eids, interior,
-                                                 spaces.params[eids], quad_degree)
+            cond[eids] = spd_condition(interior_mass(mesh, eids, interior, spaces.params[eids],
+                                                     quad_degree)[2])
         todo = todo[~(cond[todo] <= GRAM_CONDITION_LIMIT)]  # NaN is rejected too
         if not todo.size:
             break

@@ -177,9 +177,9 @@ class ElementKernel:
     the gradients' constant patterns, the R_b images of the jumps of every
     local basis weak function at the rule of the block's edges, and the
     correction delta1 (constant matrix; its trace corrects the divergence)
-    per local degree of freedom; an
-    edge basis function lies in V^b, so its jump is its own edge's basis
-    values, kept on that edge only (0 on the others).  One builder of
+    per local degree of freedom, the jumps' fluxes over q_T; an edge basis
+    function lies in V^b, so its jump is its own edge's basis values, kept
+    on that edge only (0 on the others).  One builder of
     weighted samples of the bilinear form, split into interior fluctuations
     and per-dof mean-plus-correction samples, serves both the local
     stiffness matrices and the energy.  Every array carries a leading
@@ -220,18 +220,17 @@ class ElementKernel:
         jump0 = -tr0.reshape(E, self.n0, self.m, nqe, 2).transpose(0, 2, 1, 3, 4)
         self.rb_jump0 = rule.apply(jump0) if rb.kind == "qb" else jump0
         self.rb_jumpb = rule.basis
-        # surface integrals of R_b jump (x) n: rows (dof, c) times w n over the points
+        # the correction: the correction space is constant, so the moment
+        # problem's Gram matrix is the volume rule's total weight q_T times
+        # the identity, and delta1 is the surface integral of R_b jump (x) n
+        # (rows (dof, c) times w n over the points) over q_T
         wn = self.edge_weights[..., None] * self.normals[:, :, None]  # (E, m, nqe, 2)
         j0 = self.rb_jump0.transpose(0, 2, 4, 1, 3).reshape(E, 2 * self.n0, -1)
         jb = self.rb_jumpb.transpose(0, 1, 2, 4, 3).reshape(E, self.m, 2 * self.nb, -1)
-        flux = [j0 @ wn.reshape(E, -1, 2), (jb @ wn).reshape(E, -1, 2)]
-        self.jump_flux = np.concatenate(flux, axis=1).reshape(E, -1, 2, 2)
-
-        # the correction: the correction space is constant, so the moment
-        # problem's Gram matrix is the volume rule's total weight q_T times
-        # the identity
         self.qarea = self.vol.weights.sum(axis=1)
-        self.delta1 = self.jump_flux * (1.0 / self.qarea)[:, None, None, None]
+        self.delta1 = (np.concatenate([j0 @ wn.reshape(E, -1, 2), (jb @ wn).reshape(E, -1, 2)],
+                                      axis=1).reshape(E, -1, 2, 2)
+                       * (1.0 / self.qarea)[:, None, None, None])
 
     # -- local matrices --
 
@@ -268,14 +267,16 @@ class ElementKernel:
 
     def local_stiffness(self, mu: float, lam: float, rho: float, gamma: float) -> np.ndarray:
         """Local energy matrices (E, ndof, ndof) of the bilinear form: M M^T,
-        plus the fluctuations and jumps on the interior block, each edge's
+        plus the fluctuations and jumps on the interior block (the jumps one
+        product of each dof's edge rows side by side), each edge's
         interior-by-own-edge jump products on both interior-edge blocks and
         one own-edge jump block per edge; every product is symmetric or mirrored."""
         M, S, P, J0, Jb = self._weighted_samples(mu, lam, rho, gamma)
         (E, m, nb, _), n0 = Jb.shape, self.n0
         A = M @ M.transpose(0, 2, 1).copy()  # a contiguous right operand: 3-7x faster
+        R0 = J0.transpose(0, 2, 1, 3).reshape(E, n0, -1)
         A[:, :n0, :n0] += ((S @ S.transpose(0, 2, 1).copy()) * (P @ P.transpose(0, 2, 1).copy())
-                           + (J0 @ J0.transpose(0, 1, 3, 2).copy()).sum(1))
+                           + R0 @ R0.transpose(0, 2, 1).copy())
         cross = (J0 @ Jb.transpose(0, 1, 3, 2).copy()).transpose(0, 2, 1, 3).reshape(E, n0, -1)
         A[:, :n0, n0:] += cross
         A[:, n0:, :n0] += cross.transpose(0, 2, 1)

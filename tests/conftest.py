@@ -3,7 +3,8 @@ import pytest
 from scipy import sparse
 
 from gwgfem.assembly import apply_dirichlet, interpolate
-from gwgfem.spaces import build_spaces, eval_interior, parse_boundary, parse_interior
+from gwgfem.spaces import (_activation_args, _slopes_patterns, build_spaces, eval_interior,
+                           parse_boundary, parse_interior)
 from gwgfem.weakops import ElementKernel, WeakFunction, edge_rule
 
 
@@ -48,6 +49,31 @@ def make_spaces(mesh, interior="p1", boundary="p0", seed=0, quad=None):
                         seed_entropy=(seed, mesh.n))
 
 
+def manufactured_gradient(case):
+    """The analytic displacement gradient of a manufactured case: points
+    (nq, 2) -> (nq, 2, 2), entry (q, a, b) = d u_a / d x_b."""
+
+    def grad_u(pts):
+        pts = np.atleast_2d(pts)
+        sx, cx = np.sin(pts[:, 0]), np.cos(pts[:, 0])
+        sy, cy = np.sin(pts[:, 1]), np.cos(pts[:, 1])
+        G = np.zeros((pts.shape[0], 2, 2))
+        G[:, 0, 0], G[:, 0, 1] = cx * sy, sx * cy
+        if case.case_id == "example2":
+            G[:, 0, 0] += 1.0 / case.lam
+            G[:, 1, 0], G[:, 1, 1] = -sx * cy, -cx * sy + 1.0 / case.lam
+        return G
+
+    return grad_u
+
+
+def manufactured_stress(case, points):
+    """sigma(u) = 2 mu eps(u) + lam div(u) I, from the analytic gradient."""
+    G = manufactured_gradient(case)(points)
+    div = np.trace(G, axis1=1, axis2=2)
+    return case.mu * (G + G.transpose(0, 2, 1)) + case.lam * div[:, None, None] * np.eye(2)
+
+
 def divergence_of_stress_fd(case, points, step=1e-5):
     """Central finite differences of a manufactured case's analytic stress,
     row-wise: an independent oracle for the body force, which should equal
@@ -57,9 +83,31 @@ def divergence_of_stress_fd(case, points, step=1e-5):
     for b in range(2):
         shift = np.zeros(2)
         shift[b] = step
-        out += (case.stress(points + shift)[:, :, b]
-                - case.stress(points - shift)[:, :, b]) / (2.0 * step)
+        out += (manufactured_stress(case, points + shift)[:, :, b]
+                - manufactured_stress(case, points - shift)[:, :, b]) / (2.0 * step)
     return out
+
+
+def gradient_factors(cfg, prm, points):
+    """Interior basis gradients at ``points`` as the kernel forms them, each
+    slope sigma'(t) times its function's constant pattern e_c (x) w; (dim,
+    nq, 2, 2), or (E, dim, nq, 2, 2) as :func:`~gwgfem.spaces.eval_interior`.
+    Entry (i, q, a, b) is d(phi_i)_a / d x_b."""
+    slopes, pattern = _slopes_patterns(cfg, prm, _activation_args(np.atleast_2d(points), prm))
+    return slopes[..., None, None] * pattern[..., None, :, :]
+
+
+def fd_gradients(cfg, prm, points, step=1e-6):
+    """Central differences of :func:`~gwgfem.spaces.eval_interior` at
+    ``points``, laid out as :func:`gradient_factors`."""
+    points = np.atleast_2d(points)
+    cols = []
+    for b in range(2):
+        shift = np.zeros(2)
+        shift[b] = step
+        cols.append((eval_interior(cfg, prm, points + shift)
+                     - eval_interior(cfg, prm, points - shift)) / (2.0 * step))
+    return np.stack(cols, axis=-1)
 
 
 @pytest.fixture
@@ -139,13 +187,24 @@ def correction_pair(kern, vloc):
     return d1, np.trace(d1, axis1=1, axis2=2)
 
 
+def jump_flux(kern):
+    """Surface integrals <R_b jump, e_a n_b>_dT (E, ndof, 2, 2) of every
+    local basis weak function, from the kernel's R_b jump rows, edge
+    weights and normals."""
+    wn = kern.edge_weights[..., None] * kern.normals[:, :, None]  # (E, m, nqe, 2)
+    flux0 = np.einsum("emknc,emnd->ekcd", kern.rb_jump0, wn)
+    fluxb = np.einsum("emknc,emnd->emkcd", kern.rb_jumpb, wn)
+    return np.concatenate([flux0, fluxb.reshape(len(wn), -1, 2, 2)], axis=1)
+
+
 def moment_residuals(kern, vloc):
     """Residuals of the correction moment equations for weak functions:
     (delta, psi)_T - <R_b(vb - v0), psi n>_dT per basis psi; (E, 4), (E,)."""
     d1, d2 = correction_pair(kern, vloc)
+    flux = jump_flux(kern)
     lhs1 = kern.qarea[:, None] * d1.reshape(-1, 4)
-    rhs1 = np.einsum("ek,ekab->eab", vloc, kern.jump_flux).reshape(-1, 4)
-    rhs2 = np.einsum("ek,ekaa->e", vloc, kern.jump_flux)  # <R_b jump . n, 1>_dT
+    rhs1 = np.einsum("ek,ekab->eab", vloc, flux).reshape(-1, 4)
+    rhs2 = np.einsum("ek,ekaa->e", vloc, flux)  # <R_b jump . n, 1>_dT
     return lhs1 - rhs1, kern.qarea * d2 - rhs2
 
 
@@ -154,8 +213,9 @@ def corrections_closed_form(kern, mesh):
     divergence counterpart from the trace of that integral, with the exact
     element areas."""
     area = shoelace_area(mesh)[kern.eids]
-    return (kern.jump_flux / area[:, None, None, None],
-            np.trace(kern.jump_flux, axis1=2, axis2=3) / area[:, None])
+    flux = jump_flux(kern)
+    return (flux / area[:, None, None, None],
+            np.trace(flux, axis1=2, axis2=3) / area[:, None])
 
 
 def weak_gradient(kern, vloc):

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from gwgfem.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     RunConfig,
+    _parse_levels,
     check_assumptions,
     main,
     run_convergence,
@@ -62,6 +64,13 @@ class TestConfig:
 
     def test_lrelu_string_accepted(self):
         RunConfig(interior="lrelu:0.1").validate()
+
+    def test_level_list_tokens(self):
+        # spaces around a token are dropped; a space inside one is an error,
+        # not one level at n = 816
+        assert _parse_levels(" 8, 16 ,32,") == (8, 16, 32)
+        with pytest.raises(argparse.ArgumentTypeError, match="invalid level list '8 16'"):
+            _parse_levels("8 16")
 
 
 class TestRun:
@@ -210,7 +219,8 @@ class TestRun:
             cfgfile.write_text(text)
             assert main(["run", "--config", str(cfgfile)]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("key, value", [("levels", "2,x"), ("seed", "abc")])
+    @pytest.mark.parametrize("key, value", [("levels", "2,x"), ("levels", "8 16"),
+                                            ("seed", "abc")])
     def test_config_value_fails_as_its_flag(self, key, value, tmp_path, capsys):
         # a file's line is read as the flag it names, by the same parser
         cfgfile = tmp_path / "bad.cfg"

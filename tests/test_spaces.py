@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fd_gradients, gradient_factors
 from gwgfem.mesh import build_rectangular, build_triangular, element_quadrature
 from gwgfem.spaces import (
     ACTIVATIONS,
@@ -14,8 +15,7 @@ from gwgfem.spaces import (
     build_spaces,
     eval_boundary,
     eval_interior,
-    grad_interior,
-    interior_gram_condition,
+    interior_mass,
     parse_boundary,
     parse_interior,
     sample_element_params,
@@ -207,7 +207,7 @@ class TestEvaluation:
             got = vals[:, 2 + k, :, comp]
             assert np.all(np.abs(got - coord) <= np.spacing(np.abs(coord)))
             assert not vals[:, 2 + k, :, 1 - comp].any()
-        grads = grad_interior(spaces.interior, prm, pts)
+        grads = gradient_factors(spaces.interior, prm, pts)
         want = np.zeros_like(grads)
         for k, (comp, d) in enumerate([(0, 0), (1, 0), (0, 1), (1, 1)]):
             want[:, 2 + k, :, comp, d] = 1.0 / h
@@ -216,7 +216,7 @@ class TestEvaluation:
     def test_constant_basis_gradient_zero(self):
         m = build_rectangular(1)
         spaces = build_spaces(m, parse_interior("p1"), parse_boundary("p0"))
-        g = grad_interior(spaces.interior, spaces.params[0], np.array([[0.2, 0.3]]))
+        g = gradient_factors(spaces.interior, spaces.params[0], np.array([[0.2, 0.3]]))
         assert np.allclose(g[:2], 0.0)
 
     def test_sin_gradient_at_zero(self):
@@ -224,7 +224,7 @@ class TestEvaluation:
         w = np.zeros((4, 2))
         w[0] = [0.3, -0.2]
         prm = ElementRandomParams(w=w, x0=np.full((4, 2), 0.5))
-        g = grad_interior(cfg, prm, np.array([[0.5, 0.5]]))
+        g = gradient_factors(cfg, prm, np.array([[0.5, 0.5]]))
         assert np.allclose(g[2, 0, 0], [0.3, -0.2])
         assert np.allclose(g[2, 0, 1], 0.0)
 
@@ -233,7 +233,7 @@ class TestEvaluation:
         w = np.zeros((4, 2))
         w[0] = [1.0, 0.0]
         prm = ElementRandomParams(w=w, x0=np.full((4, 2), 0.5))
-        g = grad_interior(cfg, prm, np.array([[0.5, 0.5]]))
+        g = gradient_factors(cfg, prm, np.array([[0.5, 0.5]]))
         assert np.allclose(g[2, 0, 0], [0.25, 0.0])
 
     def test_relu_subgradient_and_leaky_slope_at_kink(self):
@@ -241,9 +241,9 @@ class TestEvaluation:
         w[0] = [1.0, 0.0]
         prm = ElementRandomParams(w=w, x0=np.full((4, 2), 0.5))
         at_kink = np.array([[0.5, 0.5]])
-        g_relu = grad_interior(parse_interior("relu"), prm, at_kink)
+        g_relu = gradient_factors(parse_interior("relu"), prm, at_kink)
         assert np.allclose(g_relu[2], 0.0)
-        g_lrelu = grad_interior(parse_interior("lrelu:0.125"), prm, at_kink)
+        g_lrelu = gradient_factors(parse_interior("lrelu:0.125"), prm, at_kink)
         assert g_lrelu[2, 0, 0, 0] == pytest.approx(0.125)
 
     @given(st.floats(min_value=-0.45, max_value=0.45),
@@ -257,17 +257,13 @@ class TestEvaluation:
         pt = np.array([[0.6, 0.7]])
         h = 1e-6
         t = 0.2 * wx + 0.3 * wy
-        for name in ("p1", "sin", "cos", "sigmoid", "relu", "lrelu:0.25"):
-            if name in ("relu", "lrelu:0.25") and abs(t) <= 2 * h * (abs(wx) + abs(wy)):
+        for name in ("p1", *ACTIVATIONS):
+            kinked = name in ("relu", "lrelu")
+            if kinked and abs(t) <= 2 * h * (abs(wx) + abs(wy)):
                 continue
-            cfg = parse_interior(name)
-            g = grad_interior(cfg, prm, pt)[2, 0, 0]
-            for d in range(2):
-                dp = pt.copy(); dp[0, d] += h
-                dm = pt.copy(); dm[0, d] -= h
-                fd = (eval_interior(cfg, prm, dp)[2, 0, 0]
-                      - eval_interior(cfg, prm, dm)[2, 0, 0]) / (2 * h)
-                assert g[d] == pytest.approx(fd, abs=5e-9)
+            cfg = parse_interior(name + ":0.25" * (name == "lrelu"))
+            g = gradient_factors(cfg, prm, pt)
+            assert np.abs(g - fd_gradients(cfg, prm, pt, h)).max() <= 5e-9
 
 
 class TestBoundaryBasis:
@@ -375,7 +371,7 @@ class TestConditioning:
     def test_condition_estimate_degenerate(self):
         m = build_rectangular(1)
         prm = ElementRandomParams(w=np.zeros((4, 2)), x0=np.full((4, 2), 0.5))
-        c = interior_gram_condition(m, 0, parse_interior("sin"), prm, 10)
+        c = spd_condition(interior_mass(m, 0, parse_interior("sin"), prm, 10)[2])
         assert c > GRAM_CONDITION_LIMIT
 
     def test_nonfinite_gram_is_rejected(self):
@@ -385,4 +381,4 @@ class TestConditioning:
         m = build_rectangular(1)
         prm = ElementRandomParams(w=np.full((4, 2), 0.3), x0=np.full((4, 2), 0.5))
         huge = parse_interior("lrelu:1e300")  # slope**2 overflows the Gram matrix
-        assert interior_gram_condition(m, 0, huge, prm, 10) == np.inf
+        assert spd_condition(interior_mass(m, 0, huge, prm, 10)[2]) == np.inf

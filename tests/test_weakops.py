@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (classical_gradient, correction_pair, corrections_closed_form,
-                      interior_gradients, kernel, make_spaces, moment_residuals,
-                      rb_jump_values, vec_field, weak_gradient, weak_strain)
+                      fd_gradients, gradient_factors, interior_gradients, kernel, make_spaces,
+                      moment_residuals, rb_jump_values, vec_field, weak_gradient, weak_strain)
 from gwgfem.assembly import interpolate, project_interior
 from gwgfem.mesh import build_rectangular, build_triangular, element_blocks
-from gwgfem.spaces import eval_boundary, eval_interior, grad_interior, parse_boundary
+from gwgfem.spaces import _activation_args, eval_boundary, eval_interior, parse_boundary
 from gwgfem.weakops import (
     RbOperator,
     WeakFunction,
@@ -51,16 +51,34 @@ class TestKernelInteriorSamples:
     def test_shared_activation_args(self, interior):
         # the kernel evaluates the activation arguments at its volume points
         # once for values and slopes; the bits are those of separate calls,
-        # and each gradient is its slope times its constant pattern e_c (x) w
+        # and each gradient, its slope times its constant pattern e_c (x) w,
+        # matches finite differences of the values (off a kink)
         mesh = build_triangular(3)
         spaces = make_spaces(mesh, interior, "rm", seed=5)
         kern = kernel(mesh, spaces, QB)
-        prm = spaces.params[kern.eids]
-        V0 = eval_interior(spaces.interior, prm, kern.vol.points)
-        G0 = grad_interior(spaces.interior, prm, kern.vol.points)
-        assert np.array_equal(kern.V0, V0)
-        assert np.array_equal(interior_gradients(kern), G0)
+        cfg, prm, pts = spaces.interior, spaces.params[kern.eids], kern.vol.points
+        assert np.array_equal(kern.V0, eval_interior(cfg, prm, pts))
+        grads = interior_gradients(kern)
+        assert np.array_equal(grads, gradient_factors(cfg, prm, pts))
         assert not kern.slopes[:, :2].any() and not kern.pattern[:, :2].any()
+        h = 1e-6
+        t = np.abs(_activation_args(pts, prm))  # (E, p, nq)
+        clear = t > 2 * h * np.abs(prm.w).sum(axis=-1)[..., None]
+        gap = np.abs(grads - fd_gradients(cfg, prm, pts, h))[:, 2:]
+        assert gap[clear].max() <= 1e-8 and clear.mean() > 0.9
+
+    @pytest.mark.parametrize("interior, slope", [("relu", 0.0), ("lrelu:0.125", 0.125)])
+    def test_kink_slope_convention(self, interior, slope):
+        # an activation anchored at a volume point has t = 0 there exactly;
+        # the kernel's slope at the kink is sigma'(0) = 0 (relu), the leaky
+        # slope (lrelu)
+        mesh = build_rectangular(2)
+        spaces = make_spaces(mesh, interior, "p0", seed=2)
+        point = kernel(mesh, spaces, QB, [1]).vol.points[0, 3]
+        spaces.params.x0[1, 0] = point
+        kern = kernel(mesh, spaces, QB, [1])
+        assert _activation_args(kern.vol.points, spaces.params[[1]])[0, 0, 3] == 0.0
+        assert kern.slopes[0, 2, 3] == slope
 
 
 class TestApplyRb:
