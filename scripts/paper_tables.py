@@ -14,7 +14,7 @@ import pathlib
 import sys
 import time
 
-from gwgfem.cli import RUN_FAILURES, RunConfig, run_convergence
+from gwgfem.cli import RUN_FAILURES, RunConfig, _parse_levels, run_convergence
 from gwgfem.postproc import emit
 
 # (label, example, mesh, interior, boundary, rb, gamma)
@@ -54,16 +54,15 @@ BLOCKS = [
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results", help="CSV output directory")
-    parser.add_argument("--levels", default="8,16,32,64")
+    parser.add_argument("--levels", type=_parse_levels, default="8,16,32,64")
     parser.add_argument("--lambdas", default="1,1e6", help="example 2 only; '' for none")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--only", default="", help="substring filter on CSV names")
     args = parser.parse_args(argv)
     try:  # every run's config, checked before the first run starts
-        levels = tuple(int(tok) for tok in args.levels.split(","))
         lambdas = [float(tok) for tok in args.lambdas.split(",")] if args.lambdas else []
         runs = [(label if example == 1 else f"{label}_lam{lam:g}",
-                 RunConfig(mesh=mesh, levels=levels, interior=interior, boundary=boundary,
+                 RunConfig(mesh=mesh, levels=args.levels, interior=interior, boundary=boundary,
                            rb=rb, gamma=gamma, lam=lam, example=example,
                            seed=args.seed).validate())
                 for label, example, mesh, interior, boundary, rb, gamma in BLOCKS

@@ -13,6 +13,8 @@ Interior dofs couple only to their own element's edges, so they are
 condensed out element by element (static condensation, one
 :func:`~gwgfem.solver.eliminate` step per element block) and the global
 unknowns are the free edge blocks only, numbered by nested dissection.
+The element kernel runs once per class of translates (``SpaceSet.classes``);
+only the loads are per element.
 Dirichlet data is enforced by elimination: fixed edge blocks are moved to
 the load vector, which keeps the reduced matrix symmetric positive
 definite whenever the admissibility predicates hold.  The edge matrix
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Mesh2D, element_blocks
+from .mesh import Mesh2D, element_blocks, element_quadrature
 from .solver import ElementMatrix, IndefiniteMatrixError, eliminate
 from .spaces import SpaceSet, interior_mass
 from .weakops import ElementKernel, RbOperator, WeakFunction, edge_rule
@@ -148,7 +150,10 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
              condense: bool = True) -> DiscreteSystem:
     """Assemble the global system on the free edge unknowns, in element form.
 
-    Each element's interior block is eliminated locally by one
+    Each element takes the local matrix of its class's representative
+    (``spaces.classes``) and its own load, f at its own volume points
+    against the representative's basis values and weights.  Each element's
+    interior block is eliminated locally by one
     :func:`~gwgfem.solver.eliminate` step per element block on the element
     matrices bordered by their loads: the matrix is the sum of the Schur
     complements A_bb - A_bi A_ii^-1 A_ib, held per element at the
@@ -174,25 +179,32 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
 
     A, b = np.empty((ne, ndof - n0, ndof - n0)), np.empty((ne, ndof - n0))
     recovery = np.empty((ne, n0, ndof - n0 + 1))
-    for eids in element_blocks(np.arange(ne)):
-        # the block's element matrices bordered by their loads, so that one
-        # elimination step condenses the loads with the matrices
-        kern = ElementKernel(mesh, spaces, rb, eids)
-        F = np.zeros((len(eids), ndof + 1, ndof + 1))
-        F[:, :-1, :-1] = kern.local_stiffness(mu, lam, rho, gamma)
-        F[:, -1, :-1] = F[:, :-1, -1] = kern.local_load(f)
-        try:
-            Li, L21, S = eliminate(F, n0)
-        except IndefiniteMatrixError as err:
-            e = int(eids[err.block])
-            raise IndefiniteMatrixError(
-                f"interior block of element {e} is not positive definite "
-                f"(nonpositive pivot {err.pivot} of {n0})", pivot=err.pivot,
-                block=e) from None
-        # L21 = [A_bi; b_i^T] L^-T with A_ii = L L^T, so the recovery
-        # A_ii^-1 [A_ib | b_i] is Li^T L21^T
-        recovery[eids] = Li.transpose(0, 2, 1) @ L21.transpose(0, 2, 1)
-        A[eids], b[eids] = S[:, :-1, :-1], S[:, :-1, -1]
+    cls, reps = spaces.classes
+    single = len(reps) == ne  # every element its own class: no gathers
+    for cids in element_blocks(np.arange(len(reps))):
+        kern = ElementKernel(mesh, spaces, rb, reps[cids])
+        K = kern.local_stiffness(mu, lam, rho, gamma)
+        members = cids if single else np.flatnonzero((cls >= cids[0]) & (cls <= cids[-1]))
+        for eids in element_blocks(members):
+            # the block's element matrices bordered by their loads, so that one
+            # elimination step condenses the loads with the matrices
+            k = slice(None) if single else cls[eids] - cids[0]
+            pts = None if single else element_quadrature(mesh, eids, spaces.quad_degree).points
+            F = np.zeros((len(eids), ndof + 1, ndof + 1))
+            F[:, :-1, :-1] = K[k]
+            F[:, -1, :-1] = F[:, :-1, -1] = kern.local_load(f, k, pts)
+            try:
+                Li, L21, S = eliminate(F, n0)
+            except IndefiniteMatrixError as err:
+                e = int(eids[err.block])
+                raise IndefiniteMatrixError(
+                    f"interior block of element {e} is not positive definite "
+                    f"(nonpositive pivot {err.pivot} of {n0})", pivot=err.pivot,
+                    block=e) from None
+            # L21 = [A_bi; b_i^T] L^-T with A_ii = L L^T, so the recovery
+            # A_ii^-1 [A_ib | b_i] is Li^T L21^T
+            recovery[eids] = Li.transpose(0, 2, 1) @ L21.transpose(0, 2, 1)
+            A[eids], b[eids] = S[:, :-1, :-1], S[:, :-1, -1]
     # eliminate the fixed columns; ``ufix`` is zero on free dofs
     ufix = fixed[mesh.element_edges].reshape(ne, -1)
     b = b - (A @ ufix[:, :, None])[:, :, 0]

@@ -181,10 +181,12 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_levels(text: str) -> tuple:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())  # int("8 16") raises
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid level list {text!r}") from exc
+    """Comma-separated subdivision counts of ASCII digits only: int() would
+    also read "1_6" as 16 and a fullwidth digit as its value."""
+    toks = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not all(tok.isascii() and tok.isdigit() for tok in toks):
+        raise argparse.ArgumentTypeError(f"invalid level list {text!r}")
+    return tuple(int(tok) for tok in toks)
 
 
 _SWITCHES = {"1": True, "true": True, "yes": True, "on": True,

@@ -24,7 +24,7 @@ done over blocks of ``ELEMENT_BLOCK`` elements at a time (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -83,6 +83,20 @@ class Mesh2D:
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
+
+    @cached_property
+    def shape_classes(self) -> tuple:
+        """Translation classes: the class of every element (ne,), numbered by
+        representative, and each class's representative, its lowest element
+        (nc,).  Members' vertex offsets from their first vertex agree bitwise,
+        and their edges run the same way.  Built on first use."""
+        coords = self.vertices[self.elements]
+        key = np.concatenate([(coords - coords[:, :1]).reshape(self.num_elements, -1),
+                              self.edges[self.element_edges, 0] == self.elements], axis=1)
+        rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1])))
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # its inverse permutation renumbers the classes
+        return np.argsort(order)[inverse.ravel()], first[order]
 
 
 def _lattice(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -388,16 +388,14 @@ def _factor(A: ElementMatrix, dtype=np.float64) -> list:
 
 
 def _substitute(factor: list, b: np.ndarray) -> np.ndarray:
-    """Solve with the factor, in its dtype: forward up the tree, backward down it."""
+    """Solve with the factor, in its dtype: forward up the tree, each group's
+    update subtracted in place, backward down it."""
     x = b.astype(factor[0][0][1].dtype)
     for level in factor:
-        idx, val = [], []
         for pidx, Li, uidx, L21 in level:
             y = Li @ x[pidx][:, :, None]
             x[pidx] = y[:, :, 0]
-            idx.append(uidx.ravel())
-            val.append((L21 @ y).ravel())
-        x -= np.bincount(np.concatenate(idx), np.concatenate(val), minlength=len(x))
+            np.subtract.at(x, uidx.ravel(), (L21 @ y).ravel())
     for level in reversed(factor):
         for pidx, Li, uidx, L21 in level:
             y = x[pidx][:, :, None] - L21.transpose(0, 2, 1) @ x[uidx][:, :, None]

@@ -7,7 +7,8 @@ row per space name gives sigma, sigma' and the level's quadrature degree.
 The activations draw the direction w_i and the anchor x0_i on every
 element.  The vector linears ("p1", dimension 6) are the row sigma(t) = t
 with p = 4, every anchor at the barycenter and directions (1/h, 0),
-(1/h, 0), (0, 1/h), (0, 1/h), h the element diameter.
+(1/h, 0), (0, 1/h), (0, 1/h), h the element diameter: translates share
+p1's local matrices (``SpaceSet.classes``).
 
 Edge spaces are constant vectors (dimension 2), linear vectors (s,0),
 (0,s) in the edge coordinate s = (x - x_e) . t / length in [-1/2, 1/2]
@@ -137,14 +138,18 @@ class ElementRandomParams:
 
 @dataclass(frozen=True)
 class SpaceSet:
-    """Interior/boundary space configs, sampled per-element parameters and
-    the level's quadrature degree, which every rule on the level uses."""
+    """Interior/boundary space configs, sampled per-element parameters, the
+    level's quadrature degree, which every rule on the level uses, and its
+    element classes, whose members share the local matrices computed on the
+    class representative: p1's are ``Mesh2D.shape_classes``; drawn
+    parameters are never shared, so each other space's are its elements."""
 
     interior: InteriorSpaceConfig
     boundary: BoundarySpaceConfig
     params: ElementRandomParams  # arrays over all elements
     quad_degree: int
     gram_condition: np.ndarray  # per-element interior mass condition
+    classes: tuple  # class of every element (ne,), representatives (nc,)
 
 
 class SpaceConditioningError(RuntimeError):
@@ -311,8 +316,9 @@ def build_spaces(mesh: Mesh2D, interior: InteriorSpaceConfig,
     uniforms in element order, then (k, p, 4) for the k elements whose
     interior mass matrix condition exceeds ``GRAM_CONDITION_LIMIT``, up to
     ``MAX_RESAMPLE_ATTEMPTS`` times.  p1 spaces draw nothing: their ``x0`` is
-    a read-only view of the barycenters.  An element still rejected raises
-    :class:`SpaceConditioningError`.
+    a read-only view of the barycenters, and each class's condition is
+    computed on its representative.  An element still rejected raises
+    :class:`SpaceConditioningError`, naming the lowest such element id.
     """
     if quad_degree is None:
         quad_degree = default_quad_degree(interior)
@@ -327,12 +333,13 @@ def build_spaces(mesh: Mesh2D, interior: InteriorSpaceConfig,
         params = ElementRandomParams(w=np.zeros(shape),
                                      x0=np.broadcast_to(mesh.elem_barycenter[:, None], shape))
         params.w[:, :2, 0] = params.w[:, 2:, 1] = 1.0 / mesh.elem_diameter[:, None]
+    classes = (np.arange(ne),) * 2 if sampled else mesh.shape_classes
     spaces = SpaceSet(interior=interior, boundary=boundary, params=params,
-                      quad_degree=quad_degree, gram_condition=np.empty(ne))
+                      quad_degree=quad_degree, gram_condition=np.empty(ne), classes=classes)
     cond = spaces.gram_condition
     rng = _level_stream(seed_entropy)
     retries = MAX_RESAMPLE_ATTEMPTS if sampled else 0
-    todo = np.arange(ne)
+    todo = classes[1]
     for _ in range(1 + retries):
         if sampled:
             prm = sample_element_params(mesh.vertices[mesh.elements[todo]],
@@ -347,4 +354,5 @@ def build_spaces(mesh: Mesh2D, interior: InteriorSpaceConfig,
             break
     else:
         raise SpaceConditioningError(int(todo[0]), float(cond[todo[0]]), retries)
+    cond[:] = cond[classes[1][classes[0]]]  # every member reads its representative's
     return spaces

@@ -28,6 +28,7 @@ from gwgfem.assembly import (
 )
 from gwgfem.mesh import build_rectangular, build_triangular
 from gwgfem.postproc import error_norms, manufactured
+from gwgfem.spaces import interior_mass, spd_condition
 from gwgfem.weakops import ElementKernel, WeakFunction, edge_rule, parse_rb
 
 QB = parse_rb("qb")
@@ -450,25 +451,73 @@ class TestGlobalSystem:
             assemble(mesh, make_spaces(mesh, "p1", "p0"), QB, mu, lam, rho, -1.0,
                      case.f, case.g)
 
-    def test_interior_failure_in_a_later_block_names_its_element(self, monkeypatch):
-        # element 270 of 288 is in the second element block, at index 14
-        mesh = build_triangular(12)
-        bad = 270
-        assert bad >= meshmod.ELEMENT_BLOCK
+    @staticmethod
+    def _break_element(monkeypatch, bad):
+        """Make the kernel's local matrix of element ``bad`` indefinite at
+        interior pivot 2 (pivots 0 and 1 stay positive)."""
         stiffness = ElementKernel.local_stiffness
 
         def broken(kern, *args):
             K = stiffness(kern, *args)
-            K[kern.eids == bad, 2, 2] = -1.0  # interior pivots 0 and 1 stay positive
+            K[kern.eids == bad, 2, 2] = -1.0
             return K
 
         monkeypatch.setattr(ElementKernel, "local_stiffness", broken)
+
+    def test_interior_failure_in_a_later_block_names_its_element(self, monkeypatch):
+        # element 270 of 288 is in the second element block, at index 14; a
+        # drawn space gives every element its own class
+        mesh = build_triangular(12)
+        bad = 270
+        assert bad >= meshmod.ELEMENT_BLOCK
+        self._break_element(monkeypatch, bad)
         case = manufactured("example1", 0.5, 1.0)
         with pytest.raises(solver.IndefiniteMatrixError,
                            match=f"interior block of element {bad} .*pivot 2 of 6") as err:
-            assemble(mesh, make_spaces(mesh, "p1", "p1"), QB, 0.5, 1.0, 1.0, -1.0,
+            assemble(mesh, make_spaces(mesh, "sin", "p1"), QB, 0.5, 1.0, 1.0, -1.0,
                      case.f, case.g)
         assert (err.value.block, err.value.pivot) == (bad, 2)
+
+    def test_interior_failure_of_a_class_names_its_lowest_element(self, monkeypatch):
+        # p1 computes each class's matrix on its representative, the class's
+        # lowest element id, so breaking element 270's class names that element
+        mesh = build_triangular(12)
+        spaces = make_spaces(mesh, "p1", "p1")
+        cls, reps = spaces.classes
+        members = np.flatnonzero(cls == cls[270])
+        assert members.size > 1 and members[0] < 270
+        self._break_element(monkeypatch, reps[cls[270]])
+        case = manufactured("example1", 0.5, 1.0)
+        with pytest.raises(solver.IndefiniteMatrixError,
+                           match=f"interior block of element {members[0]} .*pivot 2 of 6") as err:
+            assemble(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f, case.g)
+        assert (err.value.block, err.value.pivot) == (members[0], 2)
+
+    @pytest.mark.parametrize("build", [build_rectangular, build_triangular])
+    @pytest.mark.parametrize("n", [12, 16])  # rounding splits the classes at n = 12
+    @pytest.mark.parametrize("boundary", ["p0", "p1", "rm"])
+    @pytest.mark.parametrize("rb", [QB, ID], ids=["qb", "id"])
+    def test_class_sharing_matches_every_element(self, build, n, boundary, rb):
+        # a class's stiffness and Gram condition, computed on its
+        # representative, are every member's own to rounding, and so is the
+        # system assembled from them
+        mesh = build(n)
+        spaces = make_spaces(mesh, "p1", boundary)
+        cls, reps = spaces.classes
+        ne = mesh.num_elements
+        assert len(reps) < ne
+        args = (0.5, 1.0, 1.0, -1.0)
+        shared = ElementKernel(mesh, spaces, rb, reps).local_stiffness(*args)[cls]
+        own = ElementKernel(mesh, spaces, rb, np.arange(ne)).local_stiffness(*args)
+        assert np.abs(shared - own).max() <= 1e-12 * np.abs(own).max()
+        gram = interior_mass(mesh, np.arange(ne), spaces.interior, spaces.params,
+                             spaces.quad_degree)[2]
+        np.testing.assert_allclose(spaces.gram_condition, spd_condition(gram), rtol=1e-12)
+        case = manufactured("example1", 0.5, 1.0)
+        s, t = (assemble(mesh, sp, rb, *args, case.f, case.g) for sp in
+                (spaces, dataclasses.replace(spaces, classes=(np.arange(ne),) * 2)))
+        for a, b in ((s.matrix.data, t.matrix.data), (s.rhs, t.rhs), (s.recovery, t.recovery)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_assemble_peak_is_its_output_and_one_element_block(self):
         # beyond what the system holds, assemble holds one element block at

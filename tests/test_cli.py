@@ -72,6 +72,14 @@ class TestConfig:
         with pytest.raises(argparse.ArgumentTypeError, match="invalid level list '8 16'"):
             _parse_levels("8 16")
 
+    @pytest.mark.parametrize("levels", ["1_6", "\uff12", "8,+16", "8,-16"])
+    def test_level_list_takes_ascii_digits_only(self, levels, capsys):
+        # int() reads "1_6" as 16 and the fullwidth two as 2
+        with pytest.raises(argparse.ArgumentTypeError, match="invalid level list"):
+            _parse_levels(levels)
+        assert main(["run", "--levels", levels]) == EXIT_CONFIG
+        assert "invalid level list" in capsys.readouterr().err
+
 
 class TestRun:
     def test_single_level_blank_rates(self, capsys):

@@ -91,3 +91,17 @@ def test_bad_levels_exit_2_before_any_run(tables, tmp_path, monkeypatch):
             tables.main(["--levels", levels, "--outdir", str(tmp_path)])
         assert exc.value.code == 2
     assert not any(tmp_path.iterdir())
+
+
+def test_levels_read_as_gwgfem_run_reads_them(tables, tmp_path, monkeypatch):
+    # one level parser: a trailing comma is dropped, as `gwgfem run` drops it
+    seen = []
+
+    def record(config):
+        seen.append(config.levels)
+        return _stub_report(config)
+
+    monkeypatch.setattr(tables, "run_convergence", record)
+    assert tables.main(["--levels", "2,4,", "--only", "rect_p1_p0.csv",
+                        "--outdir", str(tmp_path)]) == 0
+    assert seen == [cli._parse_levels("2,4,")] == [(2, 4)]

@@ -368,6 +368,28 @@ class TestConditioning:
         with pytest.raises(SpaceConditioningError, match="after 0 resampling"):
             sp.build_spaces(m, parse_interior("p1"), parse_boundary("p0"))
 
+    @pytest.mark.parametrize("n, counts", [(2, (2, 1)), (8, (2, 1)), (16, (2, 1)),
+                                           (12, (50, 25))])
+    def test_class_counts(self, n, counts):
+        # p1 shares the lattices' shape classes, two triangles and one square
+        # at n = 2^k, split by the rounding of the lattice coordinates
+        # elsewhere; a drawn space has one class per element.  Every class is
+        # numbered by its lowest element id, and its members are its
+        # representative's translates, edge orientations included.
+        for build, nc in zip((build_triangular, build_rectangular), counts):
+            m = build(n)
+            cls, reps = build_spaces(m, parse_interior("p1"), parse_boundary("p0")).classes
+            assert len(reps) == nc
+            assert (np.diff(reps) > 0).all() and (cls[reps] == np.arange(len(reps))).all()
+            assert (reps[cls] <= np.arange(m.num_elements)).all()
+            coords = m.vertices[m.elements]
+            offsets = coords - coords[:, :1]
+            assert (offsets == offsets[reps[cls]]).all()
+            forward = m.edges[m.element_edges, 0] == m.elements
+            assert (forward == forward[reps[cls]]).all()
+            cls, reps = build_spaces(m, parse_interior("sin"), parse_boundary("p0")).classes
+            assert (cls == np.arange(m.num_elements)).all() and (reps == cls).all()
+
     def test_condition_estimate_degenerate(self):
         m = build_rectangular(1)
         prm = ElementRandomParams(w=np.zeros((4, 2)), x0=np.full((4, 2), 0.5))
