@@ -10,18 +10,19 @@ for all weak test functions vanishing on the boundary, P0 the element mean:
 lambda penalises a P0 pressure, as selective reduced integration does
 (Malkus and Hughes 1978); p1's div_g is constant on an element anyway.
 Interior dofs couple only to their own element's edges, so they are
-condensed out element by element (static condensation, one
-:func:`~gwgfem.solver.eliminate` step per element block) and the global
-unknowns are the free edge blocks only, numbered by nested dissection.
-The element kernel runs once per class of translates (``SpaceSet.classes``);
-only the loads are per element.
+condensed out (static condensation) and the global unknowns are the free
+edge blocks only, numbered by nested dissection.  The element kernel and
+the condensation, one :func:`~gwgfem.solver.eliminate` step, run once per
+class of translates (``SpaceSet.classes``; one class per element where no
+two elements share their local matrices); only the loads are per element.
 Dirichlet data is enforced by elimination: fixed edge blocks are moved to
 the load vector, which keeps the reduced matrix symmetric positive
 definite whenever the admissibility predicates hold.  The edge matrix
 stays in element form, a :class:`~gwgfem.solver.ElementMatrix` of the
-condensed element blocks at the tree nodes of their edges, which carries
-the dissection tree: the tree's nodes are the free edges, and the solver
-continues the same elimination up that tree, front by front.
+condensed class blocks and every element's class and the tree nodes of
+its edges, which carries the dissection tree: the tree's nodes are the
+free edges, and the solver continues the same elimination up that tree,
+front by front.
 
 Every quadrature rule has the level's degree, ``spaces.quad_degree``.  Each
 rule covers what its caller reads and is dropped when the caller returns:
@@ -61,8 +62,10 @@ class DiscreteSystem:
     fixed_coeffs: np.ndarray  # (ned, nb); valid rows only for boundary edges
     mesh: Mesh2D
     spaces: SpaceSet
-    # interior recovery A_ii^-1 [A_ib | b_i] per element, (ne, n0, m*nb + 1)
+    # interior recovery A_ii^-1 A_ib per class (nc, n0, m*nb), and A_ii^-1 b_i
+    # per element (ne, n0): u0 = interior_load - recovery[class] @ ub
     recovery: np.ndarray = field(repr=False)
+    interior_load: np.ndarray = field(repr=False)
 
 
 def _nested_dissection(mesh: Mesh2D) -> tuple:
@@ -150,21 +153,21 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
              condense: bool = True) -> DiscreteSystem:
     """Assemble the global system on the free edge unknowns, in element form.
 
-    Each element takes the local matrix of its class's representative
-    (``spaces.classes``) and its own load, f at its own volume points
-    against the representative's basis values and weights.  Each element's
-    interior block is eliminated locally by one
-    :func:`~gwgfem.solver.eliminate` step per element block on the element
-    matrices bordered by their loads: the matrix is the sum of the Schur
-    complements A_bb - A_bi A_ii^-1 A_ib, held per element at the
-    dissection nodes of its edges (:func:`_nested_dissection`), and the
-    loads b_b - A_bi A_ii^-1 b_i are summed.
+    Each class of elements (``spaces.classes``) takes the local matrix of
+    its representative, its lowest element, and eliminates its interior
+    block by one :func:`~gwgfem.solver.eliminate` step per block of
+    classes: the matrix is the sum of the class Schur complements
+    A_bb - A_bi A_ii^-1 A_ib at the dissection nodes of each member's edges
+    (:func:`_nested_dissection`).  Each element condenses only its own
+    load, f at its own volume points against the representative's basis
+    values and weights: with A_ii = L L^T and y = L^-1 b_i, its edge load
+    -A_bi L^-T y is summed and its interior load L^-T y kept.
     An A_ii that fails its Cholesky factorization raises
-    :class:`~gwgfem.solver.IndefiniteMatrixError` naming the element and
-    the pivot; since the inertia of the block matrix is that of A_ii plus
-    that of its Schur complement, an SPD certificate for the edge system
-    then holds for the whole system.  Every rule has the degree
-    ``spaces.quad_degree``; ``quad_degree``, if given, must equal it.
+    :class:`~gwgfem.solver.IndefiniteMatrixError` naming the class's
+    representative and the pivot; since the inertia of the block matrix is
+    that of A_ii plus that of its Schur complement, an SPD certificate for
+    the edge system then holds for the whole system.  Every rule has the
+    degree ``spaces.quad_degree``; ``quad_degree``, if given, must equal it.
     ``condense`` is accepted for compatibility and ignored: condensation is
     always on.
     """
@@ -175,59 +178,58 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
     fixed = apply_dirichlet(mesh, spaces, g)
     ne = mesh.num_elements
     n0 = spaces.interior.dim
-    ndof = n0 + mesh.element_edges.shape[1] * spaces.boundary.dim
+    s = mesh.element_edges.shape[1] * spaces.boundary.dim
 
-    A, b = np.empty((ne, ndof - n0, ndof - n0)), np.empty((ne, ndof - n0))
-    recovery = np.empty((ne, n0, ndof - n0 + 1))
     cls, reps = spaces.classes
     single = len(reps) == ne  # every element its own class: no gathers
+    A, recovery = np.empty((len(reps), s, s)), np.empty((len(reps), n0, s))
+    b, u0 = np.empty((ne, s)), np.empty((ne, n0))
     for cids in element_blocks(np.arange(len(reps))):
         kern = ElementKernel(mesh, spaces, rb, reps[cids])
-        K = kern.local_stiffness(mu, lam, rho, gamma)
+        try:
+            Li, L21, A[cids] = eliminate(kern.local_stiffness(mu, lam, rho, gamma), n0)
+        except IndefiniteMatrixError as err:
+            e = int(reps[cids[err.block]])
+            raise IndefiniteMatrixError(
+                f"interior block of element {e} is not positive definite "
+                f"(nonpositive pivot {err.pivot} of {n0})", pivot=err.pivot,
+                block=e) from None
+        # L21 = A_bi L^-T, so the recovery A_ii^-1 A_ib is Li^T L21^T
+        recovery[cids] = Li.transpose(0, 2, 1) @ L21.transpose(0, 2, 1)
         members = cids if single else np.flatnonzero((cls >= cids[0]) & (cls <= cids[-1]))
         for eids in element_blocks(members):
-            # the block's element matrices bordered by their loads, so that one
-            # elimination step condenses the loads with the matrices
             k = slice(None) if single else cls[eids] - cids[0]
             pts = None if single else element_quadrature(mesh, eids, spaces.quad_degree).points
-            F = np.zeros((len(eids), ndof + 1, ndof + 1))
-            F[:, :-1, :-1] = K[k]
-            F[:, -1, :-1] = F[:, :-1, -1] = kern.local_load(f, k, pts)
-            try:
-                Li, L21, S = eliminate(F, n0)
-            except IndefiniteMatrixError as err:
-                e = int(eids[err.block])
-                raise IndefiniteMatrixError(
-                    f"interior block of element {e} is not positive definite "
-                    f"(nonpositive pivot {err.pivot} of {n0})", pivot=err.pivot,
-                    block=e) from None
-            # L21 = [A_bi; b_i^T] L^-T with A_ii = L L^T, so the recovery
-            # A_ii^-1 [A_ib | b_i] is Li^T L21^T
-            recovery[eids] = Li.transpose(0, 2, 1) @ L21.transpose(0, 2, 1)
-            A[eids], b[eids] = S[:, :-1, :-1], S[:, :-1, -1]
-    # eliminate the fixed columns; ``ufix`` is zero on free dofs
-    ufix = fixed[mesh.element_edges].reshape(ne, -1)
-    b = b - (A @ ufix[:, :, None])[:, :, 0]
+            y = Li[k] @ kern.local_load(f, k, pts)[:, :n0, None]  # edge dofs take no load
+            b[eids], u0[eids] = -(L21[k] @ y)[:, :, 0], (Li[k].transpose(0, 2, 1) @ y)[:, :, 0]
+    # eliminate the fixed columns of the elements with a fixed edge; ``ufix``
+    # is zero on their free dofs
+    enode = node[mesh.element_edges]
+    fx = np.flatnonzero((enode < 0).any(axis=1))
+    ufix = fixed[mesh.element_edges[fx]].reshape(len(fx), s, 1)
+    b[fx] -= (A[cls[fx]] @ ufix)[:, :, 0]
 
-    matrix = ElementMatrix(node[mesh.element_edges], A, tree)
+    matrix = ElementMatrix(enode, A, cls, tree)
     ids = matrix.unknowns()
     free = ids >= 0
     rhs = np.bincount(ids[free], weights=b[free], minlength=matrix.shape[0])
     return DiscreteSystem(matrix=matrix, rhs=rhs, fixed_coeffs=fixed, mesh=mesh,
-                          spaces=spaces, recovery=recovery)
+                          spaces=spaces, recovery=recovery, interior_load=u0)
 
 
 def extract_solution(system: DiscreteSystem, x: np.ndarray) -> WeakFunction:
     """Expand an edge solution vector into a weak function: Dirichlet edge
     blocks get their fixed coefficients, and every element's interior
-    block is recovered from its edges."""
+    block is recovered from its edges by its class's recovery matrix."""
     mesh, A = system.mesh, system.matrix
     wf = WeakFunction.zeros(mesh, system.spaces)
     wf.boundary[:] = system.fixed_coeffs  # zero on the free edges
     free = A.indices >= 0
     wf.boundary[mesh.element_edges[free]] = x.reshape(-1, A.nb)[A.indices[free]]
     ub = wf.boundary[mesh.element_edges].reshape(mesh.num_elements, -1, 1)
-    wf.interior[:] = system.recovery[:, :, -1] - (system.recovery[:, :, :-1] @ ub)[:, :, 0]
+    for eids in element_blocks(np.arange(mesh.num_elements)):
+        rec = system.recovery[A.classes[eids]] @ ub[eids]
+        wf.interior[eids] = system.interior_load[eids] - rec[:, :, 0]
     return wf
 
 

@@ -40,10 +40,11 @@ substitutions (good to O(cond u) in float32): five sweeps for ||A||_1, which
 gates float32, three for ||A^-1||_1, only reported (5 substitutions, not up
 to 9; 0.954-0.969 of five sweeps' on tri p1/p0/id, lambda = 1e6, n = 32-128).
 
-The module is numpy only.  The matrix is an :class:`ElementMatrix`, the
-condensed element blocks at the tree nodes of their edges, as assembly
-leaves them: the factorization adds each whole into one front, and the
-residual check multiplies them element by element.
+The module is numpy only.  The matrix is an :class:`ElementMatrix`, one
+condensed block per class of elements and each element's class and tree
+nodes, as assembly leaves them: the factorization adds each element's
+block whole into one front, and the residual check gathers and multiplies
+the blocks a chunk of elements at a time.
 """
 
 from __future__ import annotations
@@ -105,23 +106,28 @@ class IterationLimitError(SolverError):
 class ElementMatrix:
     """A symmetric matrix as a sum of element blocks over the nodes of its
     nested-dissection tree, the multifrontal method's elemental input:
-    element ``e`` adds ``data[e]`` (ne, s, s) at the unknowns of its nodes
-    ``indices[e]`` (ne, m), -1 marking a fixed node.  Node ``k`` owns the
-    ``nb = s / m`` unknowns ``nb * k + i``.  ``tree`` has one ``(parts, 4)``
-    array per level, root first, of each part's first node and left, right
-    and separator node counts; the root is one part of all ``nf`` nodes, and
-    the empty tree has none.  Other shapes and nodes outside ``[-1, nf)``
-    raise ``ValueError``."""
+    element ``e`` adds its class's block ``data[classes[e]]`` (nc, s, s) at
+    the unknowns of its nodes ``indices[e]`` (ne, m), -1 marking a fixed
+    node.  Node ``k`` owns the ``nb = s / m`` unknowns ``nb * k + i``.
+    ``tree`` has one ``(parts, 4)`` array per level, root first, of each
+    part's first node and left, right and separator node counts; the root is
+    one part of all ``nf`` nodes, and the empty tree has none.  Other
+    shapes, classes outside ``[0, nc)`` and nodes outside ``[-1, nf)`` raise
+    ``ValueError``."""
 
     indices: np.ndarray
     data: np.ndarray
+    classes: np.ndarray
     tree: tuple
 
     def __post_init__(self):
         (ne, m), s = self.indices.shape, self.data.shape[-1]
-        if self.data.shape != (ne, s, s) or not 0 < m <= s or s % m:
+        if self.data.shape != (len(self.data), s, s) or not 0 < m <= s or s % m:
             raise ValueError(f"element blocks of shape {self.data.shape} are not "
-                             f"(ne, s, s) for {ne} elements of {m} nodes, m dividing s")
+                             f"(nc, s, s) for elements of {m} nodes, m dividing s")
+        cls, nc = self.classes, len(self.data)
+        if cls.shape != (ne,) or ne and not 0 <= cls.min() <= cls.max() < nc:
+            raise ValueError(f"the class map is not {ne} classes in [0, {nc})")
         if self.tree and (len(self.tree[0]) != 1 or self.tree[0][0, 0]):
             raise ValueError("the tree's root level is not one part starting at node 0")
         if self.indices.size and not -1 <= self.indices.min() <= self.indices.max() < self.nodes:
@@ -141,7 +147,8 @@ class ElementMatrix:
 
     @property
     def nnz(self) -> int:
-        return self.data.size
+        """Entries of the element blocks, ``ne s^2``, shared or not."""
+        return len(self.classes) * self.data.shape[-1] ** 2
 
     @property
     def indptr(self) -> np.ndarray:
@@ -152,18 +159,20 @@ class ElementMatrix:
     def unknowns(self) -> np.ndarray:
         """(ne, s) unknown ids of the element rows, -1 at a fixed node."""
         ids = self.nb * self.indices[:, :, None] + np.arange(self.nb)  # node -1: -nb..-1
-        return np.maximum(ids, -1, out=ids).reshape(self.data.shape[:2])
+        return np.maximum(ids, -1, out=ids).reshape(len(ids), self.data.shape[-1])
 
     def diagonal(self) -> np.ndarray:
         """The assembled diagonal (n,)."""
         ids = self.unknowns()
         free = ids >= 0
-        return np.bincount(ids[free], self.data.diagonal(0, 1, 2)[free], minlength=self.shape[0])
+        diag = self.data.diagonal(0, 1, 2)[self.classes]
+        return np.bincount(ids[free], diag[free], minlength=self.shape[0])
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         ids = self.unknowns()
-        free = ids >= 0
-        y = np.einsum("eij,ej->ei", self.data, np.append(x, 0.0)[ids])  # -1 reads 0
+        y, free = np.append(x, 0.0)[ids], ids >= 0  # -1 reads 0
+        for c in _chunks(len(ids), self.data.shape[-1] ** 2):  # products replace inputs
+            y[c] = np.einsum("eij,ej->ei", self.data[self.classes[c]], y[c])
         y = np.bincount(ids[free], y[free], minlength=self.shape[0])
         return y.astype(float, copy=False)  # bincount of nothing is int
 
@@ -348,7 +357,8 @@ def _factor(A: ElementMatrix, dtype=np.float64) -> list:
         # into their fronts a chunk at a time, by int32 targets below 2^31 entries
         # child groups are popped in order, each freed once its chunks are added
         for fr, nodes, block in itertools.chain(
-                ((efr[c], elnodes[c], A.data[el[c]]) for c in _chunks(len(el), A.data[0].size)),
+                ((efr[c], elnodes[c], A.data[A.classes[el[c]]])
+                 for c in _chunks(len(el), A.data[0].size)),
                 ((cparent[cf[c]], unodes[c], S[c]) for cf, S, unodes
                  in (groups.pop(0) for _ in range(len(groups)))
                  for c in _chunks(len(cf), S.shape[1] ** 2))):

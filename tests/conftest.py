@@ -27,13 +27,13 @@ def zero_field(pts):
 def as_scipy(A):
     """A :class:`~gwgfem.solver.ElementMatrix` as a scipy CSC matrix, for
     sparse algebra in tests (``.toarray()`` for dense): the COO sum of
-    every element entry whose row and column are both unknowns."""
-    ids = A.unknowns()
+    every element entry, its class's, whose row and column are both unknowns."""
+    ids, data = A.unknowns(), A.data[A.classes]
     free = ids >= 0
     pairs = free[:, :, None] & free[:, None, :]
-    rows = np.broadcast_to(ids[:, :, None], A.data.shape)[pairs]
-    cols = np.broadcast_to(ids[:, None, :], A.data.shape)[pairs]
-    return sparse.coo_matrix((A.data[pairs], (rows, cols)), shape=A.shape).tocsc()
+    rows = np.broadcast_to(ids[:, :, None], data.shape)[pairs]
+    cols = np.broadcast_to(ids[:, None, :], data.shape)[pairs]
+    return sparse.coo_matrix((data[pairs], (rows, cols)), shape=A.shape).tocsc()
 
 
 def shoelace_area(mesh):

@@ -368,7 +368,7 @@ class TestGlobalSystem:
         A = _matrix(mesh, spaces)
         (ne, m), nb, s = A.indices.shape, spaces.boundary.dim, A.data.shape[1]
         assert m == mesh.element_edges.shape[1] and s == m * nb == m * A.nb
-        assert A.data.shape == (ne, s, s) and A.nnz == ne * s * s
+        assert A.data[A.classes].shape == (ne, s, s) and A.nnz == ne * s * s
         assert np.array_equal(A.indptr, m * np.arange(ne + 1))
         K, _ = dense_full_system(mesh, spaces, QB, 0.5, 1.0, 1.0, -1.0, case.f)
         inner = np.arange(ne * spaces.interior.dim)
@@ -499,8 +499,9 @@ class TestGlobalSystem:
     @pytest.mark.parametrize("rb", [QB, ID], ids=["qb", "id"])
     def test_class_sharing_matches_every_element(self, build, n, boundary, rb):
         # a class's stiffness and Gram condition, computed on its
-        # representative, are every member's own to rounding, and so is the
-        # system assembled from them
+        # representative, are every member's own to rounding, and so are the
+        # system assembled from them, its class blocks read per element, its
+        # solution and the weak function extracted from it
         mesh = build(n)
         spaces = make_spaces(mesh, "p1", boundary)
         cls, reps = spaces.classes
@@ -516,15 +517,28 @@ class TestGlobalSystem:
         case = manufactured("example1", 0.5, 1.0)
         s, t = (assemble(mesh, sp, rb, *args, case.f, case.g) for sp in
                 (spaces, dataclasses.replace(spaces, classes=(np.arange(ne),) * 2)))
-        for a, b in ((s.matrix.data, t.matrix.data), (s.rhs, t.rhs), (s.recovery, t.recovery)):
+        A = s.matrix
+        assert len(A.data) == len(reps) and np.array_equal(A.classes, cls)
+        assert np.array_equal(t.matrix.classes, np.arange(ne)) and len(t.matrix.data) == ne
+        assert A.nnz == t.matrix.nnz == ne * A.data[0].size
+        x, y = (solver.solve_system(u).x for u in (s, t))
+        u, v = (extract_solution(w, z) for w, z in ((s, x), (t, y)))
+        for a, b in ((A.data[A.classes], t.matrix.data), (s.rhs, t.rhs),
+                     (s.recovery[cls], t.recovery), (s.interior_load, t.interior_load),
+                     (x, y), (u.interior, v.interior), (u.boundary, v.boundary)):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_assemble_peak_is_its_output_and_one_element_block(self):
-        # beyond what the system holds, assemble holds one element block at
-        # a time (its kernel with the edge rule of its edges, and its
-        # bordered (E, ndof + 1, ndof + 1) array) and a few (ne, m nb)
-        # vectors of the size of the dof ids: no edge rule over the mesh and
-        # no copy of the element Schur blocks
+        # the system holds one Schur block and one recovery matrix per class,
+        # and per element its n0 interior load and s edge loads (on the tri
+        # lattice, the right-hand side and the fixed coefficients hold
+        # exactly s ne), besides the integer node map and tree, array headers
+        # and the rule caches of a first call (64 KiB in all): no (ne, s, s)
+        # copy of the class blocks.  Beyond that, assemble holds one element
+        # block at a time (its kernel with the edge rule of its edges, and at
+        # most an (E, ndof + 1, ndof + 1) array's worth of eliminated blocks)
+        # and a few (ne, m nb) vectors of the size of the dof ids: no edge
+        # rule over the mesh
         mesh = build_triangular(64)
         spaces = make_spaces(mesh, "p1", "p1")
         case = manufactured("example1", 0.5, 1.0)
@@ -541,9 +555,13 @@ class TestGlobalSystem:
             held, peak = (v - start for v in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        ne, n0, mnb = mesh.num_elements, spaces.interior.dim, 3 * system.matrix.nb
-        bordered = 8 * meshmod.ELEMENT_BLOCK * (n0 + mnb + 1) ** 2
-        assert peak - held <= block + bordered + 4 * 8 * ne * mnb
+        ne, n0, mnb = mesh.num_elements, spaces.interior.dim, 3 * spaces.boundary.dim
+        nc = len(spaces.classes[1])
+        A = system.matrix
+        ints = A.indices.nbytes + sum(level.nbytes for level in A.tree)
+        assert held <= 8 * (nc * mnb * mnb + nc * n0 * mnb + ne * (mnb + n0)) + ints + 2 ** 16
+        eliminated = 8 * meshmod.ELEMENT_BLOCK * (n0 + mnb + 1) ** 2
+        assert peak - held <= block + eliminated + 4 * 8 * ne * mnb
 
 
 class TestSeminorm:

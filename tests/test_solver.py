@@ -36,7 +36,8 @@ def _table_system(n=8, interior="p1", boundary="p0"):
 
 def _dense(A):
     """A small dense matrix as one element on the one node of its tree."""
-    return ElementMatrix(np.zeros((1, 1), dtype=int), A[None], (np.array([[0, 0, 0, 1]]),))
+    return ElementMatrix(np.zeros((1, 1), dtype=int), A[None], np.zeros(1, dtype=int),
+                         (np.array([[0, 0, 0, 1]]),))
 
 
 class TestInputContract:
@@ -50,7 +51,7 @@ class TestInputContract:
         # non-square blocks are not a matrix, so they are not reported as
         # indefinite, and a right-hand side of the wrong order fails before
         # any substitution
-        with pytest.raises(ValueError, match=r"shape \(1, 2, 3\) are not \(ne, s, s\)"):
+        with pytest.raises(ValueError, match=r"shape \(1, 2, 3\) are not \(nc, s, s\)"):
             _dense(np.ones((2, 3)))
         cases = [(np.ones(1), r"\(2, 2\) and \(1,\)"),
                  (np.ones(3), r"\(2, 2\) and \(3,\)"),
@@ -60,31 +61,42 @@ class TestInputContract:
                 solve(_dense(np.eye(2)), rhs)
 
     def test_element_matrix_validates_its_input(self):
-        # element blocks that are not whole node blocks, nodes that are not
-        # the tree's and a root level that is not one part all raise; the
-        # empty tree, with no unknowns, is a matrix
-        blocks, tree = np.ones((1, 2, 2)), (np.array([[0, 1, 1, 1]]),)
+        # element blocks that are not whole node blocks, a class map not of
+        # one class in [0, nc) per element, nodes that are not the tree's and
+        # a root level that is not one part all raise; the empty tree, with
+        # no unknowns, is a matrix
+        blocks, one, tree = np.ones((1, 2, 2)), np.zeros(1, dtype=int), (np.array([[0, 1, 1, 1]]),)
         with pytest.raises(ValueError, match="m dividing s"):
-            ElementMatrix(np.zeros((1, 3), dtype=int), np.ones((1, 4, 4)), tree)
+            ElementMatrix(np.zeros((1, 3), dtype=int), np.ones((1, 4, 4)), one, tree)
+        for classes in (np.zeros(2, dtype=int), np.zeros(0, dtype=int), np.zeros((1, 1), dtype=int)):
+            with pytest.raises(ValueError, match=r"not 1 classes in \[0, 1\)"):
+                ElementMatrix(np.array([[0, 1]]), blocks, classes, tree)
+        for bad in (1, -1):
+            with pytest.raises(ValueError, match=r"not 1 classes in \[0, 1\)"):
+                ElementMatrix(np.array([[0, 1]]), blocks, np.array([bad]), tree)
+        two = np.ones((2, 2, 2))
+        with pytest.raises(ValueError, match=r"not 2 classes in \[0, 2\)"):
+            ElementMatrix(np.array([[0, 1], [1, 2]]), two, np.array([0, 2]), tree)
+        assert ElementMatrix(np.array([[0, 1], [1, 2]]), two, np.array([1, 1]), tree).nnz == 8
         for bad in (3, -2):
             with pytest.raises(ValueError, match=r"outside \[-1, 3\)"):
-                ElementMatrix(np.array([[0, bad]]), blocks, tree)
+                ElementMatrix(np.array([[0, bad]]), blocks, one, tree)
         with pytest.raises(ValueError, match="root level is not one part"):
-            ElementMatrix(np.array([[0, 1]]), blocks,
+            ElementMatrix(np.array([[0, 1]]), blocks, one,
                           (np.array([[0, 0, 0, 1], [1, 0, 0, 1]]),))
-        empty = ElementMatrix(np.full((1, 2), -1), blocks, ())
+        empty = ElementMatrix(np.full((1, 2), -1), blocks, one, ())
         assert empty.shape == (0, 0) and solve(empty, np.zeros(0)).x.shape == (0,)
 
     def test_argument_is_not_written(self):
         # a path of three elements with fixed ends, [[2, -1], [-1, 2]] in
         # all: the solver leaves the caller's arrays as they were
         A = ElementMatrix(np.array([[-1, 1], [1, 0], [0, -1]]),
-                          np.array([[1.0, -1.0], [-1.0, 1.0]]) * np.ones((3, 1, 1)),
+                          np.array([[[1.0, -1.0], [-1.0, 1.0]]]), np.zeros(3, dtype=int),
                           (np.array([[0, 0, 0, 2]]),))
-        before = [a.copy() for a in (A.indices, A.data, A.tree[0])]
+        before = [a.copy() for a in (A.indices, A.data, A.classes, A.tree[0])]
         rep = solve(A, np.array([1.0, 1.0]))
         assert np.allclose(rep.x, [1.0, 1.0], atol=1e-14)
-        for a, b in zip((A.indices, A.data, A.tree[0]), before):
+        for a, b in zip((A.indices, A.data, A.classes, A.tree[0]), before):
             assert np.array_equal(a, b)
         dense = np.array([[2.0, 1.0], [1.0, 2.0]])
         solve(_dense(dense), np.array([3.0, 3.0]))
@@ -292,7 +304,7 @@ class TestMultifrontalPath:
         assert rep.condition_estimate <= 1.0001 * np.linalg.cond(A, 1)
         # one front over every node gives the same solution
         A = system.matrix
-        one = ElementMatrix(A.indices, A.data, (np.array([[0, 0, 0, A.nodes]]),))
+        one = ElementMatrix(A.indices, A.data, A.classes, (np.array([[0, 0, 0, A.nodes]]),))
         assert np.allclose(solve(one, system.rhs).x, rep.x,
                            rtol=0, atol=1e-12 * np.abs(dense).max())
 
@@ -353,12 +365,12 @@ class TestMultifrontalPath:
         A = system.matrix
         start, nl, nr, ns = A.tree[depth][-1]
         last = A.nb * (start + nl + nr + ns) - 1
-        data = A.data.copy()
+        data = A.data[A.classes]  # one class per element
         e, i = np.nonzero(A.unknowns() == last)  # its two elements' entries
         data[e, i, i] = 0.0
         data[e[0], i[0], i[0]] = -1.0
         with pytest.raises(IndefiniteMatrixError) as err:
-            solve(ElementMatrix(A.indices, data, A.tree), system.rhs)
+            solve(ElementMatrix(A.indices, data, np.arange(len(data)), A.tree), system.rhs)
         assert err.value.pivot == last
 
     def test_hand_built_tree_on_a_path(self):
@@ -371,7 +383,7 @@ class TestMultifrontalPath:
                 np.array([[0, 1, 1, 1], [3, 1, 1, 1]]),
                 np.array([[0, 0, 0, 1], [1, 0, 0, 1], [3, 0, 0, 1], [4, 0, 0, 1]]))
         A = ElementMatrix(np.column_stack([number[:-1], number[1:]]),
-                          np.array([[1.0, -1.0], [-1.0, 1.0]]) * np.ones((8, 1, 1)), tree)
+                          np.array([[[1.0, -1.0], [-1.0, 1.0]]]), np.zeros(8, dtype=int), tree)
         dense = sparse.diags([-np.ones(6), 2.0 * np.ones(7), -np.ones(6)], [-1, 0, 1])
         dense = dense.toarray()[perm][:, perm]
         assert np.array_equal(as_scipy(A).toarray(), dense)
@@ -384,9 +396,9 @@ class TestMultifrontalPath:
         # node must be one of them
         A = _assembled(build_triangular, 4, "p1", "p0").matrix
         with pytest.raises(ValueError, match="tree's root level"):
-            ElementMatrix(A.indices, A.data, A.tree[1:])
+            ElementMatrix(A.indices, A.data, A.classes, A.tree[1:])
         with pytest.raises(ValueError, match="the tree's nodes"):
-            ElementMatrix(np.arange(7)[:, None], np.ones((7, 1, 1)),
+            ElementMatrix(np.arange(7)[:, None], np.ones((7, 1, 1)), np.arange(7),
                           (np.array([[0, 1, 1, 1]]),))
 
     def test_coupling_across_a_separator_is_rejected(self):
@@ -399,7 +411,7 @@ class TestMultifrontalPath:
         block = np.zeros(A.data.shape[1:])
         block[0, A.nb] = block[A.nb, 0] = 1e-3
         A = ElementMatrix(np.vstack([A.indices, extra]), np.concatenate([A.data, block[None]]),
-                          A.tree)
+                          np.r_[A.classes, len(A.data)], A.tree)
         with pytest.raises(ValueError, match="tree"):
             solve(A, system.rhs)
 
@@ -420,8 +432,8 @@ class TestMultifrontalPath:
             x, y = rng.choice(A.nodes, size=2, replace=False)
             extra = np.full(A.indices.shape[1], -1)
             extra[:2] = x, y
-            B = ElementMatrix(np.vstack([A.indices, extra]),
-                              np.concatenate([A.data, block[None]]), A.tree)
+            B = ElementMatrix(np.vstack([A.indices, extra]), np.concatenate([A.data, block[None]]),
+                              np.r_[A.classes, len(A.data)], A.tree)
             ok = lo[y] <= x < hi[y] or lo[x] <= y < hi[x]
             verdicts.append(ok)
             if ok:
@@ -438,8 +450,8 @@ class TestMultifrontalPath:
         A = system.matrix
         extra = np.full((1, A.indices.shape[1]), -1)
         block = np.arange(1.0, 1.0 + A.data[0].size).reshape(A.data[0].shape)
-        B = ElementMatrix(np.vstack([A.indices, extra]),
-                          np.concatenate([A.data, block[None]]), A.tree)
+        B = ElementMatrix(np.vstack([A.indices, extra]), np.concatenate([A.data, block[None]]),
+                          np.r_[A.classes, len(A.data)], A.tree)
         assert np.array_equal(solve(B, system.rhs).x, solve(A, system.rhs).x)
 
 
@@ -460,6 +472,27 @@ class TestRigidMotionConditioning:
 
     def test_rm_identity_locking(self):
         assert _tri_condition(32, "rm", rb="id", lam=1e6, gamma=0.0, example=2) < 1e11
+
+
+@pytest.mark.parametrize("build,interior,boundary,rb,lam,gamma,example", [
+    (build_triangular, "p1", "p1", "qb", 1.0, -1.0, 1),
+    (build_rectangular, "sin", "p0", "qb", 1.0, -1.0, 1),
+    (build_rectangular, "p1", "p0", "qb", 1.0, -1.0, 1),
+    (build_triangular, "p1", "p0", "id", 1e6, 0.0, 2),
+])
+def test_condition_grows_as_h_to_the_minus_two(build, interior, boundary, rb, lam, gamma,
+                                               example):
+    # halving h multiplies the condition estimate by at most 4.1 (3.22,
+    # 4.00, 4.00 and 3.89 at n = 16 -> 32): the scaling of the bases adds no
+    # growth beyond the stiffness's own h^-2
+    conds = []
+    for n in (16, 32):
+        mesh = build(n)
+        case = manufactured(f"example{example}", 0.5, lam)
+        system = assembly.assemble(mesh, make_spaces(mesh, interior, boundary), parse_rb(rb),
+                                   0.5, lam, 1.0, gamma, case.f, case.g)
+        conds.append(solve_system(system).condition_estimate)
+    assert 1.0 < conds[1] / conds[0] <= 4.1
 
 
 def _locking(n):
@@ -570,7 +603,7 @@ class TestBoundedMemory:
             s = system()
             runs.append((s, solver._factor(s.matrix), solve_system(s).x))
         (s, factor, x), (t, chunked, y) = runs
-        for name in ("recovery", "rhs"):
+        for name in ("recovery", "interior_load", "rhs"):
             assert np.array_equal(getattr(s, name), getattr(t, name))
         assert np.array_equal(s.matrix.data, t.matrix.data)
         assert len(factor) == len(chunked)
