@@ -14,15 +14,14 @@ condensed out (static condensation) and the global unknowns are the free
 edge blocks only, numbered by nested dissection.  The element kernel and
 the condensation, one :func:`~gwgfem.solver.eliminate` step, run once per
 class of translates (``SpaceSet.classes``; one class per element where no
-two elements share their local matrices); only the loads are per element.
-Dirichlet data is enforced by elimination: fixed edge blocks are moved to
-the load vector, which keeps the reduced matrix symmetric positive
-definite whenever the admissibility predicates hold.  The edge matrix
-stays in element form, a :class:`~gwgfem.solver.ElementMatrix` of the
-condensed class blocks and every element's class and the tree nodes of
-its edges, which carries the dissection tree: the tree's nodes are the
-free edges, and the solver continues the same elimination up that tree,
-front by front.
+two elements share their local matrices).  One pass over each class's
+members condenses their loads and enforces Dirichlet data by elimination,
+moving fixed edge blocks to the load vector, which keeps the reduced matrix
+symmetric positive definite whenever the admissibility predicates hold.
+The edge matrix stays in element form, a :class:`~gwgfem.solver.ElementMatrix`
+of the condensed class blocks and every element's class and the tree nodes of
+its edges, which carries the dissection tree: the tree's nodes are the free
+edges, and the solver continues the same elimination up that tree, front by front.
 
 Every quadrature rule has the level's degree, ``spaces.quad_degree``.  Each
 rule covers what its caller reads and is dropped when the caller returns:
@@ -37,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Mesh2D, element_blocks, element_quadrature
+from .mesh import Mesh2D, element_blocks
 from .solver import ElementMatrix, IndefiniteMatrixError, eliminate
 from .spaces import SpaceSet, interior_mass
 from .weakops import ElementKernel, RbOperator, WeakFunction, edge_rule
@@ -59,7 +58,7 @@ class DiscreteSystem:
 
     matrix: ElementMatrix
     rhs: np.ndarray
-    fixed_coeffs: np.ndarray  # (ned, nb); valid rows only for boundary edges
+    fixed_coeffs: np.ndarray  # (nbnd, nb), the boundary edges' in edge order
     mesh: Mesh2D
     spaces: SpaceSet
     # interior recovery A_ii^-1 A_ib per class (nc, n0, m*nb), and A_ii^-1 b_i
@@ -157,11 +156,13 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
     its representative, its lowest element, and eliminates its interior
     block by one :func:`~gwgfem.solver.eliminate` step per block of
     classes: the matrix is the sum of the class Schur complements
-    A_bb - A_bi A_ii^-1 A_ib at the dissection nodes of each member's edges
-    (:func:`_nested_dissection`).  Each element condenses only its own
-    load, f at its own volume points against the representative's basis
-    values and weights: with A_ii = L L^T and y = L^-1 b_i, its edge load
-    -A_bi L^-T y is summed and its interior load L^-T y kept.
+    S = A_bb - A_bi A_ii^-1 A_ib at the dissection nodes of each member's edges
+    (:func:`_nested_dissection`).  One loop over the block's members then
+    condenses each one's own load, f at the representative's volume points
+    moved by their first vertices' offset, against its basis values and
+    weights: with A_ii = L L^T and y = L^-1 b_i, the summed edge load is
+    -A_bi L^-T y - S u_fix (u_fix its Dirichlet coefficients, 0 on free
+    edges) and the interior load L^-T y is kept.
     An A_ii that fails its Cholesky factorization raises
     :class:`~gwgfem.solver.IndefiniteMatrixError` naming the class's
     representative and the pivot; since the inertia of the block matrix is
@@ -181,7 +182,8 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
     s = mesh.element_edges.shape[1] * spaces.boundary.dim
 
     cls, reps = spaces.classes
-    single = len(reps) == ne  # every element its own class: no gathers
+    order = np.argsort(cls, kind="stable")  # every class's members, class by class
+    start = np.searchsorted(cls[order], np.arange(len(reps) + 1))
     A, recovery = np.empty((len(reps), s, s)), np.empty((len(reps), n0, s))
     b, u0 = np.empty((ne, s)), np.empty((ne, n0))
     for cids in element_blocks(np.arange(len(reps))):
@@ -196,25 +198,19 @@ def assemble(mesh: Mesh2D, spaces: SpaceSet, rb: RbOperator, mu: float,
                 block=e) from None
         # L21 = A_bi L^-T, so the recovery A_ii^-1 A_ib is Li^T L21^T
         recovery[cids] = Li.transpose(0, 2, 1) @ L21.transpose(0, 2, 1)
-        members = cids if single else np.flatnonzero((cls >= cids[0]) & (cls <= cids[-1]))
-        for eids in element_blocks(members):
-            k = slice(None) if single else cls[eids] - cids[0]
-            pts = None if single else element_quadrature(mesh, eids, spaces.quad_degree).points
-            y = Li[k] @ kern.local_load(f, k, pts)[:, :n0, None]  # edge dofs take no load
-            b[eids], u0[eids] = -(L21[k] @ y)[:, :, 0], (Li[k].transpose(0, 2, 1) @ y)[:, :, 0]
-    # eliminate the fixed columns of the elements with a fixed edge; ``ufix``
-    # is zero on their free dofs
-    enode = node[mesh.element_edges]
-    fx = np.flatnonzero((enode < 0).any(axis=1))
-    ufix = fixed[mesh.element_edges[fx]].reshape(len(fx), s, 1)
-    b[fx] -= (A[cls[fx]] @ ufix)[:, :, 0]
-
-    matrix = ElementMatrix(enode, A, cls, tree)
+        for eids in element_blocks(order[start[cids[0]]:start[cids[-1] + 1]]):
+            k = cls[eids] - cids[0]
+            corner = mesh.vertices[mesh.elements[[eids, kern.eids[k]], 0]]
+            y = Li[k] @ kern.local_load(f, k, corner[0] - corner[1])[:, :, None]
+            ufix = fixed[mesh.element_edges[eids]].reshape(len(eids), s, 1)
+            b[eids] = -(L21[k] @ y)[:, :, 0] - (A[cls[eids]] @ ufix)[:, :, 0]
+            u0[eids] = (Li[k].transpose(0, 2, 1) @ y)[:, :, 0]
+    matrix = ElementMatrix(node[mesh.element_edges], A, cls, tree)
     ids = matrix.unknowns()
     free = ids >= 0
     rhs = np.bincount(ids[free], weights=b[free], minlength=matrix.shape[0])
-    return DiscreteSystem(matrix=matrix, rhs=rhs, fixed_coeffs=fixed, mesh=mesh,
-                          spaces=spaces, recovery=recovery, interior_load=u0)
+    return DiscreteSystem(matrix=matrix, rhs=rhs, fixed_coeffs=fixed[mesh.boundary],
+                          mesh=mesh, spaces=spaces, recovery=recovery, interior_load=u0)
 
 
 def extract_solution(system: DiscreteSystem, x: np.ndarray) -> WeakFunction:
@@ -223,7 +219,7 @@ def extract_solution(system: DiscreteSystem, x: np.ndarray) -> WeakFunction:
     block is recovered from its edges by its class's recovery matrix."""
     mesh, A = system.mesh, system.matrix
     wf = WeakFunction.zeros(mesh, system.spaces)
-    wf.boundary[:] = system.fixed_coeffs  # zero on the free edges
+    wf.boundary[mesh.boundary] = system.fixed_coeffs
     free = A.indices >= 0
     wf.boundary[mesh.element_edges[free]] = x.reshape(-1, A.nb)[A.indices[free]]
     ub = wf.boundary[mesh.element_edges].reshape(mesh.num_elements, -1, 1)

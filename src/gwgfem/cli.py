@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -158,6 +159,8 @@ def check_assumptions(config: RunConfig):
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    # -1e-3 is a negative value, not a flag: argparse's own pattern misses exponents
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.add_argument("--config", help="flat key=value config file; flags override")
     p.add_argument("--mesh", help="rect or tri")
     p.add_argument("--levels", type=_parse_levels,

@@ -285,15 +285,14 @@ class ElementKernel:
             (Jb @ Jb.transpose(0, 1, 3, 2).copy()).transpose(1, 0, 2, 3)
         return A
 
-    def local_load(self, f, k=slice(None), points=None) -> np.ndarray:
-        """(f, v0)_T for interior basis functions; edge dofs receive 0.  Given
-        block rows ``k`` and ``points`` (E, nq, 2), the loads of E elements
-        that are translates of those rows' elements, f at their own points."""
-        pts = self.vol.points if points is None else points
+    def local_load(self, f, k: np.ndarray, shift: np.ndarray) -> np.ndarray:
+        """(f, v0)_T (E, n0) for the interior basis functions of E elements,
+        each the translate by ``shift`` (E, 2) of block row ``k`` (E,): f at
+        that row's volume points moved by the shift, against its basis values
+        and weights.  A zero shift gives the row element's own load."""
+        pts = self.vol.points[k] + shift[:, None]
         fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape)
-        b = np.zeros((pts.shape[0], self.ndof))
-        b[:, : self.n0] = np.einsum("einc,enc,en->ei", self.V0[k], fv, self.vol.weights[k])
-        return b
+        return np.einsum("einc,enc,en->ei", self.V0[k], fv, self.vol.weights[k])
 
     def energy(self, vloc: np.ndarray, mu: float, lam: float, rho: float,
                gamma: float) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 
 from gwgfem.assembly import apply_dirichlet, interpolate
+from gwgfem.mesh import _finish_mesh, _lattice
 from gwgfem.spaces import (_activation_args, _slopes_patterns, build_spaces, eval_interior,
                            parse_boundary, parse_interior)
 from gwgfem.weakops import ElementKernel, WeakFunction, edge_rule
@@ -34,6 +35,17 @@ def as_scipy(A):
     rows = np.broadcast_to(ids[:, :, None], data.shape)[pairs]
     cols = np.broadcast_to(ids[:, None, :], data.shape)[pairs]
     return sparse.coo_matrix((data[pairs], (rows, cols)), shape=A.shape).tocsc()
+
+
+def jittered(n):
+    """The tri lattice with each interior vertex moved by up to h/4 per
+    coordinate, from a fixed seed."""
+    vertices, squares = _lattice(n)
+    inner = ((vertices > 0) & (vertices < 1)).all(axis=1)
+    shift = np.random.default_rng(5).uniform(-0.25, 0.25, size=vertices.shape) / n
+    vertices[inner] += shift[inner]
+    return _finish_mesh(n, vertices, np.concatenate([squares[:, [0, 1, 3]],
+                                                     squares[:, [1, 2, 3]]]))
 
 
 def shoelace_area(mesh):
@@ -123,6 +135,12 @@ def kernel(mesh, spaces, rb, eids=None):
     return ElementKernel(mesh, spaces, rb, np.asarray(eids))
 
 
+def own_load(kern, f):
+    """Every element's own load from a kernel: each block row at a zero shift."""
+    E = len(kern.eids)
+    return kern.local_load(f, np.arange(E), np.zeros((E, 2)))
+
+
 def dense_full_system(mesh, spaces, rb, mu, lam, rho, gamma, f):
     """Uncondensed dense system ``(K, F)``: every element's full local
     matrix and load scattered into one block system, the interior blocks
@@ -136,7 +154,7 @@ def dense_full_system(mesh, spaces, rb, mu, lam, rho, gamma, f):
     K = np.zeros((size, size))
     F = np.zeros(size)
     np.add.at(K, (ids[:, :, None], ids[:, None, :]), kern.local_stiffness(mu, lam, rho, gamma))
-    np.add.at(F, ids, kern.local_load(f))
+    np.add.at(F, ids[:, :n0], own_load(kern, f))
     return K, F
 
 

@@ -9,10 +9,12 @@ from conftest import (
     dense_full_system,
     dense_reference_solution,
     interior_gradients,
+    jittered,
     kernel,
     make_spaces,
     manufactured_gradient,
     operator_identity_residuals,
+    own_load,
     vec_field,
     zero_field,
 )
@@ -26,9 +28,9 @@ from gwgfem.assembly import (
     project_interior,
     seminorm,
 )
-from gwgfem.mesh import build_rectangular, build_triangular
+from gwgfem.mesh import build_rectangular, build_triangular, element_quadrature
 from gwgfem.postproc import error_norms, manufactured
-from gwgfem.spaces import interior_mass, spd_condition
+from gwgfem.spaces import eval_interior, interior_mass, spd_condition
 from gwgfem.weakops import ElementKernel, WeakFunction, edge_rule, parse_rb
 
 QB = parse_rb("qb")
@@ -188,22 +190,65 @@ class TestLocalLoad:
     def test_zero_force(self):
         mesh = build_rectangular(2)
         spaces = make_spaces(mesh, "p1", "p0")
-        assert np.allclose(kernel(mesh, spaces, ID, [0]).local_load(zero_field), 0.0)
+        assert np.allclose(own_load(kernel(mesh, spaces, ID, [0]), zero_field), 0.0)
 
     def test_constant_force_small_square(self):
         mesh = build_rectangular(8)
         spaces = make_spaces(mesh, "p1", "p0")
         e1 = vec_field(lambda x, y: 1.0 + 0 * x, lambda x, y: 0.0 * x)
-        b = kernel(mesh, spaces, ID, [0]).local_load(e1)[0]
-        assert b[0] == pytest.approx(1.0 / 64, abs=1e-15)  # (f, [1;0])
-        assert b[1] == pytest.approx(0.0, abs=1e-15)
-        assert np.allclose(b[6:], 0.0)  # edge dofs receive nothing
+        b = own_load(kernel(mesh, spaces, ID, [0]), e1)
+        assert b.shape == (1, 6)  # interior dofs only: edge dofs take no load
+        assert b[0, 0] == pytest.approx(1.0 / 64, abs=1e-15)  # (f, [1;0])
+        assert b[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_linear_force_unit_square(self):
         mesh = build_rectangular(1)
         spaces = make_spaces(mesh, "p1", "p0")
-        b = kernel(mesh, spaces, ID, [0]).local_load(X_FIELD)[0]
+        b = own_load(kernel(mesh, spaces, ID, [0]), X_FIELD)[0]
         assert b[0] == pytest.approx(0.5, abs=1e-14)
+
+    @pytest.mark.parametrize("build,interior,boundary", [
+        (build_rectangular, "sin", "p0"),
+        (build_triangular, "sigmoid", "rm"),
+        (jittered, "p1", "p1"),
+    ])
+    def test_unmoved_load_is_at_own_points(self, build, interior, boundary):
+        # where every element is its own class, assemble moves each load by
+        # exactly 0.0: f at the element's own rule, bit for bit
+        mesh = build(6)
+        spaces = make_spaces(mesh, interior, boundary, seed=3)
+        ne = mesh.num_elements
+        assert len(spaces.classes[1]) == ne
+        f = manufactured("example1", 0.5, 1.0).f
+        rule = element_quadrature(mesh, np.arange(ne), spaces.quad_degree)
+        vals = eval_interior(spaces.interior, spaces.params, rule.points)
+        fv = f(rule.points.reshape(-1, 2)).reshape(rule.points.shape)
+        ref = np.einsum("einc,enc,en->ei", vals, fv, rule.weights)
+        assert np.array_equal(own_load(kernel(mesh, spaces, QB), f), ref)
+
+    @pytest.mark.parametrize("build", [build_rectangular, build_triangular])
+    @pytest.mark.parametrize("n", [12, 16])  # rounding splits the classes at n = 12
+    def test_moved_points_are_each_members_own(self, build, n):
+        # a member's load is f at its representative's points moved by the
+        # offset of their first vertices, as assemble moves them: class
+        # members are translates, so these are the member's own points
+        mesh = build(n)
+        spaces = make_spaces(mesh, "p1", "p1")
+        cls, reps = spaces.classes
+        ne = mesh.num_elements
+        assert len(reps) < ne
+        seen = []
+
+        def f(pts):
+            seen.append(pts.copy())
+            return np.zeros_like(pts)
+
+        first = mesh.vertices[mesh.elements[:, 0]]
+        shift = first - first[reps[cls]]
+        assert not shift[reps].any()
+        kernel(mesh, spaces, QB, reps).local_load(f, cls, shift)
+        own = element_quadrature(mesh, np.arange(ne), spaces.quad_degree).points
+        assert np.abs(seen[0].reshape(own.shape) - own).max() <= 4 * np.spacing(1.0)
 
 
 class TestDirichlet:
@@ -530,15 +575,16 @@ class TestGlobalSystem:
 
     def test_assemble_peak_is_its_output_and_one_element_block(self):
         # the system holds one Schur block and one recovery matrix per class,
-        # and per element its n0 interior load and s edge loads (on the tri
-        # lattice, the right-hand side and the fixed coefficients hold
-        # exactly s ne), besides the integer node map and tree, array headers
-        # and the rule caches of a first call (64 KiB in all): no (ne, s, s)
-        # copy of the class blocks.  Beyond that, assemble holds one element
-        # block at a time (its kernel with the edge rule of its edges, and at
-        # most an (E, ndof + 1, ndof + 1) array's worth of eliminated blocks)
-        # and a few (ne, m nb) vectors of the size of the dof ids: no edge
-        # rule over the mesh
+        # per element its n0 interior load, and per edge nb values: the
+        # right-hand side on the free edges and the fixed coefficients on
+        # the boundary edges only; besides that the integer node map and
+        # tree, array headers and the rule caches of a first call (64 KiB in
+        # all): no (ne, s, s) copy of the class blocks and no (ned, nb)
+        # fixed array (389 KB more here).  Beyond that, assemble holds one
+        # element block at a time (its kernel with the edge rule of its
+        # edges, and at most an (E, ndof + 1, ndof + 1) array's worth of
+        # eliminated blocks) and a few (ne, m nb) vectors of the size of the
+        # dof ids: no edge rule over the mesh
         mesh = build_triangular(64)
         spaces = make_spaces(mesh, "p1", "p1")
         case = manufactured("example1", 0.5, 1.0)
@@ -546,7 +592,7 @@ class TestGlobalSystem:
         try:
             start = tracemalloc.get_traced_memory()[0]
             kern = ElementKernel(mesh, spaces, QB, np.arange(meshmod.ELEMENT_BLOCK))
-            kern.local_stiffness(0.5, 1.0, 1.0, -1.0), kern.local_load(case.f)
+            kern.local_stiffness(0.5, 1.0, 1.0, -1.0), own_load(kern, case.f)
             block = tracemalloc.get_traced_memory()[1] - start
             del kern
             tracemalloc.reset_peak()
@@ -555,11 +601,13 @@ class TestGlobalSystem:
             held, peak = (v - start for v in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        ne, n0, mnb = mesh.num_elements, spaces.interior.dim, 3 * spaces.boundary.dim
-        nc = len(spaces.classes[1])
+        ne, n0, nb = mesh.num_elements, spaces.interior.dim, spaces.boundary.dim
+        nc, mnb = len(spaces.classes[1]), 3 * nb
         A = system.matrix
+        assert system.fixed_coeffs.shape == (np.count_nonzero(mesh.boundary), nb)
         ints = A.indices.nbytes + sum(level.nbytes for level in A.tree)
-        assert held <= 8 * (nc * mnb * mnb + nc * n0 * mnb + ne * (mnb + n0)) + ints + 2 ** 16
+        floats = nc * mnb * mnb + nc * n0 * mnb + ne * n0 + mesh.num_edges * nb
+        assert held <= 8 * floats + ints + 2 ** 16
         eliminated = 8 * meshmod.ELEMENT_BLOCK * (n0 + mnb + 1) ** 2
         assert peak - held <= block + eliminated + 4 * 8 * ne * mnb
 

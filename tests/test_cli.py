@@ -205,6 +205,23 @@ class TestRun:
         assert main(base + ["--condense", "--out", str(f2)]) == EXIT_OK
         assert f1.read_text() == f2.read_text()
 
+    def test_negative_exponent_value_is_not_a_flag(self, tmp_path, capsys):
+        # argparse's own pattern reads "-1e-3" as an option string
+        base = ["run", "--mesh", "rect", "--levels", "2,4"]
+        cfgfile = tmp_path / "study.cfg"
+        cfgfile.write_text("gamma=-1e-3\n")
+        outs = [tmp_path / f"{i}.csv" for i in range(3)]
+        for argv, out in zip((["--gamma", "-1e-3"], ["--gamma=-1e-3"],
+                              ["--config", str(cfgfile)]), outs):
+            assert main(base + argv + ["--out", str(out)]) == EXIT_OK
+        assert outs[0].read_text() == outs[1].read_text() == outs[2].read_text()
+        default = tmp_path / "default.csv"
+        assert main(base + ["--out", str(default)]) == EXIT_OK
+        assert default.read_text() != outs[0].read_text()
+        capsys.readouterr()
+        assert main(base + ["--gamma", "-x"]) == EXIT_CONFIG
+        assert "argument --gamma: expected one argument" in capsys.readouterr().err
+
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfgfile = tmp_path / "study.cfg"
         cfgfile.write_text(

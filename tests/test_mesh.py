@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_spaces, shoelace_area
+from conftest import jittered, make_spaces, shoelace_area
 from gwgfem import assembly, postproc, solver
 from gwgfem.mesh import (
     MAX_QUAD_DEGREE,
@@ -29,17 +29,6 @@ def sheared(n):
     vertices, squares = _lattice(n)
     vertices[:, 0] += 0.3 * vertices[:, 1]
     return _finish_mesh(n, vertices, squares)
-
-
-def jittered(n):
-    """The tri lattice with each interior vertex moved by up to h/4 per
-    coordinate, from a fixed seed."""
-    vertices, squares = _lattice(n)
-    inner = ((vertices > 0) & (vertices < 1)).all(axis=1)
-    shift = np.random.default_rng(5).uniform(-0.25, 0.25, size=vertices.shape) / n
-    vertices[inner] += shift[inner]
-    return _finish_mesh(n, vertices, np.concatenate([squares[:, [0, 1, 3]],
-                                                     squares[:, [1, 2, 3]]]))
 
 
 class TestConstruction:
